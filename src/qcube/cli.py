@@ -45,7 +45,7 @@ from .identities import (
     corollary_s3,
     verify_main,
 )
-from .rank import distance_sum, rank, rank_bounds, rank_closed_small
+from .rank import distance_total, rank, rank_bounds, rank_closed_small
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
@@ -148,18 +148,18 @@ def _emit(payload: dict[str, Any], human_lines: Sequence[str], as_json: bool) ->
 def cmd_rank(args: argparse.Namespace) -> int:
     A = _load_pointset(args)
     r = rank(A)
-    prof = distance_sum(A)
+    total = distance_total(A)
     payload: dict[str, Any] = {
         "q": A.params.q,
         "n": A.params.n,
         "m": len(A),
         "rank": r,
-        "distance_sum": str(prof.total),
+        "distance_sum": str(total),
     }
     lines = [
         f"m: {len(A)}",
         f"rank: {r}",
-        f"distance_sum: {prof.total}",
+        f"distance_sum: {total}",
     ]
     if A.params.q == 2:
         b = rank_bounds(A)

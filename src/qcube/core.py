@@ -3,6 +3,11 @@
 Everything here is pure and immutable: points, point sets, and faces of the
 cube E_q^n (vectors of length n over {0, ..., q-1}), plus the binomial and
 Hamming primitives the rest of the package is built on. No floating point.
+
+Packed layout: a point packs into one int with w = (q-1).bit_length() bits
+per coordinate, coordinate 0 in the most significant block, so packed ints
+sort like coordinate tuples. The layout is decided here only; other modules
+go through PointSet.packed, column_mask and block_fold.
 """
 
 from __future__ import annotations
@@ -10,8 +15,10 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from operator import mul
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class CubeError(ValueError):
@@ -132,6 +139,43 @@ class PointSet:
     def coord_rows(self) -> tuple[tuple[int, ...], ...]:
         """The coordinate matrix: one row per point, canonical order."""
         return tuple(p.coords for p in self.points)
+
+    @cached_property
+    def packed(self) -> tuple[int, ...]:
+        """The rows in the packed layout (see the module docstring), canonical
+        order; built once per set."""
+        w, n = _block_width(self.params), self.params.n
+        weights = [1 << (w * (n - 1 - j)) for j in range(n)]
+        return tuple([sum(map(mul, p.coords, weights)) for p in self.points])
+
+
+def _block_width(params: CubeParams) -> int:
+    return (params.q - 1).bit_length()
+
+
+def column_mask(params: CubeParams, positions: Iterable[int]) -> int:
+    """Packed mask with every bit of the given coordinates' blocks set, so
+    that `packed & mask` projects a row onto those coordinates."""
+    w, n = _block_width(params), params.n
+    block = (1 << w) - 1
+    mask = 0
+    for j in positions:
+        mask |= block << (w * (n - 1 - j))
+    return mask
+
+
+def block_fold(params: CubeParams) -> Callable[[int], int]:
+    """The per-block fold of the packed layout: maps a packed int to one with
+    a single bit per coordinate block, set when that block is non-zero. So
+    fold(a ^ b).bit_count() is the Hamming distance of two packed rows, and
+    folding commutes with OR."""
+    w = _block_width(params)
+    ones = sum(1 << (w * i) for i in range(params.n))
+    high = ones << (w - 1)
+    rest = ones * ((1 << (w - 1)) - 1)
+    # Adding `rest` to a block's low w-1 bits carries into its top bit exactly
+    # when they are non-zero, and never out of the block (TAOCP 7.1.3).
+    return lambda x: (((x & rest) + rest) | x) & high
 
 
 @dataclass(frozen=True)

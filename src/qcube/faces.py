@@ -24,6 +24,7 @@ from .core import (
     PointSet,
     binom,
     check_guard,
+    column_mask,
 )
 from .rank import rank
 
@@ -148,20 +149,17 @@ def faces_containing_bruteforce(A: PointSet, k: int, guard: int = DEFAULT_GUARD)
 
 
 @lru_cache(maxsize=1024)
-def _distribution_grouped(A: PointSet, k: int, guard: int) -> FaceDistribution:
+def _distribution_grouped(A: PointSet, k: int) -> FaceDistribution:
     params = A.params
     n, q = params.n, params.q
     nf = n - k
-    check_guard(binom(n, k) * max(len(A), 1), guard)
-    rows = A.coord_rows()
+    packed = A.packed
     faces_per_choice = q**nf
     counts: Counter[int] = Counter()
     empty = 0
     for fixed_positions in combinations(range(n), nf):
-        proj = _projector(fixed_positions)
-        groups = Counter(map(proj, rows))
-        for size in groups.values():
-            counts[size] += 1
+        groups = Counter(map(column_mask(params, fixed_positions).__and__, packed))
+        counts.update(groups.values())
         empty += faces_per_choice - len(groups)
     result = dict(counts)
     result[0] = empty
@@ -174,16 +172,19 @@ def distribution(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> FaceDistrib
     Faces are tallied one free-position choice at a time: within a choice, a
     face is the fiber of one value assignment on the fixed positions, so
     grouping the projections of A onto those positions yields every nonempty
-    intersection size at once, and the remaining fibers are empty. This visits
-    |A| projections per choice instead of |A| tests per face, which is what
-    makes dense parameter sweeps tractable; the per-face scan survives as
-    distribution_bruteforce for cross-checking.
+    intersection size at once, and the remaining fibers are empty. A
+    projection is the packed row masked to the fixed positions' blocks
+    (core.column_mask). This visits |A| projections per choice instead of |A|
+    tests per face, which is what makes dense parameter sweeps tractable;
+    distribution_bruteforce, a per-face scan over coordinate tuples, is the
+    oracle.
 
-    Results are cached per (A, k, guard); treat the returned counts as
-    read-only.
+    The guard is checked on every call; results are cached per (A, k), so
+    treat the returned counts as read-only.
     """
     _check_k(A.params, k)
-    return _distribution_grouped(A, k, guard)
+    check_guard(binom(A.params.n, k) * max(len(A), 1), guard)
+    return _distribution_grouped(A, k)
 
 
 def distribution_bruteforce(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> FaceDistribution:

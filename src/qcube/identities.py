@@ -13,7 +13,15 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Any, Optional
 
-from .core import DEFAULT_GUARD, ConsistencyError, CubeError, PointSet, binom, check_guard
+from .core import (
+    DEFAULT_GUARD,
+    ConsistencyError,
+    CubeError,
+    PointSet,
+    binom,
+    block_fold,
+    check_guard,
+)
 from .faces import distribution
 from .rank import distance_sum, rank_rows
 
@@ -75,20 +83,44 @@ def _lhs_terms(A: PointSet, k: int, s: int, guard: int) -> Terms:
     )
 
 
+def _main_lhs_terms(A: PointSet, k: int, s: int, guard: int) -> Terms:
+    _require_size(A, 1, "main_lhs")
+    _check_s(A, k, s)
+    return _lhs_terms(A, k, s, guard)
+
+
 def main_lhs(A: PointSet, k: int, s: int, guard: int = DEFAULT_GUARD) -> int:
     """Left side: sum over e >= s of C(e, s) * (number of k-faces meeting A in
     exactly e points)."""
-    _require_size(A, 1, "main_lhs")
-    _check_s(A, k, s)
-    return sum(v for _, v in _lhs_terms(A, k, s, guard))
+    return sum(v for _, v in _main_lhs_terms(A, k, s, guard))
 
 
 @lru_cache(maxsize=512)
 def _subset_rank_histogram(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
-    rows = A.coord_rows()
+    packed = A.packed
+    if s == 1:
+        return ((0, len(packed)),)
+    fold = block_fold(A.params)
     hist: Counter[int] = Counter()
-    for combo in combinations(rows, s):
-        hist[rank_rows(combo)] += 1
+    ranks: list[int] = []
+    tally = ranks.extend
+
+    def walk(diffs: list[int], acc: int, left: int) -> None:
+        # Choose `left` more rows from diffs. The last row is tallied for all
+        # its candidates at once, and the level above it is unrolled.
+        if left == 1:
+            tally(map(int.bit_count, map(acc.__or__, diffs)))
+        elif left == 2:
+            for j, d in enumerate(diffs):
+                tally(map(int.bit_count, map((acc | d).__or__, diffs[j + 1 :])))
+        else:
+            for j in range(len(diffs) - left + 1):
+                walk(diffs[j + 1 :], acc | diffs[j], left - 1)
+
+    for a, anchor in enumerate(packed):
+        walk([fold(anchor ^ p) for p in packed[a + 1 :]], 0, s - 1)
+        hist.update(ranks)
+        ranks.clear()
     return tuple(sorted(hist.items()))
 
 
@@ -104,7 +136,15 @@ def _rhs_terms(A: PointSet, k: int, s: int) -> Terms:
 
 def main_rhs(A: PointSet, k: int, s: int, guard: int = DEFAULT_GUARD) -> int:
     """Right side: sum of C(n - r(B), k - r(B)) over all s-element subsets B
-    of A, where r(B) is the subset rank."""
+    of A, where r(B) is the subset rank.
+
+    The subsets are walked depth-first, anchored at their first row in the
+    canonical order. The walk carries the OR of the folded differences
+    fold(anchor ^ row) of the rows chosen so far (core.block_fold over
+    PointSet.packed), and r(B) is the popcount of that OR at the last row.
+    The oracle is rank_rows over combinations of coord_rows(), which the
+    per-subset breakdown of verify_main still uses.
+    """
     _require_size(A, 1, "main_rhs")
     _check_s(A, k, s)
     check_guard(binom(len(A), s), guard)
@@ -126,10 +166,14 @@ def verify_main(
     Holds for every nonempty A, 0 <= k <= n and 1 <= s <= min(|A|, q**k), so
     an unequal report indicates a defect, and is marked as such.
     """
-    lhs = main_lhs(A, k, s, guard)
+    if include_terms:
+        lt: Optional[Terms] = _main_lhs_terms(A, k, s, guard)
+        lhs = sum(v for _, v in lt)
+    else:
+        lt = None
+        lhs = main_lhs(A, k, s, guard)
     rhs = main_rhs(A, k, s, guard)
     params = {"q": A.params.q, "n": A.params.n, "k": k, "s": s, "m": len(A)}
-    lt = _lhs_terms(A, k, s, guard) if include_terms else None
     rt = _rhs_terms(A, k, s) if include_terms else None
     return IdentityReport.of("main", params, lhs, rhs, lt, rt, proven=True)
 

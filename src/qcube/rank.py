@@ -8,12 +8,23 @@ face containing the whole set.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Optional, Sequence
 
-from .core import ConsistencyError, CubeError, Point, PointSet, hamming
+from .core import (
+    ConsistencyError,
+    CubeError,
+    Point,
+    PointSet,
+    block_fold,
+    column_mask,
+    hamming,
+)
 
 
 @dataclass(frozen=True)
@@ -41,39 +52,53 @@ def rank_rows(rows: Sequence[tuple[int, ...]]) -> int:
 
 
 def rank(A: PointSet) -> int:
-    """Number of coordinate positions where the points of A do not all agree."""
+    """Number of coordinate positions where the points of A do not all agree.
+
+    Popcount of the folded OR of the packed differences against the first
+    row; rank_rows is the oracle.
+    """
     if len(A) == 0:
         raise CubeError("rank of the empty set is undefined")
-    return rank_rows(A.coord_rows())
-
-
-def _pack_bits(row: tuple[int, ...]) -> int:
-    value = 0
-    for c in row:
-        value = (value << 1) | c
-    return value
+    first = A.packed[0]
+    return block_fold(A.params)(reduce(or_, map(first.__xor__, A.packed))).bit_count()
 
 
 def distance_sum(A: PointSet) -> DistanceProfile:
     """All pairwise distances of A together with their sum.
 
-    Binary cubes go through a packed-int XOR path; the result is identical to
-    positionwise comparison.
+    Each distance is the popcount of the folded XOR of two packed rows
+    (core.block_fold over PointSet.packed), for every q; the oracle is
+    positionwise comparison of the coordinate tuples (core.hamming). Callers
+    that need only the total use distance_total, which builds no table.
     """
     if len(A) == 0:
         raise CubeError("distance profile of the empty set is undefined")
-    rows = A.coord_rows()
-    m = len(rows)
-    pairwise: dict[tuple[int, int], int] = {}
-    if A.params.q == 2:
-        packed = [_pack_bits(r) for r in rows]
-        for i, j in combinations(range(m), 2):
-            pairwise[(i, j)] = (packed[i] ^ packed[j]).bit_count()
-    else:
-        for i, j in combinations(range(m), 2):
-            ri, rj = rows[i], rows[j]
-            pairwise[(i, j)] = sum(x != y for x, y in zip(ri, rj))
+    packed = A.packed
+    fold = block_fold(A.params)
+    pairwise = {
+        (i, j): fold(packed[i] ^ packed[j]).bit_count()
+        for i, j in combinations(range(len(packed)), 2)
+    }
     return DistanceProfile(pairwise, sum(pairwise.values()))
+
+
+def distance_total(A: PointSet) -> int:
+    """Sum of the pairwise Hamming distances of A, in O(nm) for every q.
+
+    A column in which value v occurs c_v times holds (m^2 - sum_v c_v^2) / 2
+    unordered differing pairs, counted here on the packed rows masked to that
+    column; summing over columns double-counts nothing, so the result equals
+    distance_sum(A).total, its oracle.
+    """
+    if len(A) == 0:
+        raise CubeError("distance total of the empty set is undefined")
+    packed = A.packed
+    m = len(packed)
+    total = 0
+    for j in range(A.params.n):
+        counts = Counter(map(column_mask(A.params, (j,)).__and__, packed))
+        total += (m * m - sum(c * c for c in counts.values())) // 2
+    return total
 
 
 def _require_binary(A: PointSet, what: str) -> None:
@@ -82,22 +107,10 @@ def _require_binary(A: PointSet, what: str) -> None:
 
 
 def column_distance_sum(A: PointSet) -> int:
-    """Columnwise crosscheck of the distance total for binary cubes.
-
-    Each column with z zeros and (m - z) ones contributes z * (m - z) unordered
-    differing pairs, and summing over columns double-counts nothing, so the
-    result equals DistanceProfile.total.
-    """
+    """distance_total restricted to binary cubes: each column with z zeros
+    and (m - z) ones contributes z * (m - z) differing pairs."""
     _require_binary(A, "column_distance_sum")
-    if len(A) == 0:
-        raise CubeError("column distance sum of the empty set is undefined")
-    rows = A.coord_rows()
-    m = len(rows)
-    total = 0
-    for j in range(A.params.n):
-        ones = sum(row[j] for row in rows)
-        total += ones * (m - ones)
-    return total
+    return distance_total(A)
 
 
 def rank_bounds(A: PointSet) -> RankBounds:
@@ -106,16 +119,18 @@ def rank_bounds(A: PointSet) -> RankBounds:
     With m = |A| and D the pairwise distance total: a singleton has rank 0;
     even m gives 4D/m^2 <= rank <= D/(m-1); odd m > 1 sharpens the lower bound
     to 4D/(m^2 - 1). For m <= 3 the two bounds coincide with the rank.
-    exact_rank is always populated here.
+    exact_rank is always populated here, by the row-scan oracle rank_rows, so
+    that a bounds check holds the packed distance total against a rank that
+    shares no code with it.
     """
     _require_binary(A, "rank_bounds")
     m = len(A)
     if m == 0:
         raise CubeError("rank bounds of the empty set are undefined")
-    exact = rank(A)
+    exact = rank_rows(A.coord_rows())
     if m == 1:
         return RankBounds(Fraction(0), Fraction(0), exact)
-    d = distance_sum(A).total
+    d = distance_total(A)
     upper = Fraction(d, m - 1)
     if m % 2 == 0:
         lower = Fraction(4 * d, m * m)
@@ -140,7 +155,7 @@ def rank_closed_small(A: PointSet) -> Optional[int]:
     if m == 2:
         return hamming(A.points[0], A.points[1])
     if m == 3:
-        total = distance_sum(A).total
+        total = distance_total(A)
         if total % 2:
             raise ConsistencyError(
                 f"odd pairwise distance total {total} for a binary triple"

@@ -249,6 +249,12 @@ class TestDistribution:
         with pytest.raises(SizeGuardError):
             distribution_bruteforce(A, 2, guard=3)
 
+    def test_guard_checked_after_a_cached_result(self, mkset):
+        A = mkset(2, 4, "0000 1111 0101 1010")
+        distribution(A, 2, guard=10**6)
+        with pytest.raises(SizeGuardError):
+            distribution(A, 2, guard=3)
+
     def test_checked_rejects_bad_tally(self):
         params = CubeParams(2, 2)
         with pytest.raises(ConsistencyError):

@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from qcube import identities
 from qcube.core import CubeError, CubeParams, Point, PointSet, SizeGuardError, binom
 from qcube.identities import (
     IdentityReport,
@@ -87,6 +88,18 @@ class TestVerifyMain:
         assert sum(v for _, v in rep.lhs_terms) == rep.lhs
         assert sum(v for _, v in rep.rhs_terms) == rep.rhs
         assert len(rep.rhs_terms) == binom(5, 2)
+
+    def test_terms_computed_once(self, mkset, monkeypatch):
+        calls = []
+        original = identities._lhs_terms
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(identities, "_lhs_terms", counted)
+        verify_main(mkset(2, 3, "000 011 101"), 2, 2, include_terms=True)
+        assert len(calls) == 1
 
     def test_random_property(self):
         rng = random.Random(90210)

@@ -8,6 +8,7 @@ from qcube.core import CubeError, CubeParams, Point, PointSet
 from qcube.rank import (
     column_distance_sum,
     distance_sum,
+    distance_total,
     isometric,
     rank,
     rank_bounds,
@@ -77,6 +78,17 @@ class TestDistanceSum:
     def test_singleton(self, mkset):
         prof = distance_sum(mkset(3, 2, "01"))
         assert prof.pairwise == {} and prof.total == 0
+
+
+class TestDistanceTotal:
+    def test_examples(self, mkset):
+        assert distance_total(mkset(3, 2, "00 12 02")) == 4
+        assert distance_total(mkset(12, 2, "11,0 0,0")) == 1
+        assert distance_total(PointSet.from_coords(CubeParams(4, 0), [()])) == 0
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(CubeError):
+            distance_total(PointSet(CubeParams(3, 2), ()))
 
 
 class TestColumnDistanceSum:
