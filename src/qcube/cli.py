@@ -11,10 +11,9 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Optional, Sequence, TextIO
+from typing import Any, Callable, Iterator, Optional, Sequence, TextIO
 
 from .core import (
     DEFAULT_GUARD,
@@ -23,6 +22,7 @@ from .core import (
     ParseError,
     PointSet,
     SizeGuardError,
+    check_guard,
     parse_pointset,
     serialize_pointset,
 )
@@ -51,23 +51,6 @@ EXIT_OK = 0
 EXIT_UNEQUAL = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
-
-# Data-driven registry of identities whose failures are expected and tracked,
-# rather than treated as regressions. The engine itself never consults this.
-KNOWN_ERRATA = frozenset({"evenweight_printed"})
-
-SWEEP_IDENTITIES = (
-    "main",
-    "corollary1",
-    "corollary2",
-    "corollary3",
-    "vandermonde",
-    "chu_vandermonde_generalized",
-    "evenweight_printed",
-    "evenweight_corrected",
-    "bounds",
-    "lemma_face_count",
-)
 
 
 def json_line(obj: Any) -> str:
@@ -112,12 +95,12 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _infer_n(text: str) -> Optional[int]:
+def _infer_n(text: str, q: int) -> Optional[int]:
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "," in line:
+        if "," in line or q > 10:
             return len(line.split(","))
         return len(line)
     return None
@@ -127,7 +110,7 @@ def _load_pointset(args: argparse.Namespace) -> PointSet:
     text = _read_text(args.input)
     n = args.n
     if n is None:
-        n = _infer_n(text)
+        n = _infer_n(text, args.q)
         if n is None:
             raise CubeError("empty input; pass --n to fix the dimension")
     params = CubeParams(args.q, n)
@@ -243,10 +226,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.n is None:
         raise CubeError("gen requires --n")
     params = CubeParams(args.q, args.n)
+    guard = args.guard if args.guard is not None else DEFAULT_GUARD
     family = args.family
     if family == "even-weight":
         if params.q != 2:
             raise CubeError("the even-weight family requires q = 2")
+        check_guard(2 ** max(params.n - 1, 0), guard)
         A = gen_even_weight(params.n)
     elif family == "face":
         free = _csv_ints(args.free) if args.free is not None else None
@@ -263,10 +248,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
                 )
             fixed_pairs = tuple(zip(positions, values))
         spec = face_spec(params, args.nu, free, fixed_pairs)
+        check_guard(params.q ** len(spec.free_positions), guard)
         A = gen_face_subset(params, spec)
     elif family == "random":
         if args.m is None:
             raise CubeError("random family needs --m")
+        check_guard(args.m, guard)
         A = gen_random_subset(params, args.m, args.seed)
     else:
         raise CubeError(f"unknown family {family!r}")
@@ -298,13 +285,18 @@ class SweepConfig:
     fmt: str
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false load as bool, which is a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_range(value: Any, name: str, allow_all: bool = False) -> Optional[tuple[int, int]]:
     if allow_all and (value is None or value == "all"):
         return None
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, int) for v in value)
+        or not all(_is_int(v) for v in value)
     ):
         raise CubeError(f"sweep config: {name} must be a two-int [lo, hi] range")
     lo, hi = value
@@ -317,16 +309,16 @@ def load_sweep_config(path: str) -> SweepConfig:
     raw = json.loads(_read_text(path))
     if not isinstance(raw, dict):
         raise CubeError("sweep config must be a JSON object")
-    identities = tuple(raw.get("identities", ()))
-    if not identities:
+    identities = raw.get("identities")
+    if not isinstance(identities, list) or not identities:
         raise CubeError("sweep config: identities must be a non-empty list")
     for name in identities:
-        if name not in SWEEP_IDENTITIES:
+        if not isinstance(name, str) or name not in SWEEP_IDENTITIES:
             raise CubeError(
                 f"sweep config: unknown identity {name!r}; known: {', '.join(SWEEP_IDENTITIES)}"
             )
-    qs = tuple(raw.get("q", [2]))
-    if not qs or not all(isinstance(q, int) and q >= 2 for q in qs):
+    qs = raw.get("q", [2])
+    if not isinstance(qs, list) or not qs or not all(_is_int(q) and q >= 2 for q in qs):
         raise CubeError("sweep config: q must be a list of integers >= 2")
     n_range = _parse_range(raw.get("n"), "n")
     if n_range[0] < 0:
@@ -334,30 +326,29 @@ def load_sweep_config(path: str) -> SweepConfig:
     k_range = _parse_range(raw.get("k", "all"), "k", allow_all=True)
     s_range = _parse_range(raw.get("s", [1, 3]), "s")
     nu_range = _parse_range(raw.get("nu", "all"), "nu", allow_all=True)
-    seeds = tuple(raw.get("seeds", [0]))
-    if not seeds or not all(isinstance(s, int) for s in seeds):
+    seeds = raw.get("seeds", [0])
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
         raise CubeError("sweep config: seeds must be a non-empty list of integers")
     family = raw.get("family")
     if family is not None:
         if not isinstance(family, dict) or "kind" not in family:
             raise CubeError("sweep config: family must be an object with a 'kind'")
-    needs_family = {"main", "corollary1", "corollary2", "corollary3", "bounds", "lemma_face_count"}
-    if family is None and needs_family & set(identities):
+    if family is None and any(SWEEP_IDENTITIES[name].family for name in identities):
         raise CubeError("sweep config: these identities need a family template")
     fmt = raw.get("format", "jsonl")
     if fmt != "jsonl":
         raise CubeError(f"sweep config: unsupported format {fmt!r}")
     guard = raw.get("guard")
-    if guard is not None and (not isinstance(guard, int) or guard < 1):
+    if guard is not None and (not _is_int(guard) or guard < 1):
         raise CubeError("sweep config: guard must be a positive integer")
     return SweepConfig(
-        identities=identities,
-        qs=qs,
+        identities=tuple(identities),
+        qs=tuple(qs),
         n_range=n_range,
         k_range=k_range,
         s_range=s_range,
         nu_range=nu_range,
-        seeds=seeds,
+        seeds=tuple(seeds),
         family=family,
         guard=guard,
         output=raw.get("output"),
@@ -379,11 +370,10 @@ def _nus(cfg: SweepConfig, n: int, least: int = 0) -> range:
     return range(max(lo, least), min(hi, n) + 1)
 
 
-def _family_instances(
-    cfg: SweepConfig, q: int, n: int
-) -> Iterator[tuple[dict[str, Any], PointSet]]:
-    """Yield (extra-params, point set) pairs for one (q, n) cell, skipping
-    combinations whose preconditions fail. Deterministic order."""
+def _family_instances(cfg: SweepConfig, q: int, n: int) -> Iterator[dict[str, Any]]:
+    """Yield the extra params of each family instance in one (q, n) cell,
+    with its point set under "A", skipping combinations whose preconditions
+    fail. Deterministic order."""
     fam = cfg.family
     if fam is None:
         return
@@ -391,125 +381,133 @@ def _family_instances(
     params = CubeParams(q, n)
     if kind == "random":
         m = fam.get("m")
-        if not isinstance(m, int):
+        if not _is_int(m):
             raise CubeError("sweep config: random family needs an integer m")
         if m < 1 or m > params.volume:
             return
         for seed in cfg.seeds:
-            yield {"seed": seed}, gen_random_subset(params, m, seed)
+            yield {"seed": seed, "A": gen_random_subset(params, m, seed)}
     elif kind == "even_weight":
         if q != 2:
             return
-        yield {}, gen_even_weight(n)
+        yield {"A": gen_even_weight(n)}
     elif kind == "face":
         for nu in _nus(cfg, n):
-            yield {"nu": nu}, gen_face_subset(params, face_spec(params, nu))
+            yield {"nu": nu, "A": gen_face_subset(params, face_spec(params, nu))}
     elif kind == "file":
         spec = FamilySpec(
             "file", path=fam.get("path"), m=None, seed=None
         )
-        yield {}, realize_family(params, spec)
+        yield {"A": realize_family(params, spec)}
     else:
         raise CubeError(f"sweep config: unknown family kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class SweepIdentity:
+    """One sweep identity. `grid(cfg, q, n, A)` lists its parameters in one
+    (q, n) cell, where A is the family instance if `family` is set, else None.
+    `evaluate(point, guard)` returns an IdentityReport or a finished row.
+    Failures of an `erratum` identity count as known_erratum, not as fail."""
+
+    grid: Callable[[SweepConfig, int, int, Optional[PointSet]], list[dict[str, int]]]
+    evaluate: Callable[[dict[str, Any], int], IdentityReport | dict[str, Any]]
+    family: bool = False
+    erratum: bool = False
+
+
+def _each_k(cfg: SweepConfig, q: int, n: int, A: Optional[PointSet]) -> list[dict[str, int]]:
+    return [{"k": k} for k in _ks(cfg, n)]
+
+
+def _main_grid(cfg: SweepConfig, q: int, n: int, A: PointSet) -> list[dict[str, int]]:
+    s_lo, s_hi = cfg.s_range
+    return [{"k": k, "s": s} for k in _ks(cfg, n)
+            for s in range(max(s_lo, 1), min(s_hi, len(A), q**k) + 1)]
+
+
+def _bounds_row(point: dict[str, Any], guard: int) -> dict[str, Any]:
+    A = point["A"]
+    b = rank_bounds(A)
+    passed = b.lower <= b.exact_rank <= b.upper
+    return {
+        "identity": "bounds",
+        "params": {"q": 2, "n": point["n"], "m": len(A)},
+        "rank": str(b.exact_rank),
+        "lower": str(b.lower),
+        "upper": str(b.upper),
+        "passed": passed,
+        "status": "pass" if passed else "fail",
+    }
+
+
+def _lemma_face_count(point: dict[str, Any], guard: int) -> IdentityReport:
+    A, k = point["A"], point["k"]
+    lhs = faces_containing_bruteforce(A, k, guard)
+    rhs = faces_containing_count(A, k)
+    params = {"q": point["q"], "n": point["n"], "k": k, "m": len(A)}
+    return IdentityReport.of("lemma_face_count", params, lhs, rhs, proven=True)
+
+
+# Evaluators look the engine functions up at call time rather than binding
+# them here, so that a wrapper installed on a module attribute sees the calls.
+SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
+    "main": SweepIdentity(
+        _main_grid, lambda p, g: verify_main(p["A"], p["k"], p["s"], g), family=True
+    ),
+    "corollary1": SweepIdentity(
+        _each_k, lambda p, g: corollary_s1(p["A"], p["k"], g), family=True
+    ),
+    "corollary2": SweepIdentity(
+        lambda cfg, q, n, A: _each_k(cfg, q, n, A) if len(A) >= 2 else [],
+        lambda p, g: corollary_s2(p["A"], p["k"], g),
+        family=True,
+    ),
+    "corollary3": SweepIdentity(
+        lambda cfg, q, n, A: _each_k(cfg, q, n, A) if q == 2 and len(A) >= 3 else [],
+        lambda p, g: corollary_s3(p["A"], p["k"], g),
+        family=True,
+    ),
+    "vandermonde": SweepIdentity(
+        lambda cfg, q, n, A: [{"nu": nu, "k": k} for nu in _nus(cfg, n) for k in _ks(cfg, n)],
+        lambda p, g: check_vandermonde(CubeParams(p["q"], p["n"]), p["nu"], p["k"]),
+    ),
+    "chu_vandermonde_generalized": SweepIdentity(
+        lambda cfg, q, n, A: [{"nu": nu, "k": k} for nu in _nus(cfg, n, 1) for k in _ks(cfg, n)],
+        lambda p, g: check_chu_vandermonde_generalized(CubeParams(p["q"], p["n"]), p["nu"], p["k"]),
+    ),
+    "evenweight_printed": SweepIdentity(
+        lambda cfg, q, n, A: [{"k": k} for k in _ks(cfg, n) if k >= 1 and q == 2],
+        lambda p, g: check_evenweight_identity(p["n"], p["k"], "printed"),
+        erratum=True,
+    ),
+    "evenweight_corrected": SweepIdentity(
+        lambda cfg, q, n, A: [{"k": k} for k in _ks(cfg, n) if k >= 1 and q == 2],
+        lambda p, g: check_evenweight_identity(p["n"], p["k"], "corrected"),
+    ),
+    "bounds": SweepIdentity(lambda cfg, q, n, A: [{}] if q == 2 else [], _bounds_row, family=True),
+    "lemma_face_count": SweepIdentity(_each_k, _lemma_face_count, family=True),
+}
 
 
 def _expand_sweep(cfg: SweepConfig) -> list[dict[str, Any]]:
     points: list[dict[str, Any]] = []
     n_lo, n_hi = cfg.n_range
-    s_lo, s_hi = cfg.s_range
     for identity in cfg.identities:
+        entry = SWEEP_IDENTITIES[identity]
         for q in cfg.qs:
             for n in range(n_lo, n_hi + 1):
-                if identity == "vandermonde":
-                    for nu in _nus(cfg, n):
-                        for k in _ks(cfg, n):
-                            points.append(
-                                {"identity": identity, "q": q, "n": n, "nu": nu, "k": k}
-                            )
-                elif identity == "chu_vandermonde_generalized":
-                    for nu in _nus(cfg, n, least=1):
-                        for k in _ks(cfg, n):
-                            points.append(
-                                {"identity": identity, "q": q, "n": n, "nu": nu, "k": k}
-                            )
-                elif identity in ("evenweight_printed", "evenweight_corrected"):
-                    if q != 2 or n < 1:
-                        continue
-                    for k in _ks(cfg, n):
-                        if k >= 1:
-                            points.append({"identity": identity, "q": q, "n": n, "k": k})
-                else:
-                    for extra, A in _family_instances(cfg, q, n):
-                        base = {"identity": identity, "q": q, "n": n, "A": A, **extra}
-                        if identity == "bounds":
-                            if q == 2:
-                                points.append(base)
-                        elif identity == "main":
-                            for k in _ks(cfg, n):
-                                cap = min(len(A), q**k)
-                                for s in range(max(s_lo, 1), min(s_hi, cap) + 1):
-                                    points.append({**base, "k": k, "s": s})
-                        elif identity == "corollary1":
-                            points.extend({**base, "k": k} for k in _ks(cfg, n))
-                        elif identity == "corollary2":
-                            if len(A) >= 2:
-                                points.extend({**base, "k": k} for k in _ks(cfg, n))
-                        elif identity == "corollary3":
-                            if q == 2 and len(A) >= 3:
-                                points.extend({**base, "k": k} for k in _ks(cfg, n))
-                        elif identity == "lemma_face_count":
-                            points.extend({**base, "k": k} for k in _ks(cfg, n))
+                for extra in _family_instances(cfg, q, n) if entry.family else [{}]:
+                    base = {"identity": identity, "q": q, "n": n, **extra}
+                    points.extend({**base, **g} for g in entry.grid(cfg, q, n, extra.get("A")))
     return points
 
 
 def _sweep_row(point: dict[str, Any], guard: int) -> dict[str, Any]:
     identity = point["identity"]
-    extra = {
-        key: value
-        for key, value in point.items()
-        if key in ("seed", "nu") and identity not in ("vandermonde", "chu_vandermonde_generalized")
-    }
+    entry = SWEEP_IDENTITIES[identity]
     try:
-        if identity == "main":
-            rep = verify_main(point["A"], point["k"], point["s"], guard)
-        elif identity == "corollary1":
-            rep = corollary_s1(point["A"], point["k"], guard)
-        elif identity == "corollary2":
-            rep = corollary_s2(point["A"], point["k"], guard)
-        elif identity == "corollary3":
-            rep = corollary_s3(point["A"], point["k"], guard)
-        elif identity == "vandermonde":
-            rep = check_vandermonde(CubeParams(point["q"], point["n"]), point["nu"], point["k"])
-        elif identity == "chu_vandermonde_generalized":
-            rep = check_chu_vandermonde_generalized(
-                CubeParams(point["q"], point["n"]), point["nu"], point["k"]
-            )
-        elif identity in ("evenweight_printed", "evenweight_corrected"):
-            rep = check_evenweight_identity(
-                point["n"], point["k"], identity.removeprefix("evenweight_")
-            )
-        elif identity == "bounds":
-            A = point["A"]
-            b = rank_bounds(A)
-            passed = b.lower <= b.exact_rank <= b.upper
-            row = {
-                "identity": "bounds",
-                "params": {"q": 2, "n": point["n"], "m": len(A), **extra},
-                "rank": str(b.exact_rank),
-                "lower": str(b.lower),
-                "upper": str(b.upper),
-                "passed": passed,
-                "status": "pass" if passed else "fail",
-            }
-            return row
-        elif identity == "lemma_face_count":
-            A = point["A"]
-            lhs = faces_containing_bruteforce(A, point["k"], guard)
-            rhs = faces_containing_count(A, point["k"])
-            params = {"q": point["q"], "n": point["n"], "k": point["k"], "m": len(A), **extra}
-            rep = IdentityReport.of("lemma_face_count", params, lhs, rhs, proven=True)
-        else:
-            raise CubeError(f"unknown identity {identity!r}")
+        rep = entry.evaluate(point, guard)
     except SizeGuardError as exc:
         return {
             "identity": identity,
@@ -518,17 +516,19 @@ def _sweep_row(point: dict[str, Any], guard: int) -> dict[str, Any]:
             "passed": False,
             "status": "error",
         }
-    params = dict(rep.params)
-    params.update(extra)
+    extra = {key: point[key] for key in ("seed", "nu") if key in point}
+    if isinstance(rep, dict):
+        rep["params"].update(extra)
+        return rep
     if rep.equal:
         status = "pass"
-    elif identity in KNOWN_ERRATA:
+    elif entry.erratum:
         status = "known_erratum"
     else:
         status = "fail"
     return {
         "identity": rep.identity,
-        "params": params,
+        "params": {**rep.params, **extra},
         "lhs": str(rep.lhs),
         "rhs": str(rep.rhs),
         "equal": rep.equal,
@@ -537,24 +537,21 @@ def _sweep_row(point: dict[str, Any], guard: int) -> dict[str, Any]:
     }
 
 
-def run_sweep(cfg: SweepConfig, out: TextIO, jobs: int = 1, guard: Optional[int] = None) -> int:
-    """Run every sweep point, stream one JSON line per result plus a summary
-    line, and return the exit code. Output depends only on the config."""
+def run_sweep(cfg: SweepConfig, out: TextIO, guard: Optional[int] = None) -> int:
+    """Expand every point first, so that config errors raise before any output;
+    then evaluate the points serially, writing each JSON line as it is computed,
+    and a summary line. Returns the exit code. Output depends only on the config."""
     effective_guard = guard if guard is not None else (cfg.guard or DEFAULT_GUARD)
     points = _expand_sweep(cfg)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda pt: _sweep_row(pt, effective_guard), points))
-    else:
-        rows = [_sweep_row(pt, effective_guard) for pt in points]
     tally = {"pass": 0, "fail": 0, "known_erratum": 0, "error": 0}
-    for row in rows:
+    for point in points:
+        row = _sweep_row(point, effective_guard)
         tally[row["status"]] += 1
         out.write(json_line(row) + "\n")
-    out.write(json_line({"summary": {"total": len(rows), **tally}}) + "\n")
+    out.write(json_line({"summary": {"total": len(points), **tally}}) + "\n")
     print(
         "sweep: {total} points, {p} pass, {f} fail, {e} known erratum, {err} error".format(
-            total=len(rows),
+            total=len(points),
             p=tally["pass"],
             f=tally["fail"],
             e=tally["known_erratum"],
@@ -572,11 +569,10 @@ def run_sweep(cfg: SweepConfig, out: TextIO, jobs: int = 1, guard: Optional[int]
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_sweep_config(args.config)
     destination = args.output or cfg.output
-    jobs = args.jobs
     if destination:
         with open(destination, "w") as handle:
-            return run_sweep(cfg, handle, jobs=jobs, guard=args.guard)
-    return run_sweep(cfg, sys.stdout, jobs=jobs, guard=args.guard)
+            return run_sweep(cfg, handle, guard=args.guard)
+    return run_sweep(cfg, sys.stdout, guard=args.guard)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -584,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--q", type=int, default=2, help="alphabet size (default 2)")
     common.add_argument("--n", type=int, default=None, help="dimension (inferred from input when omitted)")
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
+    common.add_argument("--jobs", type=int, default=1, help="accepted and ignored; sweeps run serially")
     common.add_argument("--guard", type=int, default=None, help="operation budget (default 10^7)")
     common.add_argument("--seed", type=int, default=0, help="seed for random generation")
 

@@ -230,7 +230,7 @@ def test_criterion_7_isometry_invariance():
     return "100 subset/image pairs"
 
 
-@criterion(8, "sweep output is byte-identical across runs and thread counts")
+@criterion(8, "sweep output is byte-identical across runs and --jobs values")
 def test_criterion_8_sweep_determinism(tmp_path):
     config = {
         "identities": [

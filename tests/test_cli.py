@@ -1,8 +1,12 @@
 import csv
+import dataclasses
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +229,27 @@ class TestGen:
         code, out, err = run(capsys, "gen", "--family", "even-weight", "--q", "3", "--n", "3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "even-weight", "--n", "3", "--guard", "3"),
+            ("--family", "face", "--q", "3", "--n", "3", "--nu", "2", "--guard", "8"),
+            ("--family", "face", "--n", "3", "--free", "0,2", "--guard", "3"),
+            ("--family", "random", "--n", "4", "--m", "5", "--guard", "4"),
+        ],
+        ids=["even-weight", "face-nu", "face-free", "random"],
+    )
+    def test_guard_refuses_before_generating(self, capsys, argv):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 3
+        assert out == ""
+        assert "guard" in err
+
+    def test_guard_admits_exact_budget(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "even-weight", "--n", "3", "--guard", "4")
+        assert code == 0
+        assert out == EW3
+
     def test_gen_then_rank(self, tmp_path, capsys):
         pts = tmp_path / "f.txt"
         run(capsys, "gen", "--family", "face", "--n", "4", "--nu", "2", "-o", str(pts))
@@ -240,12 +265,21 @@ class TestStdin:
         assert code == 0
         assert "rank: 2" in out
 
+    def test_large_q_infers_n_from_fields(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("11\n3\n"))
+        code, out, err = run(capsys, "rank", "--q", "12", "-")
+        assert code == 0
+        assert "rank: 1" in out
+
     def test_module_entry_point(self, tmp_path):
         path = write(tmp_path, "a.txt", "00\n11\n")
+        # The child imports the same qcube, whether or not PYTHONPATH is set.
+        src = str(Path(qcube.cli.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "qcube", "rank", path],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0
         assert "rank: 2" in proc.stdout
@@ -276,6 +310,7 @@ class TestSweep:
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
         run(capsys, "sweep", cfg, "--output", str(serial))
+        # --jobs is accepted and ignored: sweeps run serially.
         run(capsys, "sweep", cfg, "--output", str(parallel), "--jobs", "3")
         assert serial.read_bytes() == parallel.read_bytes()
 
@@ -309,7 +344,9 @@ class TestSweep:
         assert rows[-1]["summary"]["known_erratum"] > 0
 
     def test_unregistered_failure_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(qcube.cli, "KNOWN_ERRATA", frozenset())
+        registry = qcube.cli.SWEEP_IDENTITIES
+        entry = dataclasses.replace(registry["evenweight_printed"], erratum=False)
+        monkeypatch.setitem(registry, "evenweight_printed", entry)
         cfg = write(
             tmp_path,
             "cfg.json",
@@ -382,3 +419,70 @@ class TestSweep:
         cfg = write(tmp_path, "cfg.json", "{not json")
         code, out, err = run(capsys, "sweep", cfg)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"q": 2}, "q must be a list"),
+            ({"identities": 5}, "identities must be a non-empty list"),
+            ({"identities": "corollary1"}, "identities must be a non-empty list"),
+            ({"guard": True}, "guard must be a positive integer"),
+            ({"seeds": [True]}, "seeds must be a non-empty list of integers"),
+            ({"family": {"kind": "random", "m": True}}, "integer m"),
+            ({"n": [False, True]}, "n must be a two-int"),
+            ({"k": [False, 1]}, "k must be a two-int"),
+            ({"s": [True, 2]}, "s must be a two-int"),
+            ({"nu": [True, 2]}, "nu must be a two-int"),
+        ],
+        ids=[
+            "q-scalar", "identities-int", "identities-str", "guard-bool", "seeds-bool",
+            "m-bool", "n-bool", "k-bool", "s-bool", "nu-bool",
+        ],
+    )
+    def test_malformed_config_fields(self, tmp_path, capsys, patch, message):
+        valid = {
+            "identities": ["corollary1"],
+            "q": [2],
+            "n": [1, 2],
+            "family": {"kind": "random", "m": 2},
+        }
+        cfg = write(tmp_path, "cfg.json", json.dumps({**valid, **patch}))
+        code, out, err = run(capsys, "sweep", cfg)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    # sha256 of stdout for the criterion 8 config (all ten identities,
+    # q in {2, 3}, n in [1, 4], s in [1, 3], seeds [0, 1], random m = 4).
+    @pytest.mark.parametrize(
+        "argv, exit_code, digest",
+        [
+            ((), 0, "2c9201c171e7ae66a2ed504cf281ca4accf4da007d0f659fd58eea855f82fc64"),
+            (("--guard", "40"), 3, "fa26fc67a9bac41bfdd9aa55f85c356c5326e0238b240e73d8c44fc665561af9"),
+        ],
+        ids=["default-guard", "guard-40"],
+    )
+    def test_golden_output(self, tmp_path, capsys, argv, exit_code, digest):
+        config = {
+            "identities": [
+                "main",
+                "corollary1",
+                "corollary2",
+                "corollary3",
+                "vandermonde",
+                "chu_vandermonde_generalized",
+                "evenweight_printed",
+                "evenweight_corrected",
+                "bounds",
+                "lemma_face_count",
+            ],
+            "q": [2, 3],
+            "n": [1, 4],
+            "s": [1, 3],
+            "seeds": [0, 1],
+            "family": {"kind": "random", "m": 4},
+        }
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        code, out, err = run(capsys, "sweep", cfg, *argv)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
