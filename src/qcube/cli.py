@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, TextIO
 
@@ -23,6 +24,7 @@ from .core import (
     PointSet,
     SizeGuardError,
     check_guard,
+    is_int,
     parse_pointset,
     serialize_pointset,
 )
@@ -106,6 +108,10 @@ def _infer_n(text: str, q: int) -> Optional[int]:
     return None
 
 
+def _guard(args: argparse.Namespace) -> int:
+    return args.guard if args.guard is not None else DEFAULT_GUARD
+
+
 def _load_pointset(args: argparse.Namespace) -> PointSet:
     text = _read_text(args.input)
     n = args.n
@@ -130,6 +136,7 @@ def _emit(payload: dict[str, Any], human_lines: Sequence[str], as_json: bool) ->
 
 def cmd_rank(args: argparse.Namespace) -> int:
     A = _load_pointset(args)
+    check_guard(A.params.n * len(A), _guard(args))
     r = rank(A)
     total = distance_total(A)
     payload: dict[str, Any] = {
@@ -158,6 +165,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     A = _load_pointset(args)
+    check_guard(A.params.n * len(A), _guard(args))
     b = rank_bounds(A)
     payload = {
         "q": A.params.q,
@@ -178,7 +186,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_distribution(args: argparse.Namespace) -> int:
     A = _load_pointset(args)
-    dist = distribution(A, args.k, args.guard if args.guard is not None else DEFAULT_GUARD)
+    dist = distribution(A, args.k, _guard(args))
     items = dist.items()
     payload = {
         "q": A.params.q,
@@ -201,8 +209,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     A = _load_pointset(args)
-    guard = args.guard if args.guard is not None else DEFAULT_GUARD
-    rep = verify_main(A, args.k, args.s, guard, include_terms=args.breakdown)
+    rep = verify_main(A, args.k, args.s, _guard(args), include_terms=args.breakdown)
     payload = report_to_dict(rep)
     lines = [
         f"identity: {rep.identity}",
@@ -226,12 +233,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.n is None:
         raise CubeError("gen requires --n")
     params = CubeParams(args.q, args.n)
-    guard = args.guard if args.guard is not None else DEFAULT_GUARD
     family = args.family
     if family == "even-weight":
         if params.q != 2:
             raise CubeError("the even-weight family requires q = 2")
-        check_guard(2 ** max(params.n - 1, 0), guard)
+        check_guard(2 ** max(params.n - 1, 0), _guard(args))
         A = gen_even_weight(params.n)
     elif family == "face":
         free = _csv_ints(args.free) if args.free is not None else None
@@ -248,12 +254,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
                 )
             fixed_pairs = tuple(zip(positions, values))
         spec = face_spec(params, args.nu, free, fixed_pairs)
-        check_guard(params.q ** len(spec.free_positions), guard)
+        check_guard(params.q ** len(spec.free_positions), _guard(args))
         A = gen_face_subset(params, spec)
     elif family == "random":
         if args.m is None:
             raise CubeError("random family needs --m")
-        check_guard(args.m, guard)
+        check_guard(args.m, _guard(args))
         A = gen_random_subset(params, args.m, args.seed)
     else:
         raise CubeError(f"unknown family {family!r}")
@@ -285,18 +291,13 @@ class SweepConfig:
     fmt: str
 
 
-def _is_int(value: Any) -> bool:
-    # JSON true/false load as bool, which is a subclass of int.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_range(value: Any, name: str, allow_all: bool = False) -> Optional[tuple[int, int]]:
     if allow_all and (value is None or value == "all"):
         return None
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(_is_int(v) for v in value)
+        or not all(is_int(v) for v in value)
     ):
         raise CubeError(f"sweep config: {name} must be a two-int [lo, hi] range")
     lo, hi = value
@@ -318,7 +319,7 @@ def load_sweep_config(path: str) -> SweepConfig:
                 f"sweep config: unknown identity {name!r}; known: {', '.join(SWEEP_IDENTITIES)}"
             )
     qs = raw.get("q", [2])
-    if not isinstance(qs, list) or not qs or not all(_is_int(q) and q >= 2 for q in qs):
+    if not isinstance(qs, list) or not qs or not all(is_int(q) and q >= 2 for q in qs):
         raise CubeError("sweep config: q must be a list of integers >= 2")
     n_range = _parse_range(raw.get("n"), "n")
     if n_range[0] < 0:
@@ -327,7 +328,7 @@ def load_sweep_config(path: str) -> SweepConfig:
     s_range = _parse_range(raw.get("s", [1, 3]), "s")
     nu_range = _parse_range(raw.get("nu", "all"), "nu", allow_all=True)
     seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
+    if not isinstance(seeds, list) or not seeds or not all(is_int(s) for s in seeds):
         raise CubeError("sweep config: seeds must be a non-empty list of integers")
     family = raw.get("family")
     if family is not None:
@@ -339,7 +340,7 @@ def load_sweep_config(path: str) -> SweepConfig:
     if fmt != "jsonl":
         raise CubeError(f"sweep config: unsupported format {fmt!r}")
     guard = raw.get("guard")
-    if guard is not None and (not _is_int(guard) or guard < 1):
+    if guard is not None and (not is_int(guard) or guard < 1):
         raise CubeError("sweep config: guard must be a positive integer")
     return SweepConfig(
         identities=tuple(identities),
@@ -381,7 +382,7 @@ def _family_instances(cfg: SweepConfig, q: int, n: int) -> Iterator[dict[str, An
     params = CubeParams(q, n)
     if kind == "random":
         m = fam.get("m")
-        if not _is_int(m):
+        if not is_int(m):
             raise CubeError("sweep config: random family needs an integer m")
         if m < 1 or m > params.volume:
             return
@@ -395,10 +396,7 @@ def _family_instances(cfg: SweepConfig, q: int, n: int) -> Iterator[dict[str, An
         for nu in _nus(cfg, n):
             yield {"nu": nu, "A": gen_face_subset(params, face_spec(params, nu))}
     elif kind == "file":
-        spec = FamilySpec(
-            "file", path=fam.get("path"), m=None, seed=None
-        )
-        yield {"A": realize_family(params, spec)}
+        yield {"A": realize_family(params, FamilySpec("file", path=fam.get("path")))}
     else:
         raise CubeError(f"sweep config: unknown family kind {kind!r}")
 
@@ -493,11 +491,13 @@ SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
 def _expand_sweep(cfg: SweepConfig) -> list[dict[str, Any]]:
     points: list[dict[str, Any]] = []
     n_lo, n_hi = cfg.n_range
+    # Every family identity shares one build of each (q, n) cell's instances.
+    instances = cache(lambda q, n: list(_family_instances(cfg, q, n)))
     for identity in cfg.identities:
         entry = SWEEP_IDENTITIES[identity]
         for q in cfg.qs:
             for n in range(n_lo, n_hi + 1):
-                for extra in _family_instances(cfg, q, n) if entry.family else [{}]:
+                for extra in instances(q, n) if entry.family else [{}]:
                     base = {"identity": identity, "q": q, "n": n, **extra}
                     points.extend({**base, **g} for g in entry.grid(cfg, q, n, extra.get("A")))
     return points

@@ -1,8 +1,9 @@
 """Domain types and exact integer combinatorics for q-valued cubes.
 
-Everything here is pure and immutable: points, point sets, and faces of the
-cube E_q^n (vectors of length n over {0, ..., q-1}), plus the binomial and
-Hamming primitives the rest of the package is built on. No floating point.
+Everything here is pure and immutable: points, point sets (stored as
+validated coordinate rows), and faces of the cube E_q^n (vectors of length n
+over {0, ..., q-1}), plus the binomial and Hamming primitives the rest of the
+package is built on. No floating point.
 
 Packed layout: a point packs into one int with w = (q-1).bit_length() bits
 per coordinate, coordinate 0 in the most significant block, so packed ints
@@ -83,6 +84,22 @@ class CubeParams:
         return self.q**self.n
 
 
+def is_int(value: object) -> bool:
+    """An int that is not a bool (bool subclasses int; JSON true/false load as bool)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_row(params: CubeParams, coords: tuple[int, ...]) -> None:
+    if len(coords) != params.n:
+        raise CubeError(
+            f"point has {len(coords)} coordinates, cube dimension is {params.n}"
+        )
+    q = params.q
+    for c in coords:
+        if not is_int(c) or not 0 <= c < q:
+            raise CubeError(f"coordinate {c!r} out of range for q={q}")
+
+
 @dataclass(frozen=True)
 class Point:
     """One vector of the cube. Equality compares the owning cube and coordinates."""
@@ -93,52 +110,46 @@ class Point:
     def __post_init__(self) -> None:
         coords = tuple(self.coords)
         object.__setattr__(self, "coords", coords)
-        if len(coords) != self.params.n:
-            raise CubeError(
-                f"point has {len(coords)} coordinates, cube dimension is {self.params.n}"
-            )
-        q = self.params.q
-        for c in coords:
-            if not isinstance(c, int) or not 0 <= c < q:
-                raise CubeError(f"coordinate {c!r} out of range for q={q}")
+        _check_row(self.params, coords)
 
 
 @dataclass(frozen=True)
 class PointSet:
-    """A deduplicated set of points of one cube.
+    """A deduplicated set of points of one cube, stored as coordinate rows.
 
-    Canonical form: points are stored (and iterated) in lexicographic order of
-    their coordinate tuples, so equal sets compare and hash equal regardless of
-    construction order. May be empty.
+    Each given row is checked once (length n, int coordinates in [0, q)).
+    Canonical form: the distinct rows as int tuples in lexicographic order, so
+    equal sets compare and hash equal regardless of construction order. May be
+    empty. Point objects are built only for `points`, iteration and `in`.
     """
 
     params: CubeParams
-    points: tuple[Point, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(self.points)
-        for p in pts:
-            if p.params != self.params:
-                raise CubeError("point does not belong to this cube")
-        canonical = tuple(sorted(set(pts), key=lambda p: p.coords))
-        object.__setattr__(self, "points", canonical)
+        rows = [tuple(row) for row in self.rows]
+        for row in rows:
+            _check_row(self.params, row)
+        object.__setattr__(self, "rows", tuple(sorted(set(rows))))
 
     @classmethod
     def from_coords(cls, params: CubeParams, coords: Iterable[Iterable[int]]) -> "PointSet":
-        return cls(params, tuple(Point(params, tuple(c)) for c in coords))
+        return cls(params, tuple(coords))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
 
-    def __contains__(self, p: object) -> bool:
-        return p in self.points
-
     def coord_rows(self) -> tuple[tuple[int, ...], ...]:
         """The coordinate matrix: one row per point, canonical order."""
-        return tuple(p.coords for p in self.points)
+        return self.rows
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        """The rows as Point objects, canonical order; built on first use."""
+        return tuple(Point(self.params, row) for row in self.rows)
 
     @cached_property
     def packed(self) -> tuple[int, ...]:
@@ -146,7 +157,7 @@ class PointSet:
         order; built once per set."""
         w, n = _block_width(self.params), self.params.n
         weights = [1 << (w * (n - 1 - j)) for j in range(n)]
-        return tuple([sum(map(mul, p.coords, weights)) for p in self.points])
+        return tuple([sum(map(mul, row, weights)) for row in self.rows])
 
 
 def _block_width(params: CubeParams) -> int:
@@ -277,14 +288,14 @@ def parse_pointset(text: str, params: CubeParams) -> tuple[PointSet, int]:
     Returns (pointset, number_of_duplicates_dropped). Errors carry the 1-based
     line number.
     """
-    points: list[Point] = []
+    rows: list[tuple[int, ...]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        points.append(Point(params, _parse_vector(line, params, line_no)))
-    dropped = len(points) - len(set(points))
-    return PointSet(params, tuple(points)), dropped
+        rows.append(_parse_vector(line, params, line_no))
+    A = PointSet(params, tuple(rows))
+    return A, len(rows) - len(A)
 
 
 def serialize_pointset(A: PointSet) -> str:
@@ -294,9 +305,5 @@ def serialize_pointset(A: PointSet) -> str:
     representation (the empty coordinate string is a blank line), so both the
     empty set and the singleton set serialize to "" there.
     """
-    q = A.params.q
-    if q <= 10:
-        lines = ["".join(str(c) for c in p.coords) for p in A]
-    else:
-        lines = [",".join(str(c) for c in p.coords) for p in A]
-    return "\n".join(lines)
+    sep = "" if A.params.q <= 10 else ","
+    return "\n".join(sep.join(str(c) for c in row) for row in A.rows)

@@ -15,7 +15,7 @@ from itertools import product
 from pathlib import Path
 from typing import Optional
 
-from .core import CubeError, CubeParams, Face, Point, PointSet, binom, parse_pointset
+from .core import CubeError, CubeParams, Face, PointSet, binom, parse_pointset
 from .faces import FaceDistribution
 from .identities import IdentityReport
 
@@ -76,7 +76,7 @@ def gen_face_subset(params: CubeParams, spec: FamilySpec) -> PointSet:
         raise CubeError("face spec is missing its free positions")
     filled = face_spec(params, None, spec.free_positions, spec.fixed_values)
     face = Face(params, frozenset(filled.free_positions), filled.fixed_values)
-    return PointSet(params, tuple(face.points()))
+    return PointSet(params, tuple(p.coords for p in face.points()))
 
 
 def gen_even_weight(n: int) -> PointSet:
@@ -85,10 +85,8 @@ def gen_even_weight(n: int) -> PointSet:
     if n < 0:
         raise CubeError(f"dimension n must be >= 0, got {n}")
     params = CubeParams(2, n)
-    pts = tuple(
-        Point(params, bits) for bits in product((0, 1), repeat=n) if sum(bits) % 2 == 0
-    )
-    return PointSet(params, pts)
+    rows = tuple(bits for bits in product((0, 1), repeat=n) if sum(bits) % 2 == 0)
+    return PointSet(params, rows)
 
 
 def _decode(index: int, params: CubeParams) -> tuple[int, ...]:
@@ -105,7 +103,7 @@ def gen_random_subset(params: CubeParams, m: int, seed: int) -> PointSet:
         raise CubeError(f"m must be in [1, {params.volume}], got {m}")
     rng = random.Random(seed)
     picks = rng.sample(range(params.volume), m)
-    return PointSet(params, tuple(Point(params, _decode(i, params)) for i in picks))
+    return PointSet(params, tuple(_decode(i, params) for i in picks))
 
 
 def realize_family(params: CubeParams, spec: FamilySpec) -> PointSet:

@@ -142,8 +142,8 @@ def main_rhs(A: PointSet, k: int, s: int, guard: int = DEFAULT_GUARD) -> int:
     canonical order. The walk carries the OR of the folded differences
     fold(anchor ^ row) of the rows chosen so far (core.block_fold over
     PointSet.packed), and r(B) is the popcount of that OR at the last row.
-    The oracle is rank_rows over combinations of coord_rows(), which the
-    per-subset breakdown of verify_main still uses.
+    The oracle is rank_rows over s-combinations of the rows (PointSet.rows),
+    which the per-subset breakdown of verify_main still uses.
     """
     _require_size(A, 1, "main_rhs")
     _check_s(A, k, s)

@@ -23,7 +23,6 @@ from .core import (
     PointSet,
     block_fold,
     column_mask,
-    hamming,
 )
 
 
@@ -55,7 +54,7 @@ def rank(A: PointSet) -> int:
     """Number of coordinate positions where the points of A do not all agree.
 
     Popcount of the folded OR of the packed differences against the first
-    row; rank_rows is the oracle.
+    row; the oracle is rank_rows over the set's rows (PointSet.rows).
     """
     if len(A) == 0:
         raise CubeError("rank of the empty set is undefined")
@@ -68,8 +67,9 @@ def distance_sum(A: PointSet) -> DistanceProfile:
 
     Each distance is the popcount of the folded XOR of two packed rows
     (core.block_fold over PointSet.packed), for every q; the oracle is
-    positionwise comparison of the coordinate tuples (core.hamming). Callers
-    that need only the total use distance_total, which builds no table.
+    positionwise comparison of two of PointSet.rows, as core.hamming does for
+    two Points. Callers that need only the total use distance_total, which
+    builds no table.
     """
     if len(A) == 0:
         raise CubeError("distance profile of the empty set is undefined")
@@ -142,9 +142,10 @@ def rank_bounds(A: PointSet) -> RankBounds:
 def rank_closed_small(A: PointSet) -> Optional[int]:
     """Closed-form rank for binary sets of at most three points.
 
-    |A| = 1 gives 0, |A| = 2 gives the pair distance, |A| = 3 gives half the
-    distance total (always an integer in a binary cube: a column on which the
-    triple disagrees contributes exactly 2). Returns None for |A| >= 4.
+    |A| = 1 gives 0, |A| = 2 gives the distance total (the one pair
+    distance), |A| = 3 gives half of it (always an integer in a binary cube:
+    a column on which the triple disagrees contributes exactly 2). Returns
+    None for |A| >= 4.
     """
     _require_binary(A, "rank_closed_small")
     m = len(A)
@@ -153,7 +154,7 @@ def rank_closed_small(A: PointSet) -> Optional[int]:
     if m == 1:
         return 0
     if m == 2:
-        return hamming(A.points[0], A.points[1])
+        return distance_total(A)
     if m == 3:
         total = distance_total(A)
         if total % 2:
@@ -165,14 +166,8 @@ def rank_closed_small(A: PointSet) -> Optional[int]:
 
 
 def _distance_matrix(A: PointSet) -> list[list[int]]:
-    rows = A.coord_rows()
-    m = len(rows)
-    mat = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = sum(x != y for x, y in zip(rows[i], rows[j]))
-            mat[i][j] = mat[j][i] = d
-    return mat
+    fold = block_fold(A.params)
+    return [[fold(a ^ b).bit_count() for b in A.packed] for a in A.packed]
 
 
 def isometric(A: PointSet, B: PointSet) -> Optional[dict[Point, Point]]:
@@ -229,8 +224,5 @@ def random_isometry_image(A: PointSet, seed: int) -> PointSet:
     n, q = A.params.n, A.params.q
     perm = rng.sample(range(n), n)
     tables = [rng.sample(range(q), q) for _ in range(n)]
-    mapped = [
-        Point(A.params, tuple(tables[i][p.coords[perm[i]]] for i in range(n)))
-        for p in A
-    ]
+    mapped = [tuple(tables[i][row[perm[i]]] for i in range(n)) for row in A.rows]
     return PointSet(A.params, tuple(mapped))

@@ -96,6 +96,24 @@ class TestBounds:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["rank", "bounds"])
+class TestColumnScanGuard:
+    """rank and bounds scan n columns of m rows; n * m is checked first."""
+
+    def test_refuses_over_budget(self, tmp_path, capsys, command):
+        path = write(tmp_path, "a.txt", "00\n01\n10\n11\n")
+        code, out, err = run(capsys, command, path, "--guard", "1")
+        assert code == 3
+        assert out == ""
+        assert "about 8 elementary operations, guard is 1" in err
+
+    def test_admits_exact_budget(self, tmp_path, capsys, command):
+        path = write(tmp_path, "a.txt", "00\n01\n10\n11\n")
+        code, out, err = run(capsys, command, path, "--guard", "8")
+        assert code == 0
+        assert "rank: 2" in out
+
+
 class TestDistribution:
     def test_human_lines(self, tmp_path, capsys):
         path = write(tmp_path, "a.txt", EW3)
@@ -486,3 +504,26 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", cfg, *argv)
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_family_instances_built_once_per_cell(self, tmp_path, capsys, monkeypatch):
+        # Criterion 8's config: six family identities share 12 random sets.
+        calls = []
+        original = qcube.cli.gen_random_subset
+
+        def counting(params, m, seed):
+            calls.append((params, m, seed))
+            return original(params, m, seed)
+
+        monkeypatch.setattr(qcube.cli, "gen_random_subset", counting)
+        config = {
+            "identities": list(qcube.cli.SWEEP_IDENTITIES),
+            "q": [2, 3],
+            "n": [1, 4],
+            "s": [1, 3],
+            "seeds": [0, 1],
+            "family": {"kind": "random", "m": 4},
+        }
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        code, _, _ = run(capsys, "sweep", cfg)
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 12

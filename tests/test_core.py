@@ -2,6 +2,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcube.core import (
     CubeError,
@@ -14,6 +16,15 @@ from qcube.core import (
     hamming,
     parse_pointset,
     serialize_pointset,
+)
+from qcube.faces import distribution_bruteforce, faces_containing_bruteforce
+from qcube.identities import corollary_s3, verify_main
+from qcube.rank import (
+    distance_total,
+    random_isometry_image,
+    rank,
+    rank_bounds,
+    rank_closed_small,
 )
 
 
@@ -75,6 +86,8 @@ class TestParamsAndPoints:
             Point(p, (0, -1))
         with pytest.raises(CubeError):
             Point(p, (0, 1, 2))
+        with pytest.raises(CubeError, match="coordinate True out of range"):
+            Point(p, (True, 0))
 
     def test_point_equality_and_hash(self):
         p = CubeParams(2, 2)
@@ -97,11 +110,31 @@ class TestPointSet:
         assert a == b
         assert hash(a) == hash(b)
 
-    def test_rejects_foreign_points(self):
+    def test_rejects_rows_not_in_this_cube(self):
         p2 = CubeParams(2, 2)
-        p3 = CubeParams(3, 2)
-        with pytest.raises(CubeError):
-            PointSet(p2, (Point(p3, (0, 1)),))
+        with pytest.raises(CubeError, match="point has 3 coordinates, cube dimension is 2"):
+            PointSet(p2, ((0, 1, 0),))
+        with pytest.raises(CubeError, match="coordinate 2 out of range for q=2"):
+            PointSet(p2, ((0, 1), (0, 2)))
+        with pytest.raises(CubeError, match="coordinate -1 out of range"):
+            PointSet.from_coords(p2, [(-1, 0)])
+        with pytest.raises(CubeError, match="coordinate True out of range"):
+            PointSet.from_coords(p2, [(True, False)])
+        with pytest.raises(CubeError, match="coordinate '1' out of range"):
+            PointSet.from_coords(p2, [("1", "0")])
+
+    def test_engine_paths_build_no_points(self, mkset):
+        A = mkset(2, 3, "000 011 101 110 111")
+        for check in (rank, distance_total, rank_bounds, rank_closed_small, serialize_pointset):
+            check(A)
+        verify_main(A, 2, 2, include_terms=True)
+        corollary_s3(A, 2, include_terms=True)
+        faces_containing_bruteforce(A, 2)
+        distribution_bruteforce(A, 1)
+        random_isometry_image(A, 1)
+        assert "points" not in vars(A)
+        assert [pt.coords for pt in A] == list(A.rows)
+        assert "points" in vars(A)
 
     def test_contains_and_rows(self):
         p = CubeParams(2, 3)
@@ -112,6 +145,31 @@ class TestPointSet:
 
     def test_empty_set_is_allowed(self):
         assert len(PointSet(CubeParams(2, 3), ())) == 0
+
+
+@st.composite
+def shuffled_rows(draw):
+    q = draw(st.sampled_from((2, 3, 12)))
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=12))
+    repeats = draw(st.lists(st.sampled_from(rows), max_size=6)) if rows else []
+    return CubeParams(q, n), draw(st.permutations(rows + repeats))
+
+
+@given(shuffled_rows())
+@settings(max_examples=150, deadline=None)
+def test_rows_are_canonical_and_round_trip(case):
+    params, rows = case
+    A = PointSet(params, rows)
+    assert A.coord_rows() == tuple(sorted(set(rows)))
+    w, n = (params.q - 1).bit_length(), params.n
+    assert A.packed == tuple(
+        sum(c * 2 ** (w * (n - 1 - j)) for j, c in enumerate(row)) for row in A.rows
+    )
+    assert "points" not in vars(A)
+    assert [p.coords for p in A] == list(A.rows)
+    if n >= 1:
+        assert parse_pointset(serialize_pointset(A), params) == (A, 0)
 
 
 class TestFace:

@@ -146,7 +146,7 @@ class TestFacesContaining:
         for q, max_n in [(2, 4), (3, 2)]:
             for n in range(0, max_n + 1):
                 params = CubeParams(q, n)
-                pts = [Point(params, c) for c in product(range(q), repeat=n)]
+                pts = list(product(range(q), repeat=n))
                 for size in (1, 2, 3):
                     if size > len(pts):
                         continue
@@ -193,7 +193,7 @@ class TestDistribution:
 
     def test_matches_bruteforce_exhaustively(self):
         params = CubeParams(2, 3)
-        pts = [Point(params, c) for c in product((0, 1), repeat=3)]
+        pts = list(product((0, 1), repeat=3))
         for size in range(0, 9):
             for combo in combinations(pts, size):
                 A = PointSet(params, combo)

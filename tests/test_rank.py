@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from qcube.core import CubeError, CubeParams, Point, PointSet
+from qcube.core import CubeError, CubeParams, PointSet
 from qcube.rank import (
     column_distance_sum,
     distance_sum,
@@ -18,7 +18,7 @@ from qcube.rank import (
 
 
 def all_subsets(params, sizes):
-    pts = [Point(params, c) for c in product(range(params.q), repeat=params.n)]
+    pts = list(product(range(params.q), repeat=params.n))
     for size in sizes:
         for combo in combinations(pts, size):
             yield PointSet(params, combo)
