@@ -28,7 +28,7 @@ from .core import (
     parse_pointset,
     serialize_pointset,
 )
-from .faces import distribution, faces_containing_bruteforce, faces_containing_count
+from .faces import distribution, faces_containing_count, total_faces
 from .families import (
     FamilySpec,
     check_chu_vandermonde_generalized,
@@ -47,7 +47,7 @@ from .identities import (
     corollary_s3,
     verify_main,
 )
-from .rank import distance_total, rank, rank_bounds, rank_closed_small
+from .rank import bounds_from_total, closed_rank_from_total, distance_total, rank, rank_bounds
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
@@ -152,11 +152,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
         f"distance_sum: {total}",
     ]
     if A.params.q == 2:
-        b = rank_bounds(A)
-        closed = rank_closed_small(A)
-        payload["bounds"] = {"lower": str(b.lower), "upper": str(b.upper)}
+        lower, upper = bounds_from_total(len(A), total)
+        closed = closed_rank_from_total(len(A), total)
+        payload["bounds"] = {"lower": str(lower), "upper": str(upper)}
         payload["closed_form_rank"] = closed
-        lines.append(f"bounds: [{b.lower}, {b.upper}]")
+        lines.append(f"bounds: [{lower}, {upper}]")
         if closed is not None:
             lines.append(f"closed_form_rank: {closed}")
     _emit(payload, lines, args.json)
@@ -440,8 +440,13 @@ def _bounds_row(point: dict[str, Any], guard: int) -> dict[str, Any]:
 
 
 def _lemma_face_count(point: dict[str, Any], guard: int) -> IdentityReport:
+    # A k-face contains A iff it meets A in all |A| points, so the LHS is the
+    # e = |A| entry of the cached distribution. The guard estimate is that of
+    # the oracle's face scan (faces_containing_bruteforce), which keeps the
+    # sweep's refusals pinned; distribution's own estimate is never larger.
     A, k = point["A"], point["k"]
-    lhs = faces_containing_bruteforce(A, k, guard)
+    check_guard(total_faces(A.params, k) * len(A), guard)
+    lhs = distribution(A, k, guard)[len(A)]
     rhs = faces_containing_count(A, k)
     params = {"q": point["q"], "n": point["n"], "k": k, "m": len(A)}
     return IdentityReport.of("lemma_face_count", params, lhs, rhs, proven=True)

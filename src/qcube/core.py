@@ -17,7 +17,7 @@ import math
 import string
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -117,19 +117,30 @@ class Point:
 class PointSet:
     """A deduplicated set of points of one cube, stored as coordinate rows.
 
-    Each given row is checked once (length n, int coordinates in [0, q)).
-    Canonical form: the distinct rows as int tuples in lexicographic order, so
-    equal sets compare and hash equal regardless of construction order. May be
-    empty. Point objects are built only for `points`, iteration and `in`.
+    The given rows are checked once (length n, int coordinates in [0, q)), in
+    whole-set passes over lengths, coordinate types and the coordinate range;
+    only a set that fails one is checked row by row, for the first bad row's
+    message. Canonical form: the distinct rows as int tuples in lexicographic
+    order, so equal sets compare and hash equal regardless of construction
+    order. May be empty. Point objects are built only for `points`, iteration
+    and `in`.
     """
 
     params: CubeParams
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = [tuple(row) for row in self.rows]
-        for row in rows:
-            _check_row(self.params, row)
+        params = self.params
+        rows = list(map(tuple, self.rows))
+        # The distinct values are taken only once every coordinate is known
+        # to be an int, since True == 1 would hide a bool among them.
+        if (
+            not set(map(len, rows)) <= {params.n}
+            or not set(map(type, chain.from_iterable(rows))) <= {int}
+            or not all(0 <= c < params.q for c in set().union(*rows))
+        ):
+            for row in rows:
+                _check_row(params, row)
         object.__setattr__(self, "rows", tuple(sorted(set(rows))))
 
     @classmethod
@@ -267,13 +278,15 @@ def _parse_vector(line: str, params: CubeParams, line_no: int) -> tuple[int, ...
     else:
         if len(line) != n:
             raise ParseError(f"expected {n} digits, got {len(line)}", line_no)
-        for ch in line:
-            if ch not in string.digits:
-                raise ParseError(f"invalid character {ch!r}", line_no)
-        coords = [int(ch) for ch in line]
-    for c in coords:
-        if not 0 <= c < q:
-            raise ParseError(f"coordinate {c} out of range for q={q}", line_no)
+        if not (line.isascii() and line.isdigit()):
+            for ch in line:
+                if ch not in string.digits:
+                    raise ParseError(f"invalid character {ch!r}", line_no)
+        coords = list(map(int, line))
+    if min(coords) < 0 or max(coords) >= q:
+        for c in coords:
+            if not 0 <= c < q:
+                raise ParseError(f"coordinate {c} out of range for q={q}", line_no)
     return tuple(coords)
 
 

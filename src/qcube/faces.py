@@ -130,6 +130,10 @@ def faces_containing_bruteforce(A: PointSet, k: int, guard: int = DEFAULT_GUARD)
     Deliberately independent of the closed form: no ranks, just membership
     tests (with early exit), one fixed-value assignment at a time. Budget:
     |A| membership tests per face against the guard.
+
+    An oracle only: no CLI path calls it. The sweep's lemma_face_count rows
+    read the e = |A| entry of distribution() instead, costed with this scan's
+    estimate; the tests hold both, and faces_containing_count, to this count.
     """
     _require_nonempty(A)
     params = A.params

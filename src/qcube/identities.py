@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from .core import (
     DEFAULT_GUARD,
@@ -196,6 +196,11 @@ def corollary_s1(
     return IdentityReport.of("corollary1", params, lhs, rhs, lt, rt, proven=True)
 
 
+@lru_cache(maxsize=256)
+def _pair_distance_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(Counter(distance_sum(A).pairwise.values()).items()))
+
+
 def corollary_s2(
     A: PointSet, k: int, guard: int = DEFAULT_GUARD, include_terms: bool = False
 ) -> IdentityReport:
@@ -203,26 +208,45 @@ def corollary_s2(
     C(n - d, k - d) at pair distance d.
 
     Valid for every q: a pair at distance d spans a d-dimensional face, so its
-    rank is d and no separate rank computation is needed.
+    rank is d and no separate rank computation is needed. Without terms the
+    right side is summed over the histogram d -> number of pairs, built from
+    distance_sum once per set and cached; the binom(m, 2) guard is checked on
+    every call. With terms, every pair is listed from distance_sum.
     """
     _require_size(A, 2, "corollary_s2")
     check_guard(binom(len(A), 2), guard)
     n = A.params.n
     lhs_terms = _lhs_terms(A, k, 2, guard)
     lhs = sum(v for _, v in lhs_terms)
-    prof = distance_sum(A)
     if include_terms:
         rt: Optional[Terms] = tuple(
-            (f"pair={ij}", binom(n - d, k - d)) for ij, d in sorted(prof.pairwise.items())
+            (f"pair={ij}", binom(n - d, k - d))
+            for ij, d in sorted(distance_sum(A).pairwise.items())
         )
         rhs = sum(v for _, v in rt)
         lt: Optional[Terms] = lhs_terms
     else:
-        hist = Counter(prof.pairwise.values())
-        rhs = sum(c * binom(n - d, k - d) for d, c in hist.items())
+        rhs = sum(c * binom(n - d, k - d) for d, c in _pair_distance_histogram(A))
         lt = rt = None
     params = {"q": A.params.q, "n": n, "k": k, "s": 2, "m": len(A)}
     return IdentityReport.of("corollary2", params, lhs, rhs, lt, rt, proven=True)
+
+
+def _triple_ranks(A: PointSet) -> Iterator[tuple[tuple[int, int, int], int]]:
+    # Half the pairwise distance sum of each triple, in combinations order.
+    d = distance_sum(A).pairwise
+    for i, j, t in combinations(range(len(A)), 3):
+        dsum = d[(i, j)] + d[(i, t)] + d[(j, t)]
+        if dsum % 2:
+            raise ConsistencyError(
+                f"odd distance sum {dsum} for a binary triple {(i, j, t)}"
+            )
+        yield (i, j, t), dsum // 2
+
+
+@lru_cache(maxsize=256)
+def _triple_rank_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(Counter(r for _, r in _triple_ranks(A)).items()))
 
 
 def corollary_s3(
@@ -230,7 +254,12 @@ def corollary_s3(
 ) -> IdentityReport:
     """Triple case, binary cubes only: sum of C(e, 3) counts equals the sum
     over point triples of C(n - r, k - r) with r the half-sum of the three
-    pairwise distances (an integer in a binary cube)."""
+    pairwise distances (an integer in a binary cube).
+
+    Without terms the right side is summed over the histogram r -> number of
+    triples, built from distance_sum once per set and cached; the binom(m, 3)
+    guard is checked on every call. With terms, every triple is listed.
+    """
     if A.params.q != 2:
         raise CubeError("corollary_s3 is defined for q = 2 only")
     _require_size(A, 3, "corollary_s3")
@@ -239,22 +268,14 @@ def corollary_s3(
     n = A.params.n
     lhs_terms = _lhs_terms(A, k, 3, guard)
     lhs = sum(v for _, v in lhs_terms)
-    d = distance_sum(A).pairwise
-    rhs = 0
-    rt: list[tuple[str, int]] = []
-    for i, j, t in combinations(range(m), 3):
-        dsum = d[(i, j)] + d[(i, t)] + d[(j, t)]
-        if dsum % 2:
-            raise ConsistencyError(
-                f"odd distance sum {dsum} for a binary triple {(i, j, t)}"
-            )
-        r = dsum // 2
-        term = binom(n - r, k - r)
-        rhs += term
-        if include_terms:
-            rt.append((f"triple={(i, j, t)}", term))
+    if include_terms:
+        rt: Optional[Terms] = tuple(
+            (f"triple={ijt}", binom(n - r, k - r)) for ijt, r in _triple_ranks(A)
+        )
+        rhs = sum(v for _, v in rt)
+        lt: Optional[Terms] = lhs_terms
+    else:
+        rhs = sum(c * binom(n - r, k - r) for r, c in _triple_rank_histogram(A))
+        lt = rt = None
     params = {"q": 2, "n": n, "k": k, "s": 3, "m": m}
-    lt = lhs_terms if include_terms else None
-    return IdentityReport.of(
-        "corollary3", params, lhs, rhs, lt, tuple(rt) if include_terms else None, proven=True
-    )
+    return IdentityReport.of("corollary3", params, lhs, rhs, lt, rt, proven=True)

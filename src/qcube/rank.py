@@ -113,12 +113,28 @@ def column_distance_sum(A: PointSet) -> int:
     return distance_total(A)
 
 
-def rank_bounds(A: PointSet) -> RankBounds:
-    """Exact rational rank bounds for binary point sets.
+def bounds_from_total(m: int, total: int) -> tuple[Fraction, Fraction]:
+    """Exact rational (lower, upper) rank bounds of a binary set of m >= 1
+    points whose pairwise distances sum to D = total.
 
-    With m = |A| and D the pairwise distance total: a singleton has rank 0;
-    even m gives 4D/m^2 <= rank <= D/(m-1); odd m > 1 sharpens the lower bound
-    to 4D/(m^2 - 1). For m <= 3 the two bounds coincide with the rank.
+    A singleton has rank 0; even m gives 4D/m^2 <= rank <= D/(m-1); odd m > 1
+    sharpens the lower bound to 4D/(m^2 - 1). For m <= 3 the two bounds
+    coincide with the rank.
+    """
+    if m == 1:
+        return Fraction(0), Fraction(0)
+    upper = Fraction(total, m - 1)
+    if m % 2 == 0:
+        lower = Fraction(4 * total, m * m)
+    else:
+        lower = Fraction(4 * total, m * m - 1)
+    return lower, upper
+
+
+def rank_bounds(A: PointSet) -> RankBounds:
+    """Exact rational rank bounds for binary point sets (bounds_from_total
+    over the distance total).
+
     exact_rank is always populated here, by the row-scan oracle rank_rows, so
     that a bounds check holds the packed distance total against a rank that
     shares no code with it.
@@ -128,41 +144,39 @@ def rank_bounds(A: PointSet) -> RankBounds:
     if m == 0:
         raise CubeError("rank bounds of the empty set are undefined")
     exact = rank_rows(A.coord_rows())
-    if m == 1:
-        return RankBounds(Fraction(0), Fraction(0), exact)
-    d = distance_total(A)
-    upper = Fraction(d, m - 1)
-    if m % 2 == 0:
-        lower = Fraction(4 * d, m * m)
-    else:
-        lower = Fraction(4 * d, m * m - 1)
-    return RankBounds(lower, upper, exact)
+    return RankBounds(*bounds_from_total(m, distance_total(A)), exact)
 
 
-def rank_closed_small(A: PointSet) -> Optional[int]:
-    """Closed-form rank for binary sets of at most three points.
+def closed_rank_from_total(m: int, total: int) -> Optional[int]:
+    """Closed-form rank of a binary set of 1 <= m <= 3 points whose pairwise
+    distances sum to total; None for m >= 4.
 
-    |A| = 1 gives 0, |A| = 2 gives the distance total (the one pair
-    distance), |A| = 3 gives half of it (always an integer in a binary cube:
-    a column on which the triple disagrees contributes exactly 2). Returns
-    None for |A| >= 4.
+    m = 1 gives 0, m = 2 gives the total (the one pair distance), m = 3 gives
+    half of it (always an integer in a binary cube: a column on which the
+    triple disagrees contributes exactly 2).
     """
-    _require_binary(A, "rank_closed_small")
-    m = len(A)
-    if m == 0:
-        raise CubeError("rank of the empty set is undefined")
     if m == 1:
         return 0
     if m == 2:
-        return distance_total(A)
+        return total
     if m == 3:
-        total = distance_total(A)
         if total % 2:
             raise ConsistencyError(
                 f"odd pairwise distance total {total} for a binary triple"
             )
         return total // 2
     return None
+
+
+def rank_closed_small(A: PointSet) -> Optional[int]:
+    """Closed-form rank for binary sets of at most three points
+    (closed_rank_from_total over the distance total). Returns None for
+    |A| >= 4."""
+    _require_binary(A, "rank_closed_small")
+    m = len(A)
+    if m == 0:
+        raise CubeError("rank of the empty set is undefined")
+    return closed_rank_from_total(m, distance_total(A)) if m <= 3 else None
 
 
 def _distance_matrix(A: PointSet) -> list[list[int]]:

@@ -6,12 +6,17 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import qcube.cli
+import qcube.identities
 from qcube.cli import main
+from qcube.core import CubeParams, SizeGuardError
+from qcube.faces import faces_containing_bruteforce, total_faces
+from qcube.families import gen_random_subset
 from qcube.identities import IdentityReport
 
 EW3 = "000\n011\n101\n110\n"
@@ -74,6 +79,34 @@ class TestRank:
         code, out, err = run(capsys, "rank", "/nonexistent/pts.txt")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_each_quantity_computed_once(self, tmp_path, capsys, monkeypatch):
+        totals = count_calls(monkeypatch, "qcube.rank", "distance_total")
+        ranks = count_calls(monkeypatch, "qcube.rank", "rank")
+        row_ranks = count_calls(monkeypatch, "qcube.rank", "rank_rows")
+        path = write(tmp_path, "a.txt", EW3)
+        code, out, err = run(capsys, "rank", path)
+        assert code == 0
+        assert "rank: 3" in out and "distance_sum: 12" in out and "bounds: [3, 4]" in out
+        assert len(totals) == 1
+        assert len(ranks) + len(row_ranks) == 1
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap the function `name` of the named module under every qcube module
+    attribute bound to it; return the positional arguments of each call."""
+    original = getattr(sys.modules[module], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in [m for key, m in sys.modules.items() if key.startswith("qcube")]:
+        for alias, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, alias, counting)
+    return calls
 
 
 class TestBounds:
@@ -423,6 +456,53 @@ class TestSweep:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert any(row.get("status") == "error" for row in rows[:-1])
         assert rows[-1]["summary"]["error"] > 0
+
+    @pytest.mark.parametrize("slack", [0, -1], ids=["exact", "one-under"])
+    def test_lemma_rows_keep_the_face_scan_estimate(self, tmp_path, capsys, slack):
+        params, m, k = CubeParams(2, 3), 4, 1
+        guard = total_faces(params, k) * m + slack
+        config = {
+            "identities": ["lemma_face_count"],
+            "q": [2],
+            "n": [3, 3],
+            "k": [k, k],
+            "family": {"kind": "random", "m": m},
+        }
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        code, out, err = run(capsys, "sweep", cfg, "--guard", str(guard))
+        row = json.loads(out.splitlines()[0])
+        if slack == 0:
+            assert code == 0 and row["status"] == "pass"
+            return
+        with pytest.raises(SizeGuardError) as scan:
+            faces_containing_bruteforce(gen_random_subset(params, m, 0), k, guard)
+        assert code == 3 and row["status"] == "error"
+        assert row["error"] == str(scan.value)
+
+    def test_rows_reuse_per_set_results(self, tmp_path, capsys, monkeypatch):
+        # Criterion 8's config: no lemma row scans faces, and corollaries 2
+        # and 3 each take the pairwise distances of a set once.
+        scans = count_calls(monkeypatch, "qcube.faces", "faces_containing_bruteforce")
+        profiles = count_calls(monkeypatch, "qcube.rank", "distance_sum")
+        qcube.identities._pair_distance_histogram.cache_clear()
+        qcube.identities._triple_rank_histogram.cache_clear()
+        config = {
+            "identities": list(qcube.cli.SWEEP_IDENTITIES),
+            "q": [2, 3],
+            "n": [1, 4],
+            "s": [1, 3],
+            "seeds": [0, 1],
+            "family": {"kind": "random", "m": 4},
+        }
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        code, out, _ = run(capsys, "sweep", cfg)
+        assert code == 0
+        assert '"identity":"lemma_face_count"' in out
+        assert scans == []
+        per_set = Counter(args[0] for args in profiles)
+        # Corollary 2 needs two points; corollary 3, q = 2 and three points.
+        assert per_set == {A: 1 + (A.params.q == 2) for A in per_set}
+        assert len(per_set) == 11  # both seeds at q = 2, n = 2 draw the full square
 
     def test_output_from_config(self, tmp_path, capsys):
         dest = tmp_path / "from_cfg.jsonl"

@@ -172,6 +172,26 @@ def test_rows_are_canonical_and_round_trip(case):
         assert parse_pointset(serialize_pointset(A), params) == (A, 0)
 
 
+# Coordinates a caller might pass, valid for q = 3 or not: bools equal 0 and 1,
+# and 1.0 equals 1, so a set of values alone would hide them.
+ANY_COORD = st.one_of(st.integers(-1, 3), st.booleans(), st.just(1.0), st.just("1"))
+
+
+@given(st.lists(st.lists(ANY_COORD, min_size=1, max_size=3).map(tuple), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_whole_set_check_matches_row_check(rows):
+    params = CubeParams(3, 2)
+    try:
+        for row in rows:
+            Point(params, row)
+    except CubeError as exc:
+        with pytest.raises(CubeError) as got:
+            PointSet(params, rows)
+        assert str(got.value) == str(exc)
+    else:
+        assert PointSet(params, rows).rows == tuple(sorted(set(rows)))
+
+
 class TestFace:
     def test_partition_validation(self):
         p = CubeParams(2, 3)
@@ -268,6 +288,21 @@ class TestParse:
     def test_non_integer_token(self):
         with pytest.raises(ParseError):
             parse_pointset("0,x,1", CubeParams(2, 3))
+
+    @pytest.mark.parametrize(
+        "text, q, message",
+        [
+            ("01\n0\u0663", 2, "line 2: invalid character '\u0663'"),
+            ("00\n0x", 2, "line 2: invalid character 'x'"),
+            ("00\n\n12", 2, "line 3: coordinate 2 out of range for q=2"),
+            ("0,1\n1,-1", 2, "line 2: coordinate -1 out of range for q=2"),
+            ("0,11\n12,3", 12, "line 2: coordinate 12 out of range for q=12"),
+        ],
+    )
+    def test_message_names_the_first_bad_coordinate(self, text, q, message):
+        with pytest.raises(ParseError) as info:
+            parse_pointset(text, CubeParams(q, 2))
+        assert str(info.value) == message
 
     def test_large_q_requires_commas(self):
         params = CubeParams(12, 2)

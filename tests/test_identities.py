@@ -182,6 +182,12 @@ class TestCorollary2:
         assert sum(v for _, v in rep.rhs_terms) == rep.rhs
         assert len(rep.rhs_terms) == 3
 
+    def test_guard_checked_after_a_cached_histogram(self, mkset):
+        A = mkset(2, 3, "000 011 101 110")
+        corollary_s2(A, 2, guard=10**6)
+        with pytest.raises(SizeGuardError):
+            corollary_s2(A, 2, guard=binom(4, 2) - 1)
+
 
 class TestCorollary3:
     def test_even_weight_n3_top(self, mkset):
@@ -203,6 +209,12 @@ class TestCorollary3:
     def test_needs_three_points(self, mkset):
         with pytest.raises(CubeError):
             corollary_s3(mkset(2, 2, "00 11"), 1)
+
+    def test_guard_checked_after_a_cached_histogram(self, mkset):
+        A = mkset(2, 3, "000 011 101 110")
+        corollary_s3(A, 2, guard=10**6)
+        with pytest.raises(SizeGuardError):
+            corollary_s3(A, 2, guard=binom(4, 3) - 1)
 
     def test_agrees_with_main_rhs(self):
         rng = random.Random(414)

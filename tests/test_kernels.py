@@ -1,4 +1,5 @@
-"""Differential tests of the packed-integer kernels against their oracles.
+"""Differential tests of the packed-integer kernels and the per-set caches
+against their oracles.
 
 Each kernel works on PointSet.packed; each oracle works on coordinate tuples.
 Alphabet sizes cover tight bit widths (q = 2, 4, 8, 16), loose ones (3, 5, 11)
@@ -6,14 +7,25 @@ and q > 10.
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcube.core import CubeParams, PointSet, block_fold, column_mask, hamming
-from qcube.faces import distribution, distribution_bruteforce
-from qcube.identities import _subset_rank_histogram
+from qcube.faces import (
+    distribution,
+    distribution_bruteforce,
+    faces_containing_bruteforce,
+    faces_containing_count,
+)
+from qcube.identities import (
+    _subset_rank_histogram,
+    corollary_s2,
+    corollary_s3,
+    intersection_cap,
+    main_rhs,
+)
 from qcube.rank import distance_sum, distance_total, rank, rank_rows
 
 QS = (2, 3, 4, 5, 8, 11, 16)
@@ -24,9 +36,9 @@ kernel_settings = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def point_sets(draw):
-    q = draw(st.sampled_from(QS))
-    n = draw(st.integers(0, max(n for n in range(7) if q**n <= MAX_VOLUME)))
+def point_sets(draw, qs=QS, max_volume=MAX_VOLUME):
+    q = draw(st.sampled_from(qs))
+    n = draw(st.integers(0, max(n for n in range(7) if q**n <= max_volume)))
     row = st.tuples(*[st.integers(0, q - 1)] * n)
     rows = draw(st.lists(row, min_size=1, max_size=min(MAX_M, q**n), unique=True))
     return PointSet.from_coords(CubeParams(q, n), rows)
@@ -34,6 +46,10 @@ def point_sets(draw):
 
 def pointset(q, rows):
     return PointSet.from_coords(CubeParams(q, len(rows[0])), rows)
+
+
+def full_cube(q, n):
+    return pointset(q, list(product(range(q), repeat=n)))
 
 
 SINGLE_EMPTY_ROW = pointset(3, [()])
@@ -92,3 +108,42 @@ def test_distribution_matches_bruteforce(A, k):
 @kernel_settings
 def test_distance_total_matches_pairwise(A):
     assert distance_total(A) == distance_sum(A).total
+
+
+@given(point_sets((2, 3, 4, 5), max_volume=5**6))
+@example(SINGLE_EMPTY_ROW)
+@example(pointset(5, [(4, 0, 3, 1, 2, 0)]))
+@example(full_cube(2, 3))
+@example(full_cube(3, 2))
+@example(full_cube(4, 2))
+@kernel_settings
+def test_containing_count_routes_agree(A):
+    # The sweep's lemma_face_count LHS, its face-scan oracle and its RHS.
+    for k in range(A.params.n + 1):
+        top = distribution(A, k)[len(A)]
+        assert top == faces_containing_bruteforce(A, k) == faces_containing_count(A, k)
+
+
+def _rhs_routes_agree(corollary, A, k, s):
+    rhs = corollary(A, k).rhs
+    assert rhs == sum(v for _, v in corollary(A, k, include_terms=True).rhs_terms)
+    # main_rhs admits s <= min(|A|, q**k); above that no s points share a k-face.
+    assert rhs == (main_rhs(A, k, s) if s <= intersection_cap(A, k) else 0)
+
+
+@given(point_sets(), st.integers(0, 6))
+@example(LOOSE_WIDTH, 1)
+@example(full_cube(3, 2), 2)
+@kernel_settings
+def test_corollary2_histogram_matches_terms_and_main_rhs(A, k):
+    if len(A) >= 2:
+        _rhs_routes_agree(corollary_s2, A, min(k, A.params.n), 2)
+
+
+@given(point_sets((2,)), st.integers(0, 6))
+@example(full_cube(2, 3), 2)
+@example(pointset(2, [(0, 0, 0), (0, 1, 1), (1, 0, 1)]), 3)
+@kernel_settings
+def test_corollary3_histogram_matches_terms_and_main_rhs(A, k):
+    if len(A) >= 3:
+        _rhs_routes_agree(corollary_s3, A, min(k, A.params.n), 3)
