@@ -20,7 +20,6 @@ from .core import (
     DEFAULT_GUARD,
     CubeError,
     CubeParams,
-    ParseError,
     PointSet,
     SizeGuardError,
     check_guard,
@@ -288,7 +287,6 @@ class SweepConfig:
     family: Optional[dict[str, Any]]
     guard: Optional[int]
     output: Optional[str]
-    fmt: str
 
 
 def _parse_range(value: Any, name: str, allow_all: bool = False) -> Optional[tuple[int, int]]:
@@ -336,9 +334,8 @@ def load_sweep_config(path: str) -> SweepConfig:
             raise CubeError("sweep config: family must be an object with a 'kind'")
     if family is None and any(SWEEP_IDENTITIES[name].family for name in identities):
         raise CubeError("sweep config: these identities need a family template")
-    fmt = raw.get("format", "jsonl")
-    if fmt != "jsonl":
-        raise CubeError(f"sweep config: unsupported format {fmt!r}")
+    if raw.get("format", "jsonl") != "jsonl":
+        raise CubeError(f"sweep config: unsupported format {raw['format']!r}")
     guard = raw.get("guard")
     if guard is not None and (not is_int(guard) or guard < 1):
         raise CubeError("sweep config: guard must be a positive integer")
@@ -353,7 +350,6 @@ def load_sweep_config(path: str) -> SweepConfig:
         family=family,
         guard=guard,
         output=raw.get("output"),
-        fmt=fmt,
     )
 
 
@@ -640,9 +636,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

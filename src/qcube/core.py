@@ -1,8 +1,8 @@
 """Domain types and exact integer combinatorics for q-valued cubes.
 
-Everything here is pure and immutable: points, point sets (stored as
-validated coordinate rows), and faces of the cube E_q^n (vectors of length n
-over {0, ..., q-1}), plus the binomial and Hamming primitives the rest of the
+Everything here is pure and immutable: points, point sets (stored as packed
+ints, see below), and faces of the cube E_q^n (vectors of length n over
+{0, ..., q-1}), plus the binomial and Hamming primitives the rest of the
 package is built on. No floating point.
 
 Packed layout: a point packs into one int with w = (q-1).bit_length() bits
@@ -17,7 +17,7 @@ import math
 import string
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -113,42 +113,41 @@ class Point:
         _check_row(self.params, coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PointSet:
-    """A deduplicated set of points of one cube, stored as coordinate rows.
+    """A deduplicated set of points of one cube, stored as packed ints.
 
-    The given rows are checked once (length n, int coordinates in [0, q)), in
-    whole-set passes over lengths, coordinate types and the coordinate range;
-    only a set that fails one is checked row by row, for the first bad row's
-    message. Canonical form: the distinct rows as int tuples in lexicographic
-    order, so equal sets compare and hash equal regardless of construction
-    order. May be empty. Point objects are built only for `points`, iteration
-    and `in`.
+    `packed` holds the points in the packed layout (see the module docstring),
+    distinct and in increasing order, which is the lexicographic order of the
+    rows, so equal sets compare and hash equal regardless of construction order.
+    May be empty. Each given row is checked once (length n, int coordinates in
+    [0, q)) and packed. `rows` decodes the ints on first use, and Point objects
+    are built only for `points`, iteration and `in`.
     """
 
     params: CubeParams
-    rows: tuple[tuple[int, ...], ...]
+    packed: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        params = self.params
-        rows = list(map(tuple, self.rows))
-        # The distinct values are taken only once every coordinate is known
-        # to be an int, since True == 1 would hide a bool among them.
-        if (
-            not set(map(len, rows)) <= {params.n}
-            or not set(map(type, chain.from_iterable(rows))) <= {int}
-            or not all(0 <= c < params.q for c in set().union(*rows))
-        ):
-            for row in rows:
-                _check_row(params, row)
-        object.__setattr__(self, "rows", tuple(sorted(set(rows))))
+    def __init__(self, params: CubeParams, rows: Iterable[Iterable[int]]) -> None:
+        w, n = _block_width(params), params.n
+        weights = [1 << (w * (n - 1 - j)) for j in range(n)]
+        packed = []
+        for row in map(tuple, rows):
+            _check_row(params, row)
+            packed.append(sum(map(mul, row, weights)))
+        self._init_packed(params, packed)
+
+    def _init_packed(self, params: CubeParams, packed: Iterable[int]) -> None:
+        """Store the distinct packed ints, checked by the caller, in increasing order."""
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "packed", tuple(sorted(set(packed))))
 
     @classmethod
     def from_coords(cls, params: CubeParams, coords: Iterable[Iterable[int]]) -> "PointSet":
         return cls(params, tuple(coords))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.packed)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
@@ -158,17 +157,18 @@ class PointSet:
         return self.rows
 
     @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The packed ints decoded into coordinate tuples, canonical order;
+        built on first use."""
+        w, n = _block_width(self.params), self.params.n
+        block = (1 << w) - 1
+        shifts = [w * (n - 1 - j) for j in range(n)]
+        return tuple([tuple([x >> s & block for s in shifts]) for x in self.packed])
+
+    @cached_property
     def points(self) -> tuple[Point, ...]:
         """The rows as Point objects, canonical order; built on first use."""
         return tuple(Point(self.params, row) for row in self.rows)
-
-    @cached_property
-    def packed(self) -> tuple[int, ...]:
-        """The rows in the packed layout (see the module docstring), canonical
-        order; built once per set."""
-        w, n = _block_width(self.params), self.params.n
-        weights = [1 << (w * (n - 1 - j)) for j in range(n)]
-        return tuple([sum(map(mul, row, weights)) for row in self.rows])
 
 
 def _block_width(params: CubeParams) -> int:
@@ -259,7 +259,7 @@ def hamming(a: Point, b: Point) -> int:
     return sum(x != y for x, y in zip(a.coords, b.coords))
 
 
-def _parse_vector(line: str, params: CubeParams, line_no: int) -> tuple[int, ...]:
+def _parse_vector(line: str, params: CubeParams, line_no: int, bits: dict[int, str]) -> int:
     q, n = params.q, params.n
     if "," in line or q > 10:
         parts = [p.strip() for p in line.split(",")]
@@ -269,12 +269,12 @@ def _parse_vector(line: str, params: CubeParams, line_no: int) -> tuple[int, ...
                     f"q={q} > 10 requires comma-separated coordinates", line_no
                 )
             raise ParseError(f"expected {n} coordinates, got {len(parts)}", line_no)
-        coords = []
         for part in parts:
-            try:
-                coords.append(int(part))
-            except ValueError:
-                raise ParseError(f"not an integer: {part!r}", line_no) from None
+            # A leading minus is read, so that "-1" is reported as out of range.
+            digits = part.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise ParseError(f"not an integer: {part!r}", line_no)
+        coords = list(map(int, parts))
     else:
         if len(line) != n:
             raise ParseError(f"expected {n} digits, got {len(line)}", line_no)
@@ -282,12 +282,14 @@ def _parse_vector(line: str, params: CubeParams, line_no: int) -> tuple[int, ...
             for ch in line:
                 if ch not in string.digits:
                     raise ParseError(f"invalid character {ch!r}", line_no)
-        coords = list(map(int, line))
-    if min(coords) < 0 or max(coords) >= q:
-        for c in coords:
-            if not 0 <= c < q:
-                raise ParseError(f"coordinate {c} out of range for q={q}", line_no)
-    return tuple(coords)
+        if max(line) <= string.digits[q - 1]:
+            return int(line.translate(bits), 2)
+        coords = list(map(int, line))  # only for the message below
+    for c in coords:
+        if not 0 <= c < q:
+            raise ParseError(f"coordinate {c} out of range for q={q}", line_no)
+    w = _block_width(params)
+    return sum(c << w * (n - 1 - j) for j, c in enumerate(coords))
 
 
 def parse_pointset(text: str, params: CubeParams) -> tuple[PointSet, int]:
@@ -295,20 +297,25 @@ def parse_pointset(text: str, params: CubeParams) -> tuple[PointSet, int]:
 
     For q <= 10 a line may be a compact digit string ("01021"); comma-separated
     coordinates ("0,1,0,2,1") are accepted for any q and are mandatory for
-    q > 10. Blank lines and lines starting with '#' are ignored. Duplicate
-    vectors are dropped, not rejected.
+    q > 10; coordinates are ASCII digits. Blank lines and lines starting with
+    '#' are ignored. Duplicate vectors are dropped, not rejected. Each line is
+    checked once and packed straight into PointSet.packed.
 
     Returns (pointset, number_of_duplicates_dropped). Errors carry the 1-based
     line number.
     """
-    rows: list[tuple[int, ...]] = []
+    # Each digit below q as its w-bit block, so a digit string packs by int(..., 2).
+    w = _block_width(params)
+    bits = str.maketrans({d: f"{int(d):0{w}b}" for d in string.digits[: params.q]})
+    packed: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append(_parse_vector(line, params, line_no))
-    A = PointSet(params, tuple(rows))
-    return A, len(rows) - len(A)
+        packed.append(_parse_vector(line, params, line_no, bits))
+    A = object.__new__(PointSet)
+    A._init_packed(params, packed)
+    return A, len(packed) - len(A)
 
 
 def serialize_pointset(A: PointSet) -> str:

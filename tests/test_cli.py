@@ -68,6 +68,13 @@ class TestRank:
         assert code == 2
         assert "line 2" in err
 
+    def test_comma_fields_are_ascii_digits(self, tmp_path, capsys):
+        path = write(tmp_path, "a.txt", "0,\u0663\n1_0,0\n")
+        code, out, err = run(capsys, "rank", path, "--q", "12")
+        assert code == 2
+        assert out == ""
+        assert "line 1: not an integer: '\u0663'" in err
+
     def test_q3_omits_binary_extras(self, tmp_path, capsys):
         path = write(tmp_path, "a.txt", "012\n120\n")
         code, out, err = run(capsys, "rank", path, "--q", "3")
@@ -531,10 +538,11 @@ class TestSweep:
             ({"k": [False, 1]}, "k must be a two-int"),
             ({"s": [True, 2]}, "s must be a two-int"),
             ({"nu": [True, 2]}, "nu must be a two-int"),
+            ({"format": "csv"}, "sweep config: unsupported format 'csv'"),
         ],
         ids=[
             "q-scalar", "identities-int", "identities-str", "guard-bool", "seeds-bool",
-            "m-bool", "n-bool", "k-bool", "s-bool", "nu-bool",
+            "m-bool", "n-bool", "k-bool", "s-bool", "nu-bool", "format-csv",
         ],
     )
     def test_malformed_config_fields(self, tmp_path, capsys, patch, message):

@@ -17,8 +17,8 @@ from qcube.core import (
     parse_pointset,
     serialize_pointset,
 )
-from qcube.faces import distribution_bruteforce, faces_containing_bruteforce
-from qcube.identities import corollary_s3, verify_main
+from qcube.faces import distribution, distribution_bruteforce, faces_containing_bruteforce
+from qcube.identities import corollary_s2, corollary_s3, main_rhs, verify_main
 from qcube.rank import (
     distance_total,
     random_isometry_image,
@@ -136,6 +136,15 @@ class TestPointSet:
         assert [pt.coords for pt in A] == list(A.rows)
         assert "points" in vars(A)
 
+        B, _ = parse_pointset("0,1,2\n210\n\n# x\n111\n210", CubeParams(3, 3))
+        rank(B)
+        distance_total(B)
+        distribution(B, 1)
+        main_rhs(B, 2, 2)
+        corollary_s2(B, 2)
+        assert "rows" not in vars(B) and "points" not in vars(B)
+        assert B.rows == ((0, 1, 2), (1, 1, 1), (2, 1, 0))
+
     def test_contains_and_rows(self):
         p = CubeParams(2, 3)
         A = PointSet.from_coords(p, [(0, 0, 0), (0, 1, 1)])
@@ -149,7 +158,7 @@ class TestPointSet:
 
 @st.composite
 def shuffled_rows(draw):
-    q = draw(st.sampled_from((2, 3, 12)))
+    q = draw(st.sampled_from((2, 3, 4, 5, 8, 10, 11, 12, 16)))
     n = draw(st.integers(0, 6))
     rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=12))
     repeats = draw(st.lists(st.sampled_from(rows), max_size=6)) if rows else []
@@ -161,7 +170,7 @@ def shuffled_rows(draw):
 def test_rows_are_canonical_and_round_trip(case):
     params, rows = case
     A = PointSet(params, rows)
-    assert A.coord_rows() == tuple(sorted(set(rows)))
+    assert A.coord_rows() == A.rows == tuple(sorted(set(rows)))
     w, n = (params.q - 1).bit_length(), params.n
     assert A.packed == tuple(
         sum(c * 2 ** (w * (n - 1 - j)) for j, c in enumerate(row)) for row in A.rows
@@ -170,6 +179,9 @@ def test_rows_are_canonical_and_round_trip(case):
     assert [p.coords for p in A] == list(A.rows)
     if n >= 1:
         assert parse_pointset(serialize_pointset(A), params) == (A, 0)
+        if params.q <= 10:
+            text = "\n".join(",".join(map(str, row)) for row in rows)
+            assert parse_pointset(text, params) == (A, len(rows) - len(A))
 
 
 # Coordinates a caller might pass, valid for q = 3 or not: bools equal 0 and 1,
@@ -297,12 +309,30 @@ class TestParse:
             ("00\n\n12", 2, "line 3: coordinate 2 out of range for q=2"),
             ("0,1\n1,-1", 2, "line 2: coordinate -1 out of range for q=2"),
             ("0,11\n12,3", 12, "line 2: coordinate 12 out of range for q=12"),
+            ("0,0\n0,\u0663", 12, "line 2: not an integer: '\u0663'"),
+            ("0,0\n1_0,0", 12, "line 2: not an integer: '1_0'"),
+            ("0,0\n0,+1", 3, "line 2: not an integer: '+1'"),
+            ("5,x", 3, "line 1: not an integer: 'x'"),
+            ("2x", 2, "line 1: invalid character 'x'"),
         ],
     )
     def test_message_names_the_first_bad_coordinate(self, text, q, message):
         with pytest.raises(ParseError) as info:
             parse_pointset(text, CubeParams(q, 2))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, q, rows",
+        [
+            ("09\n90", 10, ((0, 9), (9, 0))),
+            ("0,9\n9,0", 10, ((0, 9), (9, 0))),
+            (" 1 , 0\n-0,2", 3, ((0, 2), (1, 0))),
+            ("15,0\n 0 ,007", 16, ((0, 7), (15, 0))),
+        ],
+    )
+    def test_accepted_lines(self, text, q, rows):
+        A, dropped = parse_pointset(text, CubeParams(q, 2))
+        assert A.coord_rows() == rows and dropped == 0
 
     def test_large_q_requires_commas(self):
         params = CubeParams(12, 2)
