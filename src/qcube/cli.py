@@ -12,7 +12,6 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, TextIO
 
@@ -23,6 +22,7 @@ from .core import (
     PointSet,
     SizeGuardError,
     check_guard,
+    int_fields,
     is_int,
     parse_pointset,
     serialize_pointset,
@@ -87,7 +87,7 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(part) for part in text.split(","))
+    return tuple(int_fields(text.split(",")))
 
 
 def _read_text(path: str) -> str:
@@ -339,6 +339,9 @@ def load_sweep_config(path: str) -> SweepConfig:
     guard = raw.get("guard")
     if guard is not None and (not is_int(guard) or guard < 1):
         raise CubeError("sweep config: guard must be a positive integer")
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise CubeError("sweep config: output must be a string")
     return SweepConfig(
         identities=tuple(identities),
         qs=tuple(qs),
@@ -349,21 +352,13 @@ def load_sweep_config(path: str) -> SweepConfig:
         seeds=tuple(seeds),
         family=family,
         guard=guard,
-        output=raw.get("output"),
+        output=output,
     )
 
 
-def _ks(cfg: SweepConfig, n: int) -> range:
-    if cfg.k_range is None:
-        return range(0, n + 1)
-    lo, hi = cfg.k_range
-    return range(max(lo, 0), min(hi, n) + 1)
-
-
-def _nus(cfg: SweepConfig, n: int, least: int = 0) -> range:
-    if cfg.nu_range is None:
-        return range(least, n + 1)
-    lo, hi = cfg.nu_range
+def _clip(bounds: Optional[tuple[int, int]], least: int, n: int) -> range:
+    """The values least..n, within the configured [lo, hi] bounds if any."""
+    lo, hi = bounds if bounds is not None else (least, n)
     return range(max(lo, least), min(hi, n) + 1)
 
 
@@ -372,8 +367,6 @@ def _family_instances(cfg: SweepConfig, q: int, n: int) -> Iterator[dict[str, An
     with its point set under "A", skipping combinations whose preconditions
     fail. Deterministic order."""
     fam = cfg.family
-    if fam is None:
-        return
     kind = fam["kind"]
     params = CubeParams(q, n)
     if kind == "random":
@@ -389,7 +382,7 @@ def _family_instances(cfg: SweepConfig, q: int, n: int) -> Iterator[dict[str, An
             return
         yield {"A": gen_even_weight(n)}
     elif kind == "face":
-        for nu in _nus(cfg, n):
+        for nu in _clip(cfg.nu_range, 0, n):
             yield {"nu": nu, "A": gen_face_subset(params, face_spec(params, nu))}
     elif kind == "file":
         yield {"A": realize_family(params, FamilySpec("file", path=fam.get("path")))}
@@ -411,12 +404,12 @@ class SweepIdentity:
 
 
 def _each_k(cfg: SweepConfig, q: int, n: int, A: Optional[PointSet]) -> list[dict[str, int]]:
-    return [{"k": k} for k in _ks(cfg, n)]
+    return [{"k": k} for k in _clip(cfg.k_range, 0, n)]
 
 
 def _main_grid(cfg: SweepConfig, q: int, n: int, A: PointSet) -> list[dict[str, int]]:
     s_lo, s_hi = cfg.s_range
-    return [{"k": k, "s": s} for k in _ks(cfg, n)
+    return [{"k": k, "s": s} for k in _clip(cfg.k_range, 0, n)
             for s in range(max(s_lo, 1), min(s_hi, len(A), q**k) + 1)]
 
 
@@ -468,20 +461,22 @@ SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
         family=True,
     ),
     "vandermonde": SweepIdentity(
-        lambda cfg, q, n, A: [{"nu": nu, "k": k} for nu in _nus(cfg, n) for k in _ks(cfg, n)],
+        lambda cfg, q, n, A: [{"nu": nu, "k": k} for nu in _clip(cfg.nu_range, 0, n)
+                              for k in _clip(cfg.k_range, 0, n)],
         lambda p, g: check_vandermonde(CubeParams(p["q"], p["n"]), p["nu"], p["k"]),
     ),
     "chu_vandermonde_generalized": SweepIdentity(
-        lambda cfg, q, n, A: [{"nu": nu, "k": k} for nu in _nus(cfg, n, 1) for k in _ks(cfg, n)],
+        lambda cfg, q, n, A: [{"nu": nu, "k": k} for nu in _clip(cfg.nu_range, 1, n)
+                              for k in _clip(cfg.k_range, 0, n)],
         lambda p, g: check_chu_vandermonde_generalized(CubeParams(p["q"], p["n"]), p["nu"], p["k"]),
     ),
     "evenweight_printed": SweepIdentity(
-        lambda cfg, q, n, A: [{"k": k} for k in _ks(cfg, n) if k >= 1 and q == 2],
+        lambda cfg, q, n, A: [{"k": k} for k in _clip(cfg.k_range, 0, n) if k >= 1 and q == 2],
         lambda p, g: check_evenweight_identity(p["n"], p["k"], "printed"),
         erratum=True,
     ),
     "evenweight_corrected": SweepIdentity(
-        lambda cfg, q, n, A: [{"k": k} for k in _ks(cfg, n) if k >= 1 and q == 2],
+        lambda cfg, q, n, A: [{"k": k} for k in _clip(cfg.k_range, 0, n) if k >= 1 and q == 2],
         lambda p, g: check_evenweight_identity(p["n"], p["k"], "corrected"),
     ),
     "bounds": SweepIdentity(lambda cfg, q, n, A: [{}] if q == 2 else [], _bounds_row, family=True),
@@ -489,30 +484,32 @@ SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
 }
 
 
-def _expand_sweep(cfg: SweepConfig) -> list[dict[str, Any]]:
-    points: list[dict[str, Any]] = []
+def _sweep_rows(cfg: SweepConfig, guard: int) -> Iterator[dict[str, Any]]:
+    """Yield the rows one grid point at a time, after building every (q, n)
+    cell's family instances, so that a bad family template raises before any row."""
     n_lo, n_hi = cfg.n_range
-    # Every family identity shares one build of each (q, n) cell's instances.
-    instances = cache(lambda q, n: list(_family_instances(cfg, q, n)))
+    cells = [(q, n) for q in cfg.qs for n in range(n_lo, n_hi + 1)]
+    instances: dict[tuple[int, int], list[dict[str, Any]]] = {}
+    if any(SWEEP_IDENTITIES[identity].family for identity in cfg.identities):
+        # Every family identity shares one build of each cell's instances.
+        instances = {cell: list(_family_instances(cfg, *cell)) for cell in dict.fromkeys(cells)}
     for identity in cfg.identities:
         entry = SWEEP_IDENTITIES[identity]
-        for q in cfg.qs:
-            for n in range(n_lo, n_hi + 1):
-                for extra in instances(q, n) if entry.family else [{}]:
-                    base = {"identity": identity, "q": q, "n": n, **extra}
-                    points.extend({**base, **g} for g in entry.grid(cfg, q, n, extra.get("A")))
-    return points
+        for q, n in cells:
+            for extra in instances[q, n] if entry.family else [{}]:
+                for g in entry.grid(cfg, q, n, extra.get("A")):
+                    yield _sweep_row(identity, entry, {"q": q, "n": n, **extra, **g}, guard)
 
 
-def _sweep_row(point: dict[str, Any], guard: int) -> dict[str, Any]:
-    identity = point["identity"]
-    entry = SWEEP_IDENTITIES[identity]
+def _sweep_row(
+    identity: str, entry: SweepIdentity, point: dict[str, Any], guard: int
+) -> dict[str, Any]:
     try:
         rep = entry.evaluate(point, guard)
     except SizeGuardError as exc:
         return {
             "identity": identity,
-            "params": {k: v for k, v in point.items() if k not in ("identity", "A")},
+            "params": {k: v for k, v in point.items() if k != "A"},
             "error": str(exc),
             "passed": False,
             "status": "error",
@@ -539,25 +536,19 @@ def _sweep_row(point: dict[str, Any], guard: int) -> dict[str, Any]:
 
 
 def run_sweep(cfg: SweepConfig, out: TextIO, guard: Optional[int] = None) -> int:
-    """Expand every point first, so that config errors raise before any output;
-    then evaluate the points serially, writing each JSON line as it is computed,
-    and a summary line. Returns the exit code. Output depends only on the config."""
+    """Write one JSON line per grid point as it is evaluated, then a summary
+    line. A bad family template raises before any output, and memory does not
+    grow with the number of rows. Returns the exit code; output depends only on the config."""
     effective_guard = guard if guard is not None else (cfg.guard or DEFAULT_GUARD)
-    points = _expand_sweep(cfg)
     tally = {"pass": 0, "fail": 0, "known_erratum": 0, "error": 0}
-    for point in points:
-        row = _sweep_row(point, effective_guard)
+    for row in _sweep_rows(cfg, effective_guard):
         tally[row["status"]] += 1
         out.write(json_line(row) + "\n")
-    out.write(json_line({"summary": {"total": len(points), **tally}}) + "\n")
+    summary = {"total": sum(tally.values()), **tally}
+    out.write(json_line({"summary": summary}) + "\n")
     print(
-        "sweep: {total} points, {p} pass, {f} fail, {e} known erratum, {err} error".format(
-            total=len(points),
-            p=tally["pass"],
-            f=tally["fail"],
-            e=tally["known_erratum"],
-            err=tally["error"],
-        ),
+        "sweep: {total} points, {pass} pass, {fail} fail, {known_erratum} known erratum, "
+        "{error} error".format(**summary),
         file=sys.stderr,
     )
     if tally["fail"]:

@@ -259,22 +259,31 @@ def hamming(a: Point, b: Point) -> int:
     return sum(x != y for x, y in zip(a.coords, b.coords))
 
 
+def int_fields(parts: Iterable[str]) -> list[int]:
+    """Comma-separated fields as ints. Each field is stripped, then must be an
+    optional '-' (so that "-1" reaches the caller's range check) and ASCII digits."""
+    parts = [part.strip() for part in parts]
+    for part in parts:
+        digits = part.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise CubeError(f"not an integer: {part!r}")
+    return list(map(int, parts))
+
+
 def _parse_vector(line: str, params: CubeParams, line_no: int, bits: dict[int, str]) -> int:
     q, n = params.q, params.n
     if "," in line or q > 10:
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")
         if len(parts) != n:
             if q > 10 and "," not in line:
                 raise ParseError(
                     f"q={q} > 10 requires comma-separated coordinates", line_no
                 )
             raise ParseError(f"expected {n} coordinates, got {len(parts)}", line_no)
-        for part in parts:
-            # A leading minus is read, so that "-1" is reported as out of range.
-            digits = part.removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
-                raise ParseError(f"not an integer: {part!r}", line_no)
-        coords = list(map(int, parts))
+        try:
+            coords = int_fields(parts)
+        except CubeError as exc:
+            raise ParseError(str(exc), line_no) from None
     else:
         if len(line) != n:
             raise ParseError(f"expected {n} digits, got {len(line)}", line_no)

@@ -119,7 +119,7 @@ def realize_family(params: CubeParams, spec: FamilySpec) -> PointSet:
             raise CubeError("random family needs m")
         return gen_random_subset(params, spec.m, spec.seed or 0)
     if spec.kind == "file":
-        if spec.path is None:
+        if not isinstance(spec.path, str):
             raise CubeError("file family needs a path")
         text = Path(spec.path).read_text()
         return parse_pointset(text, params)[0]

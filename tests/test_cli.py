@@ -6,10 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcube.cli
 import qcube.identities
@@ -32,6 +36,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """Run `python -m qcube` in a child that imports this same qcube,
+    whether or not PYTHONPATH is set."""
+    src = str(Path(qcube.cli.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "qcube", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
 
 
 class TestRank:
@@ -308,6 +324,34 @@ class TestGen:
         assert code == 0
         assert out == EW3
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("--free", "0,\u0663"), "\u0663"),
+            (("--nu", "1", "--fixed", "+1,1,0"), "+1"),
+            (("--nu", "1", "--fixed", "1,1_0,0"), "1_0"),
+            (("--free", "0,,1"), ""),
+        ],
+        ids=["arabic-indic-digit", "plus-sign", "underscore", "empty-field"],
+    )
+    def test_comma_fields_are_ascii_digits(self, capsys, argv, field):
+        code, out, err = run(capsys, "gen", "--family", "face", "--n", "4", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"not an integer: {field!r}" in err
+
+    def test_negative_field_reaches_range_message(self, capsys):
+        code, out, err = run(
+            capsys, "gen", "--family", "face", "--n", "4", "--nu", "1", "--fixed", "1,1,-1"
+        )
+        assert code == 2
+        assert "fixed value -1 at position 3 out of range for q=2" in err
+
+    def test_empty_free_means_no_free_positions(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "face", "--n", "3", "--free", "")
+        assert code == 0
+        assert out == "000\n"
+
     def test_gen_then_rank(self, tmp_path, capsys):
         pts = tmp_path / "f.txt"
         run(capsys, "gen", "--family", "face", "--n", "4", "--nu", "2", "-o", str(pts))
@@ -331,14 +375,7 @@ class TestStdin:
 
     def test_module_entry_point(self, tmp_path):
         path = write(tmp_path, "a.txt", "00\n11\n")
-        # The child imports the same qcube, whether or not PYTHONPATH is set.
-        src = str(Path(qcube.cli.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "qcube", "rank", path],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
+        proc = run_module("rank", path)
         assert proc.returncode == 0
         assert "rank: 2" in proc.stdout
 
@@ -520,6 +557,72 @@ class TestSweep:
         assert out == ""
         assert dest.stat().st_size > 0
 
+    @pytest.mark.parametrize("output", [True, 5], ids=["bool", "int"])
+    def test_non_string_output_rejected_before_opening(self, tmp_path, output):
+        # Run in a child: open() reads an int or bool as a file descriptor.
+        cfg = write(tmp_path, "cfg.json", json.dumps({**BASE_SWEEP, "output": output}))
+        proc = run_module("sweep", cfg)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: sweep config: output must be a string\n"
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"output": [""]}, "sweep config: output must be a string"),
+            ({"family": {"kind": "file", "path": 3}}, "file family needs a path"),
+        ],
+        ids=["output-list", "path-int"],
+    )
+    def test_non_string_paths_rejected(self, tmp_path, capsys, patch, message):
+        cfg = write(tmp_path, "cfg.json", json.dumps({**BASE_SWEEP, **patch}))
+        code, out, err = run(capsys, "sweep", cfg)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_rows_are_written_as_the_grid_is_expanded(self, tmp_path, monkeypatch):
+        out = io.StringIO()
+        written = []
+        registry = qcube.cli.SWEEP_IDENTITIES
+        grid = registry["vandermonde"].grid
+
+        def recording(cfg, q, n, A):
+            written.append(len(out.getvalue()))
+            return grid(cfg, q, n, A)
+
+        monkeypatch.setitem(
+            registry, "vandermonde", dataclasses.replace(registry["vandermonde"], grid=recording)
+        )
+        path = write(
+            tmp_path, "cfg.json", json.dumps({"identities": ["vandermonde"], "n": [1, 2]})
+        )
+        assert qcube.cli.run_sweep(qcube.cli.load_sweep_config(path), out) == 0
+        assert len(written) == 2
+        assert written[0] == 0 < written[1]
+
+    def test_bad_family_fails_before_any_row(self, tmp_path, capsys):
+        config = {
+            "identities": ["vandermonde", "main"],
+            "n": [1, 2],
+            "family": {"kind": "bogus"},
+        }
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        code, out, err = run(capsys, "sweep", cfg)
+        assert code == 2
+        assert out == ""
+        assert err == "error: sweep config: unknown family kind 'bogus'\n"
+
+    def test_bad_family_unused_by_closed_forms(self, tmp_path, capsys):
+        config = {"identities": ["vandermonde"], "n": [1, 2], "family": {"kind": "bogus"}}
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        code, out, err = run(capsys, "sweep", cfg)
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows[-1]["summary"] == {
+            "total": 13, "pass": 13, "fail": 0, "known_erratum": 0, "error": 0
+        }
+
     def test_malformed_json_config(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.json", "{not json")
         code, out, err = run(capsys, "sweep", cfg)
@@ -615,3 +718,73 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", cfg)
         assert code == 0
         assert len(calls) == len(set(calls)) == 12
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.floats(), st.text(max_size=4)
+)
+JUNK = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=3), SCALARS, max_size=2),
+)
+CONFIG_KEYS = (
+    "identities", "q", "n", "k", "s", "nu", "seeds", "family", "guard", "format", "output",
+    "family.kind", "family.m", "family.path",
+)
+
+
+@st.composite
+def junk_sweep_configs(draw, key):
+    """A small valid sweep config with `key`, and perhaps one more key,
+    replaced by junk."""
+    n_lo = draw(st.integers(0, 3))
+    config = {
+        "identities": draw(
+            st.lists(st.sampled_from(list(qcube.cli.SWEEP_IDENTITIES)), min_size=1, max_size=4)
+        ),
+        "q": draw(st.lists(st.integers(2, 3), min_size=1, max_size=2)),
+        "n": [n_lo, draw(st.integers(n_lo, 3))],
+        "k": "all",
+        "s": [1, draw(st.integers(1, 3))],
+        "nu": "all",
+        "seeds": [0, 1],
+        "family": draw(
+            st.sampled_from(
+                [
+                    {"kind": "random", "m": draw(st.integers(1, 6))},
+                    {"kind": "even_weight"},
+                    {"kind": "face"},
+                    {"kind": "file", "path": "points.txt"},
+                ]
+            )
+        ),
+        "guard": draw(st.integers(1, 10**6)),
+        "format": "jsonl",
+        "output": "rows.jsonl",
+    }
+    for key in [key, *draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=1))]:
+        owner, _, field = key.rpartition(".")
+        target = config[owner] if owner else config
+        if isinstance(target, dict):
+            target[field] = draw(JUNK)
+    return config
+
+
+class TestSweepConfigFuzz:
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_junk_config_exits_cleanly(self, key, data):
+        config = data.draw(junk_sweep_configs(key))
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                Path("points.txt").write_text("00\n11\n")
+                Path("cfg.json").write_text(json.dumps(config))
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    code = main(["sweep", "cfg.json"])
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 2, 3)
