@@ -19,6 +19,7 @@ from .core import (
     DEFAULT_GUARD,
     CubeError,
     CubeParams,
+    ParseError,
     PointSet,
     SizeGuardError,
     check_guard,
@@ -30,14 +31,14 @@ from .core import (
 from .faces import distribution, faces_containing_count, total_faces
 from .families import (
     FamilySpec,
-    check_chu_vandermonde_generalized,
     check_evenweight_identity,
-    check_vandermonde,
+    chu_vandermonde_generalized_cell,
     face_spec,
     gen_even_weight,
     gen_face_subset,
     gen_random_subset,
     realize_family,
+    vandermonde_cell,
 )
 from .identities import (
     IdentityReport,
@@ -54,8 +55,11 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 
 
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def json_line(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _JSON.encode(obj)
 
 
 def report_to_dict(rep: IdentityReport) -> dict[str, Any]:
@@ -242,17 +246,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
         free = _csv_ints(args.free) if args.free is not None else None
         if free is None and args.nu is None:
             raise CubeError("face family needs --nu or --free")
-        fixed_pairs = None
+        spec = face_spec(params, args.nu, free)
         if args.fixed is not None:
             values = _csv_ints(args.fixed)
-            free_set = set(free if free is not None else range(args.nu))
-            positions = [i for i in range(params.n) if i not in free_set]
+            positions = [i for i, _ in spec.fixed_values]
             if len(values) != len(positions):
                 raise CubeError(
                     f"--fixed needs {len(positions)} values, got {len(values)}"
                 )
-            fixed_pairs = tuple(zip(positions, values))
-        spec = face_spec(params, args.nu, free, fixed_pairs)
+            spec = face_spec(params, args.nu, free, tuple(zip(positions, values)))
         check_guard(params.q ** len(spec.free_positions), _guard(args))
         A = gen_face_subset(params, spec)
     elif family == "random":
@@ -385,22 +387,70 @@ def _family_instances(cfg: SweepConfig, q: int, n: int) -> Iterator[dict[str, An
         for nu in _clip(cfg.nu_range, 0, n):
             yield {"nu": nu, "A": gen_face_subset(params, face_spec(params, nu))}
     elif kind == "file":
-        yield {"A": realize_family(params, FamilySpec("file", path=fam.get("path")))}
+        path = fam.get("path")
+        try:
+            A = realize_family(params, FamilySpec("file", path=path))
+        except ParseError as exc:
+            raise CubeError(f"sweep config: family file {path} at q={q}, n={n}: {exc}") from None
+        yield {"A": A}
     else:
         raise CubeError(f"sweep config: unknown family kind {kind!r}")
 
 
+# The (params, outcome) of each grid point of one cell; see SweepIdentity.
+Outcomes = Iterator[tuple[dict[str, Any], Any]]
+Cell = Callable[[SweepConfig, int, int, dict[str, Any], int], Outcomes]
+
+
 @dataclass(frozen=True)
 class SweepIdentity:
-    """One sweep identity. `grid(cfg, q, n, A)` lists its parameters in one
-    (q, n) cell, where A is the family instance if `family` is set, else None.
-    `evaluate(point, guard)` returns an IdentityReport or a finished row.
+    """One sweep identity. `cell(cfg, q, n, instance, guard)` evaluates the
+    grid points of one (q, n) cell and yields, in order, each point's params
+    and outcome: the two sides (lhs, rhs), the fields of a finished row, or the
+    SizeGuardError that refused the point. `instance` is a family instance's
+    params with its point set under "A" if `family` is set, else empty.
     Failures of an `erratum` identity count as known_erratum, not as fail."""
 
-    grid: Callable[[SweepConfig, int, int, Optional[PointSet]], list[dict[str, int]]]
-    evaluate: Callable[[dict[str, Any], int], IdentityReport | dict[str, Any]]
+    cell: Cell
     family: bool = False
     erratum: bool = False
+
+
+def _labels(instance: dict[str, Any]) -> dict[str, Any]:
+    return {key: value for key, value in instance.items() if key != "A"}
+
+
+def _pointwise(
+    grid: Callable[[SweepConfig, int, int, Optional[PointSet]], list[dict[str, int]]],
+    evaluate: Callable[[dict[str, Any], int], IdentityReport],
+) -> Cell:
+    """A cell checked one grid point at a time: `grid(cfg, q, n, A)` lists the
+    points' params and `evaluate(point, guard)` checks one."""
+
+    def cell(cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int) -> Outcomes:
+        labels = _labels(instance)
+        for g in grid(cfg, q, n, instance.get("A")):
+            try:
+                rep = evaluate({"q": q, "n": n, **instance, **g}, guard)
+            except SizeGuardError as exc:
+                yield {"q": q, "n": n, **labels, **g}, exc
+            else:
+                yield {**rep.params, **labels}, (rep.lhs, rep.rhs)
+
+    return cell
+
+
+def _closed_form(
+    sides: Callable[[CubeParams, range, range], Iterator[tuple[int, int, int, int]]], least_nu: int
+) -> Cell:
+    """A cell whose whole (nu, k) grid `sides(params, nus, ks)` evaluates at once."""
+
+    def cell(cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int) -> Outcomes:
+        grid = sides(CubeParams(q, n), _clip(cfg.nu_range, least_nu, n), _clip(cfg.k_range, 0, n))
+        for nu, k, lhs, rhs in grid:
+            yield {"q": q, "n": n, "nu": nu, "k": k}, (lhs, rhs)
+
+    return cell
 
 
 def _each_k(cfg: SweepConfig, q: int, n: int, A: Optional[PointSet]) -> list[dict[str, int]]:
@@ -413,13 +463,15 @@ def _main_grid(cfg: SweepConfig, q: int, n: int, A: PointSet) -> list[dict[str, 
             for s in range(max(s_lo, 1), min(s_hi, len(A), q**k) + 1)]
 
 
-def _bounds_row(point: dict[str, Any], guard: int) -> dict[str, Any]:
-    A = point["A"]
+def _bounds_cell(
+    cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int
+) -> Outcomes:
+    if q != 2:
+        return
+    A = instance["A"]
     b = rank_bounds(A)
     passed = b.lower <= b.exact_rank <= b.upper
-    return {
-        "identity": "bounds",
-        "params": {"q": 2, "n": point["n"], "m": len(A)},
+    yield {"q": 2, "n": n, "m": len(A), **_labels(instance)}, {
         "rank": str(b.exact_rank),
         "lower": str(b.lower),
         "upper": str(b.upper),
@@ -441,52 +493,53 @@ def _lemma_face_count(point: dict[str, Any], guard: int) -> IdentityReport:
     return IdentityReport.of("lemma_face_count", params, lhs, rhs, proven=True)
 
 
-# Evaluators look the engine functions up at call time rather than binding
-# them here, so that a wrapper installed on a module attribute sees the calls.
+# Per-point evaluators look the engine functions up at call time rather than
+# binding them here, so that a wrapper installed on a module attribute sees
+# the calls.
 SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
     "main": SweepIdentity(
-        _main_grid, lambda p, g: verify_main(p["A"], p["k"], p["s"], g), family=True
+        _pointwise(_main_grid, lambda p, g: verify_main(p["A"], p["k"], p["s"], g)), family=True
     ),
     "corollary1": SweepIdentity(
-        _each_k, lambda p, g: corollary_s1(p["A"], p["k"], g), family=True
+        _pointwise(_each_k, lambda p, g: corollary_s1(p["A"], p["k"], g)), family=True
     ),
     "corollary2": SweepIdentity(
-        lambda cfg, q, n, A: _each_k(cfg, q, n, A) if len(A) >= 2 else [],
-        lambda p, g: corollary_s2(p["A"], p["k"], g),
+        _pointwise(
+            lambda cfg, q, n, A: _each_k(cfg, q, n, A) if len(A) >= 2 else [],
+            lambda p, g: corollary_s2(p["A"], p["k"], g),
+        ),
         family=True,
     ),
     "corollary3": SweepIdentity(
-        lambda cfg, q, n, A: _each_k(cfg, q, n, A) if q == 2 and len(A) >= 3 else [],
-        lambda p, g: corollary_s3(p["A"], p["k"], g),
+        _pointwise(
+            lambda cfg, q, n, A: _each_k(cfg, q, n, A) if q == 2 and len(A) >= 3 else [],
+            lambda p, g: corollary_s3(p["A"], p["k"], g),
+        ),
         family=True,
     ),
-    "vandermonde": SweepIdentity(
-        lambda cfg, q, n, A: [{"nu": nu, "k": k} for nu in _clip(cfg.nu_range, 0, n)
-                              for k in _clip(cfg.k_range, 0, n)],
-        lambda p, g: check_vandermonde(CubeParams(p["q"], p["n"]), p["nu"], p["k"]),
-    ),
-    "chu_vandermonde_generalized": SweepIdentity(
-        lambda cfg, q, n, A: [{"nu": nu, "k": k} for nu in _clip(cfg.nu_range, 1, n)
-                              for k in _clip(cfg.k_range, 0, n)],
-        lambda p, g: check_chu_vandermonde_generalized(CubeParams(p["q"], p["n"]), p["nu"], p["k"]),
-    ),
+    "vandermonde": SweepIdentity(_closed_form(vandermonde_cell, 0)),
+    "chu_vandermonde_generalized": SweepIdentity(_closed_form(chu_vandermonde_generalized_cell, 1)),
     "evenweight_printed": SweepIdentity(
-        lambda cfg, q, n, A: [{"k": k} for k in _clip(cfg.k_range, 0, n) if k >= 1 and q == 2],
-        lambda p, g: check_evenweight_identity(p["n"], p["k"], "printed"),
+        _pointwise(
+            lambda cfg, q, n, A: [{"k": k} for k in _clip(cfg.k_range, 0, n) if k >= 1 and q == 2],
+            lambda p, g: check_evenweight_identity(p["n"], p["k"], "printed"),
+        ),
         erratum=True,
     ),
     "evenweight_corrected": SweepIdentity(
-        lambda cfg, q, n, A: [{"k": k} for k in _clip(cfg.k_range, 0, n) if k >= 1 and q == 2],
-        lambda p, g: check_evenweight_identity(p["n"], p["k"], "corrected"),
+        _pointwise(
+            lambda cfg, q, n, A: [{"k": k} for k in _clip(cfg.k_range, 0, n) if k >= 1 and q == 2],
+            lambda p, g: check_evenweight_identity(p["n"], p["k"], "corrected"),
+        )
     ),
-    "bounds": SweepIdentity(lambda cfg, q, n, A: [{}] if q == 2 else [], _bounds_row, family=True),
-    "lemma_face_count": SweepIdentity(_each_k, _lemma_face_count, family=True),
+    "bounds": SweepIdentity(_bounds_cell, family=True),
+    "lemma_face_count": SweepIdentity(_pointwise(_each_k, _lemma_face_count), family=True),
 }
 
 
 def _sweep_rows(cfg: SweepConfig, guard: int) -> Iterator[dict[str, Any]]:
-    """Yield the rows one grid point at a time, after building every (q, n)
-    cell's family instances, so that a bad family template raises before any row."""
+    """Yield the rows one (q, n) cell at a time, after building every cell's
+    family instances, so that a bad family template raises before any row."""
     n_lo, n_hi = cfg.n_range
     cells = [(q, n) for q in cfg.qs for n in range(n_lo, n_hi + 1)]
     instances: dict[tuple[int, int], list[dict[str, Any]]] = {}
@@ -496,41 +549,40 @@ def _sweep_rows(cfg: SweepConfig, guard: int) -> Iterator[dict[str, Any]]:
     for identity in cfg.identities:
         entry = SWEEP_IDENTITIES[identity]
         for q, n in cells:
-            for extra in instances[q, n] if entry.family else [{}]:
-                for g in entry.grid(cfg, q, n, extra.get("A")):
-                    yield _sweep_row(identity, entry, {"q": q, "n": n, **extra, **g}, guard)
+            for instance in instances[q, n] if entry.family else [{}]:
+                for params, outcome in entry.cell(cfg, q, n, instance, guard):
+                    yield _sweep_row(identity, entry.erratum, params, outcome)
 
 
 def _sweep_row(
-    identity: str, entry: SweepIdentity, point: dict[str, Any], guard: int
+    identity: str, erratum: bool, params: dict[str, Any], outcome: Any
 ) -> dict[str, Any]:
-    try:
-        rep = entry.evaluate(point, guard)
-    except SizeGuardError as exc:
+    """The row of one grid point from its params and outcome (see SweepIdentity)."""
+    if isinstance(outcome, SizeGuardError):
         return {
             "identity": identity,
-            "params": {k: v for k, v in point.items() if k != "A"},
-            "error": str(exc),
+            "params": params,
+            "error": str(outcome),
             "passed": False,
             "status": "error",
         }
-    extra = {key: point[key] for key in ("seed", "nu") if key in point}
-    if isinstance(rep, dict):
-        rep["params"].update(extra)
-        return rep
-    if rep.equal:
+    if isinstance(outcome, dict):
+        return {"identity": identity, "params": params, **outcome}
+    lhs, rhs = outcome
+    equal = lhs == rhs
+    if equal:
         status = "pass"
-    elif entry.erratum:
+    elif erratum:
         status = "known_erratum"
     else:
         status = "fail"
     return {
-        "identity": rep.identity,
-        "params": {**rep.params, **extra},
-        "lhs": str(rep.lhs),
-        "rhs": str(rep.rhs),
-        "equal": rep.equal,
-        "passed": rep.equal,
+        "identity": identity,
+        "params": params,
+        "lhs": str(lhs),
+        "rhs": str(rhs),
+        "equal": equal,
+        "passed": equal,
         "status": status,
     }
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import CubeError, CubeParams, Face, PointSet, binom, parse_pointset
 from .faces import FaceDistribution
@@ -58,6 +58,9 @@ def face_spec(
         free_positions = tuple(range(nu))
     else:
         free_positions = tuple(sorted(int(i) for i in free_positions))
+        for i, j in zip(free_positions, free_positions[1:]):
+            if i == j:
+                raise CubeError(f"free position {i} is repeated")
         if nu is not None and nu != len(free_positions):
             raise CubeError(
                 f"nu={nu} disagrees with {len(free_positions)} free positions"
@@ -206,6 +209,76 @@ def check_chu_vandermonde_generalized(params: CubeParams, nu: int, k: int) -> Id
     return IdentityReport.of(
         "chu_vandermonde_generalized", rep_params, lhs, rhs, lhs_terms, rhs_terms, proven=True
     )
+
+
+def _limb_bytes(largest: int) -> int:
+    """Bytes per limb of a Kronecker-packed polynomial whose coefficients,
+    and those of every product and sum formed from it, are at most `largest`."""
+    return (largest.bit_length() + 7) // 8
+
+
+def _pascal_rows(n: int, width: int) -> list[int]:
+    """Row j packs C(j, 0..j) into limbs of `width` bytes: (1+x)^j at x = 2^(8*width)."""
+    rows = [1]
+    for _ in range(n):
+        rows.append(rows[-1] + (rows[-1] << 8 * width))
+    return rows
+
+
+def _unpack(packed: int, count: int, width: int) -> list[int]:
+    """The lowest `count` limbs of a packed polynomial with nonnegative
+    coefficients; raises OverflowError if it has more."""
+    raw = packed.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _check_cell_range(values: range, least: int, n: int, name: str) -> None:
+    if values and not least <= min(values) <= max(values) <= n:
+        raise CubeError(f"{name} must lie in [{least}, {n}], got {values}")
+
+
+def vandermonde_cell(
+    params: CubeParams, nus: range, ks: range
+) -> Iterator[tuple[int, int, int, int]]:
+    """(nu, k, lhs, rhs) of check_vandermonde for each nu in nus, then each k
+    in ks. Each nu's left sides for every k are one product of packed Pascal
+    rows, row[nu] * row[n-nu]; the right sides are the limbs of row[n]."""
+    n = params.n
+    _check_cell_range(nus, 0, n, "nu")
+    _check_cell_range(ks, 0, n, "k")
+    width = _limb_bytes(2**n)  # every coefficient is some C(n, k) <= 2^n
+    rows = _pascal_rows(n, width)
+    rhs = _unpack(rows[n], n + 1, width)
+    for nu in nus:
+        lhs = _unpack(rows[nu] * rows[n - nu], n + 1, width)
+        for k in ks:
+            yield nu, k, lhs[k], rhs[k]
+
+
+def chu_vandermonde_generalized_cell(
+    params: CubeParams, nus: range, ks: range
+) -> Iterator[tuple[int, int, int, int]]:
+    """(nu, k, lhs, rhs) of check_chu_vandermonde_generalized for each nu in
+    nus, then each k in ks, with the sides kept apart: for each nu the left
+    sides are one product, the packed weights (q^i-1)*C(nu,i) times row[n-nu];
+    the right sides are one sum of packed rows, (q-1)^i*C(nu,i)*row[n-i]
+    shifted by i limbs."""
+    n, q = params.n, params.q
+    _check_cell_range(nus, 1, n, "nu")
+    _check_cell_range(ks, 0, n, "k")
+    # Both sides are at most q^nu * C(n, k) <= q^n * 2^n at every k, since
+    # C(n-i, k-i) <= C(n, k); so is every weight and every partial sum.
+    width = _limb_bytes(q**n << n)
+    bits = 8 * width
+    rows = _pascal_rows(n, width)
+    for nu in nus:
+        c = _unpack(rows[nu], nu + 1, width)
+        weights = sum(((q**i - 1) * c[i]) << bits * i for i in range(1, nu + 1))
+        lhs = _unpack(weights * rows[n - nu], n + 1, width)
+        shifted = sum(((q - 1) ** i * c[i] * rows[n - i]) << bits * i for i in range(1, nu + 1))
+        rhs = _unpack(shifted, n + 1, width)
+        for k in ks:
+            yield nu, k, lhs[k], rhs[k]
 
 
 EVENWEIGHT_FORMS = ("printed", "corrected")

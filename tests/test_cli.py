@@ -20,7 +20,11 @@ import qcube.identities
 from qcube.cli import main
 from qcube.core import CubeParams, SizeGuardError
 from qcube.faces import faces_containing_bruteforce, total_faces
-from qcube.families import gen_random_subset
+from qcube.families import (
+    check_chu_vandermonde_generalized,
+    check_vandermonde,
+    gen_random_subset,
+)
 from qcube.identities import IdentityReport
 
 EW3 = "000\n011\n101\n110\n"
@@ -347,6 +351,22 @@ class TestGen:
         assert code == 2
         assert "fixed value -1 at position 3 out of range for q=2" in err
 
+    @pytest.mark.parametrize(
+        "argv, repeated",
+        [
+            (("--nu", "2", "--free", "0,0"), 0),
+            (("--free", "0,0,1", "--nu", "3"), 0),
+            (("--free", "1,0,1"), 1),
+            (("--free", "0,0", "--fixed", "1"), 0),
+        ],
+        ids=["nu-2", "nu-3", "no-nu", "fixed"],
+    )
+    def test_repeated_free_position_rejected(self, capsys, argv, repeated):
+        code, out, err = run(capsys, "gen", "--family", "face", "--q", "2", "--n", "3", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: free position {repeated} is repeated\n"
+
     def test_empty_free_means_no_free_positions(self, capsys):
         code, out, err = run(capsys, "gen", "--family", "face", "--n", "3", "--free", "")
         assert code == 0
@@ -585,14 +605,14 @@ class TestSweep:
         out = io.StringIO()
         written = []
         registry = qcube.cli.SWEEP_IDENTITIES
-        grid = registry["vandermonde"].grid
+        cell = registry["vandermonde"].cell
 
-        def recording(cfg, q, n, A):
+        def recording(cfg, q, n, instance, guard):
             written.append(len(out.getvalue()))
-            return grid(cfg, q, n, A)
+            return cell(cfg, q, n, instance, guard)
 
         monkeypatch.setitem(
-            registry, "vandermonde", dataclasses.replace(registry["vandermonde"], grid=recording)
+            registry, "vandermonde", dataclasses.replace(registry["vandermonde"], cell=recording)
         )
         path = write(
             tmp_path, "cfg.json", json.dumps({"identities": ["vandermonde"], "n": [1, 2]})
@@ -612,6 +632,48 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert err == "error: sweep config: unknown family kind 'bogus'\n"
+
+    def test_file_family_error_names_file_and_cell(self, tmp_path, capsys):
+        points = write(tmp_path, "points.txt", "00\n01\n11\n")
+        config = {"identities": ["main"], "n": [1, 2], "family": {"kind": "file", "path": points}}
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        code, out, err = run(capsys, "sweep", cfg)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: sweep config: family file {points} at q=2, n=1: "
+            "line 1: expected 1 digits, got 2\n"
+        )
+
+    def test_closed_form_rows_match_the_oracles(self, tmp_path, capsys):
+        config = {
+            "identities": ["vandermonde", "chu_vandermonde_generalized"],
+            "q": [7],
+            "n": [0, 9],
+            "nu": [0, 4],
+            "k": [2, 6],
+        }
+        oracles = {"vandermonde": (check_vandermonde, 0),
+                   "chu_vandermonde_generalized": (check_chu_vandermonde_generalized, 1)}
+        expected = []
+        for identity, (oracle, least_nu) in oracles.items():
+            for n in range(10):
+                for nu in range(least_nu, min(4, n) + 1):
+                    for k in range(2, min(6, n) + 1):
+                        rep = oracle(CubeParams(7, n), nu, k)
+                        expected.append({
+                            "identity": identity, "params": rep.params,
+                            "lhs": str(rep.lhs), "rhs": str(rep.rhs),
+                            "equal": True, "passed": True, "status": "pass",
+                        })
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        code, out, err = run(capsys, "sweep", cfg)
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows[:-1] == expected
+        assert rows[-1]["summary"] == {
+            "total": len(expected), "pass": len(expected), "fail": 0, "known_erratum": 0, "error": 0
+        }
 
     def test_bad_family_unused_by_closed_forms(self, tmp_path, capsys):
         config = {"identities": ["vandermonde"], "n": [1, 2], "family": {"kind": "bogus"}}

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcube.core import CubeError, CubeParams, binom
 from qcube.faces import distribution
@@ -10,6 +12,7 @@ from qcube.families import (
     check_chu_vandermonde_generalized,
     check_evenweight_identity,
     check_vandermonde,
+    chu_vandermonde_generalized_cell,
     evenweight_distribution_closed,
     face_distribution_closed,
     face_spec,
@@ -17,6 +20,7 @@ from qcube.families import (
     gen_face_subset,
     gen_random_subset,
     realize_family,
+    vandermonde_cell,
 )
 from qcube.identities import corollary_s2
 from qcube.rank import rank, rank_rows
@@ -249,6 +253,60 @@ class TestChuVandermondeGeneralized:
     def test_nu_validation(self):
         with pytest.raises(CubeError):
             check_chu_vandermonde_generalized(CubeParams(2, 3), 0, 1)
+
+
+def assert_cells_match_oracles(params, nus, ks):
+    """Both cell evaluators agree with the per-point oracles, side by side,
+    and each oracle side is the sum of its terms."""
+    chu_nus = range(max(nus.start, 1), nus.stop)
+    for cell, oracle, cell_nus in (
+        (vandermonde_cell, check_vandermonde, nus),
+        (chu_vandermonde_generalized_cell, check_chu_vandermonde_generalized, chu_nus),
+    ):
+        got = list(cell(params, cell_nus, ks))
+        assert [(nu, k) for nu, k, _, _ in got] == [(nu, k) for nu in cell_nus for k in ks]
+        for nu, k, lhs, rhs in got:
+            rep = oracle(params, nu, k)
+            assert (lhs, rhs) == (rep.lhs, rep.rhs), (params, nu, k)
+            assert lhs == sum(v for _, v in rep.lhs_terms)
+            assert rhs == sum(v for _, v in rep.rhs_terms)
+
+
+class TestClosedFormCells:
+    def test_matches_oracles_exhaustively(self):
+        for q in (2, 3, 5):
+            for n in range(41):
+                assert_cells_match_oracles(CubeParams(q, n), range(n + 1), range(n + 1))
+
+    @given(
+        q=st.integers(2, 1000),
+        n=st.integers(0, 60),
+        bounds=st.tuples(*[st.integers(0, 60)] * 4),
+    )
+    @example(q=1000, n=60, bounds=(0, 60, 0, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracles_at_large_q(self, q, n, bounds):
+        # Limbs grow with q^n * 2^n; large q stresses the limb width.
+        nu_lo, nu_hi, k_lo, k_hi = (min(b, n) for b in bounds)
+        assert_cells_match_oracles(
+            CubeParams(q, n), range(nu_lo, nu_hi + 1), range(k_lo, k_hi + 1)
+        )
+
+    @pytest.mark.parametrize(
+        "nus, ks",
+        [(range(0, 5), range(0, 4)), (range(0, 4), range(-1, 4)), (range(0, 4), range(5, 3, -1))],
+        ids=["nu-above-n", "k-below-0", "k-above-n-descending"],
+    )
+    def test_validation(self, nus, ks):
+        params = CubeParams(3, 3)
+        with pytest.raises(CubeError):
+            list(vandermonde_cell(params, nus, ks))
+        with pytest.raises(CubeError):
+            list(chu_vandermonde_generalized_cell(params, range(1, nus.stop), ks))
+
+    def test_chu_needs_nu_at_least_one(self):
+        with pytest.raises(CubeError):
+            list(chu_vandermonde_generalized_cell(CubeParams(2, 3), range(0, 2), range(0, 4)))
 
 
 class TestEvenweightIdentity:
