@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, TextIO
 
@@ -23,6 +24,7 @@ from .core import (
     PointSet,
     SizeGuardError,
     check_guard,
+    decimal,
     int_fields,
     is_int,
     parse_pointset,
@@ -68,17 +70,17 @@ def report_to_dict(rep: IdentityReport) -> dict[str, Any]:
     out: dict[str, Any] = {
         "identity": rep.identity,
         "params": dict(rep.params),
-        "lhs": str(rep.lhs),
-        "rhs": str(rep.rhs),
+        "lhs": decimal(rep.lhs),
+        "rhs": decimal(rep.rhs),
         "equal": rep.equal,
     }
     if rep.lhs_terms is not None or rep.rhs_terms is not None:
         terms = [
-            {"side": "lhs", "label": label, "value": str(v)}
+            {"side": "lhs", "label": label, "value": decimal(v)}
             for label, v in (rep.lhs_terms or ())
         ]
         terms += [
-            {"side": "rhs", "label": label, "value": str(v)}
+            {"side": "rhs", "label": label, "value": decimal(v)}
             for label, v in (rep.rhs_terms or ())
         ]
         out["terms"] = terms
@@ -196,16 +198,16 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         "n": A.params.n,
         "k": args.k,
         "m": len(A),
-        "counts": {str(e): str(c) for e, c in items},
-        "total_faces": str(dist.total),
+        "counts": {str(e): decimal(c) for e, c in items},
+        "total_faces": decimal(dist.total),
     }
-    lines = [f"e={e}: {c}" for e, c in items]
-    lines.append(f"total faces: {dist.total} ✓")
+    lines = [f"e={e}: {decimal(c)}" for e, c in items]
+    lines.append(f"total faces: {decimal(dist.total)} ✓")
     if args.csv:
         with open(args.csv, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["e", "count"])
-            writer.writerows(items)
+            writer.writerows((e, decimal(c)) for e, c in items)
     _emit(payload, lines, args.json)
     return EXIT_OK
 
@@ -217,15 +219,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines = [
         f"identity: {rep.identity}",
         "params: " + " ".join(f"{key}={value}" for key, value in rep.params.items()),
-        f"lhs: {rep.lhs}",
-        f"rhs: {rep.rhs}",
+        f"lhs: {decimal(rep.lhs)}",
+        f"rhs: {decimal(rep.rhs)}",
         f"equal: {'yes' if rep.equal else 'NO'}",
     ]
     if args.breakdown:
         for label, value in rep.lhs_terms or ():
-            lines.append(f"  lhs {label}: {value}")
+            lines.append(f"  lhs {label}: {decimal(value)}")
         for label, value in rep.rhs_terms or ():
-            lines.append(f"  rhs {label}: {value}")
+            lines.append(f"  rhs {label}: {decimal(value)}")
     if rep.note:
         lines.append(f"note: {rep.note}")
     _emit(payload, lines, args.json)
@@ -409,7 +411,11 @@ class SweepIdentity:
     and outcome: the two sides (lhs, rhs), the fields of a finished row, or the
     SizeGuardError that refused the point. `instance` is a family instance's
     params with its point set under "A" if `family` is set, else empty.
-    Failures of an `erratum` identity count as known_erratum, not as fail."""
+    Failures of an `erratum` identity count as known_erratum, not as fail.
+
+    Params values and sides must be ints: the line of a two-sided row is a
+    template filled with %d (see _sweep_line), and the tests hold it to the
+    JSON encoding of the row."""
 
     cell: Cell
     family: bool = False
@@ -537,9 +543,10 @@ SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
 }
 
 
-def _sweep_rows(cfg: SweepConfig, guard: int) -> Iterator[dict[str, Any]]:
-    """Yield the rows one (q, n) cell at a time, after building every cell's
-    family instances, so that a bad family template raises before any row."""
+def _sweep_rows(cfg: SweepConfig, guard: int) -> Iterator[tuple[str, str]]:
+    """Yield each row's status and line, one (q, n) cell at a time, after
+    building every cell's family instances, so that a bad family template
+    raises before any row."""
     n_lo, n_hi = cfg.n_range
     cells = [(q, n) for q in cfg.qs for n in range(n_lo, n_hi + 1)]
     instances: dict[tuple[int, int], list[dict[str, Any]]] = {}
@@ -551,13 +558,54 @@ def _sweep_rows(cfg: SweepConfig, guard: int) -> Iterator[dict[str, Any]]:
         for q, n in cells:
             for instance in instances[q, n] if entry.family else [{}]:
                 for params, outcome in entry.cell(cfg, q, n, instance, guard):
-                    yield _sweep_row(identity, entry.erratum, params, outcome)
+                    yield _sweep_line(identity, entry.erratum, params, outcome)
+
+
+def _status(equal: bool, erratum: bool) -> str:
+    if equal:
+        return "pass"
+    return "known_erratum" if erratum else "fail"
+
+
+@lru_cache(maxsize=None)
+def _row_template(identity: str, status: str, keys: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+    """The %-format of the line of an (lhs, rhs) row with these param keys, and
+    the keys in the order of its fields: lhs, the int params, rhs. Like
+    json_line, it writes the row's keys and the params' keys in sorted order.
+    Identity names, statuses and param keys hold no '%'."""
+    order = tuple(sorted(keys))
+    equal = json_line(status == "pass")
+    params = ",".join(f"{json_line(key)}:%d" for key in order)
+    fmt = (
+        f'{{"equal":{equal},"identity":{json_line(identity)},"lhs":"%d","params":{{{params}}},'
+        f'"passed":{equal},"rhs":"%d","status":{json_line(status)}}}'
+    )
+    return fmt, order
+
+
+def _sweep_line(
+    identity: str, erratum: bool, params: dict[str, Any], outcome: Any
+) -> tuple[str, str]:
+    """The status and line of one grid point's row: json_line(_sweep_row(...)).
+    An (lhs, rhs) row is written by filling its template instead, unless a
+    side has more digits than str() converts; _sweep_row prints it in full."""
+    if isinstance(outcome, tuple):
+        lhs, rhs = outcome
+        status = _status(lhs == rhs, erratum)
+        fmt, keys = _row_template(identity, status, tuple(params))
+        try:
+            return status, fmt % (lhs, *[params[key] for key in keys], rhs)
+        except ValueError:
+            pass
+    row = _sweep_row(identity, erratum, params, outcome)
+    return row["status"], json_line(row)
 
 
 def _sweep_row(
     identity: str, erratum: bool, params: dict[str, Any], outcome: Any
 ) -> dict[str, Any]:
-    """The row of one grid point from its params and outcome (see SweepIdentity)."""
+    """The row of one grid point from its params and outcome (see SweepIdentity);
+    the oracle of _sweep_line's templates."""
     if isinstance(outcome, SizeGuardError):
         return {
             "identity": identity,
@@ -570,32 +618,30 @@ def _sweep_row(
         return {"identity": identity, "params": params, **outcome}
     lhs, rhs = outcome
     equal = lhs == rhs
-    if equal:
-        status = "pass"
-    elif erratum:
-        status = "known_erratum"
-    else:
-        status = "fail"
     return {
         "identity": identity,
         "params": params,
-        "lhs": str(lhs),
-        "rhs": str(rhs),
+        "lhs": decimal(lhs),
+        "rhs": decimal(rhs),
         "equal": equal,
         "passed": equal,
-        "status": status,
+        "status": _status(equal, erratum),
     }
 
 
 def run_sweep(cfg: SweepConfig, out: TextIO, guard: Optional[int] = None) -> int:
     """Write one JSON line per grid point as it is evaluated, then a summary
     line. A bad family template raises before any output, and memory does not
-    grow with the number of rows. Returns the exit code; output depends only on the config."""
+    grow with the number of rows. Returns the exit code; output depends only on the config.
+
+    A two-sided row's line is filled into a cached template; other rows, and
+    sides too long for str(), go through json_line(_sweep_row(...)), which is
+    also the oracle of the templates (see _sweep_line)."""
     effective_guard = guard if guard is not None else (cfg.guard or DEFAULT_GUARD)
     tally = {"pass": 0, "fail": 0, "known_erratum": 0, "error": 0}
-    for row in _sweep_rows(cfg, effective_guard):
-        tally[row["status"]] += 1
-        out.write(json_line(row) + "\n")
+    for status, line in _sweep_rows(cfg, effective_guard):
+        tally[status] += 1
+        out.write(line + "\n")
     summary = {"total": sum(tally.values()), **tally}
     out.write(json_line({"summary": summary}) + "\n")
     print(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 
 class CubeError(ValueError):
@@ -259,15 +259,49 @@ def hamming(a: Point, b: Point) -> int:
     return sum(x != y for x, y in zip(a.coords, b.coords))
 
 
-def int_fields(parts: Iterable[str]) -> list[int]:
+def decimal(x: int) -> str:
+    """str(x) for an int of any size. Python 3.11+ refuses str() of an int
+    above sys.get_int_max_str_digits() digits; such an int is split by divmod
+    into a high and a low half of its digits, each converted the same way."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if x < 0:
+        return "-" + decimal(-x)
+    half = x.bit_length() * 3 // 20  # log10(2) is about 3/10
+    high, low = divmod(x, 10**half)
+    return decimal(high) + decimal(low).zfill(half)
+
+
+def int_fields(parts: Iterable[str], q: Optional[int] = None) -> list[int]:
     """Comma-separated fields as ints. Each field is stripped, then must be an
-    optional '-' (so that "-1" reaches the caller's range check) and ASCII digits."""
+    optional '-' (so that "-1" reaches the range check) and ASCII digits.
+
+    With q, each field in turn must then be a coordinate in [0, q). A field
+    with more digits than q has, leading zeros aside, is refused unconverted:
+    int() takes time quadratic in the number of digits, and Python 3.11+
+    refuses more than sys.get_int_max_str_digits() of them."""
     parts = [part.strip() for part in parts]
     for part in parts:
         digits = part.removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
             raise CubeError(f"not an integer: {part!r}")
-    return list(map(int, parts))
+    if q is None:
+        return list(map(int, parts))
+    width = len(str(q))
+    coords = []
+    for part in parts:
+        sign = "-" if part.startswith("-") else ""
+        digits = part.removeprefix("-").lstrip("0") or "0"
+        if len(digits) > width:  # at least q, so it is not converted
+            shown = digits if len(digits) <= 20 else f"{digits[:8]}… ({len(digits)} digits)"
+            raise CubeError(f"coordinate {sign}{shown} out of range for q={q}")
+        c = int(sign + digits)
+        if not 0 <= c < q:
+            raise CubeError(f"coordinate {c} out of range for q={q}")
+        coords.append(c)
+    return coords
 
 
 def _parse_vector(line: str, params: CubeParams, line_no: int, bits: dict[int, str]) -> int:
@@ -280,10 +314,6 @@ def _parse_vector(line: str, params: CubeParams, line_no: int, bits: dict[int, s
                     f"q={q} > 10 requires comma-separated coordinates", line_no
                 )
             raise ParseError(f"expected {n} coordinates, got {len(parts)}", line_no)
-        try:
-            coords = int_fields(parts)
-        except CubeError as exc:
-            raise ParseError(str(exc), line_no) from None
     else:
         if len(line) != n:
             raise ParseError(f"expected {n} digits, got {len(line)}", line_no)
@@ -293,10 +323,11 @@ def _parse_vector(line: str, params: CubeParams, line_no: int, bits: dict[int, s
                     raise ParseError(f"invalid character {ch!r}", line_no)
         if max(line) <= string.digits[q - 1]:
             return int(line.translate(bits), 2)
-        coords = list(map(int, line))  # only for the message below
-    for c in coords:
-        if not 0 <= c < q:
-            raise ParseError(f"coordinate {c} out of range for q={q}", line_no)
+        parts = list(line)  # one digit per coordinate, only for the message below
+    try:
+        coords = int_fields(parts, q)
+    except CubeError as exc:
+        raise ParseError(str(exc), line_no) from None
     w = _block_width(params)
     return sum(c << w * (n - 1 - j) for j, c in enumerate(coords))
 

@@ -125,6 +125,7 @@ def _subset_rank_histogram(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
 
 
 def _rhs_terms(A: PointSet, k: int, s: int) -> Terms:
+    # Reads s rows of n coordinates for each s-subset; verify_main costs this.
     n = A.params.n
     rows = A.coord_rows()
     out = []
@@ -164,9 +165,12 @@ def verify_main(
     """Evaluate both sides of the face-count identity independently.
 
     Holds for every nonempty A, 0 <= k <= n and 1 <= s <= min(|A|, q**k), so
-    an unequal report indicates a defect, and is marked as such.
+    an unequal report indicates a defect, and is marked as such. With terms,
+    the per-subset breakdown's binom(m, s)·s·n row reads are checked against
+    the guard before any other work.
     """
     if include_terms:
+        check_guard(binom(len(A), s) * s * A.params.n, guard)
         lt: Optional[Terms] = _main_lhs_terms(A, k, s, guard)
         lhs = sum(v for _, v in lt)
     else:
@@ -197,8 +201,8 @@ def corollary_s1(
 
 
 @lru_cache(maxsize=256)
-def _pair_distance_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(Counter(distance_sum(A).pairwise.values()).items()))
+def _pair_distance_histogram(A: PointSet, guard: int) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(Counter(distance_sum(A, guard).pairwise.values()).items()))
 
 
 def corollary_s2(
@@ -210,8 +214,8 @@ def corollary_s2(
     Valid for every q: a pair at distance d spans a d-dimensional face, so its
     rank is d and no separate rank computation is needed. Without terms the
     right side is summed over the histogram d -> number of pairs, built from
-    distance_sum once per set and cached; the binom(m, 2) guard is checked on
-    every call. With terms, every pair is listed from distance_sum.
+    distance_sum once per set and guard and cached; the binom(m, 2) guard is
+    checked on every call. With terms, every pair is listed from distance_sum.
     """
     _require_size(A, 2, "corollary_s2")
     check_guard(binom(len(A), 2), guard)
@@ -221,20 +225,20 @@ def corollary_s2(
     if include_terms:
         rt: Optional[Terms] = tuple(
             (f"pair={ij}", binom(n - d, k - d))
-            for ij, d in sorted(distance_sum(A).pairwise.items())
+            for ij, d in sorted(distance_sum(A, guard).pairwise.items())
         )
         rhs = sum(v for _, v in rt)
         lt: Optional[Terms] = lhs_terms
     else:
-        rhs = sum(c * binom(n - d, k - d) for d, c in _pair_distance_histogram(A))
+        rhs = sum(c * binom(n - d, k - d) for d, c in _pair_distance_histogram(A, guard))
         lt = rt = None
     params = {"q": A.params.q, "n": n, "k": k, "s": 2, "m": len(A)}
     return IdentityReport.of("corollary2", params, lhs, rhs, lt, rt, proven=True)
 
 
-def _triple_ranks(A: PointSet) -> Iterator[tuple[tuple[int, int, int], int]]:
+def _triple_ranks(A: PointSet, guard: int) -> Iterator[tuple[tuple[int, int, int], int]]:
     # Half the pairwise distance sum of each triple, in combinations order.
-    d = distance_sum(A).pairwise
+    d = distance_sum(A, guard).pairwise
     for i, j, t in combinations(range(len(A)), 3):
         dsum = d[(i, j)] + d[(i, t)] + d[(j, t)]
         if dsum % 2:
@@ -245,8 +249,8 @@ def _triple_ranks(A: PointSet) -> Iterator[tuple[tuple[int, int, int], int]]:
 
 
 @lru_cache(maxsize=256)
-def _triple_rank_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(Counter(r for _, r in _triple_ranks(A)).items()))
+def _triple_rank_histogram(A: PointSet, guard: int) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(Counter(r for _, r in _triple_ranks(A, guard)).items()))
 
 
 def corollary_s3(
@@ -257,8 +261,9 @@ def corollary_s3(
     pairwise distances (an integer in a binary cube).
 
     Without terms the right side is summed over the histogram r -> number of
-    triples, built from distance_sum once per set and cached; the binom(m, 3)
-    guard is checked on every call. With terms, every triple is listed.
+    triples, built from distance_sum once per set and guard and cached; the
+    binom(m, 3) guard is checked on every call, and distance_sum's m(m-1)/2
+    on every miss. With terms, every triple is listed.
     """
     if A.params.q != 2:
         raise CubeError("corollary_s3 is defined for q = 2 only")
@@ -270,12 +275,12 @@ def corollary_s3(
     lhs = sum(v for _, v in lhs_terms)
     if include_terms:
         rt: Optional[Terms] = tuple(
-            (f"triple={ijt}", binom(n - r, k - r)) for ijt, r in _triple_ranks(A)
+            (f"triple={ijt}", binom(n - r, k - r)) for ijt, r in _triple_ranks(A, guard)
         )
         rhs = sum(v for _, v in rt)
         lt: Optional[Terms] = lhs_terms
     else:
-        rhs = sum(c * binom(n - r, k - r) for r, c in _triple_rank_histogram(A))
+        rhs = sum(c * binom(n - r, k - r) for r, c in _triple_rank_histogram(A, guard))
         lt = rt = None
     params = {"q": 2, "n": n, "k": k, "s": 3, "m": m}
     return IdentityReport.of("corollary3", params, lhs, rhs, lt, rt, proven=True)

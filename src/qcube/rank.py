@@ -17,11 +17,13 @@ from operator import or_
 from typing import Optional, Sequence
 
 from .core import (
+    DEFAULT_GUARD,
     ConsistencyError,
     CubeError,
     Point,
     PointSet,
     block_fold,
+    check_guard,
     column_mask,
 )
 
@@ -62,8 +64,9 @@ def rank(A: PointSet) -> int:
     return block_fold(A.params)(reduce(or_, map(first.__xor__, A.packed))).bit_count()
 
 
-def distance_sum(A: PointSet) -> DistanceProfile:
-    """All pairwise distances of A together with their sum.
+def distance_sum(A: PointSet, guard: int = DEFAULT_GUARD) -> DistanceProfile:
+    """All pairwise distances of A together with their sum. The m(m-1)/2 pairs
+    are checked against the guard before the first one.
 
     Each distance is the popcount of the folded XOR of two packed rows
     (core.block_fold over PointSet.packed), for every q; the oracle is
@@ -74,6 +77,7 @@ def distance_sum(A: PointSet) -> DistanceProfile:
     if len(A) == 0:
         raise CubeError("distance profile of the empty set is undefined")
     packed = A.packed
+    check_guard(len(packed) * (len(packed) - 1) // 2, guard)
     fold = block_fold(A.params)
     pairwise = {
         (i, j): fold(packed[i] ^ packed[j]).bit_count()

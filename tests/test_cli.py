@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import qcube.cli
 import qcube.identities
 from qcube.cli import main
-from qcube.core import CubeParams, SizeGuardError
+from qcube.core import CubeParams, SizeGuardError, decimal, serialize_pointset
 from qcube.faces import faces_containing_bruteforce, total_faces
 from qcube.families import (
     check_chu_vandermonde_generalized,
@@ -28,6 +28,7 @@ from qcube.families import (
 from qcube.identities import IdentityReport
 
 EW3 = "000\n011\n101\n110\n"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def write(tmp_path, name, text):
@@ -94,6 +95,13 @@ class TestRank:
         assert code == 2
         assert out == ""
         assert "line 1: not an integer: '\u0663'" in err
+
+    def test_long_comma_field_is_out_of_range(self, tmp_path, capsys):
+        path = write(tmp_path, "a.txt", "0,0\n0," + "1" * 5000 + "\n")
+        code, out, err = run(capsys, "rank", path, "--q", "12")
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: coordinate 11111111… (5000 digits) out of range for q=12\n"
 
     def test_q3_omits_binary_extras(self, tmp_path, capsys):
         path = write(tmp_path, "a.txt", "012\n120\n")
@@ -199,6 +207,20 @@ class TestDistribution:
             rows = list(csv.reader(handle))
         assert rows == [["e", "count"], ["0", "0"], ["2", "6"]]
 
+    def test_counts_of_any_size_print_in_full(self, tmp_path, capsys):
+        # 2^15000 - 1 empty 0-faces: 4516 digits, above str()'s default limit.
+        path = write(tmp_path, "a.txt", "0" * 15000 + "\n")
+        out_csv = tmp_path / "dist.csv"
+        code, out, err = run(capsys, "distribution", path, "-k", "0", "--json", "--csv", str(out_csv))
+        assert code == 0
+        payload = json.loads(out)
+        empty, total = decimal(2**15000 - 1), decimal(2**15000)  # see TestDecimal
+        assert payload["counts"] == {"0": empty, "1": "1"}
+        assert payload["total_faces"] == total
+        assert out_csv.read_bytes().decode() == f"e,count\r\n0,{empty}\r\n1,1\r\n"
+        code, out, err = run(capsys, "distribution", path, "-k", "0")
+        assert out == f"e=0: {empty}\ne=1: 1\ntotal faces: {total} ✓\n"
+
     def test_k_out_of_range(self, tmp_path, capsys):
         path = write(tmp_path, "a.txt", "00\n11\n")
         code, out, err = run(capsys, "distribution", path, "-k", "5")
@@ -242,6 +264,17 @@ class TestVerify:
         lhs_total = sum(int(t["value"]) for t in payload["terms"] if t["side"] == "lhs")
         rhs_total = sum(int(t["value"]) for t in payload["terms"] if t["side"] == "rhs")
         assert lhs_total == rhs_total == 6
+
+    def test_breakdown_guard_refuses_at_once(self, tmp_path, capsys, monkeypatch):
+        # binom(200, 3)·3·20 row reads; the walk alone (binom(200, 3)) fits.
+        A = gen_random_subset(CubeParams(2, 20), 200, 0)
+        path = write(tmp_path, "a.txt", serialize_pointset(A))
+        lhs = count_calls(monkeypatch, "qcube.faces", "distribution")
+        code, out, err = run(capsys, "verify", path, "-k", "2", "-s", "3", "--breakdown")
+        assert code == 3
+        assert out == ""
+        assert err == "error: instance too large: about 78804000 elementary operations, guard is 10000000\n"
+        assert lhs == []
 
     def test_invalid_s(self, tmp_path, capsys):
         path = write(tmp_path, "a.txt", EW3)
@@ -780,6 +813,130 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", cfg)
         assert code == 0
         assert len(calls) == len(set(calls)) == 12
+
+    def test_sides_of_any_size_print_in_full(self, tmp_path, capsys):
+        q = 10**1000
+        config = {"identities": ["chu_vandermonde_generalized"], "q": [q], "n": [5, 5]}
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        code, out, err = run(capsys, "sweep", cfg)
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows[-1]["summary"]["pass"] == rows[-1]["summary"]["total"] == 30
+        expected = [
+            (decimal(rep.lhs), decimal(rep.rhs))  # see TestDecimal
+            for nu in range(1, 6)
+            for k in range(6)
+            for rep in [check_chu_vandermonde_generalized(CubeParams(q, 5), nu, k)]
+        ]
+        assert [(row["lhs"], row["rhs"]) for row in rows[:-1]] == expected
+        assert max(len(row["lhs"]) for row in rows[:-1]) > 4300
+
+
+CRITERION_8 = {
+    "identities": list(qcube.cli.SWEEP_IDENTITIES),
+    "q": [2, 3],
+    "n": [1, 4],
+    "s": [1, 3],
+    "seeds": [0, 1],
+    "family": {"kind": "random", "m": 4},
+}
+
+
+def check_rows_against_the_oracle(mp):
+    """Make every row the sweep writes also be built by json_line(_sweep_row(...))
+    and compared; returns a Counter of the compared rows by (identity, status)."""
+    seen = Counter()
+    fill = qcube.cli._sweep_line
+
+    def compared(identity, erratum, params, outcome):
+        status, line = fill(identity, erratum, params, outcome)
+        row = qcube.cli._sweep_row(identity, erratum, params, outcome)
+        assert (status, line) == (row["status"], qcube.cli.json_line(row))
+        seen[identity, status] += 1
+        return status, line
+
+    mp.setattr(qcube.cli, "_sweep_line", compared)
+    return seen
+
+
+@st.composite
+def sweep_configs(draw):
+    """A small sweep config over every registered identity, with a random
+    family kind, ν and k sub-ranges, and guard."""
+    kind = draw(st.sampled_from(["random", "even_weight", "face", "file"]))
+    n_lo = draw(st.integers(0, 4))
+    n_hi = draw(st.integers(n_lo, 4))
+    if kind == "file":
+        n_lo = n_hi = 2
+    family = {"random": {"kind": "random", "m": draw(st.integers(1, 6))},
+              "file": {"kind": "file", "path": "points.txt"}}.get(kind, {"kind": kind})
+    sub_range = st.one_of(st.just("all"), st.lists(st.integers(0, 5), min_size=2, max_size=2).map(sorted))
+    config = {
+        "identities": list(qcube.cli.SWEEP_IDENTITIES),
+        "q": draw(st.lists(st.integers(2, 3), min_size=1, max_size=2, unique=True)),
+        "n": [n_lo, n_hi],
+        "k": draw(sub_range),
+        "nu": draw(sub_range),
+        "s": [1, draw(st.integers(1, 3))],
+        "seeds": [0, 1],
+        "family": family,
+    }
+    guard = draw(st.sampled_from([None, 5, 40]))
+    if guard is not None:
+        config["guard"] = guard
+    return config
+
+
+class TestSweepRowTemplates:
+    @pytest.mark.parametrize("argv", [(), ("--guard", "40")], ids=["default-guard", "guard-40"])
+    def test_criterion_8_rows_match_the_oracle(self, tmp_path, capsys, monkeypatch, argv):
+        seen = check_rows_against_the_oracle(monkeypatch)
+        cfg = write(tmp_path, "cfg.json", json.dumps(CRITERION_8))
+        code, out, _ = run(capsys, "sweep", cfg, *argv)
+        assert sum(seen.values()) == len(out.splitlines()) - 1
+        statuses = {status for _, status in seen}
+        assert statuses >= {"pass", "known_erratum"}
+        assert ("error" in statuses) == (code == 3)
+        assert {identity for identity, _ in seen} == set(qcube.cli.SWEEP_IDENTITIES)
+
+    @given(config=sweep_configs(), printed_is_erratum=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_match_the_oracle(self, config, printed_is_erratum):
+        registry = qcube.cli.SWEEP_IDENTITIES
+        printed = dataclasses.replace(registry["evenweight_printed"], erratum=printed_is_erratum)
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
+            mp.setitem(registry, "evenweight_printed", printed)
+            seen = check_rows_against_the_oracle(mp)
+            os.chdir(work)
+            try:
+                Path("points.txt").write_text("00\n01\n11\n")
+                Path("cfg.json").write_text(json.dumps(config))
+                out = io.StringIO()
+                code = qcube.cli.run_sweep(qcube.cli.load_sweep_config("cfg.json"), out)
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 3)
+        assert sum(seen.values()) == len(out.getvalue().splitlines()) - 1
+
+    @pytest.mark.parametrize("value", [True, 2.5, "2"], ids=["bool", "float", "str"])
+    def test_a_non_int_param_fails_the_check(self, value):
+        params = {"q": 2, "n": 1, "x": value}
+        row = qcube.cli._sweep_row("new", False, params, (1, 1))
+        try:
+            line = qcube.cli._sweep_line("new", False, params, (1, 1))[1]
+        except TypeError:
+            return
+        assert line != qcube.cli.json_line(row)
+
+    def test_bench_closed_config_stdout_is_pinned(self):
+        # bench/sweep_closed.json, the sweep-closed workload: 141 983 rows.
+        out = io.StringIO()
+        cfg = qcube.cli.load_sweep_config(str(BENCH / "sweep_closed.json"))
+        with redirect_stderr(io.StringIO()):
+            assert qcube.cli.run_sweep(cfg, out) == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == "7e954d5ec292a972c4ac05f461676fe3c2fc430ef9edd5666f62aa3c7fa4e5cf"
 
 
 SCALARS = st.one_of(

@@ -1,4 +1,7 @@
 import random
+import sys
+import time
+from contextlib import contextmanager
 from itertools import combinations, product
 
 import pytest
@@ -13,6 +16,7 @@ from qcube.core import (
     Point,
     PointSet,
     binom,
+    decimal,
     hamming,
     parse_pointset,
     serialize_pointset,
@@ -312,6 +316,18 @@ class TestParse:
             ("0,0\n0,\u0663", 12, "line 2: not an integer: '\u0663'"),
             ("0,0\n1_0,0", 12, "line 2: not an integer: '1_0'"),
             ("0,0\n0,+1", 3, "line 2: not an integer: '+1'"),
+            ("0,123", 12, "line 1: coordinate 123 out of range for q=12"),
+            ("12,123", 12, "line 1: coordinate 12 out of range for q=12"),
+            ("123,x", 12, "line 1: not an integer: 'x'"),
+            ("0,-00123", 12, "line 1: coordinate -123 out of range for q=12"),
+            pytest.param(
+                "0," + "1" * 5000, 12, "line 1: coordinate 11111111… (5000 digits) out of range for q=12",
+                id="5000-digits",
+            ),
+            pytest.param(
+                "0,-" + "9" * 21, 12, "line 1: coordinate -99999999… (21 digits) out of range for q=12",
+                id="21-digits-negative",
+            ),
             ("5,x", 3, "line 1: not an integer: 'x'"),
             ("2x", 2, "line 1: invalid character 'x'"),
         ],
@@ -328,11 +344,21 @@ class TestParse:
             ("0,9\n9,0", 10, ((0, 9), (9, 0))),
             (" 1 , 0\n-0,2", 3, ((0, 2), (1, 0))),
             ("15,0\n 0 ,007", 16, ((0, 7), (15, 0))),
+            pytest.param("0," + "0" * 5000 + "11\n1,-0", 12, ((0, 11), (1, 0)), id="leading-zeros"),
         ],
     )
     def test_accepted_lines(self, text, q, rows):
         A, dropped = parse_pointset(text, CubeParams(q, 2))
         assert A.coord_rows() == rows and dropped == 0
+
+    def test_long_field_refused_unconverted(self):
+        # int() of a million digits takes seconds, or is refused above
+        # sys.get_int_max_str_digits(); the length alone rules it out.
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            parse_pointset("0,0\n0," + "7" * 10**6, CubeParams(12, 2))
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == "line 2: coordinate 77777777… (1000000 digits) out of range for q=12"
 
     def test_large_q_requires_commas(self):
         params = CubeParams(12, 2)
@@ -368,3 +394,32 @@ class TestSerialize:
             A = PointSet.from_coords(params, coords)
             B, dropped = parse_pointset(serialize_pointset(A), params)
             assert B == A and dropped == 0
+
+
+@contextmanager
+def int_max_str_digits(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestDecimal:
+    @pytest.mark.parametrize("limit", [640, 4300])
+    @given(bits=st.integers(1, 60_000), seed=st.integers(0, 2**32), negative=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_unlimited_str(self, limit, bits, seed, negative):
+        x = random.Random(seed).getrandbits(bits) * (-1 if negative else 1)
+        with int_max_str_digits(0):
+            expected = str(x)
+        with int_max_str_digits(limit):
+            assert decimal(x) == expected
+
+    @pytest.mark.parametrize("digits", [4299, 4300, 4301, 9000])
+    def test_powers_of_ten_and_neighbours(self, digits):
+        for x in (10**digits - 1, 10**digits, 10**digits + 1, -(10**digits)):
+            with int_max_str_digits(0):
+                expected = str(x)
+            assert decimal(x) == expected

@@ -89,6 +89,23 @@ class TestVerifyMain:
         assert sum(v for _, v in rep.rhs_terms) == rep.rhs
         assert len(rep.rhs_terms) == binom(5, 2)
 
+    @pytest.mark.parametrize("slack", [0, -1], ids=["exact", "one-under"])
+    def test_breakdown_guard_counts_row_reads_first(self, mkset, monkeypatch, slack):
+        # binom(5, 2) subsets of 2 rows of 4 coordinates: 80 reads, more than
+        # the distribution's binom(4, 2)·5 projections or the walk's 10 subsets.
+        A = mkset(2, 4, "0000 0011 0101 1001 1110")
+        guard = binom(5, 2) * 2 * 4 + slack
+        calls = []
+        original = identities._lhs_terms
+        monkeypatch.setattr(identities, "_lhs_terms", lambda *a: calls.append(a) or original(*a))
+        if slack == 0:
+            assert verify_main(A, 2, 2, guard, include_terms=True).equal
+            return
+        with pytest.raises(SizeGuardError, match="about 80 elementary operations"):
+            verify_main(A, 2, 2, guard, include_terms=True)
+        assert calls == []
+        assert verify_main(A, 2, 2, guard).equal  # without terms the walk's estimate holds
+
     def test_terms_computed_once(self, mkset, monkeypatch):
         calls = []
         original = identities._lhs_terms
@@ -215,6 +232,16 @@ class TestCorollary3:
         corollary_s3(A, 2, guard=10**6)
         with pytest.raises(SizeGuardError):
             corollary_s3(A, 2, guard=binom(4, 3) - 1)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_pair_guard_checked_after_a_cached_histogram(self, mkset, k):
+        # The 4 triples and the distribution's binom(3, k)·4 projections fit
+        # a guard of 5; distance_sum's 6 pairs do not, cached or not.
+        A = mkset(2, 3, "000 011 101 110")
+        assert corollary_s3(A, k).equal
+        with pytest.raises(SizeGuardError, match="about 6 elementary operations, guard is 5"):
+            corollary_s3(A, k, guard=5)
+        assert corollary_s3(A, k, guard=6).equal
 
     def test_agrees_with_main_rhs(self):
         rng = random.Random(414)

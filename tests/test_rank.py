@@ -1,10 +1,11 @@
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from qcube.core import CubeError, CubeParams, PointSet
+from qcube.core import CubeError, CubeParams, PointSet, SizeGuardError
 from qcube.rank import (
     column_distance_sum,
     distance_sum,
@@ -78,6 +79,16 @@ class TestDistanceSum:
     def test_singleton(self, mkset):
         prof = distance_sum(mkset(3, 2, "01"))
         assert prof.pairwise == {} and prof.total == 0
+
+    def test_guard_counts_pairs_before_the_first(self, mkset, monkeypatch):
+        A = mkset(2, 3, "000 011 101 110")
+        assert distance_sum(A, guard=6).total == 12
+        folds = []
+        rank_module = importlib.import_module("qcube.rank")  # qcube.rank is also a function
+        monkeypatch.setattr(rank_module, "block_fold", lambda params: folds.append(params))
+        with pytest.raises(SizeGuardError, match="about 6 elementary operations, guard is 5"):
+            distance_sum(A, guard=5)
+        assert folds == []
 
 
 class TestDistanceTotal:
