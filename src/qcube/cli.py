@@ -18,6 +18,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence, TextIO
 
 from .core import (
     DEFAULT_GUARD,
+    abbreviated,
     CubeError,
     CubeParams,
     ParseError,
@@ -36,9 +37,6 @@ from .families import (
     check_evenweight_identity,
     chu_vandermonde_generalized_cell,
     face_spec,
-    gen_even_weight,
-    gen_face_subset,
-    gen_random_subset,
     realize_family,
     vandermonde_cell,
 )
@@ -47,6 +45,7 @@ from .identities import (
     corollary_s1,
     corollary_s2,
     corollary_s3,
+    intersection_cap,
     verify_main,
 )
 from .rank import bounds_from_total, closed_rank_from_total, distance_total, rank, rank_bounds
@@ -89,11 +88,11 @@ def report_to_dict(rep: IdentityReport) -> dict[str, Any]:
     return out
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
+def _csv_ints(text: str, option: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int_fields(text.split(",")))
+    return tuple(int_fields(text.split(","), what=f"{option} field"))
 
 
 def _read_text(path: str) -> str:
@@ -238,34 +237,24 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.n is None:
         raise CubeError("gen requires --n")
     params = CubeParams(args.q, args.n)
-    family = args.family
-    if family == "even-weight":
-        if params.q != 2:
-            raise CubeError("the even-weight family requires q = 2")
-        check_guard(2 ** max(params.n - 1, 0), _guard(args))
-        A = gen_even_weight(params.n)
-    elif family == "face":
-        free = _csv_ints(args.free) if args.free is not None else None
+    if args.family == "face":
+        free = _csv_ints(args.free, "--free") if args.free is not None else None
         if free is None and args.nu is None:
             raise CubeError("face family needs --nu or --free")
         spec = face_spec(params, args.nu, free)
         if args.fixed is not None:
-            values = _csv_ints(args.fixed)
+            values = _csv_ints(args.fixed, "--fixed")
             positions = [i for i, _ in spec.fixed_values]
             if len(values) != len(positions):
                 raise CubeError(
                     f"--fixed needs {len(positions)} values, got {len(values)}"
                 )
             spec = face_spec(params, args.nu, free, tuple(zip(positions, values)))
-        check_guard(params.q ** len(spec.free_positions), _guard(args))
-        A = gen_face_subset(params, spec)
-    elif family == "random":
-        if args.m is None:
-            raise CubeError("random family needs --m")
-        check_guard(args.m, _guard(args))
-        A = gen_random_subset(params, args.m, args.seed)
+    elif args.family == "random" and args.m is None:
+        raise CubeError("random family needs --m")
     else:
-        raise CubeError(f"unknown family {family!r}")
+        spec = FamilySpec(args.family.replace("-", "_"), m=args.m, seed=args.seed)
+    A = realize_family(params, spec, _guard(args))
     text = serialize_pointset(A)
     if text:
         text += "\n"
@@ -308,8 +297,26 @@ def _parse_range(value: Any, name: str, allow_all: bool = False) -> Optional[tup
     return (lo, hi)
 
 
+class _LongInt:
+    """A JSON integer with more digits than int() converts. No is_int check
+    accepts it, so the key's own check refuses it by name."""
+
+    def __init__(self, digits: str) -> None:
+        self.digits = digits
+
+    def __repr__(self) -> str:
+        return abbreviated(self.digits)
+
+
+def _json_int(digits: str) -> Any:
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInt(digits)
+
+
 def load_sweep_config(path: str) -> SweepConfig:
-    raw = json.loads(_read_text(path))
+    raw = json.loads(_read_text(path), parse_int=_json_int)
     if not isinstance(raw, dict):
         raise CubeError("sweep config must be a JSON object")
     identities = raw.get("identities")
@@ -366,10 +373,11 @@ def _clip(bounds: Optional[tuple[int, int]], least: int, n: int) -> range:
     return range(max(lo, least), min(hi, n) + 1)
 
 
-def _family_instances(cfg: SweepConfig, q: int, n: int) -> Iterator[dict[str, Any]]:
+def _family_instances(cfg: SweepConfig, q: int, n: int, guard: int) -> Iterator[dict[str, Any]]:
     """Yield the extra params of each family instance in one (q, n) cell,
     with its point set under "A", skipping combinations whose preconditions
-    fail. Deterministic order."""
+    fail. Deterministic order. A file that does not parse, or a generated set
+    larger than the guard, is refused for the whole sweep, naming the cell."""
     fam = cfg.family
     kind = fam["kind"]
     params = CubeParams(q, n)
@@ -377,26 +385,24 @@ def _family_instances(cfg: SweepConfig, q: int, n: int) -> Iterator[dict[str, An
         m = fam.get("m")
         if not is_int(m):
             raise CubeError("sweep config: random family needs an integer m")
-        if m < 1 or m > params.volume:
-            return
-        for seed in cfg.seeds:
-            yield {"seed": seed, "A": gen_random_subset(params, m, seed)}
+        seeds = cfg.seeds if 1 <= m <= params.volume else ()
+        specs = [({"seed": seed}, FamilySpec("random", m=m, seed=seed)) for seed in seeds]
     elif kind == "even_weight":
-        if q != 2:
-            return
-        yield {"A": gen_even_weight(n)}
+        specs = [({}, FamilySpec("even_weight"))] if q == 2 else []
     elif kind == "face":
-        for nu in _clip(cfg.nu_range, 0, n):
-            yield {"nu": nu, "A": gen_face_subset(params, face_spec(params, nu))}
+        specs = [({"nu": nu}, face_spec(params, nu)) for nu in _clip(cfg.nu_range, 0, n)]
     elif kind == "file":
-        path = fam.get("path")
-        try:
-            A = realize_family(params, FamilySpec("file", path=path))
-        except ParseError as exc:
-            raise CubeError(f"sweep config: family file {path} at q={q}, n={n}: {exc}") from None
-        yield {"A": A}
+        specs = [({}, FamilySpec("file", path=fam.get("path")))]
     else:
         raise CubeError(f"sweep config: unknown family kind {kind!r}")
+    for labels, spec in specs:
+        try:
+            A = realize_family(params, spec, guard)
+        except (ParseError, SizeGuardError) as exc:
+            name = f"file {spec.path}" if kind == "file" else kind
+            error = SizeGuardError if isinstance(exc, SizeGuardError) else CubeError
+            raise error(f"sweep config: family {name} at q={q}, n={n}: {exc}") from None
+        yield {**labels, "A": A}
 
 
 # The (params, outcome) of each grid point of one cell; see SweepIdentity.
@@ -447,14 +453,22 @@ def _pointwise(
 
 
 def _closed_form(
-    sides: Callable[[CubeParams, range, range], Iterator[tuple[int, int, int, int]]], least_nu: int
+    sides: Callable[[CubeParams, range, range, int], Iterator[tuple[int, int, int, int]]],
+    least_nu: int,
 ) -> Cell:
-    """A cell whose whole (nu, k) grid `sides(params, nus, ks)` evaluates at once."""
+    """A cell whose whole (nu, k) grid `sides(params, nus, ks, guard)` evaluates
+    at once. A cell refused by the guard, which `sides` does before its first
+    point, gives every grid point an error row."""
 
     def cell(cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int) -> Outcomes:
-        grid = sides(CubeParams(q, n), _clip(cfg.nu_range, least_nu, n), _clip(cfg.k_range, 0, n))
-        for nu, k, lhs, rhs in grid:
-            yield {"q": q, "n": n, "nu": nu, "k": k}, (lhs, rhs)
+        nus, ks = _clip(cfg.nu_range, least_nu, n), _clip(cfg.k_range, 0, n)
+        try:
+            for nu, k, lhs, rhs in sides(CubeParams(q, n), nus, ks, guard):
+                yield {"q": q, "n": n, "nu": nu, "k": k}, (lhs, rhs)
+        except SizeGuardError as exc:
+            for nu in nus:
+                for k in ks:
+                    yield {"q": q, "n": n, "nu": nu, "k": k}, exc
 
     return cell
 
@@ -466,7 +480,7 @@ def _each_k(cfg: SweepConfig, q: int, n: int, A: Optional[PointSet]) -> list[dic
 def _main_grid(cfg: SweepConfig, q: int, n: int, A: PointSet) -> list[dict[str, int]]:
     s_lo, s_hi = cfg.s_range
     return [{"k": k, "s": s} for k in _clip(cfg.k_range, 0, n)
-            for s in range(max(s_lo, 1), min(s_hi, len(A), q**k) + 1)]
+            for s in range(max(s_lo, 1), min(s_hi, intersection_cap(A, k)) + 1)]
 
 
 def _bounds_cell(
@@ -552,7 +566,9 @@ def _sweep_rows(cfg: SweepConfig, guard: int) -> Iterator[tuple[str, str]]:
     instances: dict[tuple[int, int], list[dict[str, Any]]] = {}
     if any(SWEEP_IDENTITIES[identity].family for identity in cfg.identities):
         # Every family identity shares one build of each cell's instances.
-        instances = {cell: list(_family_instances(cfg, *cell)) for cell in dict.fromkeys(cells)}
+        instances = {
+            cell: list(_family_instances(cfg, *cell, guard)) for cell in dict.fromkeys(cells)
+        }
     for identity in cfg.identities:
         entry = SWEEP_IDENTITIES[identity]
         for q, n in cells:

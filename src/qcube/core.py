@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import string
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -274,31 +275,38 @@ def decimal(x: int) -> str:
     return decimal(high) + decimal(low).zfill(half)
 
 
-def int_fields(parts: Iterable[str], q: Optional[int] = None) -> list[int]:
+def abbreviated(digits: str) -> str:
+    """A digit string as messages show it: in full up to 20 digits, else its
+    first 8 and its length."""
+    return digits if len(digits) <= 20 else f"{digits[:8]}… ({len(digits)} digits)"
+
+
+def int_fields(parts: Iterable[str], q: Optional[int] = None, what: str = "field") -> list[int]:
     """Comma-separated fields as ints. Each field is stripped, then must be an
     optional '-' (so that "-1" reaches the range check) and ASCII digits.
 
     With q, each field in turn must then be a coordinate in [0, q). A field
     with more digits than q has, leading zeros aside, is refused unconverted:
     int() takes time quadratic in the number of digits, and Python 3.11+
-    refuses more than sys.get_int_max_str_digits() of them."""
+    refuses more than sys.get_int_max_str_digits() of them. Without q, only a
+    field with more digits than that is refused, as `what` followed by the
+    field."""
     parts = [part.strip() for part in parts]
     for part in parts:
         digits = part.removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
             raise CubeError(f"not an integer: {part!r}")
-    if q is None:
-        return list(map(int, parts))
-    width = len(str(q))
+    width = len(str(q)) if q is not None else sys.get_int_max_str_digits()
     coords = []
     for part in parts:
         sign = "-" if part.startswith("-") else ""
         digits = part.removeprefix("-").lstrip("0") or "0"
-        if len(digits) > width:  # at least q, so it is not converted
-            shown = digits if len(digits) <= 20 else f"{digits[:8]}… ({len(digits)} digits)"
-            raise CubeError(f"coordinate {sign}{shown} out of range for q={q}")
+        if width and len(digits) > width:  # so it is not converted
+            if q is None:
+                raise CubeError(f"{what} {sign}{abbreviated(digits)} has more than {width} digits")
+            raise CubeError(f"coordinate {sign}{abbreviated(digits)} out of range for q={q}")
         c = int(sign + digits)
-        if not 0 <= c < q:
+        if q is not None and not 0 <= c < q:
             raise CubeError(f"coordinate {c} out of range for q={q}")
         coords.append(c)
     return coords

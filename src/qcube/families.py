@@ -15,7 +15,8 @@ from itertools import product
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .core import CubeError, CubeParams, Face, PointSet, binom, parse_pointset
+from .core import DEFAULT_GUARD, CubeError, CubeParams, Face, PointSet, binom, check_guard
+from .core import parse_pointset
 from .faces import FaceDistribution
 from .identities import IdentityReport
 
@@ -79,7 +80,9 @@ def gen_face_subset(params: CubeParams, spec: FamilySpec) -> PointSet:
         raise CubeError("face spec is missing its free positions")
     filled = face_spec(params, None, spec.free_positions, spec.fixed_values)
     face = Face(params, frozenset(filled.free_positions), filled.fixed_values)
-    return PointSet(params, tuple(p.coords for p in face.points()))
+    fixed = dict(face.fixed_values)
+    axes = [range(params.q) if i in face.free_positions else (fixed[i],) for i in range(params.n)]
+    return PointSet(params, product(*axes))
 
 
 def gen_even_weight(n: int) -> PointSet:
@@ -109,24 +112,27 @@ def gen_random_subset(params: CubeParams, m: int, seed: int) -> PointSet:
     return PointSet(params, tuple(_decode(i, params) for i in picks))
 
 
-def realize_family(params: CubeParams, spec: FamilySpec) -> PointSet:
-    """Materialize a FamilySpec into a point set."""
+def realize_family(params: CubeParams, spec: FamilySpec, guard: int = DEFAULT_GUARD) -> PointSet:
+    """Materialize a FamilySpec into a point set. A generated family's size
+    (q**|free|, 2**(n-1) or m) is checked against the guard after the spec's
+    own checks, before any point is built; a file is read as given."""
+    if spec.kind == "file":
+        if not isinstance(spec.path, str):
+            raise CubeError("file family needs a path")
+        return parse_pointset(Path(spec.path).read_text(), params)[0]
     if spec.kind == "face":
+        spec = face_spec(params, None, spec.free_positions, spec.fixed_values)
+        check_guard(params.q ** len(spec.free_positions), guard)
         return gen_face_subset(params, spec)
     if spec.kind == "even_weight":
         if params.q != 2:
             raise CubeError("the even-weight family requires q = 2")
+        check_guard(2 ** max(params.n - 1, 0), guard)
         return gen_even_weight(params.n)
-    if spec.kind == "random":
-        if spec.m is None:
-            raise CubeError("random family needs m")
-        return gen_random_subset(params, spec.m, spec.seed or 0)
-    if spec.kind == "file":
-        if not isinstance(spec.path, str):
-            raise CubeError("file family needs a path")
-        text = Path(spec.path).read_text()
-        return parse_pointset(text, params)[0]
-    raise CubeError(f"unknown family kind {spec.kind!r}")
+    if spec.m is None:
+        raise CubeError("random family needs m")
+    check_guard(spec.m, guard)
+    return gen_random_subset(params, spec.m, spec.seed or 0)
 
 
 def face_distribution_closed(params: CubeParams, nu: int, k: int) -> FaceDistribution:
@@ -237,15 +243,24 @@ def _check_cell_range(values: range, least: int, n: int, name: str) -> None:
         raise CubeError(f"{name} must lie in [{least}, {n}], got {values}")
 
 
+def _check_cell_cost(n: int, bits: int, guard: int) -> None:
+    """Refuse a cell whose packed Pascal rows 0..n take more 64-bit words than
+    the guard: (n+1)(n+2)/2 limbs, each of at most ceil(bits/64) words when no
+    coefficient needs more than `bits` bits."""
+    check_guard((n + 1) * (n + 2) // 2 * -(-bits // 64), guard)
+
+
 def vandermonde_cell(
-    params: CubeParams, nus: range, ks: range
+    params: CubeParams, nus: range, ks: range, guard: int = DEFAULT_GUARD
 ) -> Iterator[tuple[int, int, int, int]]:
     """(nu, k, lhs, rhs) of check_vandermonde for each nu in nus, then each k
     in ks. Each nu's left sides for every k are one product of packed Pascal
-    rows, row[nu] * row[n-nu]; the right sides are the limbs of row[n]."""
+    rows, row[nu] * row[n-nu]; the right sides are the limbs of row[n]. The
+    rows' size is checked against the guard before the first is built."""
     n = params.n
     _check_cell_range(nus, 0, n, "nu")
     _check_cell_range(ks, 0, n, "k")
+    _check_cell_cost(n, n + 1, guard)
     width = _limb_bytes(2**n)  # every coefficient is some C(n, k) <= 2^n
     rows = _pascal_rows(n, width)
     rhs = _unpack(rows[n], n + 1, width)
@@ -256,18 +271,21 @@ def vandermonde_cell(
 
 
 def chu_vandermonde_generalized_cell(
-    params: CubeParams, nus: range, ks: range
+    params: CubeParams, nus: range, ks: range, guard: int = DEFAULT_GUARD
 ) -> Iterator[tuple[int, int, int, int]]:
     """(nu, k, lhs, rhs) of check_chu_vandermonde_generalized for each nu in
     nus, then each k in ks, with the sides kept apart: for each nu the left
     sides are one product, the packed weights (q^i-1)*C(nu,i) times row[n-nu];
     the right sides are one sum of packed rows, (q-1)^i*C(nu,i)*row[n-i]
-    shifted by i limbs."""
+    shifted by i limbs. The rows' size is checked against the guard before
+    the first is built, and before q^n is."""
     n, q = params.n, params.q
     _check_cell_range(nus, 1, n, "nu")
     _check_cell_range(ks, 0, n, "k")
     # Both sides are at most q^nu * C(n, k) <= q^n * 2^n at every k, since
-    # C(n-i, k-i) <= C(n, k); so is every weight and every partial sum.
+    # C(n-i, k-i) <= C(n, k); so is every weight and every partial sum. As
+    # q <= 2^b for b = (q-1).bit_length(), q^n * 2^n has at most bn + n + 1 bits.
+    _check_cell_cost(n, n * (q - 1).bit_length() + n + 1, guard)
     width = _limb_bytes(q**n << n)
     bits = 8 * width
     rows = _pascal_rows(n, width)

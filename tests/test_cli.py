@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcube.cli
+import qcube.families
 import qcube.identities
 from qcube.cli import main
-from qcube.core import CubeParams, SizeGuardError, decimal, serialize_pointset
+from qcube.core import CubeParams, SizeGuardError, decimal, parse_pointset, serialize_pointset
 from qcube.faces import faces_containing_bruteforce, total_faces
 from qcube.families import (
     check_chu_vandermonde_generalized,
@@ -400,6 +401,23 @@ class TestGen:
         assert out == ""
         assert err == f"error: free position {repeated} is repeated\n"
 
+    @pytest.mark.parametrize(
+        "argv", [("--free", "0,{}"), ("--nu", "1", "--fixed", "{},0")], ids=["free", "fixed"]
+    )
+    def test_over_long_field_named_unconverted(self, capsys, argv):
+        field = "1" * 5000
+        *head, last = argv
+        code, out, err = run(
+            capsys, "gen", "--family", "face", "--q", "3", "--n", "3", *head, last.format(field)
+        )
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (2, "")
+        assert err == f"error: {head[-1]} field 11111111… (5000 digits) has more than {limit} digits\n"
+        # Leading zeros are not digits of the value.
+        argv = ("gen", "--family", "face", "--q", "3", "--n", "3", *head)
+        zeros = run(capsys, *argv, last.format("0" * 5000 + "1"))
+        assert zeros == run(capsys, *argv, last.format("1")) and zeros[0] == 0
+
     def test_empty_free_means_no_free_positions(self, capsys):
         code, out, err = run(capsys, "gen", "--family", "face", "--n", "3", "--free", "")
         assert code == 0
@@ -654,6 +672,99 @@ class TestSweep:
         assert len(written) == 2
         assert written[0] == 0 < written[1]
 
+    @pytest.mark.parametrize(
+        "family, n, size",
+        [
+            ({"kind": "even_weight"}, 4, 8),
+            ({"kind": "face"}, 3, 8),
+            ({"kind": "random", "m": 8}, 4, 8),
+        ],
+        ids=["even_weight", "face", "random"],
+    )
+    @pytest.mark.parametrize("slack", [0, -1], ids=["exact", "one-under"])
+    def test_family_over_the_guard_refused_before_any_row(
+        self, tmp_path, capsys, family, n, size, slack
+    ):
+        config = {"identities": ["bounds"], "q": [2], "n": [n, n], "family": family,
+                  "seeds": [0], "guard": size + slack}
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        code, out, err = run(capsys, "sweep", cfg)
+        if slack == 0:
+            assert code == 0
+            assert json.loads(out.splitlines()[-1])["summary"]["pass"] >= 1
+        else:
+            assert (code, out) == (3, "")
+            assert err == (
+                f"error: sweep config: family {family['kind']} at q=2, n={n}: instance too "
+                f"large: about {size} elementary operations, guard is {size - 1}\n"
+            )
+
+    @pytest.mark.parametrize(
+        "family, extra",
+        [({"kind": "even_weight"}, {}), ({"kind": "face"}, {"nu": [18, 18]})],
+        ids=["even_weight", "face"],
+    )
+    def test_large_family_refused_at_a_small_guard(self, tmp_path, capsys, family, extra):
+        config = {"identities": ["bounds"], "q": [2], "n": [18, 18], "family": family,
+                  "guard": 10, **extra}
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        code, out, err = run(capsys, "sweep", cfg)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: sweep config: family {family['kind']} at q=2, n=18: ")
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_gen_and_sweep_build_equal_sets(self, capsys, q):
+        for n in range(1, 6):
+            params = CubeParams(q, n)
+            cases = [({"kind": "face"}, {"nu": nu}, ["--nu", nu]) for nu in range(n + 1)]
+            if params.volume >= 3:
+                cases += [({"kind": "random", "m": 3}, {"seed": seed}, ["--m", 3, "--seed", seed])
+                          for seed in (0, 5)]
+            if q == 2:
+                cases.append(({"kind": "even_weight"}, {}, []))
+            for family, labels, flags in cases:
+                cfg = qcube.cli.SweepConfig(
+                    identities=("bounds",), qs=(q,), n_range=(n, n), k_range=None, s_range=(1, 3),
+                    nu_range=None, seeds=(0, 5), family=family, guard=None, output=None,
+                )
+                swept = [i["A"] for i in qcube.cli._family_instances(cfg, q, n, 10**7)
+                         if qcube.cli._labels(i) == labels]
+                kind = family["kind"].replace("_", "-")
+                argv = ["gen", "--family", kind, "--q", q, "--n", n, *flags]
+                code, out, _ = run(capsys, *map(str, argv))
+                assert code == 0
+                assert swept == [parse_pointset(out, params)[0]], (family, labels)
+
+    def test_closed_form_cell_over_the_guard_gives_error_rows(self, tmp_path, capsys, monkeypatch):
+        # Unrefused, this cell's packed rows take minutes and hundreds of MB.
+        monkeypatch.setattr(qcube.families, "_pascal_rows", None)
+        config = {"identities": ["chu_vandermonde_generalized"], "q": [100000000],
+                  "n": [600, 600], "nu": [500, 600], "k": [600, 600]}
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        code, out, err = run(capsys, "sweep", cfg)
+        assert code == 3
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [row["params"]["nu"] for row in rows[:-1]] == list(range(500, 601))
+        message = "instance too large: about 47576963 elementary operations, guard is 10000000"
+        assert all(row["status"] == "error" and row["error"] == message for row in rows[:-1])
+        assert rows[-1]["summary"] == {"total": 101, "pass": 0, "fail": 0, "known_erratum": 0,
+                                       "error": 101}
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"q": ["Q"]}, "sweep config: q must be a list of integers >= 2"),
+            ({"family": {"kind": "random", "m": "Q"}}, "sweep config: random family needs an integer m"),
+        ],
+        ids=["q", "family.m"],
+    )
+    def test_integer_too_long_to_convert_is_named(self, tmp_path, capsys, patch, message):
+        config = {"identities": ["main"], "q": [2], "n": [1, 2], "family": {"kind": "random", "m": 2}}
+        text = json.dumps({**config, **patch}).replace('"Q"', "1" * 5000)
+        code, out, err = run(capsys, "sweep", write(tmp_path, "cfg.json", text))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_bad_family_fails_before_any_row(self, tmp_path, capsys):
         config = {
             "identities": ["vandermonde", "main"],
@@ -794,13 +905,13 @@ class TestSweep:
     def test_family_instances_built_once_per_cell(self, tmp_path, capsys, monkeypatch):
         # Criterion 8's config: six family identities share 12 random sets.
         calls = []
-        original = qcube.cli.gen_random_subset
+        original = qcube.families.gen_random_subset
 
         def counting(params, m, seed):
             calls.append((params, m, seed))
             return original(params, m, seed)
 
-        monkeypatch.setattr(qcube.cli, "gen_random_subset", counting)
+        monkeypatch.setattr(qcube.families, "gen_random_subset", counting)
         config = {
             "identities": list(qcube.cli.SWEEP_IDENTITIES),
             "q": [2, 3],
@@ -913,7 +1024,13 @@ class TestSweepRowTemplates:
                 Path("points.txt").write_text("00\n01\n11\n")
                 Path("cfg.json").write_text(json.dumps(config))
                 out = io.StringIO()
-                code = qcube.cli.run_sweep(qcube.cli.load_sweep_config("cfg.json"), out)
+                try:
+                    code = qcube.cli.run_sweep(qcube.cli.load_sweep_config("cfg.json"), out)
+                except SizeGuardError as exc:
+                    # A family larger than the guard is refused before any row.
+                    assert str(exc).startswith("sweep config: family ")
+                    assert out.getvalue() == "" and not seen
+                    return
             finally:
                 os.chdir(cwd)
         assert code in (0, 1, 3)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcube.core import CubeError, CubeParams, binom
+import qcube.families
+from qcube.core import CubeError, CubeParams, Point, SizeGuardError, binom
 from qcube.faces import distribution
 from qcube.families import (
     FamilySpec,
@@ -69,6 +70,15 @@ class TestGenFace:
         with pytest.raises(CubeError):
             FamilySpec("diagonal")
 
+    def test_builds_no_point_objects(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a Point was built")
+
+        monkeypatch.setattr(Point, "__post_init__", refuse)
+        params = CubeParams(3, 4)
+        A = gen_face_subset(params, face_spec(params, None, (1, 3), ((0, 2), (2, 1))))
+        assert A.coord_rows() == tuple((2, a, 1, b) for a in range(3) for b in range(3))
+
 
 class TestGenEvenWeight:
     def test_small_cases(self):
@@ -131,6 +141,35 @@ class TestRealizeFamily:
     def test_random_needs_m(self):
         with pytest.raises(CubeError):
             realize_family(CubeParams(2, 2), FamilySpec("random"))
+
+    @pytest.mark.parametrize(
+        "params, spec, size",
+        [
+            (CubeParams(3, 4), FamilySpec("face", free_positions=(0, 2, 3)), 27),
+            (CubeParams(2, 6), FamilySpec("even_weight"), 32),
+            (CubeParams(2, 0), FamilySpec("even_weight"), 1),
+            (CubeParams(3, 3), FamilySpec("random", m=5, seed=2), 5),
+        ],
+        ids=["face", "even-weight", "even-weight-n0", "random"],
+    )
+    def test_guard_counts_the_set_before_building_it(self, monkeypatch, params, spec, size):
+        assert len(realize_family(params, spec, guard=size)) == size
+        built = []
+        for name in ("gen_face_subset", "gen_even_weight", "gen_random_subset"):
+            monkeypatch.setattr(qcube.families, name, lambda *args: built.append(args))
+        with pytest.raises(SizeGuardError, match=f"about {size} elementary"):
+            realize_family(params, spec, guard=size - 1)
+        assert built == []
+
+    def test_face_spec_checked_before_the_guard(self):
+        spec = FamilySpec("face", free_positions=(0, 0, 1))
+        with pytest.raises(CubeError, match="free position 0 is repeated"):
+            realize_family(CubeParams(2, 3), spec, guard=1)
+
+    def test_file_read_as_given(self, tmp_path):
+        path = tmp_path / "pts.txt"
+        path.write_text("000\n011\n101\n")
+        assert len(realize_family(CubeParams(2, 3), FamilySpec("file", path=str(path)), 1)) == 3
 
 
 class TestFaceDistributionClosed:
@@ -303,6 +342,28 @@ class TestClosedFormCells:
             list(vandermonde_cell(params, nus, ks))
         with pytest.raises(CubeError):
             list(chu_vandermonde_generalized_cell(params, range(1, nus.stop), ks))
+
+    @pytest.mark.parametrize("q, n", [(2, 0), (2, 7), (3, 40), (5, 40), (1000, 60), (10**8, 100)])
+    def test_guard_estimate_covers_the_pascal_rows(self, q, n):
+        # The estimate is in 64-bit words; the rows hold (n+1)(n+2)/2 limbs.
+        for cell, bits in (
+            (vandermonde_cell, n + 1),
+            (chu_vandermonde_generalized_cell, n * (q - 1).bit_length() + n + 1),
+        ):
+            estimate = (n + 1) * (n + 2) // 2 * -(-bits // 64)
+            width = qcube.families._limb_bytes(2**n if cell is vandermonde_cell else q**n << n)
+            rows = qcube.families._pascal_rows(n, width)
+            assert sum(-(-row.bit_length() // 64) for row in rows) <= estimate
+            nus = range(1, n + 1)
+            assert len(list(cell(CubeParams(q, n), nus, range(n + 1), estimate))) == n * (n + 1)
+            with pytest.raises(SizeGuardError, match=f"about {estimate} elementary"):
+                next(cell(CubeParams(q, n), nus, range(n + 1), estimate - 1))
+
+    def test_refused_cell_builds_no_rows(self, monkeypatch):
+        monkeypatch.setattr(qcube.families, "_pascal_rows", None)
+        cell = chu_vandermonde_generalized_cell(CubeParams(10**8, 600), range(500, 601), range(600, 601))
+        with pytest.raises(SizeGuardError, match="about 47576963 elementary"):
+            next(cell)
 
     def test_chu_needs_nu_at_least_one(self):
         with pytest.raises(CubeError):
