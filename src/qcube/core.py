@@ -8,7 +8,16 @@ package is built on. No floating point.
 Packed layout: a point packs into one int with w = (q-1).bit_length() bits
 per coordinate, coordinate 0 in the most significant block, so packed ints
 sort like coordinate tuples. The layout is decided here only; other modules
-go through PointSet.packed, column_mask and block_fold.
+go through PointSet.packed, column_mask, block_fold and PointSet.slices.
+
+Bit-sliced form: PointSet.slices holds, for each coordinate j and each value
+v that occurs there, one int whose bit i is set when point i has coordinate
+j equal to v (value_slices builds it from the packed ints, a chunk of rows at
+a time; slices_cost estimates its size). Intersecting those bitsets splits
+the set by its values on several positions at once: faces.distribution's
+sliced route walks the fixed-position prefixes of the k-faces that way, when
+a cost estimate from (q, n, k, m) puts it below grouping projections, and
+rank.distance_total reads each column's value counts as their popcounts.
 """
 
 from __future__ import annotations
@@ -171,9 +180,65 @@ class PointSet:
         """The rows as Point objects, canonical order; built on first use."""
         return tuple(Point(self.params, row) for row in self.rows)
 
+    @cached_property
+    def slices(self) -> tuple[tuple[int, ...], ...]:
+        """The set's value bitsets, one bit per point in canonical order:
+        slices[j] holds the bitset of each value that occurs at coordinate
+        j, in increasing order of value. Built on first use, see
+        value_slices."""
+        return value_slices(self.params, self.packed)
+
 
 def _block_width(params: CubeParams) -> int:
     return (params.q - 1).bit_length()
+
+
+_SLICE_CHUNK = 8192
+
+
+def value_slices(params: CubeParams, packed: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Bit-sliced form of packed rows: slices[j] holds, in increasing order
+    of the value v, one int for each value that occurs at coordinate j, with
+    bit i set when packed[i] has coordinate j equal to v.
+
+    The rows are formatted as n*w-bit strings, about 8 192 at a time, and
+    joined back to front, so that every (n*w+3)-th character from one offset
+    is one bit plane of the chunk with its first row lowest. Each column is
+    then split by its block's w planes, most significant first, keeping only
+    nonempty parts. This holds no Python object per row, decodes no
+    coordinates and never counts up to q; see slices_cost for its size.
+    """
+    n, w = params.n, _block_width(params)
+    width = n * w
+    planes = [0] * width
+    if width:
+        # bin() of a row with a sentinel bit above its n*w bits is "0b1" and
+        # then exactly those bits, so every row takes width + 3 characters.
+        sentinel = (1 << width).__or__
+        for start in range(0, len(packed), _SLICE_CHUNK):
+            chunk = packed[start : start + _SLICE_CHUNK]
+            text = "".join(map(bin, map(sentinel, chunk)))[::-1]
+            for b in range(width):
+                planes[b] |= int(text[width - 1 - b :: width + 3], 2) << start
+    every = [(1 << len(packed)) - 1] if packed else []
+    slices = []
+    for j in range(n):
+        column = every
+        for plane in planes[j * w : (j + 1) * w]:
+            split = []
+            for s in column:
+                high = s & plane
+                split += (s ^ high, high)
+            column = [s for s in split if s]
+        slices.append(tuple(column))
+    return tuple(slices)
+
+
+def slices_cost(params: CubeParams, m: int) -> int:
+    """Estimate of building PointSet.slices for m points, in the unit of the
+    packed projections it replaces: n*min(q, m) bitsets of m bits at most,
+    one projection per 16 bits."""
+    return params.n * min(params.q, m) * m // 16
 
 
 def column_mask(params: CubeParams, positions: Iterable[int]) -> int:

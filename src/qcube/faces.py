@@ -3,6 +3,14 @@
 A k-face is fixed by choosing k free positions and a value for each remaining
 position. For a point set A, the distribution at level k maps each e >= 0 to
 the number of k-faces whose intersection with A has exactly e elements.
+
+distribution() tallies it by one of two routes, both exact: grouping A's
+packed projections with a Counter for each choice of fixed positions, or
+walking the choices as increasing prefixes over A's per-(coordinate, value)
+bitsets. A cost estimate from (q, n, k, |A|) picks the route (_sliced_pays):
+the sliced one when its bitset ANDs, at 3 projections each plus one per
+1 024 points, and building the bitsets (|A|*n/8 for q = 2) cost less than
+the Counter route's C(n, k)*|A| projections.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from collections import Counter
 from functools import lru_cache
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Callable, Iterator, Mapping
 
 from .core import (
@@ -25,6 +33,7 @@ from .core import (
     binom,
     check_guard,
     column_mask,
+    slices_cost,
 )
 from .rank import rank
 
@@ -152,8 +161,32 @@ def faces_containing_bruteforce(A: PointSet, k: int, guard: int = DEFAULT_GUARD)
     return count
 
 
-@lru_cache(maxsize=1024)
-def _distribution_grouped(A: PointSet, k: int) -> FaceDistribution:
+def _sliced_pays(params: CubeParams, k: int, m: int) -> bool:
+    """Whether the sliced route is estimated cheaper than the Counter route,
+    from (q, n, k, m) alone.
+
+    The Counter route costs C(n, k)*m projections. The sliced route fixes
+    d = 1..n-k positions; at depth d at most C(k+d, d) prefixes each split at
+    most min(m, q**(d-1)) fibres by q values. An AND of two m-bit sets is
+    counted as 3 projections plus one per 1 024 bits, and building the
+    slices as core.slices_cost, m*n/8 for q = 2. With fewer than 2 points, or
+    no position to fix, the Counter route is taken."""
+    n, q = params.n, params.q
+    if m < 2 or k == n:
+        return False
+    budget = binom(n, k) * m - slices_cost(params, m)
+    ands, fibres = 0, 1
+    for d in range(1, n - k + 1):
+        ands += binom(k + d, d) * fibres * q
+        if ands * (3 + m // 1024) >= budget:
+            return False
+        fibres = min(m, fibres * q)
+    return True
+
+
+def _distribution_counted(A: PointSet, k: int) -> FaceDistribution:
+    """The Counter route: group A's projections for each choice of fixed
+    positions."""
     params = A.params
     n, q = params.n, params.q
     nf = n - k
@@ -170,21 +203,77 @@ def _distribution_grouped(A: PointSet, k: int) -> FaceDistribution:
     return FaceDistribution.checked(params, k, result)
 
 
+def _distribution_sliced(A: PointSet, k: int) -> FaceDistribution:
+    """The sliced route: walk the increasing prefixes of fixed positions
+    depth first over A's value bitsets (PointSet.slices), one bit per point.
+
+    A prefix's nonempty fibres are split by `fibre & slices[j][v]` when j
+    becomes the next fixed position, so every extension of a prefix reuses
+    its partition. A fibre of one point stays one point in each of the
+    prefix's extensions and is tallied at once; at the last fixed position
+    the fibres' popcounts are tallied, the last value's as the fibre's size
+    minus the others'. The empty faces are the rest of total_faces."""
+    params = A.params
+    n, m = params.n, len(A)
+    slices = A.slices
+    counts: Counter[int] = Counter()
+
+    def walk(fibres: list[int], start: int, left: int) -> None:
+        # fibres: the nonempty fibres of one prefix, whose fixed positions all
+        # lie below start; left more positions are to be fixed.
+        shared = [s for s in fibres if s & (s - 1)]
+        if len(shared) < len(fibres):
+            counts[1] += (len(fibres) - len(shared)) * binom(n - start, left)
+        if not shared:
+            return
+        if left > 1:
+            for j in range(start, n - left + 1):
+                walk([t for s in shared for v in slices[j] if (t := s & v)], j + 1, left - 1)
+            return
+        sizes = [s.bit_count() for s in shared]
+        for j in range(start, n):
+            *head, _ = slices[j]
+            rest = sizes
+            for v in head:
+                sized = [(s & v).bit_count() for s in shared]
+                counts.update(sized)
+                rest = list(map(sub, rest, sized))
+            counts.update(rest)
+
+    if k == n:  # the one face is the whole cube
+        counts[m] += 1
+    elif m:
+        walk([(1 << m) - 1], 0, n - k)
+    del counts[0]  # the leaves tally empty fibres too
+    counts[0] = total_faces(params, k) - sum(counts.values())
+    return FaceDistribution.checked(params, k, counts)
+
+
+@lru_cache(maxsize=1024)
+def _distribution_grouped(A: PointSet, k: int) -> FaceDistribution:
+    sliced = _sliced_pays(A.params, k, len(A))
+    return (_distribution_sliced if sliced else _distribution_counted)(A, k)
+
+
 def distribution(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> FaceDistribution:
     """Exact distribution e -> number of k-faces meeting A in exactly e points.
 
-    Faces are tallied one free-position choice at a time: within a choice, a
-    face is the fiber of one value assignment on the fixed positions, so
-    grouping the projections of A onto those positions yields every nonempty
-    intersection size at once, and the remaining fibers are empty. A
-    projection is the packed row masked to the fixed positions' blocks
-    (core.column_mask). This visits |A| projections per choice instead of |A|
-    tests per face, which is what makes dense parameter sweeps tractable;
-    distribution_bruteforce, a per-face scan over coordinate tuples, is the
-    oracle.
+    A k-face is a fibre of one value assignment on n-k fixed positions. Two
+    routes tally the nonempty fibres, and the rest are empty:
+    - the Counter route groups A's projections onto each choice of fixed
+      positions (the packed rows masked by core.column_mask), |A| projections
+      per choice, C(n, k)*|A| in all;
+    - the sliced route walks the choices as increasing prefixes over A's
+      value bitsets, so a fibre is split once for all choices that extend its
+      prefix, and the per-point work runs inside int operations, a machine
+      word per 64 points.
+    The route is picked from (q, n, k, |A|) alone by a cost estimate, see
+    _sliced_pays. distribution_bruteforce, a per-face scan over coordinate
+    tuples, is the oracle of both.
 
-    The guard is checked on every call; results are cached per (A, k), so
-    treat the returned counts as read-only.
+    The guard estimate is C(n, k)*|A| on either route and is checked on every
+    call; results are cached per (A, k), so treat the returned counts as
+    read-only.
     """
     _check_k(A.params, k)
     check_guard(binom(A.params.n, k) * max(len(A), 1), guard)

@@ -25,6 +25,7 @@ from .core import (
     block_fold,
     check_guard,
     column_mask,
+    slices_cost,
 )
 
 
@@ -90,19 +91,25 @@ def distance_total(A: PointSet) -> int:
     """Sum of the pairwise Hamming distances of A, in O(nm) for every q.
 
     A column in which value v occurs c_v times holds (m^2 - sum_v c_v^2) / 2
-    unordered differing pairs, counted here on the packed rows masked to that
-    column; summing over columns double-counts nothing, so the result equals
-    distance_sum(A).total, its oracle.
+    unordered differing pairs; summing over columns double-counts nothing, so
+    the result equals distance_sum(A).total, its oracle. c_v is the popcount
+    of the column's value bitset (PointSet.slices) while those cost no more
+    than the n*m projections they replace (core.slices_cost), which holds for
+    q <= 16 and for m <= 16; otherwise the packed rows masked to the column
+    are counted.
     """
-    if len(A) == 0:
+    m = len(A)
+    if m == 0:
         raise CubeError("distance total of the empty set is undefined")
-    packed = A.packed
-    m = len(packed)
-    total = 0
-    for j in range(A.params.n):
-        counts = Counter(map(column_mask(A.params, (j,)).__and__, packed))
-        total += (m * m - sum(c * c for c in counts.values())) // 2
-    return total
+    params = A.params
+    if slices_cost(params, m) <= params.n * m:
+        columns = [map(int.bit_count, column) for column in A.slices]
+    else:
+        columns = [
+            Counter(map(column_mask(params, (j,)).__and__, A.packed)).values()
+            for j in range(params.n)
+        ]
+    return sum((m * m - sum(c * c for c in counts)) // 2 for counts in columns)
 
 
 def _require_binary(A: PointSet, what: str) -> None:
@@ -188,13 +195,17 @@ def _distance_matrix(A: PointSet) -> list[list[int]]:
     return [[fold(a ^ b).bit_count() for b in A.packed] for a in A.packed]
 
 
-def isometric(A: PointSet, B: PointSet) -> Optional[dict[Point, Point]]:
+def isometric(
+    A: PointSet, B: PointSet, guard: int = DEFAULT_GUARD
+) -> Optional[dict[Point, Point]]:
     """Search for a distance-preserving bijection from A onto B.
 
     The two sets may live in different cubes (even different dimensions); only
     the internal distance structure is compared. Backtracking assignment with
     pruning on per-point sorted distance multisets; worst case is factorial in
-    the set size. Returns the bijection as a dict, or None.
+    the set size, so the search counts its nodes (one per partial assignment
+    extended, the empty one included) and raises SizeGuardError once the
+    count passes the guard. Returns the bijection as a dict, or None.
     """
     m = len(A)
     if m != len(B):
@@ -209,8 +220,12 @@ def isometric(A: PointSet, B: PointSet) -> Optional[dict[Point, Point]]:
     ]
     assign = [-1] * m
     used = [False] * m
+    nodes = 0
 
     def backtrack(i: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        check_guard(nodes, guard)
         if i == m:
             return True
         for j in candidates[i]:

@@ -21,7 +21,13 @@ from qcube.core import (
     parse_pointset,
     serialize_pointset,
 )
-from qcube.faces import distribution, distribution_bruteforce, faces_containing_bruteforce
+from qcube.faces import (
+    _distribution_grouped,
+    _sliced_pays,
+    distribution,
+    distribution_bruteforce,
+    faces_containing_bruteforce,
+)
 from qcube.identities import corollary_s2, corollary_s3, main_rhs, verify_main
 from qcube.rank import (
     distance_total,
@@ -148,6 +154,14 @@ class TestPointSet:
         corollary_s2(B, 2)
         assert "rows" not in vars(B) and "points" not in vars(B)
         assert B.rows == ((0, 1, 2), (1, 1, 1), (2, 1, 0))
+
+        even = [f"{x:06b}" for x in range(64) if x.bit_count() % 2 == 0]
+        C, _ = parse_pointset("\n".join(even), CubeParams(2, 6))
+        assert _sliced_pays(C.params, 5, len(C))
+        _distribution_grouped.cache_clear()  # an equal set may be cached already
+        assert distribution(C, 5).counts == {16: 12, 0: 0}
+        assert "slices" in vars(C)
+        assert "rows" not in vars(C) and "points" not in vars(C)
 
     def test_contains_and_rows(self):
         p = CubeParams(2, 3)

@@ -8,16 +8,30 @@ and q > 10.
 
 from collections import Counter
 from itertools import combinations, product
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcube.core import CubeParams, PointSet, block_fold, column_mask, hamming
+import qcube.core
+from qcube.core import CubeParams, PointSet, block_fold, column_mask, hamming, value_slices
 from qcube.faces import (
+    _distribution_counted,
+    _distribution_sliced,
+    _sliced_pays,
     distribution,
     distribution_bruteforce,
     faces_containing_bruteforce,
     faces_containing_count,
+    total_faces,
+)
+from qcube.families import (
+    evenweight_distribution_closed,
+    face_distribution_closed,
+    face_spec,
+    gen_even_weight,
+    gen_face_subset,
 )
 from qcube.identities import (
     _subset_rank_histogram,
@@ -102,9 +116,79 @@ def test_distribution_matches_bruteforce(A, k):
     assert distribution(A, k) == distribution_bruteforce(A, k)
 
 
+# Block widths w = 1..4, with values above q - 1 possible inside a block for
+# every q here but 2 and 16.
+SLICE_QS = (2, 3, 5, 6, 10, 11, 16)
+
+
+@st.composite
+def sliced_cases(draw):
+    q = draw(st.sampled_from(SLICE_QS))
+    n = draw(st.integers(0, max(n for n in range(7) if q**n <= MAX_VOLUME)))
+    row = st.tuples(*[st.integers(0, q - 1)] * n)
+    rows = draw(st.lists(row, max_size=min(24, q**n), unique=True))
+    return PointSet.from_coords(CubeParams(q, n), rows)
+
+
+@given(sliced_cases())
+@example(PointSet(CubeParams(2, 0), ()))
+@example(SINGLE_EMPTY_ROW)
+@example(PointSet(CubeParams(5, 3), ()))
+@example(pointset(6, [(5, 0, 3)]))
+@example(full_cube(3, 3))
+@kernel_settings
+def test_sliced_route_matches_counter_route_and_bruteforce(A):
+    # Called directly: the cost estimate sends small sets to the Counter route.
+    for k in range(A.params.n + 1):
+        sliced = _distribution_sliced(A, k)
+        assert sliced == _distribution_counted(A, k)
+        if total_faces(A.params, k) * max(len(A), 1) <= 200_000:
+            assert sliced == distribution_bruteforce(A, k)
+
+
+@given(sliced_cases(), st.integers(1, 5))
+@example(LOOSE_WIDTH, 2)
+@example(pointset(40, [(39, 0), (17, 17)]), 1)
+@kernel_settings
+def test_value_slices_match_rows(A, chunk):
+    # Small chunks put chunk boundaries inside every set drawn here.
+    for size in (chunk, qcube.core._SLICE_CHUNK):
+        with mock.patch.object(qcube.core, "_SLICE_CHUNK", size):
+            slices = value_slices(A.params, A.packed)
+        assert len(slices) == A.params.n
+        for j, column in enumerate(slices):
+            bitsets = Counter()
+            for i, row in enumerate(A.rows):
+                bitsets[row[j]] |= 1 << i
+            assert column == tuple(bitsets[v] for v in sorted(bitsets))
+
+
+@pytest.mark.parametrize("nu", range(7, 13))
+def test_sliced_route_matches_face_closed_form(nu):
+    params = CubeParams(2, 12)
+    A = gen_face_subset(params, face_spec(params, nu))
+    assert any(_sliced_pays(params, k, len(A)) for k in range(13))
+    for k in range(13):
+        closed = face_distribution_closed(params, nu, k)
+        assert _distribution_sliced(A, k) == closed == distribution(A, k), k
+    assert "rows" not in vars(A)
+
+
+def test_sliced_route_matches_evenweight_closed_form():
+    A = gen_even_weight(12)
+    assert any(_sliced_pays(A.params, k, len(A)) for k in range(13))
+    for k in range(1, 13):
+        closed = evenweight_distribution_closed(12, k)
+        assert _distribution_sliced(A, k) == closed == distribution(A, k), k
+    assert _distribution_sliced(A, 0) == _distribution_counted(A, 0)
+    assert "rows" not in vars(A)
+
+
 @given(point_sets())
 @example(SINGLE_EMPTY_ROW)
 @example(LOOSE_WIDTH)
+@example(pointset(1000, [(999, 5), (999, 6), (0, 5)]))
+@example(pointset(17, [(i % 17, i // 17, 5 * i % 17) for i in range(20)]))  # no slices
 @kernel_settings
 def test_distance_total_matches_pairwise(A):
     assert distance_total(A) == distance_sum(A).total

@@ -252,6 +252,17 @@ class TestIsometric:
         assert mapping is not None
         assert_is_isometry(A, B, mapping)
 
+    def test_guard_counts_backtracking_nodes(self):
+        # Every point of the full cube has the same distance profile, so no
+        # candidate is pruned up front; a bijection of 8 points needs the
+        # empty assignment and 8 extensions of it, 9 nodes at the least.
+        A = PointSet.from_coords(CubeParams(2, 3), product((0, 1), repeat=3))
+        B = random_isometry_image(A, 5)
+        with pytest.raises(SizeGuardError, match="about 9 elementary operations, guard is 8"):
+            isometric(A, B, guard=8)
+        assert_is_isometry(A, B, isometric(A, B, guard=9))
+        assert_is_isometry(A, B, isometric(A, B))
+
     def test_profile_multiset_not_sufficient_alone(self, mkset):
         # sets with equal total distance but different structure
         A = mkset(2, 3, "000 001 010 111")
