@@ -1,69 +1,110 @@
 """Exact combinatorics over q-valued cubes: subset ranks, face-intersection
 distributions, and two-sided verification of the counting identities that
-relate them. Integer arithmetic throughout; no floating point."""
+relate them. Integer arithmetic throughout; no floating point.
 
-from .core import (
-    DEFAULT_GUARD,
-    ConsistencyError,
-    CubeError,
-    CubeParams,
-    Face,
-    ParseError,
-    Point,
-    PointSet,
-    SizeGuardError,
-    binom,
-    hamming,
-    parse_pointset,
-    serialize_pointset,
-)
-from .faces import (
-    FaceDistribution,
-    distribution,
-    distribution_bruteforce,
-    enumerate_faces,
-    face_contains,
-    faces_containing_bruteforce,
-    faces_containing_count,
-    total_faces,
-)
-from .families import (
-    FamilySpec,
-    check_chu_vandermonde_generalized,
-    check_evenweight_identity,
-    check_vandermonde,
-    chu_vandermonde_generalized_cell,
-    evenweight_distribution_closed,
-    face_distribution_closed,
-    face_spec,
-    gen_even_weight,
-    gen_face_subset,
-    gen_random_subset,
-    realize_family,
-    vandermonde_cell,
-)
-from .identities import (
-    IdentityReport,
-    corollary_s1,
-    corollary_s2,
-    corollary_s3,
-    intersection_cap,
-    main_lhs,
-    main_rhs,
-    verify_main,
-)
-from .rank import (
-    DistanceProfile,
-    RankBounds,
-    column_distance_sum,
-    distance_sum,
-    distance_total,
-    isometric,
-    rank,
-    rank_bounds,
-    rank_closed_small,
-    random_isometry_image,
-)
+The submodules core, faces, families, identities, rank and sweep are
+registered lazily: each is in sys.modules (and, but for rank, a package
+attribute) from the start, and executes on its first attribute access. So a
+command runs only the modules it uses. The names in __all__ resolve through
+__getattr__ to the objects their modules define, so `from qcube import X`
+works as before; `qcube.rank` is the function rank(), its module is
+sys.modules["qcube.rank"].
+"""
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
+
+def _lazy(name: str):
+    """Register submodule `name` so that it executes on first attribute access."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+core, faces, families, identities, sweep = map(_lazy, ("core", "faces", "families", "identities", "sweep"))
+_lazy("rank")  # not a package attribute: qcube.rank is the function rank()
+
+# Each re-exported name, by its defining module.
+_EXPORTS = {
+    "core": (
+        "DEFAULT_GUARD",
+        "ConsistencyError",
+        "CubeError",
+        "CubeParams",
+        "Face",
+        "ParseError",
+        "Point",
+        "PointSet",
+        "SizeGuardError",
+        "binom",
+        "hamming",
+        "parse_pointset",
+        "serialize_pointset",
+    ),
+    "faces": (
+        "FaceDistribution",
+        "distribution",
+        "distribution_bruteforce",
+        "enumerate_faces",
+        "face_contains",
+        "faces_containing_bruteforce",
+        "faces_containing_count",
+        "total_faces",
+    ),
+    "families": (
+        "FamilySpec",
+        "check_chu_vandermonde_generalized",
+        "check_evenweight_identity",
+        "check_vandermonde",
+        "chu_vandermonde_generalized_cell",
+        "evenweight_distribution_closed",
+        "face_distribution_closed",
+        "face_spec",
+        "gen_even_weight",
+        "gen_face_subset",
+        "gen_random_subset",
+        "realize_family",
+        "vandermonde_cell",
+    ),
+    "identities": (
+        "IdentityReport",
+        "corollary_s1",
+        "corollary_s2",
+        "corollary_s3",
+        "intersection_cap",
+        "main_lhs",
+        "main_rhs",
+        "verify_main",
+    ),
+    "rank": (
+        "DistanceProfile",
+        "RankBounds",
+        "column_distance_sum",
+        "distance_sum",
+        "distance_total",
+        "isometric",
+        "rank",
+        "rank_bounds",
+        "rank_closed_small",
+        "random_isometry_image",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(sys.modules[f"{__name__}.{_HOME[name]}"], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})
+
 
 __version__ = "0.1.0"
 

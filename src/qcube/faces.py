@@ -35,7 +35,6 @@ from .core import (
     column_mask,
     slices_cost,
 )
-from .rank import rank
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,8 @@ def face_contains(F: Face, p: Point) -> bool:
 def faces_containing_count(A: PointSet, k: int) -> int:
     """Closed-form count of k-faces containing all of A: C(n - r, k - r) with
     r = rank(A). Zero whenever k < r."""
+    from .rank import rank  # only here, so that distribution() never runs qcube.rank
+
     _require_nonempty(A)
     _check_k(A.params, k)
     r = rank(A)

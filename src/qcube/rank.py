@@ -142,14 +142,16 @@ def bounds_from_total(m: int, total: int) -> tuple[Fraction, Fraction]:
     return lower, upper
 
 
-def rank_bounds(A: PointSet) -> RankBounds:
+def rank_bounds(A: PointSet, guard: int = DEFAULT_GUARD) -> RankBounds:
     """Exact rational rank bounds for binary point sets (bounds_from_total
     over the distance total).
 
     exact_rank is always populated here, by the row-scan oracle rank_rows, so
     that a bounds check holds the packed distance total against a rank that
-    shares no code with it.
+    shares no code with it. Both scans read n*|A| coordinates, which are
+    checked against the guard before anything else.
     """
+    check_guard(A.params.n * len(A), guard)
     _require_binary(A, "rank_bounds")
     m = len(A)
     if m == 0:

@@ -1,0 +1,431 @@
+"""Deterministic JSON-lines parameter sweeps: the config, the registry of
+sweep identities, and the rows of one grid point.
+
+`load_sweep_config` reads a config, `_sweep_rows` evaluates its grid one
+(q, n) cell at a time, and `qcube.cli.run_sweep` writes the rows and the
+summary. Only `qcube sweep` uses this module, so other commands never run it.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Any, Callable, Iterator, Optional
+
+from .cli import _read_text, json_line
+from .core import (
+    CubeError,
+    CubeParams,
+    ParseError,
+    PointSet,
+    SizeGuardError,
+    abbreviated,
+    check_guard,
+    decimal,
+    is_int,
+)
+from .faces import distribution, faces_containing_count, total_faces
+from .families import (
+    FamilySpec,
+    check_evenweight_identity,
+    chu_vandermonde_generalized_cell,
+    face_spec,
+    realize_family,
+    vandermonde_cell,
+)
+from .identities import (
+    IdentityReport,
+    corollary_s1,
+    corollary_s2,
+    corollary_s3,
+    intersection_cap,
+    verify_main,
+)
+from .rank import rank_bounds
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """Parsed sweep description: identities to run, parameter ranges, the
+    family template, and the output destination."""
+
+    identities: tuple[str, ...]
+    qs: tuple[int, ...]
+    n_range: tuple[int, int]
+    k_range: Optional[tuple[int, int]]
+    s_range: tuple[int, int]
+    nu_range: Optional[tuple[int, int]]
+    seeds: tuple[int, ...]
+    family: Optional[dict[str, Any]]
+    guard: Optional[int]
+    output: Optional[str]
+
+
+def _parse_range(value: Any, name: str, allow_all: bool = False) -> Optional[tuple[int, int]]:
+    if allow_all and (value is None or value == "all"):
+        return None
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(is_int(v) for v in value)
+    ):
+        raise CubeError(f"sweep config: {name} must be a two-int [lo, hi] range")
+    lo, hi = value
+    if lo > hi:
+        raise CubeError(f"sweep config: empty {name} range [{lo}, {hi}]")
+    return (lo, hi)
+
+
+class _LongInt:
+    """A JSON integer with more digits than int() converts. No is_int check
+    accepts it, so the key's own check refuses it by name."""
+
+    def __init__(self, digits: str) -> None:
+        self.digits = digits
+
+    def __repr__(self) -> str:
+        return abbreviated(self.digits)
+
+
+def _json_int(digits: str) -> Any:
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInt(digits)
+
+
+def load_sweep_config(path: str) -> SweepConfig:
+    raw = json.loads(_read_text(path), parse_int=_json_int)
+    if not isinstance(raw, dict):
+        raise CubeError("sweep config must be a JSON object")
+    identities = raw.get("identities")
+    if not isinstance(identities, list) or not identities:
+        raise CubeError("sweep config: identities must be a non-empty list")
+    for name in identities:
+        if not isinstance(name, str) or name not in SWEEP_IDENTITIES:
+            raise CubeError(
+                f"sweep config: unknown identity {name!r}; known: {', '.join(SWEEP_IDENTITIES)}"
+            )
+    qs = raw.get("q", [2])
+    if not isinstance(qs, list) or not qs or not all(is_int(q) and q >= 2 for q in qs):
+        raise CubeError("sweep config: q must be a list of integers >= 2")
+    n_range = _parse_range(raw.get("n"), "n")
+    if n_range[0] < 0:
+        raise CubeError("sweep config: n range must start at 0 or above")
+    k_range = _parse_range(raw.get("k", "all"), "k", allow_all=True)
+    s_range = _parse_range(raw.get("s", [1, 3]), "s")
+    nu_range = _parse_range(raw.get("nu", "all"), "nu", allow_all=True)
+    seeds = raw.get("seeds", [0])
+    if not isinstance(seeds, list) or not seeds or not all(is_int(s) for s in seeds):
+        raise CubeError("sweep config: seeds must be a non-empty list of integers")
+    family = raw.get("family")
+    if family is not None:
+        if not isinstance(family, dict) or "kind" not in family:
+            raise CubeError("sweep config: family must be an object with a 'kind'")
+    if family is None and any(SWEEP_IDENTITIES[name].family for name in identities):
+        raise CubeError("sweep config: these identities need a family template")
+    if raw.get("format", "jsonl") != "jsonl":
+        raise CubeError(f"sweep config: unsupported format {raw['format']!r}")
+    guard = raw.get("guard")
+    if guard is not None and (not is_int(guard) or guard < 1):
+        raise CubeError("sweep config: guard must be a positive integer")
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise CubeError("sweep config: output must be a string")
+    return SweepConfig(
+        identities=tuple(identities),
+        qs=tuple(qs),
+        n_range=n_range,
+        k_range=k_range,
+        s_range=s_range,
+        nu_range=nu_range,
+        seeds=tuple(seeds),
+        family=family,
+        guard=guard,
+        output=output,
+    )
+
+
+def _clip(bounds: Optional[tuple[int, int]], least: int, n: int) -> range:
+    """The values least..n, within the configured [lo, hi] bounds if any."""
+    lo, hi = bounds if bounds is not None else (least, n)
+    return range(max(lo, least), min(hi, n) + 1)
+
+
+def _family_instances(cfg: SweepConfig, q: int, n: int, guard: int) -> Iterator[dict[str, Any]]:
+    """Yield the extra params of each family instance in one (q, n) cell,
+    with its point set under "A", skipping combinations whose preconditions
+    fail. Deterministic order. A file that does not parse, or a generated set
+    larger than the guard, is refused for the whole sweep, naming the cell."""
+    fam = cfg.family
+    kind = fam["kind"]
+    params = CubeParams(q, n)
+    if kind == "random":
+        m = fam.get("m")
+        if not is_int(m):
+            raise CubeError("sweep config: random family needs an integer m")
+        seeds = cfg.seeds if 1 <= m <= params.volume else ()
+        specs = [({"seed": seed}, FamilySpec("random", m=m, seed=seed)) for seed in seeds]
+    elif kind == "even_weight":
+        specs = [({}, FamilySpec("even_weight"))] if q == 2 else []
+    elif kind == "face":
+        specs = [({"nu": nu}, face_spec(params, nu)) for nu in _clip(cfg.nu_range, 0, n)]
+    elif kind == "file":
+        specs = [({}, FamilySpec("file", path=fam.get("path")))]
+    else:
+        raise CubeError(f"sweep config: unknown family kind {kind!r}")
+    for labels, spec in specs:
+        try:
+            A = realize_family(params, spec, guard)
+        except (ParseError, SizeGuardError) as exc:
+            name = f"file {spec.path}" if kind == "file" else kind
+            error = SizeGuardError if isinstance(exc, SizeGuardError) else CubeError
+            raise error(f"sweep config: family {name} at q={q}, n={n}: {exc}") from None
+        yield {**labels, "A": A}
+
+
+# The (params, outcome) of each grid point of one cell; see SweepIdentity.
+Outcomes = Iterator[tuple[dict[str, Any], Any]]
+Cell = Callable[[SweepConfig, int, int, dict[str, Any], int], Outcomes]
+
+
+@dataclass(frozen=True)
+class SweepIdentity:
+    """One sweep identity. `cell(cfg, q, n, instance, guard)` evaluates the
+    grid points of one (q, n) cell and yields, in order, each point's params
+    and outcome: the two sides (lhs, rhs), the fields of a finished row, or the
+    SizeGuardError that refused the point. `instance` is a family instance's
+    params with its point set under "A" if `family` is set, else empty.
+    Failures of an `erratum` identity count as known_erratum, not as fail.
+
+    Params values and sides must be ints: the line of a two-sided row is a
+    template filled with %d (see _sweep_line), and the tests hold it to the
+    JSON encoding of the row."""
+
+    cell: Cell
+    family: bool = False
+    erratum: bool = False
+
+
+def _labels(instance: dict[str, Any]) -> dict[str, Any]:
+    return {key: value for key, value in instance.items() if key != "A"}
+
+
+def _pointwise(
+    grid: Callable[[SweepConfig, int, int, Optional[PointSet]], list[dict[str, int]]],
+    evaluate: Callable[[dict[str, Any], int], IdentityReport],
+) -> Cell:
+    """A cell checked one grid point at a time: `grid(cfg, q, n, A)` lists the
+    points' params and `evaluate(point, guard)` checks one."""
+
+    def cell(cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int) -> Outcomes:
+        labels = _labels(instance)
+        for g in grid(cfg, q, n, instance.get("A")):
+            try:
+                rep = evaluate({"q": q, "n": n, **instance, **g}, guard)
+            except SizeGuardError as exc:
+                yield {"q": q, "n": n, **labels, **g}, exc
+            else:
+                yield {**rep.params, **labels}, (rep.lhs, rep.rhs)
+
+    return cell
+
+
+def _closed_form(
+    sides: Callable[[CubeParams, range, range, int], Iterator[tuple[int, int, int, int]]],
+    least_nu: int,
+) -> Cell:
+    """A cell whose whole (nu, k) grid `sides(params, nus, ks, guard)` evaluates
+    at once. A cell refused by the guard, which `sides` does before its first
+    point, gives every grid point an error row."""
+
+    def cell(cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int) -> Outcomes:
+        nus, ks = _clip(cfg.nu_range, least_nu, n), _clip(cfg.k_range, 0, n)
+        try:
+            for nu, k, lhs, rhs in sides(CubeParams(q, n), nus, ks, guard):
+                yield {"q": q, "n": n, "nu": nu, "k": k}, (lhs, rhs)
+        except SizeGuardError as exc:
+            for nu in nus:
+                for k in ks:
+                    yield {"q": q, "n": n, "nu": nu, "k": k}, exc
+
+    return cell
+
+
+def _each_k(cfg: SweepConfig, q: int, n: int, A: Optional[PointSet]) -> list[dict[str, int]]:
+    return [{"k": k} for k in _clip(cfg.k_range, 0, n)]
+
+
+def _main_grid(cfg: SweepConfig, q: int, n: int, A: PointSet) -> list[dict[str, int]]:
+    s_lo, s_hi = cfg.s_range
+    return [{"k": k, "s": s} for k in _clip(cfg.k_range, 0, n)
+            for s in range(max(s_lo, 1), min(s_hi, intersection_cap(A, k)) + 1)]
+
+
+def _bounds_cell(
+    cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int
+) -> Outcomes:
+    if q != 2:
+        return
+    A = instance["A"]
+    params = {"q": 2, "n": n, "m": len(A), **_labels(instance)}
+    try:
+        b = rank_bounds(A, guard)
+    except SizeGuardError as exc:
+        yield params, exc
+        return
+    passed = b.lower <= b.exact_rank <= b.upper
+    yield params, {
+        "rank": str(b.exact_rank),
+        "lower": str(b.lower),
+        "upper": str(b.upper),
+        "passed": passed,
+        "status": "pass" if passed else "fail",
+    }
+
+
+def _lemma_face_count(point: dict[str, Any], guard: int) -> IdentityReport:
+    # A k-face contains A iff it meets A in all |A| points, so the LHS is the
+    # e = |A| entry of the cached distribution. The guard estimate is that of
+    # the oracle's face scan (faces_containing_bruteforce), which keeps the
+    # sweep's refusals pinned; distribution's own estimate is never larger.
+    A, k = point["A"], point["k"]
+    check_guard(total_faces(A.params, k) * len(A), guard)
+    lhs = distribution(A, k, guard)[len(A)]
+    rhs = faces_containing_count(A, k)
+    params = {"q": point["q"], "n": point["n"], "k": k, "m": len(A)}
+    return IdentityReport.of("lemma_face_count", params, lhs, rhs, proven=True)
+
+
+# Per-point evaluators look the engine functions up at call time rather than
+# binding them here, so that a wrapper installed on a module attribute sees
+# the calls.
+SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
+    "main": SweepIdentity(
+        _pointwise(_main_grid, lambda p, g: verify_main(p["A"], p["k"], p["s"], g)), family=True
+    ),
+    "corollary1": SweepIdentity(
+        _pointwise(_each_k, lambda p, g: corollary_s1(p["A"], p["k"], g)), family=True
+    ),
+    "corollary2": SweepIdentity(
+        _pointwise(
+            lambda cfg, q, n, A: _each_k(cfg, q, n, A) if len(A) >= 2 else [],
+            lambda p, g: corollary_s2(p["A"], p["k"], g),
+        ),
+        family=True,
+    ),
+    "corollary3": SweepIdentity(
+        _pointwise(
+            lambda cfg, q, n, A: _each_k(cfg, q, n, A) if q == 2 and len(A) >= 3 else [],
+            lambda p, g: corollary_s3(p["A"], p["k"], g),
+        ),
+        family=True,
+    ),
+    "vandermonde": SweepIdentity(_closed_form(vandermonde_cell, 0)),
+    "chu_vandermonde_generalized": SweepIdentity(_closed_form(chu_vandermonde_generalized_cell, 1)),
+    "evenweight_printed": SweepIdentity(
+        _pointwise(
+            lambda cfg, q, n, A: [{"k": k} for k in _clip(cfg.k_range, 0, n) if k >= 1 and q == 2],
+            lambda p, g: check_evenweight_identity(p["n"], p["k"], "printed"),
+        ),
+        erratum=True,
+    ),
+    "evenweight_corrected": SweepIdentity(
+        _pointwise(
+            lambda cfg, q, n, A: [{"k": k} for k in _clip(cfg.k_range, 0, n) if k >= 1 and q == 2],
+            lambda p, g: check_evenweight_identity(p["n"], p["k"], "corrected"),
+        )
+    ),
+    "bounds": SweepIdentity(_bounds_cell, family=True),
+    "lemma_face_count": SweepIdentity(_pointwise(_each_k, _lemma_face_count), family=True),
+}
+
+
+def _sweep_rows(cfg: SweepConfig, guard: int) -> Iterator[tuple[str, str]]:
+    """Yield each row's status and line, one (q, n) cell at a time, after
+    building every cell's family instances, so that a bad family template
+    raises before any row."""
+    n_lo, n_hi = cfg.n_range
+    cells = [(q, n) for q in cfg.qs for n in range(n_lo, n_hi + 1)]
+    instances: dict[tuple[int, int], list[dict[str, Any]]] = {}
+    if any(SWEEP_IDENTITIES[identity].family for identity in cfg.identities):
+        # Every family identity shares one build of each cell's instances.
+        instances = {
+            cell: list(_family_instances(cfg, *cell, guard)) for cell in dict.fromkeys(cells)
+        }
+    for identity in cfg.identities:
+        entry = SWEEP_IDENTITIES[identity]
+        for q, n in cells:
+            for instance in instances[q, n] if entry.family else [{}]:
+                for params, outcome in entry.cell(cfg, q, n, instance, guard):
+                    yield _sweep_line(identity, entry.erratum, params, outcome)
+
+
+def _status(equal: bool, erratum: bool) -> str:
+    if equal:
+        return "pass"
+    return "known_erratum" if erratum else "fail"
+
+
+@lru_cache(maxsize=None)
+def _row_template(identity: str, status: str, keys: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+    """The %-format of the line of an (lhs, rhs) row with these param keys, and
+    the keys in the order of its fields: lhs, the int params, rhs. Like
+    json_line, it writes the row's keys and the params' keys in sorted order.
+    Identity names, statuses and param keys hold no '%'."""
+    order = tuple(sorted(keys))
+    equal = json_line(status == "pass")
+    params = ",".join(f"{json_line(key)}:%d" for key in order)
+    fmt = (
+        f'{{"equal":{equal},"identity":{json_line(identity)},"lhs":"%d","params":{{{params}}},'
+        f'"passed":{equal},"rhs":"%d","status":{json_line(status)}}}'
+    )
+    return fmt, order
+
+
+def _sweep_line(
+    identity: str, erratum: bool, params: dict[str, Any], outcome: Any
+) -> tuple[str, str]:
+    """The status and line of one grid point's row: json_line(_sweep_row(...)).
+    An (lhs, rhs) row is written by filling its template instead, unless a
+    side has more digits than str() converts; _sweep_row prints it in full."""
+    if isinstance(outcome, tuple):
+        lhs, rhs = outcome
+        status = _status(lhs == rhs, erratum)
+        fmt, keys = _row_template(identity, status, tuple(params))
+        try:
+            return status, fmt % (lhs, *[params[key] for key in keys], rhs)
+        except ValueError:
+            pass
+    row = _sweep_row(identity, erratum, params, outcome)
+    return row["status"], json_line(row)
+
+
+def _sweep_row(
+    identity: str, erratum: bool, params: dict[str, Any], outcome: Any
+) -> dict[str, Any]:
+    """The row of one grid point from its params and outcome (see SweepIdentity);
+    the oracle of _sweep_line's templates."""
+    if isinstance(outcome, SizeGuardError):
+        return {
+            "identity": identity,
+            "params": params,
+            "error": str(outcome),
+            "passed": False,
+            "status": "error",
+        }
+    if isinstance(outcome, dict):
+        return {"identity": identity, "params": params, **outcome}
+    lhs, rhs = outcome
+    equal = lhs == rhs
+    return {
+        "identity": identity,
+        "params": params,
+        "lhs": decimal(lhs),
+        "rhs": decimal(rhs),
+        "equal": equal,
+        "passed": equal,
+        "status": _status(equal, erratum),
+    }
+

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import qcube.cli
 import qcube.families
 import qcube.identities
+import qcube.sweep
 from qcube.cli import main
 from qcube.core import CubeParams, SizeGuardError, decimal, parse_pointset, serialize_pointset
 from qcube.faces import faces_containing_bruteforce, total_faces
@@ -54,6 +55,30 @@ def run_module(*argv):
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
+
+
+# sha256 of `qcube [SUBCOMMAND] --help` at 80 columns, as Python 3.11's
+# argparse lays it out.
+HELP_SHA256 = {
+    "": "47c0114a8cea5ce395809cbba2a0c3ab16227958ad547a61ab4d109f876362c5",
+    "rank": "206ef4e8e7ad8ec4d2ebc9d0bb7019bce7617337e495190afaef12997723925c",
+    "bounds": "8289a6085f797371684fea4f2084c1a478b3b95dbb3e6fe7813881f732d633ad",
+    "distribution": "374766a8a63b1d695222c02463dd6907dad1157eabf82f12113d8b7b459902ea",
+    "verify": "53d4a8278ad10e068f037794ecf8bba9ed394451e2ef93ac678962a5c5ad19ad",
+    "gen": "184a4ffd36db61b9863a73aa75d47caff0dde4473c346e5af43066fc538f1231",
+    "sweep": "067c5f5af25e19a55e9f826f61cb1a65319662e580e88d240c59f2cc491a779a",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's help layout varies by version")
+@pytest.mark.parametrize("command", list(HELP_SHA256), ids=lambda c: c or "qcube")
+def test_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"] if command else ["--help"])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == HELP_SHA256[command]
 
 
 class TestRank:
@@ -163,6 +188,23 @@ class TestBounds:
         path = write(tmp_path, "a.txt", "01\n12\n")
         code, out, err = run(capsys, "bounds", path, "--q", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("guard, code", [(8, 0), (7, 3)], ids=["exact", "one-under"])
+    def test_sweep_row_guarded_by_n_times_m(self, tmp_path, capsys, guard, code):
+        write(tmp_path, "pair.txt", "0000\n0111\n")  # n * m = 8
+        config = {"identities": ["bounds"], "q": [2], "n": [4, 4], "guard": guard,
+                  "family": {"kind": "file", "path": str(tmp_path / "pair.txt")}}
+        got, out, err = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        row, summary = map(json.loads, out.splitlines())
+        assert got == code
+        assert row["params"] == {"q": 2, "n": 4, "m": 2}
+        if code:
+            assert row == {"identity": "bounds", "params": row["params"], "passed": False,
+                           "status": "error", "error": "instance too large: about 8 elementary "
+                           "operations, guard is 7"}
+        else:
+            assert (row["status"], row["rank"]) == ("pass", "3")
+        assert summary["summary"]["total"] == 1
 
 
 @pytest.mark.parametrize("command", ["rank", "bounds"])
@@ -287,7 +329,7 @@ class TestVerify:
         def fake(A, k, s, guard, include_terms=False):
             return IdentityReport.of("main", {"q": 2}, 5, 6, proven=True)
 
-        monkeypatch.setattr(qcube.cli, "verify_main", fake)
+        monkeypatch.setattr(qcube.identities, "verify_main", fake)
         path = write(tmp_path, "a.txt", EW3)
         code, out, err = run(capsys, "verify", path, "-k", "2", "-s", "2")
         assert code == 1
@@ -510,7 +552,7 @@ class TestSweep:
         assert rows[-1]["summary"]["known_erratum"] > 0
 
     def test_unregistered_failure_exits_one(self, tmp_path, capsys, monkeypatch):
-        registry = qcube.cli.SWEEP_IDENTITIES
+        registry = qcube.sweep.SWEEP_IDENTITIES
         entry = dataclasses.replace(registry["evenweight_printed"], erratum=False)
         monkeypatch.setitem(registry, "evenweight_printed", entry)
         cfg = write(
@@ -602,7 +644,7 @@ class TestSweep:
         qcube.identities._pair_distance_histogram.cache_clear()
         qcube.identities._triple_rank_histogram.cache_clear()
         config = {
-            "identities": list(qcube.cli.SWEEP_IDENTITIES),
+            "identities": list(qcube.sweep.SWEEP_IDENTITIES),
             "q": [2, 3],
             "n": [1, 4],
             "s": [1, 3],
@@ -655,7 +697,7 @@ class TestSweep:
     def test_rows_are_written_as_the_grid_is_expanded(self, tmp_path, monkeypatch):
         out = io.StringIO()
         written = []
-        registry = qcube.cli.SWEEP_IDENTITIES
+        registry = qcube.sweep.SWEEP_IDENTITIES
         cell = registry["vandermonde"].cell
 
         def recording(cfg, q, n, instance, guard):
@@ -668,7 +710,7 @@ class TestSweep:
         path = write(
             tmp_path, "cfg.json", json.dumps({"identities": ["vandermonde"], "n": [1, 2]})
         )
-        assert qcube.cli.run_sweep(qcube.cli.load_sweep_config(path), out) == 0
+        assert qcube.cli.run_sweep(qcube.sweep.load_sweep_config(path), out) == 0
         assert len(written) == 2
         assert written[0] == 0 < written[1]
 
@@ -690,8 +732,14 @@ class TestSweep:
         cfg = write(tmp_path, "cfg.json", json.dumps(config))
         code, out, err = run(capsys, "sweep", cfg)
         if slack == 0:
-            assert code == 0
-            assert json.loads(out.splitlines()[-1])["summary"]["pass"] >= 1
+            # Admitted: every instance gets its bounds row, refused only where
+            # the row's own n·m coordinate scan passes the guard.
+            rows = [json.loads(line) for line in out.splitlines()]
+            assert len(rows) >= 2
+            for row in rows[:-1]:
+                over = row["params"]["n"] * row["params"]["m"] > size
+                assert row["status"] == ("error" if over else "pass")
+            assert code == (3 if rows[-1]["summary"]["error"] else 0)
         else:
             assert (code, out) == (3, "")
             assert err == (
@@ -723,12 +771,12 @@ class TestSweep:
             if q == 2:
                 cases.append(({"kind": "even_weight"}, {}, []))
             for family, labels, flags in cases:
-                cfg = qcube.cli.SweepConfig(
+                cfg = qcube.sweep.SweepConfig(
                     identities=("bounds",), qs=(q,), n_range=(n, n), k_range=None, s_range=(1, 3),
                     nu_range=None, seeds=(0, 5), family=family, guard=None, output=None,
                 )
-                swept = [i["A"] for i in qcube.cli._family_instances(cfg, q, n, 10**7)
-                         if qcube.cli._labels(i) == labels]
+                swept = [i["A"] for i in qcube.sweep._family_instances(cfg, q, n, 10**7)
+                         if qcube.sweep._labels(i) == labels]
                 kind = family["kind"].replace("_", "-")
                 argv = ["gen", "--family", kind, "--q", q, "--n", n, *flags]
                 code, out, _ = run(capsys, *map(str, argv))
@@ -913,7 +961,7 @@ class TestSweep:
 
         monkeypatch.setattr(qcube.families, "gen_random_subset", counting)
         config = {
-            "identities": list(qcube.cli.SWEEP_IDENTITIES),
+            "identities": list(qcube.sweep.SWEEP_IDENTITIES),
             "q": [2, 3],
             "n": [1, 4],
             "s": [1, 3],
@@ -944,7 +992,7 @@ class TestSweep:
 
 
 CRITERION_8 = {
-    "identities": list(qcube.cli.SWEEP_IDENTITIES),
+    "identities": list(qcube.sweep.SWEEP_IDENTITIES),
     "q": [2, 3],
     "n": [1, 4],
     "s": [1, 3],
@@ -957,16 +1005,16 @@ def check_rows_against_the_oracle(mp):
     """Make every row the sweep writes also be built by json_line(_sweep_row(...))
     and compared; returns a Counter of the compared rows by (identity, status)."""
     seen = Counter()
-    fill = qcube.cli._sweep_line
+    fill = qcube.sweep._sweep_line
 
     def compared(identity, erratum, params, outcome):
         status, line = fill(identity, erratum, params, outcome)
-        row = qcube.cli._sweep_row(identity, erratum, params, outcome)
+        row = qcube.sweep._sweep_row(identity, erratum, params, outcome)
         assert (status, line) == (row["status"], qcube.cli.json_line(row))
         seen[identity, status] += 1
         return status, line
 
-    mp.setattr(qcube.cli, "_sweep_line", compared)
+    mp.setattr(qcube.sweep, "_sweep_line", compared)
     return seen
 
 
@@ -983,7 +1031,7 @@ def sweep_configs(draw):
               "file": {"kind": "file", "path": "points.txt"}}.get(kind, {"kind": kind})
     sub_range = st.one_of(st.just("all"), st.lists(st.integers(0, 5), min_size=2, max_size=2).map(sorted))
     config = {
-        "identities": list(qcube.cli.SWEEP_IDENTITIES),
+        "identities": list(qcube.sweep.SWEEP_IDENTITIES),
         "q": draw(st.lists(st.integers(2, 3), min_size=1, max_size=2, unique=True)),
         "n": [n_lo, n_hi],
         "k": draw(sub_range),
@@ -1008,12 +1056,12 @@ class TestSweepRowTemplates:
         statuses = {status for _, status in seen}
         assert statuses >= {"pass", "known_erratum"}
         assert ("error" in statuses) == (code == 3)
-        assert {identity for identity, _ in seen} == set(qcube.cli.SWEEP_IDENTITIES)
+        assert {identity for identity, _ in seen} == set(qcube.sweep.SWEEP_IDENTITIES)
 
     @given(config=sweep_configs(), printed_is_erratum=st.booleans())
     @settings(max_examples=30, deadline=None)
     def test_rows_match_the_oracle(self, config, printed_is_erratum):
-        registry = qcube.cli.SWEEP_IDENTITIES
+        registry = qcube.sweep.SWEEP_IDENTITIES
         printed = dataclasses.replace(registry["evenweight_printed"], erratum=printed_is_erratum)
         cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
@@ -1025,7 +1073,7 @@ class TestSweepRowTemplates:
                 Path("cfg.json").write_text(json.dumps(config))
                 out = io.StringIO()
                 try:
-                    code = qcube.cli.run_sweep(qcube.cli.load_sweep_config("cfg.json"), out)
+                    code = qcube.cli.run_sweep(qcube.sweep.load_sweep_config("cfg.json"), out)
                 except SizeGuardError as exc:
                     # A family larger than the guard is refused before any row.
                     assert str(exc).startswith("sweep config: family ")
@@ -1039,9 +1087,9 @@ class TestSweepRowTemplates:
     @pytest.mark.parametrize("value", [True, 2.5, "2"], ids=["bool", "float", "str"])
     def test_a_non_int_param_fails_the_check(self, value):
         params = {"q": 2, "n": 1, "x": value}
-        row = qcube.cli._sweep_row("new", False, params, (1, 1))
+        row = qcube.sweep._sweep_row("new", False, params, (1, 1))
         try:
-            line = qcube.cli._sweep_line("new", False, params, (1, 1))[1]
+            line = qcube.sweep._sweep_line("new", False, params, (1, 1))[1]
         except TypeError:
             return
         assert line != qcube.cli.json_line(row)
@@ -1049,7 +1097,7 @@ class TestSweepRowTemplates:
     def test_bench_closed_config_stdout_is_pinned(self):
         # bench/sweep_closed.json, the sweep-closed workload: 141 983 rows.
         out = io.StringIO()
-        cfg = qcube.cli.load_sweep_config(str(BENCH / "sweep_closed.json"))
+        cfg = qcube.sweep.load_sweep_config(str(BENCH / "sweep_closed.json"))
         with redirect_stderr(io.StringIO()):
             assert qcube.cli.run_sweep(cfg, out) == 0
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
@@ -1077,7 +1125,7 @@ def junk_sweep_configs(draw, key):
     n_lo = draw(st.integers(0, 3))
     config = {
         "identities": draw(
-            st.lists(st.sampled_from(list(qcube.cli.SWEEP_IDENTITIES)), min_size=1, max_size=4)
+            st.lists(st.sampled_from(list(qcube.sweep.SWEEP_IDENTITIES)), min_size=1, max_size=4)
         ),
         "q": draw(st.lists(st.integers(2, 3), min_size=1, max_size=2)),
         "n": [n_lo, draw(st.integers(n_lo, 3))],

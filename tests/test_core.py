@@ -222,6 +222,41 @@ def test_whole_set_check_matches_row_check(rows):
         assert PointSet(params, rows).rows == tuple(sorted(set(rows)))
 
 
+# Pieces of point-set text, well-formed or not: digits, separators and signs
+# the field check must refuse, whitespace and line breaks (\r and \x0b end a
+# line too), comment marks, non-ASCII digits and digit runs too long for any q.
+TEXT_PIECES = st.sampled_from(
+    [*"0123456789", ",", "-", "+", "_", " ", "\t", "#", "\r", "\x0b", "\n", "٣", "²",
+     "1" * 30, "0" * 25 + "1", "9" * 5000]
+)
+
+
+@st.composite
+def point_texts(draw):
+    """(params, text): lines that are rows of the cube, in either format,
+    mixed with lines of random pieces."""
+    q, n = draw(st.integers(2, 16)), draw(st.integers(0, 6))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    line = st.one_of(
+        row.map(lambda r: ",".join(map(str, r))),
+        row.map(lambda r: "".join(map(str, r))) if q <= 10 else st.nothing(),
+        st.lists(TEXT_PIECES, max_size=12).map("".join),
+    )
+    return CubeParams(q, n), "\n".join(draw(st.lists(line, max_size=6)))
+
+
+@given(point_texts())
+@settings(max_examples=400, deadline=None)
+def test_text_parses_to_a_round_tripping_set_or_raises_parse_error(case):
+    params, text = case
+    try:
+        A, dropped = parse_pointset(text, params)
+    except ParseError:
+        return
+    if params.n >= 1:
+        assert parse_pointset(serialize_pointset(A), params) == (A, 0)
+
+
 class TestFace:
     def test_partition_validation(self):
         p = CubeParams(2, 3)
@@ -359,6 +394,7 @@ class TestParse:
             (" 1 , 0\n-0,2", 3, ((0, 2), (1, 0))),
             ("15,0\n 0 ,007", 16, ((0, 7), (15, 0))),
             pytest.param("0," + "0" * 5000 + "11\n1,-0", 12, ((0, 11), (1, 0)), id="leading-zeros"),
+            pytest.param("01\x0b\t10\r", 2, ((0, 1), (1, 0)), id="vt-and-cr-end-lines"),
         ],
     )
     def test_accepted_lines(self, text, q, rows):

@@ -1,0 +1,89 @@
+"""The package's lazy layout: which qcube modules a command executes, and the
+re-exports of `qcube`.
+
+Each command runs in a fresh interpreter, so that no other test has executed
+a module first.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qcube
+import qcube.cli
+
+SUBMODULES = ("qcube.core", "qcube.faces", "qcube.families", "qcube.identities", "qcube.rank", "qcube.sweep")
+
+# Runs argv through qcube.cli.main, then prints, as its last line, the qcube
+# modules in sys.modules and the ones of them that were executed: a lazily
+# registered module that was never used is not yet a plain ModuleType.
+CHILD = """
+import json, sys, types
+from qcube.cli import main
+code = main(sys.argv[1:])
+modules = sorted(name for name in sys.modules if name.startswith("qcube."))
+executed = [name for name in modules if type(sys.modules[name]) is types.ModuleType]
+print(json.dumps({"code": code, "modules": modules, "executed": executed}))
+"""
+
+
+def run_child(tmp_path, *argv):
+    (tmp_path / "a.txt").write_text("000\n011\n101\n110\n")
+    src = str(Path(qcube.cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (("distribution", "a.txt", "-k", "2"), ["qcube.cli", "qcube.core", "qcube.faces"]),
+        (("rank", "a.txt"), ["qcube.cli", "qcube.core", "qcube.rank"]),
+        (("bounds", "a.txt"), ["qcube.cli", "qcube.core", "qcube.rank"]),
+    ],
+    ids=["distribution", "rank", "bounds"],
+)
+def test_command_executes_only_the_modules_it_uses(tmp_path, argv, executed):
+    got = run_child(tmp_path, *argv)
+    assert got["code"] == 0
+    assert got["executed"] == executed
+    assert got["modules"] == sorted(["qcube.cli", *SUBMODULES])
+
+
+def test_importing_the_cli_registers_every_module():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import qcube.cli, sys; print(*sorted(n for n in sys.modules if n.startswith('qcube')))"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(qcube.cli.__file__).parents[1])),
+    )
+    assert proc.stdout.split() == ["qcube", "qcube.cli", *SUBMODULES]
+
+
+def test_every_export_is_the_object_its_module_defines():
+    homes = {}
+    for module in SUBMODULES:
+        for name, value in vars(sys.modules[module]).items():
+            if name in qcube.__all__ and getattr(value, "__module__", module) == module:
+                homes[name] = module
+    assert sorted(homes) == sorted(qcube.__all__)
+    for name, module in homes.items():
+        assert getattr(qcube, name) is getattr(sys.modules[module], name), name
+    namespace = {}
+    exec("from qcube import *", namespace)
+    assert {name: namespace[name] for name in qcube.__all__} == {name: getattr(qcube, name) for name in qcube.__all__}
+    assert set(qcube.__all__) <= set(dir(qcube))
+
+
+def test_module_attributes():
+    assert qcube.rank is sys.modules["qcube.rank"].rank  # the function, as the export says
+    assert qcube.faces is sys.modules["qcube.faces"] and qcube.sweep is sys.modules["qcube.sweep"]
+    with pytest.raises(AttributeError, match="module 'qcube' has no attribute 'nothing'"):
+        qcube.nothing

@@ -150,6 +150,24 @@ class TestRankBounds:
         with pytest.raises(CubeError):
             rank_bounds(mkset(3, 2, "00 11"))
 
+    def test_guard_counts_coordinates_before_either_scan(self, mkset, monkeypatch):
+        A = mkset(2, 4, "0000 1111 0011 1100")  # n * m = 16
+        assert rank_bounds(A, guard=16).exact_rank == 4
+        scans = []
+        rank_module = importlib.import_module("qcube.rank")  # qcube.rank is also a function
+        monkeypatch.setattr(rank_module, "rank_rows", lambda rows: scans.append(rows))
+        monkeypatch.setattr(rank_module, "distance_total", lambda A: scans.append(A))
+        with pytest.raises(SizeGuardError, match="about 16 elementary operations, guard is 15"):
+            rank_bounds(A, guard=15)
+        assert scans == []
+
+    def test_guard_checked_before_the_alphabet(self, mkset):
+        A = mkset(3, 2, "00 11")  # n * m = 4
+        with pytest.raises(SizeGuardError, match="about 4 elementary operations, guard is 3"):
+            rank_bounds(A, guard=3)
+        with pytest.raises(CubeError, match="defined for q = 2 only"):
+            rank_bounds(A, guard=4)
+
     def test_bounds_hold_on_random_sets(self):
         rng = random.Random(555)
         for _ in range(200):
