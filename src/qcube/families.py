@@ -10,15 +10,18 @@ of enumeration.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .core import DEFAULT_GUARD, CubeError, CubeParams, Face, PointSet, binom, check_guard
+from .core import DEFAULT_GUARD, CubeError, CubeParams, Face, PointSet, binom, check_guard, decimal
 from .core import parse_pointset
-from .faces import FaceDistribution
-from .identities import IdentityReport
+
+if TYPE_CHECKING:  # imported where used, so that gen never runs faces or identities
+    from .faces import FaceDistribution
+    from .identities import IdentityReport
 
 FAMILY_KINDS = ("face", "even_weight", "random", "file")
 
@@ -104,9 +107,16 @@ def _decode(index: int, params: CubeParams) -> tuple[int, ...]:
 
 
 def gen_random_subset(params: CubeParams, m: int, seed: int) -> PointSet:
-    """Uniform random m-subset of the cube, without replacement, seeded."""
+    """Uniform random m-subset of the cube, without replacement, seeded.
+    The draw indexes the q**n points with a machine-size int, so a larger
+    cube is refused before it."""
     if not 1 <= m <= params.volume:
-        raise CubeError(f"m must be in [1, {params.volume}], got {m}")
+        raise CubeError(f"m must be in [1, {decimal(params.volume)}], got {m}")
+    if params.volume > sys.maxsize:
+        raise CubeError(
+            f"random family needs q**n <= {sys.maxsize} (sys.maxsize), "
+            f"got q={params.q}, n={params.n}"
+        )
     rng = random.Random(seed)
     picks = rng.sample(range(params.volume), m)
     return PointSet(params, tuple(_decode(i, params) for i in picks))
@@ -144,6 +154,8 @@ def face_distribution_closed(params: CubeParams, nu: int, k: int) -> FaceDistrib
     q**(n-nu-k+i) - 1 empty parallel fibers into e = 0. Terms whose binomial
     vanishes are skipped, which also keeps every exponent nonnegative.
     """
+    from .faces import FaceDistribution
+
     n, q = params.n, params.q
     if not 0 <= nu <= n:
         raise CubeError(f"nu must be in [0, {n}], got {nu}")
@@ -165,6 +177,8 @@ def evenweight_distribution_closed(n: int, k: int) -> FaceDistribution:
     """Distribution for the even-weight set: every k-face with k >= 1 meets it
     in exactly 2**(k-1) points, so a single level carries all C(n,k)*2**(n-k)
     faces. The k = 0 slice is not covered by this form and is rejected."""
+    from .faces import FaceDistribution
+
     if n < 1:
         raise CubeError(f"even-weight closed form needs n >= 1, got {n}")
     if not 1 <= k <= n:
@@ -177,6 +191,8 @@ def evenweight_distribution_closed(n: int, k: int) -> FaceDistribution:
 def check_vandermonde(params: CubeParams, nu: int, k: int) -> IdentityReport:
     """Splitting C(n, k) by how many of the k choices land in a fixed
     nu-subset: sum over i of C(nu, i) * C(n-nu, k-i) = C(n, k)."""
+    from .identities import IdentityReport
+
     n = params.n
     if not 0 <= nu <= n:
         raise CubeError(f"nu must be in [0, {n}], got {nu}")
@@ -198,6 +214,8 @@ def check_chu_vandermonde_generalized(params: CubeParams, nu: int, k: int) -> Id
     Both sides count, in two ways, the nonempty-overlap excess left after the
     plain splitting identity; q = 2 collapses the right side's weights to 1.
     """
+    from .identities import IdentityReport
+
     n, q = params.n, params.q
     if not 1 <= nu <= n:
         raise CubeError(f"nu must be in [1, {n}], got {nu}")
@@ -310,6 +328,8 @@ def check_evenweight_identity(n: int, k: int, form: str = "corrected") -> Identi
     form="printed" keeps a spurious extra factor 2**(n-1) on the left and is
     retained, failures intact, as a documented erratum regression.
     """
+    from .identities import IdentityReport
+
     if form not in EVENWEIGHT_FORMS:
         raise CubeError(f"form must be one of {EVENWEIGHT_FORMS}, got {form!r}")
     if n < 1:

@@ -2,7 +2,9 @@
 
 Each check computes its left side from the face-intersection distribution and
 its right side from subset ranks or pairwise distances, through code paths
-that share nothing beyond the core primitives, then reports exact equality.
+that share nothing beyond the core primitives (the right side reads
+PointSet.packed, block_fold, PointSet.slices and binom), then reports exact
+equality.
 """
 
 from __future__ import annotations
@@ -10,13 +12,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations, compress
+from operator import and_, lshift
 from typing import Any, Iterator, Optional
 
 from .core import (
     DEFAULT_GUARD,
     ConsistencyError,
     CubeError,
+    CubeParams,
     PointSet,
     binom,
     block_fold,
@@ -95,11 +99,80 @@ def main_lhs(A: PointSet, k: int, s: int, guard: int = DEFAULT_GUARD) -> int:
     return sum(v for _, v in _main_lhs_terms(A, k, s, guard))
 
 
+# The sliced route's s-subsets are ranked a block of consecutive last points
+# at a time, about _RHS_BLOCK subsets per block; everything it holds at once
+# is kept under _RHS_MEMORY_CAP bytes (see _rhs_sliced_bytes).
+_RHS_BLOCK = 1 << 14
+_RHS_MEMORY_CAP = 16 << 20
+
+
+def _rhs_sliced_bytes(params: CubeParams, m: int, s: int) -> int:
+    """Upper bound on the bytes the sliced route holds at once for m points
+    and s >= 3, counting 2/15 byte per bit (CPython stores 30 bits in 4
+    bytes):
+    - the contained tables, n*min(q, m) bitsets of C(m-1, s-1) bits;
+    - the lower levels' masks, C(m, j) bits for each j = 2..s-1;
+    - a block's bitsets: its masks, its planes and the parts split from
+      them, 2*bit_length(n) + 6 bitsets of max(_RHS_BLOCK, C(m-1, s-1))
+      bits at most;
+    - 40 bytes per entry of the per-point lists, (n + 2s)*m entries, and
+      64 KiB of the interpreter's own."""
+    n = params.n
+    width = binom(m - 1, s - 1)
+    bits = n * min(params.q, m) * width
+    bits += sum(binom(m, j) for j in range(2, s))
+    bits += (2 * n.bit_length() + 6) * max(_RHS_BLOCK, width)
+    return bits * 2 // 15 + 40 * (n + 2 * s) * m + (64 << 10)
+
+
+def _rhs_sliced_pays(params: CubeParams, m: int, s: int) -> bool:
+    """Whether the sliced route is estimated cheaper than the walk, from
+    (q, n, m, s) alone, within _RHS_MEMORY_CAP bytes (_rhs_sliced_bytes).
+
+    Costs are in units of the walk's time per subset, fitted to both routes'
+    times on a grid of q in {2, 3, 5, 11}, n up to 200 and C(m, s) up to
+    700 000 (see ROADMAP):
+    - the walk: C(m, s) subsets, 5 per (s-1)-prefix, and n/576 per subset
+      for the width of its ORs;
+    - the sliced route: 200 at the start, per coordinate 2s+5 for each of
+      min(q, m) values and 2s-1 per point (the tables and the blocks'
+      pieces), and n/400 per subset for its bitset operations.
+    s <= 2 always takes the walk."""
+    if s < 3 or m < s or _rhs_sliced_bytes(params, m, s) > _RHS_MEMORY_CAP:
+        return False
+    n, subsets = params.n, binom(m, s)
+    walk = subsets + 5 * binom(m, s - 1) + n * subsets // 576
+    sliced = 200 + n * (min(params.q, m) * (2 * s + 5) + m * (2 * s - 1)) + n * subsets // 400
+    return sliced < walk
+
+
 @lru_cache(maxsize=512)
 def _subset_rank_histogram(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
-    packed = A.packed
+    """The sorted (r, number of s-subsets of rank r) pairs of A; s = 1 is
+    every point at rank 0.
+
+    Two routes give the same histogram: the walk, which visits every subset
+    (_subset_rank_histogram_walked), and for s >= 3 the sliced route, which
+    ranks a block of about 2^14 subsets at once with bitset operations
+    (_subset_rank_histogram_sliced). _rhs_sliced_pays picks the sliced route
+    when its cost estimate from (q, n, m, s) is below the walk's and
+    everything it holds at once, bounded by _rhs_sliced_bytes, fits in
+    _RHS_MEMORY_CAP (16 MiB). The walk keeps s = 2, sets of a few points,
+    and n in the thousands, where its ORs of packed rows are cheaper."""
     if s == 1:
-        return ((0, len(packed)),)
+        return ((0, len(A)),)
+    if _rhs_sliced_pays(A.params, len(A), s):
+        return _subset_rank_histogram_sliced(A, s)
+    return _subset_rank_histogram_walked(A, s)
+
+
+def _subset_rank_histogram_walked(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
+    """The walk: every s-subset depth first, anchored at its first row.
+
+    The walk carries the OR of the folded differences fold(anchor ^ row) of
+    the rows chosen so far (core.block_fold over PointSet.packed), and r(B)
+    is the popcount of that OR at the last row."""
+    packed = A.packed
     fold = block_fold(A.params)
     hist: Counter[int] = Counter()
     ranks: list[int] = []
@@ -124,6 +197,107 @@ def _subset_rank_histogram(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(hist.items()))
 
 
+# Bytes of bin() digits, reversed, to selector bytes for itertools.compress.
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _colex_counts(m: int, s: int) -> list[list[int]]:
+    """counts[k][t] = C(t, k) for k < s and t < m: the number of k-subsets of
+    the first t points, which precede in colex order the k-subsets whose
+    last point is t. Each row is the running sum of the row below it."""
+    counts = [[1] * m]
+    for _ in range(1, s):
+        counts.append([0, *accumulate(counts[-1][:-1])])
+    return counts
+
+
+def _contained_tables(A: PointSet, counts: list[list[int]]) -> list[list[int]]:
+    """For each coordinate j, the list over points t of one bitset: over the
+    (s-1)-subsets of the first m-1 points in colex order, bit i set when
+    subset i lies inside the value slice of t at j (PointSet.slices), for
+    s = len(counts). Points with the same value at j share their bitset.
+
+    The k-subsets inside a slice S are, for each t in S, the (k-1)-subsets
+    inside S below t, shifted to the colex position C(t, k) (_colex_counts)."""
+    m, s = len(A), len(counts)
+    below = [[(1 << c) - 1 for c in row] for row in counts[: s - 1]]
+    tables = []
+    for column in A.slices:
+        owner = [0] * m
+        for S in column:
+            members = list(compress(range(m), bin(S)[:1:-1].encode().translate(_BIT_SELECTORS)))
+            inner = members[:-1] if members[-1] == m - 1 else members
+            table = S & ((1 << (m - 1)) - 1)
+            for k in range(2, s):
+                table = sum(
+                    map(
+                        lshift,
+                        map(table.__and__, map(below[k - 1].__getitem__, inner)),
+                        map(counts[k].__getitem__, inner),
+                    )
+                )
+            for t in members:
+                owner[t] = table
+        tables.append(owner)
+    return tables
+
+
+def _subset_rank_histogram_sliced(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
+    """The sliced route, for s >= 3: every s-subset ranked at once with
+    bitset operations, a block of consecutive last points at a time.
+
+    An s-subset B with last point t is constant at coordinate j exactly when
+    B - {t} lies inside the slice of t's value at j, so the bitset over the
+    s-subsets ending at t of those constant at j is the first C(t, s-1) bits
+    of t's contained table at j (_contained_tables). A block's n such
+    bitsets are added by a bit-sliced sideways adder into bit_length(n)
+    planes, and the count of subsets constant at c coordinates, of rank
+    n - c, is the popcount of the planes matched against c's bits."""
+    m, n = len(A), A.params.n
+    if m < s:
+        return ()
+    counts = _colex_counts(m, s)
+    tables = _contained_tables(A, counts)
+    widths = counts[s - 1]
+    hist: Counter[int] = Counter()
+    t = s - 1
+    while t < m:
+        # The block: last points start..t-1, their subsets in colex order.
+        start, size, offsets, masks = t, 0, [], []
+        while t < m and (not size or size + widths[t] <= _RHS_BLOCK):
+            offsets.append(size)
+            masks.append((1 << widths[t]) - 1)
+            size += widths[t]
+            t += 1
+        planes: list[int] = []
+        for owner in tables:
+            carry = sum(map(lshift, map(and_, owner[start:t], masks), offsets))
+            for i, plane in enumerate(planes):
+                planes[i] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        # Split the block by the planes, highest first, depth first so that
+        # at most len(planes) + 1 parts are held: a part at level 0 holds the
+        # subsets constant at exactly c coordinates.
+        stack = [(len(planes), 0, (1 << size) - 1)]
+        while stack:
+            level, c, part = stack.pop()
+            if not level:
+                hist[n - c] += part.bit_count()
+                continue
+            level -= 1
+            high = part & planes[level]
+            if high:
+                stack.append((level, c | 1 << level, high))
+            if high != part:
+                stack.append((level, c, part ^ high))
+    return tuple(sorted(hist.items()))
+
+
 def _rhs_terms(A: PointSet, k: int, s: int) -> Terms:
     # Reads s rows of n coordinates for each s-subset; verify_main costs this.
     n = A.params.n
@@ -139,12 +313,19 @@ def main_rhs(A: PointSet, k: int, s: int, guard: int = DEFAULT_GUARD) -> int:
     """Right side: sum of C(n - r(B), k - r(B)) over all s-element subsets B
     of A, where r(B) is the subset rank.
 
-    The subsets are walked depth-first, anchored at their first row in the
-    canonical order. The walk carries the OR of the folded differences
-    fold(anchor ^ row) of the rows chosen so far (core.block_fold over
-    PointSet.packed), and r(B) is the popcount of that OR at the last row.
-    The oracle is rank_rows over s-combinations of the rows (PointSet.rows),
-    which the per-subset breakdown of verify_main still uses.
+    It is summed over the histogram r -> number of s-subsets of rank r,
+    cached per set and s, after the binom(m, s) guard, which is checked on
+    every call and before either route builds anything. The histogram has
+    two routes, both exact (_subset_rank_histogram):
+    - the walk visits the subsets depth first over the folded differences of
+      the packed rows (core.block_fold over PointSet.packed);
+    - the sliced route, for s >= 3, ranks a block of subsets at once from
+      per-value contained tables over the colex order, built from
+      PointSet.slices, and a bit-sliced adder.
+    A cost estimate from (q, n, m, s) picks the route (_rhs_sliced_pays) and
+    keeps the sliced route under _RHS_MEMORY_CAP (16 MiB). The oracle is
+    rank_rows over s-combinations of the rows (PointSet.rows), which the
+    per-subset breakdown of verify_main still uses.
     """
     _require_size(A, 1, "main_rhs")
     _check_s(A, k, s)

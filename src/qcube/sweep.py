@@ -17,7 +17,6 @@ from .cli import _read_text, json_line
 from .core import (
     CubeError,
     CubeParams,
-    ParseError,
     PointSet,
     SizeGuardError,
     abbreviated,
@@ -156,8 +155,10 @@ def _clip(bounds: Optional[tuple[int, int]], least: int, n: int) -> range:
 def _family_instances(cfg: SweepConfig, q: int, n: int, guard: int) -> Iterator[dict[str, Any]]:
     """Yield the extra params of each family instance in one (q, n) cell,
     with its point set under "A", skipping combinations whose preconditions
-    fail. Deterministic order. A file that does not parse, or a generated set
-    larger than the guard, is refused for the whole sweep, naming the cell."""
+    fail. Deterministic order. A family that cannot be built (a file that
+    does not parse, a generated set larger than the guard, a random family
+    over a cube too large to draw from) is refused for the whole sweep,
+    naming the cell."""
     fam = cfg.family
     kind = fam["kind"]
     params = CubeParams(q, n)
@@ -178,7 +179,7 @@ def _family_instances(cfg: SweepConfig, q: int, n: int, guard: int) -> Iterator[
     for labels, spec in specs:
         try:
             A = realize_family(params, spec, guard)
-        except (ParseError, SizeGuardError) as exc:
+        except CubeError as exc:
             name = f"file {spec.path}" if kind == "file" else kind
             error = SizeGuardError if isinstance(exc, SizeGuardError) else CubeError
             raise error(f"sweep config: family {name} at q={q}, n={n}: {exc}") from None

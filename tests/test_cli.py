@@ -379,6 +379,26 @@ class TestGen:
         code, out, err = run(capsys, "gen", "--family", "random", "--n", "3")
         assert code == 2
 
+    def test_random_cube_beyond_sys_maxsize_refused(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "random", "--n", "63", "--m", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: random family needs q**n <= {sys.maxsize} (sys.maxsize), got q=2, n=63\n"
+
+    def test_random_draw_up_to_sys_maxsize_unchanged(self, capsys):
+        # The parent's draw at 2**62 points, the largest binary cube under sys.maxsize.
+        code, out, err = run(capsys, "gen", "--family", "random", "--n", "62", "--m", "3")
+        assert code == 0
+        assert out == (
+            "00010100101110100101111001101001101011101010101001010001010101\n"
+            "11000101001111101101111101111111011000001011000000011111001101\n"
+            "11111000110010111000001111001010000010111000101110011001100010\n"
+        )
+
+    def test_random_m_out_of_range_names_a_volume_of_any_size(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "random", "--n", "20000", "--m", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: m must be in [1, {decimal(2**20000)}], got 0\n"
+
     def test_even_weight_needs_q2(self, capsys):
         code, out, err = run(capsys, "gen", "--family", "even-weight", "--q", "3", "--n", "3")
         assert code == 2
@@ -759,6 +779,16 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", cfg)
         assert (code, out) == (3, "")
         assert err.startswith(f"error: sweep config: family {family['kind']} at q=2, n=18: ")
+
+    def test_random_family_beyond_sys_maxsize_refused_naming_the_cell(self, tmp_path, capsys):
+        config = {"identities": ["bounds"], "q": [2], "n": [62, 64], "family": {"kind": "random", "m": 3}}
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        code, out, err = run(capsys, "sweep", cfg)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: sweep config: family random at q=2, n=63: random family needs "
+            f"q**n <= {sys.maxsize} (sys.maxsize), got q=2, n=63\n"
+        )
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_gen_and_sweep_build_equal_sets(self, capsys, q):

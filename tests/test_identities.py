@@ -59,6 +59,24 @@ class TestMainSides:
         with pytest.raises(SizeGuardError):
             main_rhs(A, 2, 2, guard=10)
 
+    def test_rhs_guard_checked_before_either_route_builds(self, monkeypatch):
+        rng = random.Random(4)
+        A = PointSet.from_coords(
+            CubeParams(2, 10), {tuple(rng.randrange(2) for _ in range(10)) for _ in range(30)}
+        )
+        m = len(A)
+        assert identities._rhs_sliced_pays(A.params, m, 4)
+        identities._subset_rank_histogram.cache_clear()
+        built = []
+        for name in ("_contained_tables", "_subset_rank_histogram_walked"):
+            monkeypatch.setattr(identities, name, lambda *args, name=name: built.append(name))
+        with pytest.raises(SizeGuardError, match=f"about {binom(m, 4)} elementary operations"):
+            main_rhs(A, 4, 4, guard=binom(m, 4) - 1)
+        assert built == []
+        monkeypatch.undo()
+        want = sum(binom(10 - r, 4 - r) for r in map(identities.rank_rows, combinations(A.rows, 4)))
+        assert main_rhs(A, 4, 4, guard=binom(m, 4)) == want
+
 
 class TestVerifyMain:
     def test_even_weight_example(self, mkset):

@@ -6,8 +6,11 @@ Alphabet sizes cover tight bit widths (q = 2, 4, 8, 16), loose ones (3, 5, 11)
 and q > 10.
 """
 
+import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
+from math import comb
 from unittest import mock
 
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcube.core
+import qcube.identities
 from qcube.core import CubeParams, PointSet, block_fold, column_mask, hamming, value_slices
 from qcube.faces import (
     _distribution_counted,
@@ -34,7 +38,13 @@ from qcube.families import (
     gen_face_subset,
 )
 from qcube.identities import (
+    _RHS_BLOCK,
+    _RHS_MEMORY_CAP,
+    _rhs_sliced_bytes,
+    _rhs_sliced_pays,
     _subset_rank_histogram,
+    _subset_rank_histogram_sliced,
+    _subset_rank_histogram_walked,
     corollary_s2,
     corollary_s3,
     intersection_cap,
@@ -97,6 +107,102 @@ def test_subset_rank_histogram_matches_rank_rows(A, s):
     for s in (min(s, len(A)), len(A)):
         want = Counter(rank_rows(c) for c in combinations(A.coord_rows(), s))
         assert _subset_rank_histogram(A, s) == tuple(sorted(want.items()))
+
+
+def random_set(q, n, m, seed):
+    rng = random.Random(seed)
+    rows = set()
+    while len(rows) < m:
+        rows.add(tuple(rng.randrange(q) for _ in range(n)))
+    return pointset(q, sorted(rows))
+
+
+@st.composite
+def rhs_cases(draw):
+    q = draw(st.sampled_from((2, 3, 5, 11)))
+    n = draw(st.integers(0, 6 if q == 2 else 4))
+    row = st.tuples(*[st.integers(0, q - 1)] * n)
+    rows = draw(st.lists(row, min_size=1, max_size=min(30, q**n), unique=True))
+    return PointSet.from_coords(CubeParams(q, n), rows)
+
+
+@given(rhs_cases(), st.sampled_from((1, 5, 64, _RHS_BLOCK)))
+@example(SINGLE_EMPTY_ROW, _RHS_BLOCK)
+@example(LOOSE_WIDTH, 1)
+@example(random_set(2, 6, 30, 0), _RHS_BLOCK)  # C(30, 4) = 27 405: two blocks
+@example(random_set(11, 3, 30, 1), 5)
+@kernel_settings
+def test_sliced_rank_histogram_matches_walk_and_rank_rows(A, block):
+    # Called directly, s from 3 to 6 (above |A| both give no subsets). Small
+    # blocks cut the colex order into many, some narrower than one last point.
+    rows = A.coord_rows()
+    for s in range(3, 7):
+        with mock.patch.object(qcube.identities, "_RHS_BLOCK", block):
+            sliced = _subset_rank_histogram_sliced(A, s)
+        if comb(len(A), s) <= 60_000:
+            assert sliced == _subset_rank_histogram_walked(A, s), s
+        if comb(len(A), s) <= 3_000:
+            want = Counter(rank_rows(c) for c in combinations(rows, s))
+            assert sliced == tuple(sorted(want.items())), s
+
+
+def test_sliced_rank_histogram_over_many_blocks_matches_walk():
+    A = random_set(3, 7, 40, 2)
+    assert comb(40, 4) > 5 * _RHS_BLOCK and _rhs_sliced_pays(A.params, 40, 4)
+    assert _subset_rank_histogram_sliced(A, 4) == _subset_rank_histogram_walked(A, 4)
+    assert sum(c for _, c in _subset_rank_histogram(A, 4)) == comb(40, 4)
+
+
+# Each (q, n, m, s) timed on both routes (ROADMAP, "Measured, not planned").
+SLICED_FASTER = [(2, 13, 60, 4), (3, 8, 120, 4), (2, 24, 127, 4), (5, 6, 40, 5),
+                 (2, 24, 390, 3), (2, 60, 300, 3), (2, 400, 200, 3)]
+WALK_FASTER = [(2, 2000, 60, 3), (2, 1000, 100, 3), (2, 5000, 40, 4), (2, 24, 4, 3),
+               (2, 60, 8, 4), (2, 10, 6, 6)]
+
+
+@pytest.mark.parametrize("shape", SLICED_FASTER + WALK_FASTER)
+def test_rank_histogram_estimate_at_measured_shapes(shape):
+    q, n, m, s = shape
+    assert _rhs_sliced_pays(CubeParams(q, n), m, s) == (shape in SLICED_FASTER)
+
+
+def test_rank_histogram_estimate_routes_the_sweep_and_s2():
+    # bench/sweep_random.json: m = 24, q in {2, 3}, n up to 10, s up to 4.
+    for q in (2, 3):
+        for n in range(1, 11):
+            if q**n >= 24:
+                assert all(_rhs_sliced_pays(CubeParams(q, n), 24, s) for s in (3, 4))
+    for q, n, m in product((2, 3, 11), (1, 10, 100), (2, 24, 2000, 10**6)):
+        assert not _rhs_sliced_pays(CubeParams(q, n), m, 2)
+
+
+def test_rank_histogram_estimate_keeps_the_memory_cap():
+    admitted = 0
+    for q, n, m, s in product((2, 3, 11, 10**6), (1, 4, 24, 100, 400), (8, 40, 130, 400, 2000), range(3, 7)):
+        if _rhs_sliced_pays(CubeParams(q, n), m, s):
+            admitted += 1
+            assert _rhs_sliced_bytes(CubeParams(q, n), m, s) <= _RHS_MEMORY_CAP == 16 << 20
+    assert admitted > 50
+    # Cheaper by the estimate, but over the cap.
+    params = CubeParams(11, 100)
+    assert _rhs_sliced_bytes(params, 500, 3) > _RHS_MEMORY_CAP
+    assert not _rhs_sliced_pays(params, 500, 3)
+    with mock.patch.object(qcube.identities, "_RHS_MEMORY_CAP", 10**9):
+        assert _rhs_sliced_pays(params, 500, 3)
+
+
+@pytest.mark.parametrize("shape", [(2, 24, 127, 4), (5, 6, 40, 5), (2, 200, 16, 3)])
+def test_sliced_rank_histogram_holds_at_most_its_bound(shape):
+    q, n, m, s = shape
+    A = random_set(q, n, m, 3)
+    A.slices  # part of the set, built before either route
+    tracemalloc.start()
+    try:
+        _subset_rank_histogram_sliced(A, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _rhs_sliced_bytes(A.params, m, s)
 
 
 @given(point_sets())

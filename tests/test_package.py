@@ -48,8 +48,9 @@ def run_child(tmp_path, *argv):
         (("distribution", "a.txt", "-k", "2"), ["qcube.cli", "qcube.core", "qcube.faces"]),
         (("rank", "a.txt"), ["qcube.cli", "qcube.core", "qcube.rank"]),
         (("bounds", "a.txt"), ["qcube.cli", "qcube.core", "qcube.rank"]),
+        (("gen", "--family", "random", "--n", "4", "--m", "3"), ["qcube.cli", "qcube.core", "qcube.families"]),
     ],
-    ids=["distribution", "rank", "bounds"],
+    ids=["distribution", "rank", "bounds", "gen"],
 )
 def test_command_executes_only_the_modules_it_uses(tmp_path, argv, executed):
     got = run_child(tmp_path, *argv)
