@@ -9,6 +9,12 @@ command runs only the modules it uses. The names in __all__ resolve through
 __getattr__ to the objects their modules define, so `from qcube import X`
 works as before; `qcube.rank` is the function rank(), its module is
 sys.modules["qcube.rank"].
+
+A module reaches a sibling that a command may not need through its module,
+not its names: `from . import faces` binds the registered module without
+executing it, and `faces.FaceDistribution` executes it when first used. The
+one exception is rank, because `from . import rank` binds the function
+rank(); faces_containing_count therefore imports it inside the function.
 """
 
 import sys
@@ -94,6 +100,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
@@ -107,58 +114,3 @@ def __dir__() -> list[str]:
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_GUARD",
-    "ConsistencyError",
-    "CubeError",
-    "CubeParams",
-    "DistanceProfile",
-    "Face",
-    "FaceDistribution",
-    "FamilySpec",
-    "IdentityReport",
-    "ParseError",
-    "Point",
-    "PointSet",
-    "RankBounds",
-    "SizeGuardError",
-    "binom",
-    "check_chu_vandermonde_generalized",
-    "check_evenweight_identity",
-    "check_vandermonde",
-    "chu_vandermonde_generalized_cell",
-    "column_distance_sum",
-    "corollary_s1",
-    "corollary_s2",
-    "corollary_s3",
-    "distance_sum",
-    "distance_total",
-    "distribution",
-    "distribution_bruteforce",
-    "enumerate_faces",
-    "evenweight_distribution_closed",
-    "face_contains",
-    "face_distribution_closed",
-    "face_spec",
-    "faces_containing_bruteforce",
-    "faces_containing_count",
-    "gen_even_weight",
-    "gen_face_subset",
-    "gen_random_subset",
-    "hamming",
-    "intersection_cap",
-    "isometric",
-    "main_lhs",
-    "main_rhs",
-    "parse_pointset",
-    "rank",
-    "rank_bounds",
-    "rank_closed_small",
-    "random_isometry_image",
-    "realize_family",
-    "serialize_pointset",
-    "total_faces",
-    "vandermonde_cell",
-    "verify_main",
-]

@@ -56,11 +56,15 @@ DEFAULT_GUARD = 10_000_000
 
 
 def check_guard(ops: int, guard: int = DEFAULT_GUARD) -> None:
-    """Raise SizeGuardError if an operation estimate exceeds the budget."""
+    """Raise SizeGuardError if an operation estimate exceeds the budget. An
+    estimate too long for str() is named by a power of ten below it, since
+    converting it in full (decimal) can take seconds."""
     if ops > guard:
-        raise SizeGuardError(
-            f"instance too large: about {ops} elementary operations, guard is {guard}"
-        )
+        try:
+            about = f"about {ops}"
+        except ValueError:  # 0.30102999566 < log10(2), so 10**e <= 2**(bits-1) <= ops
+            about = f"more than 10^{(ops.bit_length() - 1) * 30102999566 // 10**11}"
+        raise SizeGuardError(f"instance too large: {about} elementary operations, guard is {guard}")
 
 
 def binom(n: int, k: int) -> int:

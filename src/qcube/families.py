@@ -14,14 +14,11 @@ import sys
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
+from . import faces, identities  # module handles: gen executes neither
 from .core import DEFAULT_GUARD, CubeError, CubeParams, Face, PointSet, binom, check_guard, decimal
 from .core import parse_pointset
-
-if TYPE_CHECKING:  # imported where used, so that gen never runs faces or identities
-    from .faces import FaceDistribution
-    from .identities import IdentityReport
 
 FAMILY_KINDS = ("face", "even_weight", "random", "file")
 
@@ -75,14 +72,19 @@ def face_spec(
     return FamilySpec("face", free_positions=free_positions, fixed_values=tuple(fixed_values))
 
 
-def gen_face_subset(params: CubeParams, spec: FamilySpec) -> PointSet:
-    """All points of one face, as a point set; its rank equals the dimension."""
+def _face(params: CubeParams, spec: FamilySpec) -> Face:
+    """The face a face spec names, with every position and value checked."""
     if spec.kind != "face":
         raise CubeError(f"expected a face spec, got kind {spec.kind!r}")
     if spec.free_positions is None:
         raise CubeError("face spec is missing its free positions")
     filled = face_spec(params, None, spec.free_positions, spec.fixed_values)
-    face = Face(params, frozenset(filled.free_positions), filled.fixed_values)
+    return Face(params, frozenset(filled.free_positions), filled.fixed_values)
+
+
+def gen_face_subset(params: CubeParams, spec: FamilySpec) -> PointSet:
+    """All points of one face, as a point set; its rank equals the dimension."""
+    face = _face(params, spec)
     fixed = dict(face.fixed_values)
     axes = [range(params.q) if i in face.free_positions else (fixed[i],) for i in range(params.n)]
     return PointSet(params, product(*axes))
@@ -91,8 +93,6 @@ def gen_face_subset(params: CubeParams, spec: FamilySpec) -> PointSet:
 def gen_even_weight(n: int) -> PointSet:
     """All binary vectors of even coordinate sum; 2**(n-1) points for n >= 1,
     and the single empty vector for n = 0."""
-    if n < 0:
-        raise CubeError(f"dimension n must be >= 0, got {n}")
     params = CubeParams(2, n)
     rows = tuple(bits for bits in product((0, 1), repeat=n) if sum(bits) % 2 == 0)
     return PointSet(params, rows)
@@ -106,9 +106,8 @@ def _decode(index: int, params: CubeParams) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def gen_random_subset(params: CubeParams, m: int, seed: int) -> PointSet:
-    """Uniform random m-subset of the cube, without replacement, seeded.
-    The draw indexes the q**n points with a machine-size int, so a larger
+def _check_random(params: CubeParams, m: int) -> None:
+    """The draw indexes the q**n points with a machine-size int, so a larger
     cube is refused before it."""
     if not 1 <= m <= params.volume:
         raise CubeError(f"m must be in [1, {decimal(params.volume)}], got {m}")
@@ -117,6 +116,11 @@ def gen_random_subset(params: CubeParams, m: int, seed: int) -> PointSet:
             f"random family needs q**n <= {sys.maxsize} (sys.maxsize), "
             f"got q={params.q}, n={params.n}"
         )
+
+
+def gen_random_subset(params: CubeParams, m: int, seed: int) -> PointSet:
+    """Uniform random m-subset of the cube, without replacement, seeded."""
+    _check_random(params, m)
     rng = random.Random(seed)
     picks = rng.sample(range(params.volume), m)
     return PointSet(params, tuple(_decode(i, params) for i in picks))
@@ -124,15 +128,14 @@ def gen_random_subset(params: CubeParams, m: int, seed: int) -> PointSet:
 
 def realize_family(params: CubeParams, spec: FamilySpec, guard: int = DEFAULT_GUARD) -> PointSet:
     """Materialize a FamilySpec into a point set. A generated family's size
-    (q**|free|, 2**(n-1) or m) is checked against the guard after the spec's
-    own checks, before any point is built; a file is read as given."""
+    (q**|free|, 2**(n-1) or m) is checked against the guard after all of the
+    spec's own checks, before any point is built; a file is read as given."""
     if spec.kind == "file":
         if not isinstance(spec.path, str):
             raise CubeError("file family needs a path")
         return parse_pointset(Path(spec.path).read_text(), params)[0]
     if spec.kind == "face":
-        spec = face_spec(params, None, spec.free_positions, spec.fixed_values)
-        check_guard(params.q ** len(spec.free_positions), guard)
+        check_guard(params.q ** _face(params, spec).dimension, guard)
         return gen_face_subset(params, spec)
     if spec.kind == "even_weight":
         if params.q != 2:
@@ -141,11 +144,12 @@ def realize_family(params: CubeParams, spec: FamilySpec, guard: int = DEFAULT_GU
         return gen_even_weight(params.n)
     if spec.m is None:
         raise CubeError("random family needs m")
+    _check_random(params, spec.m)
     check_guard(spec.m, guard)
     return gen_random_subset(params, spec.m, spec.seed or 0)
 
 
-def face_distribution_closed(params: CubeParams, nu: int, k: int) -> FaceDistribution:
+def face_distribution_closed(params: CubeParams, nu: int, k: int) -> faces.FaceDistribution:
     """Distribution for a nu-dimensional face subset, in closed form.
 
     Intersection sizes are powers of q: for i = 0..nu the level e = q**i is hit
@@ -154,8 +158,6 @@ def face_distribution_closed(params: CubeParams, nu: int, k: int) -> FaceDistrib
     q**(n-nu-k+i) - 1 empty parallel fibers into e = 0. Terms whose binomial
     vanishes are skipped, which also keeps every exponent nonnegative.
     """
-    from .faces import FaceDistribution
-
     n, q = params.n, params.q
     if not 0 <= nu <= n:
         raise CubeError(f"nu must be in [0, {n}], got {nu}")
@@ -170,29 +172,25 @@ def face_distribution_closed(params: CubeParams, nu: int, k: int) -> FaceDistrib
         counts[q**i] = coeff
         empty += coeff * (q ** (n - nu - k + i) - 1)
     counts[0] = empty
-    return FaceDistribution.checked(params, k, counts)
+    return faces.FaceDistribution.checked(params, k, counts)
 
 
-def evenweight_distribution_closed(n: int, k: int) -> FaceDistribution:
+def evenweight_distribution_closed(n: int, k: int) -> faces.FaceDistribution:
     """Distribution for the even-weight set: every k-face with k >= 1 meets it
     in exactly 2**(k-1) points, so a single level carries all C(n,k)*2**(n-k)
     faces. The k = 0 slice is not covered by this form and is rejected."""
-    from .faces import FaceDistribution
-
     if n < 1:
         raise CubeError(f"even-weight closed form needs n >= 1, got {n}")
     if not 1 <= k <= n:
         raise CubeError(f"k must be in [1, {n}] for the closed form, got {k}")
     params = CubeParams(2, n)
     counts = {2 ** (k - 1): 2 ** (n - k) * binom(n, k), 0: 0}
-    return FaceDistribution.checked(params, k, counts)
+    return faces.FaceDistribution.checked(params, k, counts)
 
 
-def check_vandermonde(params: CubeParams, nu: int, k: int) -> IdentityReport:
+def check_vandermonde(params: CubeParams, nu: int, k: int) -> identities.IdentityReport:
     """Splitting C(n, k) by how many of the k choices land in a fixed
     nu-subset: sum over i of C(nu, i) * C(n-nu, k-i) = C(n, k)."""
-    from .identities import IdentityReport
-
     n = params.n
     if not 0 <= nu <= n:
         raise CubeError(f"nu must be in [0, {n}], got {nu}")
@@ -202,20 +200,20 @@ def check_vandermonde(params: CubeParams, nu: int, k: int) -> IdentityReport:
     lhs = sum(v for _, v in lhs_terms)
     rhs = binom(n, k)
     rep_params = {"q": params.q, "n": n, "nu": nu, "k": k}
-    return IdentityReport.of(
+    return identities.IdentityReport.of(
         "vandermonde", rep_params, lhs, rhs, lhs_terms, (("binom(n,k)", rhs),), proven=True
     )
 
 
-def check_chu_vandermonde_generalized(params: CubeParams, nu: int, k: int) -> IdentityReport:
+def check_chu_vandermonde_generalized(
+    params: CubeParams, nu: int, k: int
+) -> identities.IdentityReport:
     """q-weighted counterpart: sum over i >= 1 of (q**i - 1)*C(nu,i)*C(n-nu,k-i)
     equals sum over i >= 1 of (q-1)**i * C(nu,i) * C(n-i,k-i).
 
     Both sides count, in two ways, the nonempty-overlap excess left after the
     plain splitting identity; q = 2 collapses the right side's weights to 1.
     """
-    from .identities import IdentityReport
-
     n, q = params.n, params.q
     if not 1 <= nu <= n:
         raise CubeError(f"nu must be in [1, {n}], got {nu}")
@@ -230,7 +228,7 @@ def check_chu_vandermonde_generalized(params: CubeParams, nu: int, k: int) -> Id
     lhs = sum(v for _, v in lhs_terms)
     rhs = sum(v for _, v in rhs_terms)
     rep_params = {"q": q, "n": n, "nu": nu, "k": k}
-    return IdentityReport.of(
+    return identities.IdentityReport.of(
         "chu_vandermonde_generalized", rep_params, lhs, rhs, lhs_terms, rhs_terms, proven=True
     )
 
@@ -320,7 +318,7 @@ def chu_vandermonde_generalized_cell(
 EVENWEIGHT_FORMS = ("printed", "corrected")
 
 
-def check_evenweight_identity(n: int, k: int, form: str = "corrected") -> IdentityReport:
+def check_evenweight_identity(n: int, k: int, form: str = "corrected") -> identities.IdentityReport:
     """Even-weight pair identity in two variants sharing one right side,
     sum over i >= 1 of C(n, 2i) * C(n-2i, k-2i).
 
@@ -328,8 +326,6 @@ def check_evenweight_identity(n: int, k: int, form: str = "corrected") -> Identi
     form="printed" keeps a spurious extra factor 2**(n-1) on the left and is
     retained, failures intact, as a documented erratum regression.
     """
-    from .identities import IdentityReport
-
     if form not in EVENWEIGHT_FORMS:
         raise CubeError(f"form must be one of {EVENWEIGHT_FORMS}, got {form!r}")
     if n < 1:
@@ -349,7 +345,7 @@ def check_evenweight_identity(n: int, k: int, form: str = "corrected") -> Identi
         lhs = base
         label = f"(2^{k - 1}-1)*binom(n,k)"
     rep_params = {"q": 2, "n": n, "k": k}
-    return IdentityReport.of(
+    return identities.IdentityReport.of(
         f"evenweight_{form}",
         rep_params,
         lhs,

@@ -275,6 +275,13 @@ class TestDistribution:
         assert code == 3
         assert err.startswith("error:")
 
+    def test_guard_refuses_an_estimate_of_any_size(self, tmp_path, capsys):
+        # C(15000, 7500) projections, about 10^4513.3: more digits than str() converts.
+        path = write(tmp_path, "a.txt", "0" * 15000 + "\n")
+        code, out, err = run(capsys, "distribution", path, "-k", "7500")
+        assert (code, out) == (3, "")
+        assert err == "error: instance too large: more than 10^4513 elementary operations, guard is 10000000\n"
+
 
 class TestVerify:
     def test_equal_exits_zero(self, tmp_path, capsys):
@@ -418,6 +425,36 @@ class TestGen:
         assert code == 3
         assert out == ""
         assert "guard" in err
+
+    def test_guard_refuses_an_estimate_of_any_size(self, capsys):
+        # q^nu = 10^40000 points: more digits than str() converts.
+        code, out, err = run(capsys, "gen", "--family", "face", "--q", "100000000", "--n", "5000", "--nu", "5000")
+        assert (code, out) == (3, "")
+        assert err == "error: instance too large: more than 10^39999 elementary operations, guard is 10000000\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("--family", "face", "--n", "3", "--free", ",".join(map(str, range(30)))),
+                "free and fixed positions must partition the coordinate set",
+            ),
+            (
+                ("--family", "face", "--n", "30", "--free", ",".join(map(str, range(25))), "--fixed", "7,7,7,7,7"),
+                "fixed value 7 at position 25 out of range for q=2",
+            ),
+            (("--family", "random", "--n", "2", "--m", "100000000"), "m must be in [1, 4], got 100000000"),
+            (
+                ("--family", "random", "--n", "70", "--m", "20000000"),
+                f"random family needs q**n <= {sys.maxsize} (sys.maxsize), got q=2, n=70",
+            ),
+        ],
+        ids=["face-free", "face-fixed", "random-m", "random-volume"],
+    )
+    def test_family_input_errors_come_before_the_guard(self, capsys, argv, message):
+        # Each set would also be over the default guard; the input error is named first.
+        code, out, err = run(capsys, "gen", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_guard_admits_exact_budget(self, capsys):
         code, out, err = run(capsys, "gen", "--family", "even-weight", "--n", "3", "--guard", "4")
@@ -633,6 +670,36 @@ class TestSweep:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert any(row.get("status") == "error" for row in rows[:-1])
         assert rows[-1]["summary"]["error"] > 0
+
+    def test_random_family_input_error_comes_before_the_guard(self, tmp_path, capsys):
+        config = {"identities": ["corollary1"], "q": [2], "n": [70, 70], "family": {"kind": "random", "m": 20000000}}
+        code, out, err = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: sweep config: family random at q=2, n=70: "
+            f"random family needs q**n <= {sys.maxsize} (sys.maxsize), got q=2, n=70\n"
+        )
+
+    def test_guard_errors_of_any_size_are_rows(self, tmp_path, capsys):
+        # The lemma rows' face-scan estimates, C(600, k) * 10^(8(600-k)), have
+        # more digits than str() converts.
+        config = {
+            "identities": ["corollary1", "lemma_face_count"],
+            "q": [100000000],
+            "n": [600, 600],
+            "k": [0, 1],
+            "nu": [0, 0],
+            "family": {"kind": "face"},
+        }
+        code, out, err = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 3
+        assert [row["status"] for row in rows[:-1]] == ["pass", "pass", "error", "error"]
+        assert [row["error"] for row in rows[2:4]] == [
+            f"instance too large: more than 10^{e} elementary operations, guard is 10000000"
+            for e in (4799, 4794)
+        ]
+        assert rows[-1]["summary"] == {"error": 2, "fail": 0, "known_erratum": 0, "pass": 2, "total": 4}
 
     @pytest.mark.parametrize("slack", [0, -1], ids=["exact", "one-under"])
     def test_lemma_rows_keep_the_face_scan_estimate(self, tmp_path, capsys, slack):

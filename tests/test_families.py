@@ -89,6 +89,10 @@ class TestGenEvenWeight:
         A = gen_even_weight(0)
         assert A.coord_rows() == ((),)
 
+    def test_negative_dimension_refused_by_the_params(self):
+        with pytest.raises(CubeError, match=r"^dimension n must be >= 0, got -1$"):
+            gen_even_weight(-1)
+
     def test_sizes_and_parity(self):
         for n in range(1, 11):
             A = gen_even_weight(n)

@@ -59,6 +59,43 @@ def test_command_executes_only_the_modules_it_uses(tmp_path, argv, executed):
     assert got["modules"] == sorted(["qcube.cli", *SUBMODULES])
 
 
+# Calls one closed form through the package before anything else, then prints
+# its value and the qcube modules that were executed.
+CLOSED_FORM_CHILD = """
+import json, sys, types
+import qcube
+got = getattr(qcube, sys.argv[1])(qcube.CubeParams(3, 4), 2, 2)
+value = sorted(got.counts.items()) if hasattr(got, "counts") else [got.lhs, got.rhs, got.equal]
+executed = sorted(n for n, m in sys.modules.items() if n.startswith("qcube.") and type(m) is types.ModuleType)
+print(json.dumps({"value": value, "executed": executed}))
+"""
+
+
+def run_closed_form_first(name):
+    src = str(Path(qcube.cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", CLOSED_FORM_CHILD, name],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_face_closed_form_called_first():
+    got = run_closed_form_first("face_distribution_closed")
+    assert got["executed"] == ["qcube.core", "qcube.faces", "qcube.families"]
+    params = qcube.CubeParams(3, 4)
+    oracle = qcube.distribution(qcube.gen_face_subset(params, qcube.face_spec(params, 2)), 2)
+    assert got["value"] == [list(item) for item in sorted(oracle.counts.items())]
+
+
+def test_vandermonde_called_first():
+    got = run_closed_form_first("check_vandermonde")
+    # identities executes faces and rank, whose names it imports.
+    assert got["executed"] == ["qcube.core", "qcube.faces", "qcube.families", "qcube.identities", "qcube.rank"]
+    assert got["value"] == [6, 6, True]
+
+
 def test_importing_the_cli_registers_every_module():
     proc = subprocess.run(
         [sys.executable, "-c", "import qcube.cli, sys; print(*sorted(n for n in sys.modules if n.startswith('qcube')))"],
@@ -81,6 +118,11 @@ def test_every_export_is_the_object_its_module_defines():
     exec("from qcube import *", namespace)
     assert {name: namespace[name] for name in qcube.__all__} == {name: getattr(qcube, name) for name in qcube.__all__}
     assert set(qcube.__all__) <= set(dir(qcube))
+
+
+def test_each_export_is_listed_under_one_module():
+    # __all__ is derived from _EXPORTS; a name under two modules would drop out of it.
+    assert sum(map(len, qcube._EXPORTS.values())) == len(qcube.__all__)
 
 
 def test_module_attributes():
