@@ -63,6 +63,7 @@ _EXPORTS = {
     ),
     "families": (
         "FamilySpec",
+        "NuRow",
         "check_chu_vandermonde_generalized",
         "check_evenweight_identity",
         "check_vandermonde",

@@ -256,14 +256,18 @@ def run_sweep(cfg: sweep.SweepConfig, out: TextIO, guard: Optional[int] = None) 
     line. A bad family template raises before any output, and memory does not
     grow with the number of rows. Returns the exit code; output depends only on the config.
 
-    A two-sided row's line is filled into a cached template; other rows, and
-    sides too long for str(), go through json_line(_sweep_row(...)), which is
-    also the oracle of the templates (see qcube.sweep._sweep_line)."""
+    A closed-form cell's rows are written one nu row at a time: when the two
+    packed sides are equal (an exact test) and str() converts them, the nu
+    row's lines are one string, each coefficient converted to decimal once
+    for both sides. Any other two-sided row is filled into a cached template;
+    the rest, and sides too long for str(), go through
+    json_line(_sweep_row(...)), which is also the oracle of both writers (see
+    qcube.sweep)."""
     effective_guard = guard if guard is not None else (cfg.guard or DEFAULT_GUARD)
     tally = {"pass": 0, "fail": 0, "known_erratum": 0, "error": 0}
-    for status, line in sweep._sweep_rows(cfg, effective_guard):
-        tally[status] += 1
-        out.write(line + "\n")
+    for status, count, text in sweep._sweep_rows(cfg, effective_guard):
+        tally[status] += count
+        out.write(text)
     summary = {"total": sum(tally.values()), **tally}
     out.write(json_line({"summary": summary}) + "\n")
     print(

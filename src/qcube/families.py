@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import faces, identities  # module handles: gen executes neither
 from .core import DEFAULT_GUARD, CubeError, CubeParams, Face, PointSet, binom, check_guard, decimal
@@ -247,13 +247,6 @@ def _pascal_rows(n: int, width: int) -> list[int]:
     return rows
 
 
-def _unpack(packed: int, count: int, width: int) -> list[int]:
-    """The lowest `count` limbs of a packed polynomial with nonnegative
-    coefficients; raises OverflowError if it has more."""
-    raw = packed.to_bytes(count * width, "little")
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-
-
 def _check_cell_range(values: range, least: int, n: int, name: str) -> None:
     if values and not least <= min(values) <= max(values) <= n:
         raise CubeError(f"{name} must lie in [{least}, {n}], got {values}")
@@ -266,35 +259,61 @@ def _check_cell_cost(n: int, bits: int, guard: int) -> None:
     check_guard((n + 1) * (n + 2) // 2 * -(-bits // 64), guard)
 
 
+def limbs(packed: int, ks: range, width: int) -> list[int]:
+    """The limbs of a packed polynomial with nonnegative coefficients at each
+    k in ks."""
+    if not ks:
+        return []
+    stop = max(ks[0], ks[-1]) + 1
+    raw = (packed & ((1 << 8 * width * stop) - 1)).to_bytes(stop * width, "little")
+    return [int.from_bytes(raw[k * width : (k + 1) * width], "little") for k in ks]
+
+
+class NuRow(NamedTuple):
+    """Both sides of a closed-form identity at one nu, for each k in ks. Each
+    side is Kronecker-packed: limb k, of `width` bytes, is that side at
+    (nu, k), for every k from 0 to n. The limbs are nonnegative and each holds
+    its coefficient, so the packing is injective: lhs == rhs exactly when the
+    two sides agree at every k, and then they agree at each k in ks."""
+
+    nu: int
+    ks: range
+    lhs: int
+    rhs: int
+    width: int
+
+    def points(self) -> Iterator[tuple[int, int, int]]:
+        """(k, lhs, rhs) at each k in ks."""
+        return zip(self.ks, limbs(self.lhs, self.ks, self.width), limbs(self.rhs, self.ks, self.width))
+
+
 def vandermonde_cell(
     params: CubeParams, nus: range, ks: range, guard: int = DEFAULT_GUARD
-) -> Iterator[tuple[int, int, int, int]]:
-    """(nu, k, lhs, rhs) of check_vandermonde for each nu in nus, then each k
-    in ks. Each nu's left sides for every k are one product of packed Pascal
-    rows, row[nu] * row[n-nu]; the right sides are the limbs of row[n]. The
-    rows' size is checked against the guard before the first is built."""
+) -> Iterator[NuRow]:
+    """The sides of check_vandermonde at each nu in nus and each k in ks, one
+    NuRow per nu. Each nu's left sides for every k are one product of packed
+    Pascal rows, row[nu] * row[n-nu]; the right sides are row[n], the same
+    int at every nu. The rows' size is checked against the guard before the
+    first is built."""
     n = params.n
     _check_cell_range(nus, 0, n, "nu")
     _check_cell_range(ks, 0, n, "k")
     _check_cell_cost(n, n + 1, guard)
     width = _limb_bytes(2**n)  # every coefficient is some C(n, k) <= 2^n
     rows = _pascal_rows(n, width)
-    rhs = _unpack(rows[n], n + 1, width)
     for nu in nus:
-        lhs = _unpack(rows[nu] * rows[n - nu], n + 1, width)
-        for k in ks:
-            yield nu, k, lhs[k], rhs[k]
+        yield NuRow(nu, ks, rows[nu] * rows[n - nu], rows[n], width)
 
 
 def chu_vandermonde_generalized_cell(
     params: CubeParams, nus: range, ks: range, guard: int = DEFAULT_GUARD
-) -> Iterator[tuple[int, int, int, int]]:
-    """(nu, k, lhs, rhs) of check_chu_vandermonde_generalized for each nu in
-    nus, then each k in ks, with the sides kept apart: for each nu the left
-    sides are one product, the packed weights (q^i-1)*C(nu,i) times row[n-nu];
-    the right sides are one sum of packed rows, (q-1)^i*C(nu,i)*row[n-i]
-    shifted by i limbs. The rows' size is checked against the guard before
-    the first is built, and before q^n is."""
+) -> Iterator[NuRow]:
+    """The sides of check_chu_vandermonde_generalized at each nu in nus and
+    each k in ks, one NuRow per nu, with the sides kept apart: for each nu the
+    left sides are one product, the packed weights (q^i-1)*C(nu,i) times
+    row[n-nu]; the right sides are one sum of packed rows,
+    (q-1)^i*C(nu,i)*row[n-i] shifted by i limbs. The rows' size is checked
+    against the guard before the first is built, and before q^n is."""
     n, q = params.n, params.q
     _check_cell_range(nus, 1, n, "nu")
     _check_cell_range(ks, 0, n, "k")
@@ -306,13 +325,10 @@ def chu_vandermonde_generalized_cell(
     bits = 8 * width
     rows = _pascal_rows(n, width)
     for nu in nus:
-        c = _unpack(rows[nu], nu + 1, width)
+        c = limbs(rows[nu], range(nu + 1), width)
         weights = sum(((q**i - 1) * c[i]) << bits * i for i in range(1, nu + 1))
-        lhs = _unpack(weights * rows[n - nu], n + 1, width)
         shifted = sum(((q - 1) ** i * c[i] * rows[n - i]) << bits * i for i in range(1, nu + 1))
-        rhs = _unpack(shifted, n + 1, width)
-        for k in ks:
-            yield nu, k, lhs[k], rhs[k]
+        yield NuRow(nu, ks, weights * rows[n - nu], shifted, width)
 
 
 EVENWEIGHT_FORMS = ("printed", "corrected")

@@ -1,9 +1,19 @@
 """Deterministic JSON-lines parameter sweeps: the config, the registry of
-sweep identities, and the rows of one grid point.
+sweep identities, and the lines of their rows.
 
 `load_sweep_config` reads a config, `_sweep_rows` evaluates its grid one
 (q, n) cell at a time, and `qcube.cli.run_sweep` writes the rows and the
 summary. Only `qcube sweep` uses this module, so other commands never run it.
+
+A row is written one of two ways, and json_line(_sweep_row(...)) is the
+oracle of both. A grid point's row of two sides fills a cached template
+(`_sweep_line`). A closed-form cell hands over one nu row at a time, both
+sides at every k packed into one int each (`families.NuRow`). When the packed
+sides are equal, which is exact, and str() converts them, the whole nu row
+is written as one string (`_nu_row_text`): each coefficient is converted to
+decimal once, for both sides, into a template with (identity, q, n, nu)
+bound in. Any other nu row, one whose sides differ somewhere or have more
+digits than str() converts, goes through `_sweep_line` one point at a time.
 """
 
 from __future__ import annotations
@@ -27,9 +37,11 @@ from .core import (
 from .faces import distribution, faces_containing_count, total_faces
 from .families import (
     FamilySpec,
+    NuRow,
     check_evenweight_identity,
     chu_vandermonde_generalized_cell,
     face_spec,
+    limbs,
     realize_family,
     vandermonde_cell,
 )
@@ -196,13 +208,15 @@ class SweepIdentity:
     """One sweep identity. `cell(cfg, q, n, instance, guard)` evaluates the
     grid points of one (q, n) cell and yields, in order, each point's params
     and outcome: the two sides (lhs, rhs), the fields of a finished row, or the
-    SizeGuardError that refused the point. `instance` is a family instance's
-    params with its point set under "A" if `family` is set, else empty.
-    Failures of an `erratum` identity count as known_erratum, not as fail.
+    SizeGuardError that refused the point. A closed form yields instead one
+    params without k and its NuRow per nu, for the points at each k of the
+    row. `instance` is a family instance's params with its point set under
+    "A" if `family` is set, else empty. Failures of an `erratum` identity
+    count as known_erratum, not as fail.
 
     Params values and sides must be ints: the line of a two-sided row is a
-    template filled with %d (see _sweep_line), and the tests hold it to the
-    JSON encoding of the row."""
+    template whose params are %d fields and whose sides are their str() (see
+    _row_template), and the tests hold it to the JSON encoding of the row."""
 
     cell: Cell
     family: bool = False
@@ -234,18 +248,18 @@ def _pointwise(
 
 
 def _closed_form(
-    sides: Callable[[CubeParams, range, range, int], Iterator[tuple[int, int, int, int]]],
+    sides: Callable[[CubeParams, range, range, int], Iterator[NuRow]],
     least_nu: int,
 ) -> Cell:
     """A cell whose whole (nu, k) grid `sides(params, nus, ks, guard)` evaluates
-    at once. A cell refused by the guard, which `sides` does before its first
-    point, gives every grid point an error row."""
+    at once, one NuRow per nu. A cell refused by the guard, which `sides` does
+    before its first row, gives every grid point an error row."""
 
     def cell(cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int) -> Outcomes:
         nus, ks = _clip(cfg.nu_range, least_nu, n), _clip(cfg.k_range, 0, n)
         try:
-            for nu, k, lhs, rhs in sides(CubeParams(q, n), nus, ks, guard):
-                yield {"q": q, "n": n, "nu": nu, "k": k}, (lhs, rhs)
+            for row in sides(CubeParams(q, n), nus, ks, guard):
+                yield {"q": q, "n": n, "nu": row.nu}, row
         except SizeGuardError as exc:
             for nu in nus:
                 for k in ks:
@@ -343,10 +357,11 @@ SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
 }
 
 
-def _sweep_rows(cfg: SweepConfig, guard: int) -> Iterator[tuple[str, str]]:
-    """Yield each row's status and line, one (q, n) cell at a time, after
-    building every cell's family instances, so that a bad family template
-    raises before any row."""
+def _sweep_rows(cfg: SweepConfig, guard: int) -> Iterator[tuple[str, int, str]]:
+    """Yield the rows' lines in order, as (status, count, text): `count`
+    lines of that status, each ended by a newline. One (q, n) cell is
+    evaluated at a time, after building every cell's family instances, so
+    that a bad family template raises before any row."""
     n_lo, n_hi = cfg.n_range
     cells = [(q, n) for q in cfg.qs for n in range(n_lo, n_hi + 1)]
     instances: dict[tuple[int, int], list[dict[str, Any]]] = {}
@@ -360,7 +375,49 @@ def _sweep_rows(cfg: SweepConfig, guard: int) -> Iterator[tuple[str, str]]:
         for q, n in cells:
             for instance in instances[q, n] if entry.family else [{}]:
                 for params, outcome in entry.cell(cfg, q, n, instance, guard):
-                    yield _sweep_line(identity, entry.erratum, params, outcome)
+                    if isinstance(outcome, NuRow):
+                        yield from _nu_rows(identity, entry.erratum, params, outcome)
+                    else:
+                        status, line = _sweep_line(identity, entry.erratum, params, outcome)
+                        yield status, 1, line + "\n"
+
+
+def _nu_rows(
+    identity: str, erratum: bool, params: dict[str, int], row: NuRow
+) -> Iterator[tuple[str, int, str]]:
+    """The lines of one nu row's points, as _sweep_rows yields them: in one
+    piece if _nu_row_text writes them, else one point at a time."""
+    text = _nu_row_text(identity, params, row)
+    if text is None:
+        for k, lhs, rhs in row.points():
+            status, line = _sweep_line(identity, erratum, {**params, "k": k}, (lhs, rhs))
+            yield status, 1, line + "\n"
+    elif text:
+        yield "pass", len(row.ks), text
+
+
+@lru_cache(maxsize=1)
+def _decimals(side: int, ks: range, width: int) -> list[str]:
+    """str() of a packed side's limbs at each k in ks. The last one is kept,
+    so a side shared by every nu of a cell (Vandermonde's) is converted once."""
+    return list(map(str, limbs(side, ks, width)))
+
+
+def _nu_row_text(identity: str, params: dict[str, int], row: NuRow) -> Optional[str]:
+    """The lines of the points params + {"k": k}, for each k in row.ks, when
+    the two sides are equal and str() converts them, else None. Equal packed
+    sides are equal at every k, so each coefficient is converted once and its
+    text fills both sides, and the rows pass. The text ends with a newline
+    unless it is empty."""
+    if row.lhs != row.rhs:
+        return None
+    try:
+        digits = _decimals(row.rhs, row.ks, row.width)
+    except ValueError:
+        return None
+    fmt, order = _row_template(identity, "pass", (*params, "k"), ("k",))
+    line = fmt % tuple([params[key] for key in order]) + "\n"
+    return "".join([line % (side, k, side) for k, side in zip(row.ks, digits)])
 
 
 def _status(equal: bool, erratum: bool) -> str:
@@ -370,19 +427,28 @@ def _status(equal: bool, erratum: bool) -> str:
 
 
 @lru_cache(maxsize=None)
-def _row_template(identity: str, status: str, keys: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+def _row_template(
+    identity: str, status: str, keys: tuple[str, ...], slots: tuple[str, ...] = ()
+) -> tuple[str, tuple[str, ...]]:
     """The %-format of the line of an (lhs, rhs) row with these param keys, and
-    the keys in the order of its fields: lhs, the int params, rhs. Like
-    json_line, it writes the row's keys and the params' keys in sorted order.
-    Identity names, statuses and param keys hold no '%'."""
+    the keys of its %d fields in order. Like json_line, it writes the row's
+    keys and the params' keys in sorted order. Filled with (lhs, *params, rhs),
+    the sides as %s, it is the line. Identity names, statuses and param keys
+    hold no '%'.
+
+    The params named in `slots` are left for later, like the sides: the
+    format's fields are then only the other params', and filling them gives
+    the format of the rows that differ only in the slots, filled with (lhs,
+    *slots in sorted order, rhs)."""
     order = tuple(sorted(keys))
+    late = "%%" if slots else "%"
     equal = json_line(status == "pass")
-    params = ",".join(f"{json_line(key)}:%d" for key in order)
+    params = ",".join(f"{json_line(key)}:{late if key in slots else '%'}d" for key in order)
     fmt = (
-        f'{{"equal":{equal},"identity":{json_line(identity)},"lhs":"%d","params":{{{params}}},'
-        f'"passed":{equal},"rhs":"%d","status":{json_line(status)}}}'
+        f'{{"equal":{equal},"identity":{json_line(identity)},"lhs":"{late}s","params":{{{params}}},'
+        f'"passed":{equal},"rhs":"{late}s","status":{json_line(status)}}}'
     )
-    return fmt, order
+    return fmt, tuple(key for key in order if key not in slots)
 
 
 def _sweep_line(

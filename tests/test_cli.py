@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -1100,9 +1101,11 @@ CRITERION_8 = {
 
 def check_rows_against_the_oracle(mp):
     """Make every row the sweep writes also be built by json_line(_sweep_row(...))
-    and compared; returns a Counter of the compared rows by (identity, status)."""
+    and compared, whether its line comes from _sweep_line or from a closed
+    form's nu row (_nu_row_text); returns a Counter of the compared rows by
+    (identity, status)."""
     seen = Counter()
-    fill = qcube.sweep._sweep_line
+    fill, write = qcube.sweep._sweep_line, qcube.sweep._nu_row_text
 
     def compared(identity, erratum, params, outcome):
         status, line = fill(identity, erratum, params, outcome)
@@ -1111,7 +1114,22 @@ def check_rows_against_the_oracle(mp):
         seen[identity, status] += 1
         return status, line
 
+    def compared_nu_row(identity, params, nu_row):
+        text = write(identity, params, nu_row)
+        if text is None:  # each point then goes through _sweep_line
+            return text
+        erratum = qcube.sweep.SWEEP_IDENTITIES[identity].erratum
+        *lines, end = text.split("\n")
+        points = list(nu_row.points())
+        assert end == "" and len(lines) == len(points)
+        for line, (k, lhs, rhs) in zip(lines, points):
+            row = qcube.sweep._sweep_row(identity, erratum, {**params, "k": k}, (lhs, rhs))
+            assert ("pass", line) == (row["status"], qcube.cli.json_line(row))
+            seen[identity, "pass"] += 1
+        return text
+
     mp.setattr(qcube.sweep, "_sweep_line", compared)
+    mp.setattr(qcube.sweep, "_nu_row_text", compared_nu_row)
     return seen
 
 
@@ -1190,6 +1208,90 @@ class TestSweepRowTemplates:
         except TypeError:
             return
         assert line != qcube.cli.json_line(row)
+
+    def test_nu_row_without_a_k_writes_no_line(self, tmp_path, capsys, monkeypatch):
+        seen = check_rows_against_the_oracle(monkeypatch)
+        rows = []
+        original = qcube.sweep._nu_row_text
+
+        def recorded(identity, params, nu_row):
+            rows.append(nu_row)
+            return original(identity, params, nu_row)
+
+        monkeypatch.setattr(qcube.sweep, "_nu_row_text", recorded)
+        config = {"identities": ["vandermonde", "chu_vandermonde_generalized"], "q": [3],
+                  "n": [0, 4], "k": [3, 3]}
+        code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        assert code == 0
+        # The nu rows of n = 0, 1, 2 have no k: 1 + 2 + 3 of Vandermonde, 0 + 1 + 2 of chu.
+        assert sum(not row.ks for row in rows) == 6 + 3
+        lines = out.splitlines()
+        assert "" not in lines and len(lines) - 1 == sum(seen.values()) == 4 + 5 + 3 + 4
+        assert [json.loads(line)["params"]["k"] for line in lines[:-1]] == [3] * 16
+
+    def test_perturbed_coefficient_fails_one_row(self, tmp_path, capsys, monkeypatch):
+        seen = check_rows_against_the_oracle(monkeypatch)
+
+        def perturbed(params, nus, ks, guard):
+            for row in qcube.families.vandermonde_cell(params, nus, ks, guard):
+                if (params.n, row.nu) == (5, 2):
+                    row = row._replace(lhs=row.lhs + (1 << 8 * row.width * 3))
+                yield row
+
+        registry = qcube.sweep.SWEEP_IDENTITIES
+        monkeypatch.setitem(registry, "vandermonde", dataclasses.replace(
+            registry["vandermonde"], cell=qcube.sweep._closed_form(perturbed, 0)))
+        config = {"identities": ["vandermonde"], "q": [2], "n": [4, 6]}
+        code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        assert code == 1
+        rows = [json.loads(line) for line in out.splitlines()]
+        failed = [row for row in rows[:-1] if row["status"] != "pass"]
+        assert [row["params"] for row in failed] == [{"q": 2, "n": 5, "nu": 2, "k": 3}]
+        assert (failed[0]["lhs"], failed[0]["rhs"]) == ("11", "10")
+        assert rows[-1]["summary"]["fail"] == 1 and rows[-1]["summary"]["total"] == 25 + 36 + 49
+        assert seen == {("vandermonde", "pass"): 109, ("vandermonde", "fail"): 1}
+
+    def test_sides_over_the_str_limit_fall_back_to_the_oracle(self, tmp_path, capsys, monkeypatch):
+        # At q = 1000 the sides reach about 3n digits (n = 200 gives 601, under
+        # 640, the least limit that can be set); only some nu rows pass it.
+        seen = check_rows_against_the_oracle(monkeypatch)
+        texts = []
+        original = qcube.sweep._nu_row_text
+
+        def recorded(identity, params, nu_row):
+            texts.append(original(identity, params, nu_row))
+            return texts[-1]
+
+        monkeypatch.setattr(qcube.sweep, "_nu_row_text", recorded)
+        config = {"identities": ["chu_vandermonde_generalized"], "q": [1000], "n": [220, 220],
+                  "nu": [205, 220]}
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert sum(seen.values()) == len(out.splitlines()) - 1 == 16 * 221
+        assert 0 < texts.count(None) < len(texts) == 16
+        rows = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert max(len(row["lhs"]) for row in rows) > 640
+
+    def test_memory_does_not_grow_with_the_rows(self):
+        # bench/sweep_closed.json writes 141 983 rows into a sink that keeps none.
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        cfg = qcube.sweep.load_sweep_config(str(BENCH / "sweep_closed.json"))
+        tracemalloc.start()
+        try:
+            with redirect_stderr(io.StringIO()):
+                assert qcube.cli.run_sweep(cfg, Sink()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     def test_bench_closed_config_stdout_is_pinned(self):
         # bench/sweep_closed.json, the sweep-closed workload: 141 983 rows.

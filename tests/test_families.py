@@ -299,20 +299,24 @@ class TestChuVandermondeGeneralized:
 
 
 def assert_cells_match_oracles(params, nus, ks):
-    """Both cell evaluators agree with the per-point oracles, side by side,
-    and each oracle side is the sum of its terms."""
+    """Both cell evaluators agree with the per-point oracles at every (nu, k),
+    side by side, and each oracle side is the sum of its terms. Each nu row's
+    packed sides are equal, as the identities hold at every k."""
     chu_nus = range(max(nus.start, 1), nus.stop)
     for cell, oracle, cell_nus in (
         (vandermonde_cell, check_vandermonde, nus),
         (chu_vandermonde_generalized_cell, check_chu_vandermonde_generalized, chu_nus),
     ):
-        got = list(cell(params, cell_nus, ks))
+        rows = list(cell(params, cell_nus, ks))
+        assert [(row.nu, row.ks) for row in rows] == [(nu, ks) for nu in cell_nus]
+        got = [(row.nu, k, lhs, rhs) for row in rows for k, lhs, rhs in row.points()]
         assert [(nu, k) for nu, k, _, _ in got] == [(nu, k) for nu in cell_nus for k in ks]
         for nu, k, lhs, rhs in got:
             rep = oracle(params, nu, k)
             assert (lhs, rhs) == (rep.lhs, rep.rhs), (params, nu, k)
             assert lhs == sum(v for _, v in rep.lhs_terms)
             assert rhs == sum(v for _, v in rep.rhs_terms)
+        assert all(row.lhs == row.rhs for row in rows)
 
 
 class TestClosedFormCells:
@@ -359,7 +363,8 @@ class TestClosedFormCells:
             rows = qcube.families._pascal_rows(n, width)
             assert sum(-(-row.bit_length() // 64) for row in rows) <= estimate
             nus = range(1, n + 1)
-            assert len(list(cell(CubeParams(q, n), nus, range(n + 1), estimate))) == n * (n + 1)
+            rows = cell(CubeParams(q, n), nus, range(n + 1), estimate)
+            assert sum(len(list(row.points())) for row in rows) == n * (n + 1)
             with pytest.raises(SizeGuardError, match=f"about {estimate} elementary"):
                 next(cell(CubeParams(q, n), nus, range(n + 1), estimate - 1))
 
@@ -368,6 +373,19 @@ class TestClosedFormCells:
         cell = chu_vandermonde_generalized_cell(CubeParams(10**8, 600), range(500, 601), range(600, 601))
         with pytest.raises(SizeGuardError, match="about 47576963 elementary"):
             next(cell)
+
+    @given(
+        coefficients=st.lists(st.integers(0, 2**24 - 1), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_limbs_read_back_the_packed_coefficients(self, coefficients, data):
+        packed = sum(c << 24 * k for k, c in enumerate(coefficients))
+        n = len(coefficients) - 1
+        lo = data.draw(st.integers(0, n))
+        ks = range(lo, data.draw(st.integers(lo - 1, n)) + 1)
+        for order in (ks, ks[::-1]):
+            assert qcube.families.limbs(packed, order, 3) == [coefficients[k] for k in order]
 
     def test_chu_needs_nu_at_least_one(self):
         with pytest.raises(CubeError):
