@@ -59,6 +59,7 @@ _EXPORTS = {
         "face_contains",
         "faces_containing_bruteforce",
         "faces_containing_count",
+        "profile",
         "total_faces",
     ),
     "families": (

@@ -14,10 +14,11 @@ Bit-sliced form: PointSet.slices holds, for each coordinate j and each value
 v that occurs there, one int whose bit i is set when point i has coordinate
 j equal to v (value_slices builds it from the packed ints, a chunk of rows at
 a time; slices_cost estimates its size). Intersecting those bitsets splits
-the set by its values on several positions at once: faces.distribution's
-sliced route walks the fixed-position prefixes of the k-faces that way, when
-a cost estimate from (q, n, k, m) puts it below grouping projections, and
-rank.distance_total reads each column's value counts as their popcounts.
+the set by its values on several positions at once: the faces module's walk
+visits the fixed-position prefixes of the k-faces that way, for one k or a
+range of k at once, when a cost estimate from (q, n, k, m) puts it below
+grouping projections, and rank.distance_total reads each column's value
+counts as their popcounts.
 """
 
 from __future__ import annotations
@@ -62,9 +63,68 @@ def check_guard(ops: int, guard: int = DEFAULT_GUARD) -> None:
     if ops > guard:
         try:
             about = f"about {ops}"
-        except ValueError:  # 0.30102999566 < log10(2), so 10**e <= 2**(bits-1) <= ops
-            about = f"more than 10^{(ops.bit_length() - 1) * 30102999566 // 10**11}"
-        raise SizeGuardError(f"instance too large: {about} elementary operations, guard is {guard}")
+        except ValueError:
+            about = _more_than(ops.bit_length())
+        _refuse(about, guard)
+
+
+def _more_than(bits: int) -> str:
+    # 0.30102999566 < log10(2), so 10**e <= 2**(bits-1) <= an estimate of bits bits
+    return f"more than 10^{(bits - 1) * 30102999566 // 10**11}"
+
+
+def _refuse(about: str, guard: int) -> None:
+    raise SizeGuardError(f"instance too large: {about} elementary operations, guard is {guard}")
+
+
+def check_guard_power(base: int, exp: int, guard: int = DEFAULT_GUARD, factor: int = 1) -> None:
+    """check_guard(factor * base**exp, guard), for base >= 2 and exp, factor
+    >= 0, without building the power when bit lengths alone refuse it.
+
+    factor * base**exp has at least exp*(bit_length(base) - 1) +
+    bit_length(factor) bits. When that is more than the guard's and more
+    than str() converts, the estimate is refused unbuilt, and named by its
+    exact bit length as check_guard names it (_power_bit_length). Otherwise
+    the power is at most about twice the size of those bounds, and is built
+    and checked as before."""
+    if not factor:
+        return
+    low = exp * (base.bit_length() - 1) + factor.bit_length()
+    limit = sys.get_int_max_str_digits()
+    # 3.322 > log2(10): from low - 1 >= 3.322*limit bits on, str() refuses it
+    if low <= guard.bit_length() or not limit or (low - 1) * 1000 < limit * 3322:
+        check_guard(factor * base**exp, guard)
+    else:
+        _refuse(_more_than(_power_bit_length(base, exp, factor)), guard)
+
+
+def _power_bit_length(base: int, exp: int, factor: int) -> int:
+    """(factor * base**exp).bit_length(), from its leading bits: the power is
+    taken by squaring on mantissas cut to p bits, once rounded down and once
+    up, with the dropped bits counted apart, so that the two results bound
+    it. Their bit lengths agree unless the power lies within a relative
+    2**-60 or so of a power of two; then it is built."""
+    p = 64 + 2 * exp.bit_length()
+
+    def cut(x: int, shift: int, up: bool) -> tuple[int, int]:
+        drop = x.bit_length() - p
+        if drop <= 0:
+            return x, shift
+        y = x >> drop
+        return y + (up and y << drop != x), shift + drop
+
+    bounds = []
+    for up in (False, True):
+        (acc, s), (b, t), e = (factor, 0), (base, 0), exp
+        while e:
+            if e & 1:
+                acc, s = cut(acc * b, s + t, up)
+            e >>= 1
+            if e:
+                b, t = cut(b * b, 2 * t, up)
+        bounds.append(acc.bit_length() + s)
+    low, high = bounds
+    return low if low == high else (factor * base**exp).bit_length()
 
 
 def binom(n: int, k: int) -> int:

@@ -4,13 +4,16 @@ A k-face is fixed by choosing k free positions and a value for each remaining
 position. For a point set A, the distribution at level k maps each e >= 0 to
 the number of k-faces whose intersection with A has exactly e elements.
 
-distribution() tallies it by one of two routes, both exact: grouping A's
-packed projections with a Counter for each choice of fixed positions, or
-walking the choices as increasing prefixes over A's per-(coordinate, value)
-bitsets. A cost estimate from (q, n, k, |A|) picks the route (_sliced_pays):
-the sliced one when its bitset ANDs, at 3 projections each plus one per
-1 024 points, and building the bitsets (|A|*n/8 for q = 2) cost less than
-the Counter route's C(n, k)*|A| projections.
+Two routes tally it, both exact: grouping A's packed projections with a
+Counter for each choice of fixed positions, one k at a time, or one
+depth-first walk over the increasing sets of fixed positions on A's
+per-(coordinate, value) bitsets, which tallies every level of a range ks at
+once (_profile_sliced). A cost estimate from (q, n, ks, |A|) picks the route
+(_sliced_pays). distribution(A, k) takes one k, the walk's one-level case;
+profile(A, ks) takes a range, and its guard estimate, the sum over ks of
+C(n, k)*|A|, is checked before anything is built. The sweep profiles each
+family set once over its cell's k range, and every row's distribution(A, k)
+reads that result after its own guard check.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 from dataclasses import dataclass
 from itertools import combinations, product
 from operator import itemgetter, sub
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Optional
 
 from .core import (
     DEFAULT_GUARD,
@@ -32,6 +35,7 @@ from .core import (
     PointSet,
     binom,
     check_guard,
+    check_guard_power,
     column_mask,
     slices_cost,
 )
@@ -150,7 +154,7 @@ def faces_containing_bruteforce(A: PointSet, k: int, guard: int = DEFAULT_GUARD)
     _check_k(params, k)
     n, q = params.n, params.q
     nf = n - k
-    check_guard(total_faces(params, k) * len(A), guard)
+    check_guard_power(q, nf, guard, binom(n, k) * len(A))
     rows = A.coord_rows()
     count = 0
     for fixed_positions in combinations(range(n), nf):
@@ -162,26 +166,34 @@ def faces_containing_bruteforce(A: PointSet, k: int, guard: int = DEFAULT_GUARD)
     return count
 
 
-def _sliced_pays(params: CubeParams, k: int, m: int) -> bool:
-    """Whether the sliced route is estimated cheaper than the Counter route,
-    from (q, n, k, m) alone.
+def _sliced_pays(params: CubeParams, ks: range, m: int) -> bool:
+    """Whether one walk over the levels ks (consecutive, nonempty) is
+    estimated cheaper than the Counter route at each k, from (q, n, ks, m)
+    alone.
 
-    The Counter route costs C(n, k)*m projections. The sliced route fixes
-    d = 1..n-k positions; at depth d at most C(k+d, d) prefixes each split at
-    most min(m, q**(d-1)) fibres by q values. An AND of two m-bit sets is
-    counted as 3 projections plus one per 1 024 bits, and building the
-    slices as core.slices_cost, m*n/8 for q = 2. With fewer than 2 points, or
-    no position to fix, the Counter route is taken."""
+    The Counter route costs C(n, k)*(m + 32) projections at each k: m
+    projections, and about 32 more for the mask and the Counter of each
+    choice of fixed positions. The walk fixes d = 1..n-min(ks) positions; at
+    depth d it enters C(min(n, max(ks)+d), d) prefixes, those with a level of
+    ks at or below them, and each splits its parent's fibres of two or more
+    points by q values. Those fibres number at most q**(d-1) and m/2, and
+    about C(m, 2)/q**(d-1) when the set is spread evenly. An AND of two
+    m-bit sets is counted as 3 projections plus one per 1 024 bits, and
+    building the slices as core.slices_cost, m*n/8 for q = 2. With fewer
+    than 2 points, or no position to fix, the Counter route is taken."""
     n, q = params.n, params.q
-    if m < 2 or k == n:
+    lo, hi = ks[0], ks[-1]
+    if m < 2 or lo == n:
         return False
-    budget = binom(n, k) * m - slices_cost(params, m)
-    ands, fibres = 0, 1
-    for d in range(1, n - k + 1):
-        ands += binom(k + d, d) * fibres * q
+    pairs = m * (m - 1) // 2
+    budget = sum(map(binom, [n] * len(ks), ks)) * (m + 32) - slices_cost(params, m)
+    ands, cells = 0, 1
+    for d in range(1, n - lo + 1):
+        fibres = min(cells, m // 2, -(-pairs // cells))
+        ands += binom(min(n, hi + d), d) * fibres * q
         if ands * (3 + m // 1024) >= budget:
             return False
-        fibres = min(m, fibres * q)
+        cells = min(pairs, cells * q)
     return True
 
 
@@ -204,56 +216,116 @@ def _distribution_counted(A: PointSet, k: int) -> FaceDistribution:
     return FaceDistribution.checked(params, k, result)
 
 
-def _distribution_sliced(A: PointSet, k: int) -> FaceDistribution:
-    """The sliced route: walk the increasing prefixes of fixed positions
-    depth first over A's value bitsets (PointSet.slices), one bit per point.
+def _profile_sliced(A: PointSet, ks: range) -> list[FaceDistribution]:
+    """The walk: the distribution at every level k in ks (consecutive,
+    nonempty) from one depth-first walk over the increasing sets S of fixed
+    positions, on A's value bitsets (PointSet.slices), one bit per point.
 
-    A prefix's nonempty fibres are split by `fibre & slices[j][v]` when j
-    becomes the next fixed position, so every extension of a prefix reuses
-    its partition. A fibre of one point stays one point in each of the
-    prefix's extensions and is tallied at once; at the last fixed position
-    the fibres' popcounts are tallied, the last value's as the fibre's size
-    minus the others'. The empty faces are the rest of total_faces."""
+    A node S holds its nonempty fibres, and splits them by
+    `fibre & slices[j][v]` for each child S + {j}, j above S, so every
+    extension of S reuses its partition. Its fibres of two or more points
+    are tallied at k = n - |S|. A fibre of one point stays one point in
+    every extension: if positions start..n-1 remain above S, it adds
+    C(n - start, e) singletons at k = n - |S| - e, for each e, and is not
+    walked further. The walk goes as deep as n - min(ks) and enters a child
+    only if that or one of its extensions lies on a level of ks. At the
+    deepest level the fibres' popcounts are tallied, the last value's as the
+    fibre's size minus the others'. The empty faces at each k are the rest
+    of total_faces."""
     params = A.params
     n, m = params.n, len(A)
     slices = A.slices
-    counts: Counter[int] = Counter()
+    top, bottom = n - ks[-1], n - ks[0]  # the fewest and the most fixed positions
+    tallies: list[Counter[int]] = [Counter() for _ in range(bottom + 1)]  # by |S|
+    lone: Counter[tuple[int, int]] = Counter()  # (|S|, start) -> single-point fibres
 
-    def walk(fibres: list[int], start: int, left: int) -> None:
-        # fibres: the nonempty fibres of one prefix, whose fixed positions all
-        # lie below start; left more positions are to be fixed.
+    def walk(fibres: list[int], start: int, depth: int) -> None:
+        # fibres: the nonempty fibres of one node S, |S| = depth, whose fixed
+        # positions all lie below start.
         shared = [s for s in fibres if s & (s - 1)]
         if len(shared) < len(fibres):
-            counts[1] += (len(fibres) - len(shared)) * binom(n - start, left)
+            lone[depth, start] += len(fibres) - len(shared)
         if not shared:
             return
-        if left > 1:
-            for j in range(start, n - left + 1):
-                walk([t for s in shared for v in slices[j] if (t := s & v)], j + 1, left - 1)
-            return
-        sizes = [s.bit_count() for s in shared]
-        for j in range(start, n):
-            *head, _ = slices[j]
-            rest = sizes
-            for v in head:
-                sized = [(s & v).bit_count() for s in shared]
-                counts.update(sized)
-                rest = list(map(sub, rest, sized))
-            counts.update(rest)
+        if depth >= top:
+            sizes = list(map(int.bit_count, shared))
+            tallies[depth].update(sizes)
+        if depth + 1 < bottom:
+            for j in range(start, min(n, n + depth + 1 - top)):
+                walk([t for s in shared for v in slices[j] if (t := s & v)], j + 1, depth + 1)
+        elif depth < bottom:  # the children are the deepest level
+            if depth < top:
+                sizes = list(map(int.bit_count, shared))
+            counts = tallies[bottom]
+            for j in range(start, n):
+                *head, _ = slices[j]
+                rest = sizes
+                for v in head:
+                    sized = [(s & v).bit_count() for s in shared]
+                    counts.update(sized)
+                    rest = list(map(sub, rest, sized))
+                counts.update(rest)
 
-    if k == n:  # the one face is the whole cube
-        counts[m] += 1
-    elif m:
-        walk([(1 << m) - 1], 0, n - k)
-    del counts[0]  # the leaves tally empty fibres too
-    counts[0] = total_faces(params, k) - sum(counts.values())
-    return FaceDistribution.checked(params, k, counts)
+    if m:
+        walk([(1 << m) - 1], 0, 0)
+    for (depth, start), ones in lone.items():
+        for fixed in range(max(depth, top), bottom + 1):
+            tallies[fixed][1] += ones * binom(n - start, fixed - depth)
+    out = []
+    for k in ks:
+        counts = tallies[n - k]
+        del counts[0]  # the deepest level tallies empty fibres too
+        counts[0] = total_faces(params, k) - sum(counts.values())
+        out.append(FaceDistribution.checked(params, k, counts))
+    return out
+
+
+def _profile_routed(A: PointSet, ks: range) -> list[FaceDistribution]:
+    """The distributions at ks by the route _sliced_pays picks: one walk, or
+    the Counter route at each k."""
+    if _sliced_pays(A.params, ks, len(A)):
+        return _profile_sliced(A, ks)
+    return [_distribution_counted(A, k) for k in ks]
+
+
+@lru_cache(maxsize=256)
+def _walked(A: PointSet) -> dict[int, FaceDistribution]:
+    """The distributions profile() computed for A, by k: the per-set cache
+    that a miss of _distribution_grouped consults before it computes."""
+    return {}
 
 
 @lru_cache(maxsize=1024)
 def _distribution_grouped(A: PointSet, k: int) -> FaceDistribution:
-    sliced = _sliced_pays(A.params, k, len(A))
-    return (_distribution_sliced if sliced else _distribution_counted)(A, k)
+    walked = _walked(A).get(k)
+    return walked if walked is not None else _profile_routed(A, range(k, k + 1))[0]
+
+
+def profile(A: PointSet, ks: Optional[range] = None, guard: int = DEFAULT_GUARD) -> list[FaceDistribution]:
+    """The distribution at every level k in ks, consecutive and in [0, n]
+    (all of 0..n by default), in order of k: distribution(A, k) for each k,
+    from one walk.
+
+    The guard estimate is the sum over ks of distribution's, that is
+    sum C(n, k)*max(|A|, 1), and it is checked before anything is built.
+    _sliced_pays, extended to the range, picks between one walk for every k
+    (_profile_sliced) and the Counter route at each k. The results are kept
+    per set, and distribution(A, k) reads them on a miss, after its own
+    guard check."""
+    params = A.params
+    n = params.n
+    ks = range(n + 1) if ks is None else ks
+    if ks.step != 1:
+        raise CubeError("profile needs consecutive levels k")
+    if not ks:
+        return []
+    _check_k(params, ks[0])
+    _check_k(params, ks[-1])
+    check_guard(sum(map(binom, [n] * len(ks), ks)) * max(len(A), 1), guard)
+    walked = _walked(A)
+    if not all(k in walked for k in ks):
+        walked.update(zip(ks, _profile_routed(A, ks)))
+    return [walked[k] for k in ks]
 
 
 def distribution(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> FaceDistribution:
@@ -264,17 +336,17 @@ def distribution(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> FaceDistrib
     - the Counter route groups A's projections onto each choice of fixed
       positions (the packed rows masked by core.column_mask), |A| projections
       per choice, C(n, k)*|A| in all;
-    - the sliced route walks the choices as increasing prefixes over A's
-      value bitsets, so a fibre is split once for all choices that extend its
-      prefix, and the per-point work runs inside int operations, a machine
-      word per 64 points.
+    - the walk (_profile_sliced, at the one level k) visits the choices as
+      increasing prefixes over A's value bitsets, so a fibre is split once
+      for all choices that extend its prefix, and the per-point work runs
+      inside int operations, a machine word per 64 points.
     The route is picked from (q, n, k, |A|) alone by a cost estimate, see
     _sliced_pays. distribution_bruteforce, a per-face scan over coordinate
     tuples, is the oracle of both.
 
     The guard estimate is C(n, k)*|A| on either route and is checked on every
-    call; results are cached per (A, k), so treat the returned counts as
-    read-only.
+    call; results are cached per (A, k), and a miss reads what profile() kept
+    for A before it computes, so treat the returned counts as read-only.
     """
     _check_k(A.params, k)
     check_guard(binom(A.params.n, k) * max(len(A), 1), guard)
@@ -290,7 +362,7 @@ def distribution_bruteforce(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> 
     _check_k(params, k)
     n, q = params.n, params.q
     nf = n - k
-    check_guard(total_faces(params, k) * max(len(A), 1), guard)
+    check_guard_power(q, nf, guard, binom(n, k) * max(len(A), 1))
     rows = A.coord_rows()
     counts: Counter[int] = Counter()
     for fixed_positions in combinations(range(n), nf):

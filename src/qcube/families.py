@@ -17,7 +17,17 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
 from . import faces, identities  # module handles: gen executes neither
-from .core import DEFAULT_GUARD, CubeError, CubeParams, Face, PointSet, binom, check_guard, decimal
+from .core import (
+    DEFAULT_GUARD,
+    CubeError,
+    CubeParams,
+    Face,
+    PointSet,
+    binom,
+    check_guard,
+    check_guard_power,
+    decimal,
+)
 from .core import parse_pointset
 
 FAMILY_KINDS = ("face", "even_weight", "random", "file")
@@ -129,18 +139,20 @@ def gen_random_subset(params: CubeParams, m: int, seed: int) -> PointSet:
 def realize_family(params: CubeParams, spec: FamilySpec, guard: int = DEFAULT_GUARD) -> PointSet:
     """Materialize a FamilySpec into a point set. A generated family's size
     (q**|free|, 2**(n-1) or m) is checked against the guard after all of the
-    spec's own checks, before any point is built; a file is read as given."""
+    spec's own checks, before any point is built, and a power that is over
+    it by its bit length alone is refused unbuilt (check_guard_power); a
+    file is read as given."""
     if spec.kind == "file":
         if not isinstance(spec.path, str):
             raise CubeError("file family needs a path")
         return parse_pointset(Path(spec.path).read_text(), params)[0]
     if spec.kind == "face":
-        check_guard(params.q ** _face(params, spec).dimension, guard)
+        check_guard_power(params.q, _face(params, spec).dimension, guard)
         return gen_face_subset(params, spec)
     if spec.kind == "even_weight":
         if params.q != 2:
             raise CubeError("the even-weight family requires q = 2")
-        check_guard(2 ** max(params.n - 1, 0), guard)
+        check_guard_power(2, max(params.n - 1, 0), guard)
         return gen_even_weight(params.n)
     if spec.m is None:
         raise CubeError("random family needs m")

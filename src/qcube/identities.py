@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, compress
-from operator import and_, lshift
+from operator import add, and_, lshift
 from typing import Any, Iterator, Optional
 
 from .core import (
@@ -431,7 +431,22 @@ def _triple_ranks(A: PointSet, guard: int) -> Iterator[tuple[tuple[int, int, int
 
 @lru_cache(maxsize=256)
 def _triple_rank_histogram(A: PointSet, guard: int) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(Counter(r for _, r in _triple_ranks(A, guard)).items()))
+    """The sorted (r, number of triples of rank r) pairs, r the half-sum of a
+    triple's distances: _triple_ranks tallied a pair (i, j) at a time, with
+    the sums d(i, t) + d(j, t) over every t > j added row by row."""
+    d = distance_sum(A, guard).pairwise
+    m = len(A)
+    rows = [[0] * m for _ in range(m)]
+    for (i, j), dij in d.items():
+        rows[i][j] = rows[j][i] = dij
+    sums: Counter[int] = Counter()
+    for i, row in enumerate(rows):
+        for j in range(i + 1, m):
+            sums.update(map(row[j].__add__, map(add, row[j + 1 :], rows[j][j + 1 :])))
+    if any(dsum % 2 for dsum in sums):
+        for _ in _triple_ranks(A, guard):  # raises, naming the first odd triple
+            pass
+    return tuple(sorted((dsum // 2, count) for dsum, count in sums.items()))
 
 
 def corollary_s3(

@@ -30,11 +30,12 @@ from .core import (
     PointSet,
     SizeGuardError,
     abbreviated,
-    check_guard,
+    binom,
+    check_guard_power,
     decimal,
     is_int,
 )
-from .faces import distribution, faces_containing_count, total_faces
+from .faces import distribution, faces_containing_count, profile
 from .families import (
     FamilySpec,
     NuRow,
@@ -212,7 +213,9 @@ class SweepIdentity:
     params without k and its NuRow per nu, for the points at each k of the
     row. `instance` is a family instance's params with its point set under
     "A" if `family` is set, else empty. Failures of an `erratum` identity
-    count as known_erratum, not as fail.
+    count as known_erratum, not as fail. A `profiled` identity reads the
+    face distribution of the instance's set at each k of the cell, which the
+    sweep computes beforehand in one pass (_profile).
 
     Params values and sides must be ints: the line of a two-sided row is a
     template whose params are %d fields and whose sides are their str() (see
@@ -221,6 +224,7 @@ class SweepIdentity:
     cell: Cell
     family: bool = False
     erratum: bool = False
+    profiled: bool = False
 
 
 def _labels(instance: dict[str, Any]) -> dict[str, Any]:
@@ -306,7 +310,8 @@ def _lemma_face_count(point: dict[str, Any], guard: int) -> IdentityReport:
     # the oracle's face scan (faces_containing_bruteforce), which keeps the
     # sweep's refusals pinned; distribution's own estimate is never larger.
     A, k = point["A"], point["k"]
-    check_guard(total_faces(A.params, k) * len(A), guard)
+    n = A.params.n
+    check_guard_power(A.params.q, n - k, guard, binom(n, k) * len(A))
     lhs = distribution(A, k, guard)[len(A)]
     rhs = faces_containing_count(A, k)
     params = {"q": point["q"], "n": point["n"], "k": k, "m": len(A)}
@@ -318,10 +323,14 @@ def _lemma_face_count(point: dict[str, Any], guard: int) -> IdentityReport:
 # the calls.
 SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
     "main": SweepIdentity(
-        _pointwise(_main_grid, lambda p, g: verify_main(p["A"], p["k"], p["s"], g)), family=True
+        _pointwise(_main_grid, lambda p, g: verify_main(p["A"], p["k"], p["s"], g)),
+        family=True,
+        profiled=True,
     ),
     "corollary1": SweepIdentity(
-        _pointwise(_each_k, lambda p, g: corollary_s1(p["A"], p["k"], g)), family=True
+        _pointwise(_each_k, lambda p, g: corollary_s1(p["A"], p["k"], g)),
+        family=True,
+        profiled=True,
     ),
     "corollary2": SweepIdentity(
         _pointwise(
@@ -329,6 +338,7 @@ SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
             lambda p, g: corollary_s2(p["A"], p["k"], g),
         ),
         family=True,
+        profiled=True,
     ),
     "corollary3": SweepIdentity(
         _pointwise(
@@ -336,6 +346,7 @@ SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
             lambda p, g: corollary_s3(p["A"], p["k"], g),
         ),
         family=True,
+        profiled=True,
     ),
     "vandermonde": SweepIdentity(_closed_form(vandermonde_cell, 0)),
     "chu_vandermonde_generalized": SweepIdentity(_closed_form(chu_vandermonde_generalized_cell, 1)),
@@ -353,7 +364,9 @@ SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
         )
     ),
     "bounds": SweepIdentity(_bounds_cell, family=True),
-    "lemma_face_count": SweepIdentity(_pointwise(_each_k, _lemma_face_count), family=True),
+    "lemma_face_count": SweepIdentity(
+        _pointwise(_each_k, _lemma_face_count), family=True, profiled=True
+    ),
 }
 
 
@@ -374,12 +387,26 @@ def _sweep_rows(cfg: SweepConfig, guard: int) -> Iterator[tuple[str, int, str]]:
         entry = SWEEP_IDENTITIES[identity]
         for q, n in cells:
             for instance in instances[q, n] if entry.family else [{}]:
+                if entry.profiled:
+                    _profile(instance["A"], _clip(cfg.k_range, 0, n), guard)
                 for params, outcome in entry.cell(cfg, q, n, instance, guard):
                     if isinstance(outcome, NuRow):
                         yield from _nu_rows(identity, entry.erratum, params, outcome)
                     else:
                         status, line = _sweep_line(identity, entry.erratum, params, outcome)
                         yield status, 1, line + "\n"
+
+
+def _profile(A: PointSet, ks: range, guard: int) -> None:
+    """Tally A's face distribution at every k in ks in one pass (faces.profile),
+    whose results each row's distribution(A, k) then reads after its own guard
+    check. The pass is walked once per set and kept for every identity. One
+    whose estimate is over the guard is skipped, not the sweep: each row is
+    then computed, or refused, on its own as before."""
+    try:
+        profile(A, ks, guard)
+    except SizeGuardError:
+        pass
 
 
 def _nu_rows(

@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcube.cli
+import qcube.faces
 import qcube.families
 import qcube.identities
 import qcube.sweep
@@ -433,6 +435,15 @@ class TestGen:
         assert (code, out) == (3, "")
         assert err == "error: instance too large: more than 10^39999 elementary operations, guard is 10000000\n"
 
+    def test_guard_refuses_a_power_without_building_it(self, capsys, monkeypatch):
+        # q^nu = 10^800000: its bit length alone puts it over the guard and
+        # over what str() converts, so it is named without being built.
+        built = count_calls(monkeypatch, "qcube.core", "check_guard")
+        code, out, err = run(capsys, "gen", "--family", "face", "--q", "100000000", "--n", "100000", "--nu", "100000")
+        assert (code, out) == (3, "")
+        assert err == "error: instance too large: more than 10^799999 elementary operations, guard is 10000000\n"
+        assert built == []
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -748,6 +759,82 @@ class TestSweep:
         # Corollary 2 needs two points; corollary 3, q = 2 and three points.
         assert per_set == {A: 1 + (A.params.q == 2) for A in per_set}
         assert len(per_set) == 11  # both seeds at q = 2, n = 2 draw the full square
+
+    def test_each_family_set_is_profiled_once(self, tmp_path, capsys, monkeypatch):
+        # Criterion 8's config: main, the corollaries and lemma_face_count all
+        # read the face distributions of one pass over every k of the cell.
+        walks = count_calls(monkeypatch, "qcube.faces", "_profile_routed")
+        qcube.faces._walked.cache_clear()
+        qcube.faces._distribution_grouped.cache_clear()
+        config = {
+            "identities": list(qcube.sweep.SWEEP_IDENTITIES),
+            "q": [2, 3],
+            "n": [1, 4],
+            "s": [1, 3],
+            "seeds": [0, 1],
+            "family": {"kind": "random", "m": 4},
+        }
+        code, _, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        assert code == 0
+        assert [ks for _, ks in walks] == [range(A.params.n + 1) for A, _ in walks]
+        per_set = Counter(A for A, _ in walks)
+        assert set(per_set.values()) == {1}
+        assert len(per_set) == 11  # both seeds at q = 2, n = 2 draw the full square
+
+    # Digests of these configs' stdout, written before the sweep walked its
+    # sets once for every k.
+    @pytest.mark.parametrize(
+        "config, exit_code, errors, digest",
+        [
+            (
+                {
+                    "identities": ["main", "corollary1", "corollary2", "corollary3", "vandermonde",
+                                   "bounds", "lemma_face_count"],
+                    "q": [2, 3], "n": [1, 6], "k": [2, 4], "s": [1, 3], "seeds": [0, 1],
+                    "family": {"kind": "random", "m": 6},
+                },
+                0,
+                0,
+                "b82fc6471ab8e5d1b6c59839ad93fc0c787e7352812c718a887b4d589fbdb000",
+            ),
+            (
+                # Each k's C(n, k) * 24 is under the guard, and at n = 10 their
+                # sum, 2^10 * 24 = 24576, is over it: the pass is skipped there.
+                {
+                    "identities": ["main", "corollary1", "corollary2", "lemma_face_count"],
+                    "q": [2, 3], "n": [9, 10], "s": [1, 2], "seeds": [0, 1],
+                    "family": {"kind": "random", "m": 24}, "guard": 20000,
+                },
+                3,
+                56,
+                "ea94ed5ddfbfa41c3a0609bbe189b54ba9e74354551450d8434b4e2a72c6ab7f",
+            ),
+        ],
+        ids=["partial-k", "sum-over-guard"],
+    )
+    def test_profiled_sweep_writes_the_same_bytes(
+        self, tmp_path, capsys, monkeypatch, config, exit_code, errors, digest
+    ):
+        walks = count_calls(monkeypatch, "qcube.faces", "_profile_routed")
+        qcube.faces._walked.cache_clear()
+        qcube.faces._distribution_grouped.cache_clear()
+        code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        assert code == exit_code
+        assert json.loads(out.splitlines()[-1])["summary"]["error"] == errors
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # One pass per set over the cell's k range, or where its estimate is
+        # over the guard, the per-k route at each k.
+        lo, hi = config.get("k", [0, 10])
+        per_set = {}
+        for A, ks in walks:
+            per_set.setdefault(A, []).append(ks)
+        assert len(per_set) == (8 if errors else 18)
+        for A, calls in per_set.items():
+            ks = range(lo, min(hi, A.params.n) + 1)
+            if sum(comb(A.params.n, k) for k in ks) * len(A) <= config.get("guard", 10_000_000):
+                assert calls == [ks]
+            else:
+                assert A.params.n == 10 and calls == [range(k, k + 1) for k in ks]
 
     def test_output_from_config(self, tmp_path, capsys):
         dest = tmp_path / "from_cfg.jsonl"

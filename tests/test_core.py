@@ -5,7 +5,7 @@ from contextlib import contextmanager
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcube.core import (
@@ -15,7 +15,11 @@ from qcube.core import (
     ParseError,
     Point,
     PointSet,
+    SizeGuardError,
+    _power_bit_length,
     binom,
+    check_guard,
+    check_guard_power,
     decimal,
     hamming,
     parse_pointset,
@@ -157,7 +161,7 @@ class TestPointSet:
 
         even = [f"{x:06b}" for x in range(64) if x.bit_count() % 2 == 0]
         C, _ = parse_pointset("\n".join(even), CubeParams(2, 6))
-        assert _sliced_pays(C.params, 5, len(C))
+        assert _sliced_pays(C.params, range(5, 6), len(C))
         _distribution_grouped.cache_clear()  # an equal set may be cached already
         assert distribution(C, 5).counts == {16: 12, 0: 0}
         assert "slices" in vars(C)
@@ -473,3 +477,55 @@ class TestDecimal:
             with int_max_str_digits(0):
                 expected = str(x)
             assert decimal(x) == expected
+
+
+def _refusal(check):
+    try:
+        check()
+    except SizeGuardError as exc:
+        return str(exc)
+    return None
+
+
+class TestGuardPower:
+    @given(
+        base=st.one_of(
+            st.integers(2, 40), st.integers(2, 10**30), st.sampled_from([2**64 - 1, 2**64, 2**64 + 1])
+        ),
+        exp=st.one_of(st.integers(0, 60), st.integers(0, 12_000)),
+        factor=st.one_of(st.integers(0, 3), st.integers(0, 10**25)),
+        guard=st.one_of(st.integers(1, 10**8), st.integers(1, 10**40)),
+    )
+    # Next to the digits str() converts, 4 300 (and 640): 3^9000 has 4 295
+    # digits, 10^4299 has 4 300, and 10^4300 one more.
+    @example(base=3, exp=9000, factor=1, guard=10**7)
+    @example(base=10, exp=4299, factor=1, guard=10**7)
+    @example(base=10, exp=4300, factor=1, guard=10**7)
+    @example(base=7, exp=757, factor=10**3, guard=10**7)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_check_guard_on_the_built_power(self, base, exp, factor, guard):
+        for limit in (640, 4300):
+            with int_max_str_digits(limit):
+                expected = _refusal(lambda: check_guard(factor * base**exp, guard))
+                assert _refusal(lambda: check_guard_power(base, exp, guard, factor)) == expected
+
+    @given(
+        base=st.one_of(
+            st.integers(2, 10**6),
+            st.integers(1, 200).map(lambda b: 2**b),
+            st.integers(2, 200).map(lambda b: 2**b - 1),
+        ),
+        exp=st.integers(0, 5000),
+        factor=st.integers(1, 10**12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_length_of_the_power(self, base, exp, factor):
+        assert _power_bit_length(base, exp, factor) == (factor * base**exp).bit_length()
+
+    def test_a_huge_power_is_refused_unbuilt(self):
+        # 10^(8*10^7) takes 33 MB and seconds to build; its bit length is
+        # named at once.
+        start = time.perf_counter()
+        message = _refusal(lambda: check_guard_power(10**8, 10**7, 10**7))
+        assert time.perf_counter() - start < 0.5
+        assert message == "instance too large: more than 10^79999999 elementary operations, guard is 10000000"

@@ -18,16 +18,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcube.core
+import qcube.faces
 import qcube.identities
-from qcube.core import CubeParams, PointSet, block_fold, column_mask, hamming, value_slices
+from qcube.core import (
+    ConsistencyError,
+    CubeError,
+    CubeParams,
+    PointSet,
+    SizeGuardError,
+    block_fold,
+    column_mask,
+    hamming,
+    value_slices,
+)
 from qcube.faces import (
     _distribution_counted,
-    _distribution_sliced,
+    _distribution_grouped,
+    _profile_sliced,
     _sliced_pays,
+    _walked,
     distribution,
     distribution_bruteforce,
     faces_containing_bruteforce,
     faces_containing_count,
+    profile,
     total_faces,
 )
 from qcube.families import (
@@ -45,12 +59,14 @@ from qcube.identities import (
     _subset_rank_histogram,
     _subset_rank_histogram_sliced,
     _subset_rank_histogram_walked,
+    _triple_rank_histogram,
+    _triple_ranks,
     corollary_s2,
     corollary_s3,
     intersection_cap,
     main_rhs,
 )
-from qcube.rank import distance_sum, distance_total, rank, rank_rows
+from qcube.rank import DistanceProfile, distance_sum, distance_total, rank, rank_rows
 
 QS = (2, 3, 4, 5, 8, 11, 16)
 MAX_VOLUME = 4096
@@ -236,6 +252,11 @@ def sliced_cases(draw):
     return PointSet.from_coords(CubeParams(q, n), rows)
 
 
+def walk_at(A, k):
+    """The walk at the one level k."""
+    return _profile_sliced(A, range(k, k + 1))[0]
+
+
 @given(sliced_cases())
 @example(PointSet(CubeParams(2, 0), ()))
 @example(SINGLE_EMPTY_ROW)
@@ -246,7 +267,7 @@ def sliced_cases(draw):
 def test_sliced_route_matches_counter_route_and_bruteforce(A):
     # Called directly: the cost estimate sends small sets to the Counter route.
     for k in range(A.params.n + 1):
-        sliced = _distribution_sliced(A, k)
+        sliced = walk_at(A, k)
         assert sliced == _distribution_counted(A, k)
         if total_faces(A.params, k) * max(len(A), 1) <= 200_000:
             assert sliced == distribution_bruteforce(A, k)
@@ -273,21 +294,132 @@ def test_value_slices_match_rows(A, chunk):
 def test_sliced_route_matches_face_closed_form(nu):
     params = CubeParams(2, 12)
     A = gen_face_subset(params, face_spec(params, nu))
-    assert any(_sliced_pays(params, k, len(A)) for k in range(13))
+    assert any(_sliced_pays(params, range(k, k + 1), len(A)) for k in range(13))
     for k in range(13):
         closed = face_distribution_closed(params, nu, k)
-        assert _distribution_sliced(A, k) == closed == distribution(A, k), k
+        assert walk_at(A, k) == closed == distribution(A, k), k
     assert "rows" not in vars(A)
 
 
 def test_sliced_route_matches_evenweight_closed_form():
     A = gen_even_weight(12)
-    assert any(_sliced_pays(A.params, k, len(A)) for k in range(13))
+    assert any(_sliced_pays(A.params, range(k, k + 1), len(A)) for k in range(13))
     for k in range(1, 13):
         closed = evenweight_distribution_closed(12, k)
-        assert _distribution_sliced(A, k) == closed == distribution(A, k), k
-    assert _distribution_sliced(A, 0) == _distribution_counted(A, 0)
+        assert walk_at(A, k) == closed == distribution(A, k), k
+    assert walk_at(A, 0) == _distribution_counted(A, 0)
     assert "rows" not in vars(A)
+
+
+@st.composite
+def profile_cases(draw):
+    q = draw(st.integers(2, 5))
+    n = draw(st.integers(0, max(n for n in range(9) if q**n <= MAX_VOLUME)))
+    row = st.tuples(*[st.integers(0, q - 1)] * n)
+    rows = draw(st.lists(row, max_size=min(24, q**n), unique=True))
+    lo = draw(st.integers(0, n))
+    ks = draw(st.sampled_from((range(n + 1), range(lo, draw(st.integers(lo, n)) + 1))))
+    return PointSet.from_coords(CubeParams(q, n), rows), ks
+
+
+@given(profile_cases())
+@example((PointSet(CubeParams(2, 0), ()), range(1)))
+@example((PointSet(CubeParams(5, 3), ()), range(1, 3)))
+@example((pointset(3, [(1, 2, 0)]), range(4)))
+@example((pointset(4, [(3, 0, 1), (3, 1, 1)]), range(2, 3)))
+@example((full_cube(2, 4), range(5)))
+@example((full_cube(3, 3), range(1, 3)))
+@kernel_settings
+def test_profile_matches_counter_route_and_bruteforce(case):
+    # The walk is called directly too: the cost estimate may pick the Counter route.
+    A, ks = case
+    walked = _profile_sliced(A, ks)
+    assert profile(A, ks) == walked
+    for k, dist in zip(ks, walked):
+        assert dist == _distribution_counted(A, k)
+        if total_faces(A.params, k) * max(len(A), 1) <= 200_000:
+            assert dist == distribution_bruteforce(A, k)
+
+
+@pytest.mark.parametrize("nu", range(13))
+def test_profile_matches_face_closed_form(nu):
+    params = CubeParams(2, 12)
+    A = gen_face_subset(params, face_spec(params, nu))
+    closed = [face_distribution_closed(params, nu, k) for k in range(13)]
+    assert _profile_sliced(A, range(13)) == closed == profile(A, guard=2**12 * len(A))
+    assert "rows" not in vars(A)
+
+
+def test_profile_matches_evenweight_closed_form():
+    A = gen_even_weight(12)
+    walked = _profile_sliced(A, range(13))
+    assert walked[1:] == [evenweight_distribution_closed(12, k) for k in range(1, 13)]
+    assert walked[0] == _distribution_counted(A, 0)
+    assert profile(A) == walked
+    assert "rows" not in vars(A)
+
+
+def test_distribution_reads_the_profile_after_its_own_guard():
+    A = random_set(2, 10, 24, 5)
+    _walked.cache_clear()
+    _distribution_grouped.cache_clear()
+    whole = 2**10 * 24  # the sum over k of C(10, k) * 24
+    with pytest.raises(SizeGuardError):
+        profile(A, guard=whole - 1)
+    assert "slices" not in vars(A)  # refused before any bitset is built
+    dists = profile(A, guard=whole)
+    with mock.patch.object(qcube.faces, "_profile_routed", side_effect=AssertionError):
+        assert [distribution(A, k) for k in range(11)] == dists
+        with pytest.raises(SizeGuardError):
+            distribution(A, 5, guard=comb(10, 5) * 24 - 1)
+        assert profile(A, range(3, 8)) == dists[3:8]
+
+
+def test_profile_refuses_levels_out_of_range():
+    A = random_set(3, 4, 5, 0)
+    assert profile(A, range(2, 2)) == []
+    for ks in (range(0, 6), range(-1, 2), range(0, 4, 2)):
+        with pytest.raises(CubeError):
+            profile(A, ks)
+
+
+# _sliced_pays on bench/sweep_random.json's shapes (m = 24), over the whole k
+# range and one k at a time, and on bench/workloads.py's point files. These
+# pin decisions, not timings: a refit of the estimate shows here as a diff.
+SWEEP_ROUTES = {
+    (2, 5): (True, "001110"),
+    (2, 6): (True, "0001110"),
+    (2, 7): (True, "00001110"),
+    (2, 8): (True, "000001110"),
+    (2, 9): (True, "0000001110"),
+    (2, 10): (True, "00000001110"),
+    (3, 3): (True, "0110"),
+    (3, 4): (True, "00110"),
+    (3, 5): (True, "000110"),
+    (3, 6): (False, "0000110"),
+    (3, 7): (False, "00000110"),
+    (3, 8): (False, "000000110"),
+    (3, 9): (True, "0000000110"),
+    (3, 10): (True, "00000000110"),
+}
+
+
+def _routes(params, m, ks):
+    return "".join(str(int(_sliced_pays(params, range(k, k + 1), m))) for k in ks)
+
+
+def test_route_pins_for_the_sweep_shapes():
+    shapes = [(q, n) for q in (2, 3) for n in range(1, 11) if q**n >= 24]
+    assert shapes == list(SWEEP_ROUTES)
+    for (q, n), (whole, one_k) in SWEEP_ROUTES.items():
+        params = CubeParams(q, n)
+        assert _sliced_pays(params, range(n + 1), 24) == whole, (q, n)
+        assert _routes(params, 24, range(n + 1)) == one_k, (q, n)
+
+
+def test_route_pins_for_the_point_files():
+    assert _routes(CubeParams(2, 13), 800, range(14)) == "00000011111110"
+    assert _routes(CubeParams(2, 20), 60_000, (19, 20)) == "10"
 
 
 @given(point_sets())
@@ -337,3 +469,31 @@ def test_corollary2_histogram_matches_terms_and_main_rhs(A, k):
 def test_corollary3_histogram_matches_terms_and_main_rhs(A, k):
     if len(A) >= 3:
         _rhs_routes_agree(corollary_s3, A, min(k, A.params.n), 3)
+
+
+@st.composite
+def binary_sets(draw):
+    n = draw(st.integers(2, 8))
+    row = st.tuples(*[st.integers(0, 1)] * n)
+    rows = draw(st.lists(row, min_size=3, max_size=min(30, 2**n), unique=True))
+    return PointSet.from_coords(CubeParams(2, n), rows)
+
+
+@given(binary_sets())
+@example(full_cube(2, 3))
+@example(pointset(2, [(0, 0, 0), (0, 1, 1), (1, 0, 1)]))
+@kernel_settings
+def test_triple_rank_histogram_matches_triple_ranks(A):
+    want = Counter(r for _, r in _triple_ranks(A, 10**7))
+    assert _triple_rank_histogram.__wrapped__(A, 10**7) == tuple(sorted(want.items()))
+
+
+def test_triple_rank_histogram_refuses_an_odd_distance_sum():
+    # Unreachable in a binary cube; distances 1, 1, 2 and 1, 1, 1 are fed in.
+    A = pointset(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    pairwise = {(0, 1): 1, (0, 2): 1, (0, 3): 2, (1, 2): 2, (1, 3): 1, (2, 3): 1}
+    pairwise[1, 2] = 1
+    fake = DistanceProfile(pairwise, sum(pairwise.values()))
+    with mock.patch.object(qcube.identities, "distance_sum", return_value=fake):
+        with pytest.raises(ConsistencyError, match=r"^odd distance sum 3 for a binary triple \(0, 1, 2\)$"):
+            _triple_rank_histogram.__wrapped__(A, 10**7)
