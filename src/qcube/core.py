@@ -24,13 +24,11 @@ counts as their popcounts.
 from __future__ import annotations
 
 import math
-import string
 import sys
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from itertools import chain, product, repeat
+from operator import attrgetter, eq, itemgetter, lt, mul
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 
 class CubeError(ValueError):
@@ -139,18 +137,60 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class CubeParams:
+class _Record:
+    """Base of the package's frozen value classes, in place of frozen
+    dataclasses, whose module costs every command milliseconds to import
+    and each decorated class more. Equality, hashing and repr come from the
+    attributes named in `_fields` (two or more), in order, as a frozen
+    dataclass derives them from its fields: instances are equal when they
+    are of the same class and their fields are, and the hash is that of the
+    fields' tuple, so a record with an unhashable field is unhashable. Each
+    class's __init__ checks its arguments and stores the fields with _set;
+    assigning or deleting an attribute afterwards raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # The fields' tuple, read in C; an attrgetter is no descriptor, so
+        # it is called as self._key(self).
+        cls._key = attrgetter(*cls._fields)
+
+    def _set(self, **fields: Any) -> None:
+        self.__dict__.update(fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CubeParams(_Record):
     """Alphabet size q >= 2 and dimension n >= 0."""
 
+    _fields = ("q", "n")
     q: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise CubeError(f"alphabet size q must be >= 2, got {self.q}")
-        if self.n < 0:
-            raise CubeError(f"dimension n must be >= 0, got {self.n}")
+    def __init__(self, q: int, n: int) -> None:
+        if q < 2:
+            raise CubeError(f"alphabet size q must be >= 2, got {q}")
+        if n < 0:
+            raise CubeError(f"dimension n must be >= 0, got {n}")
+        self._set(q=q, n=n)
 
     @property
     def volume(self) -> int:
@@ -174,21 +214,20 @@ def _check_row(params: CubeParams, coords: tuple[int, ...]) -> None:
             raise CubeError(f"coordinate {c!r} out of range for q={q}")
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Record):
     """One vector of the cube. Equality compares the owning cube and coordinates."""
 
+    _fields = ("params", "coords")
     params: CubeParams
     coords: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coords = tuple(self.coords)
-        object.__setattr__(self, "coords", coords)
-        _check_row(self.params, coords)
+    def __init__(self, params: CubeParams, coords: Iterable[int]) -> None:
+        coords = tuple(coords)
+        _check_row(params, coords)
+        self._set(params=params, coords=coords)
 
 
-@dataclass(frozen=True, init=False)
-class PointSet:
+class PointSet(_Record):
     """A deduplicated set of points of one cube, stored as packed ints.
 
     `packed` holds the points in the packed layout (see the module docstring),
@@ -199,6 +238,7 @@ class PointSet:
     are built only for `points`, iteration and `in`.
     """
 
+    _fields = ("params", "packed")
     params: CubeParams
     packed: tuple[int, ...]
 
@@ -213,8 +253,7 @@ class PointSet:
 
     def _init_packed(self, params: CubeParams, packed: Iterable[int]) -> None:
         """Store the distinct packed ints, checked by the caller, in increasing order."""
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "packed", tuple(sorted(set(packed))))
+        self._set(params=params, packed=tuple(sorted(set(packed))))
 
     @classmethod
     def from_coords(cls, params: CubeParams, coords: Iterable[Iterable[int]]) -> "PointSet":
@@ -330,39 +369,55 @@ def block_fold(params: CubeParams) -> Callable[[int], int]:
     return lambda x: (((x & rest) + rest) | x) & high
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(_Record):
     """A face of the cube: a set of free positions plus fixed values elsewhere.
 
     free_positions and the positions of fixed_values partition {0, ..., n-1}.
-    fixed_values is normalized to a tuple of (position, value) pairs sorted by
-    position; a mapping may be passed in.
+    fixed_values is normalized to a tuple of int (position, value) pairs
+    sorted by position; a mapping may be passed in. The checks run on whole
+    columns in C-level passes, and only a refused face is scanned, for the
+    pair its message names. Pairs that are int tuples in position order
+    already, as families.face_spec builds them, are kept as given.
     """
 
+    _fields = ("params", "free_positions", "fixed_values")
     params: CubeParams
     free_positions: frozenset[int]
     fixed_values: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        free = frozenset(int(i) for i in self.free_positions)
-        raw = self.fixed_values
-        items = raw.items() if isinstance(raw, Mapping) else raw
-        fixed = tuple(sorted((int(i), int(v)) for i, v in items))
-        object.__setattr__(self, "free_positions", free)
-        object.__setattr__(self, "fixed_values", fixed)
-
-        n, q = self.params.n, self.params.q
-        fixed_positions = [i for i, _ in fixed]
-        if len(set(fixed_positions)) != len(fixed_positions):
-            raise CubeError("duplicate fixed position")
-        seen = free | set(fixed_positions)
-        if free & set(fixed_positions):
+    def __init__(
+        self,
+        params: CubeParams,
+        free_positions: Iterable[int],
+        fixed_values: Mapping[int, int] | Iterable[tuple[int, int]],
+    ) -> None:
+        free = frozenset(map(int, free_positions))
+        fixed = tuple(fixed_values.items() if isinstance(fixed_values, Mapping) else fixed_values)
+        if not (
+            set(map(type, fixed)) <= {tuple}
+            and set(map(len, fixed)) <= {2}
+            and set(map(type, chain.from_iterable(fixed))) <= {int}
+        ):
+            fixed = tuple((int(i), int(v)) for i, v in fixed)
+        positions = tuple(map(itemgetter(0), fixed))
+        if not all(map(lt, positions, positions[1:])):  # not in position order yet
+            fixed = tuple(sorted(fixed))
+            positions = tuple(map(itemgetter(0), fixed))
+            if any(map(eq, positions, positions[1:])):
+                raise CubeError("duplicate fixed position")
+        if not free.isdisjoint(positions):
             raise CubeError("a position cannot be both free and fixed")
-        if seen != set(range(n)):
+        # Distinct positions, free or fixed, partition range(n) when there are
+        # n of them and none lies outside it.
+        n, q = params.n, params.q
+        ends = [*positions[:1], *positions[-1:], *free]
+        if len(free) + len(positions) != n or ends and not 0 <= min(ends) <= max(ends) < n:
             raise CubeError("free and fixed positions must partition the coordinate set")
-        for i, v in fixed:
-            if not 0 <= v < q:
-                raise CubeError(f"fixed value {v} at position {i} out of range for q={q}")
+        values = tuple(map(itemgetter(1), fixed))
+        if values and not 0 <= min(values) <= max(values) < q:
+            i, v = next((i, v) for i, v in fixed if not 0 <= v < q)
+            raise CubeError(f"fixed value {v} at position {i} out of range for q={q}")
+        self._set(params=params, free_positions=free, fixed_values=fixed)
 
     @property
     def dimension(self) -> int:
@@ -441,6 +496,9 @@ def int_fields(parts: Iterable[str], q: Optional[int] = None, what: str = "field
     return coords
 
 
+_DIGITS = "0123456789"
+
+
 def _parse_vector(line: str, params: CubeParams, line_no: int, bits: dict[int, str]) -> int:
     q, n = params.q, params.n
     if "," in line or q > 10:
@@ -456,9 +514,9 @@ def _parse_vector(line: str, params: CubeParams, line_no: int, bits: dict[int, s
             raise ParseError(f"expected {n} digits, got {len(line)}", line_no)
         if not (line.isascii() and line.isdigit()):
             for ch in line:
-                if ch not in string.digits:
+                if ch not in _DIGITS:
                     raise ParseError(f"invalid character {ch!r}", line_no)
-        if max(line) <= string.digits[q - 1]:
+        if max(line) <= _DIGITS[q - 1]:
             return int(line.translate(bits), 2)
         parts = list(line)  # one digit per coordinate, only for the message below
     try:
@@ -469,21 +527,76 @@ def _parse_vector(line: str, params: CubeParams, line_no: int, bits: dict[int, s
     return sum(c << w * (n - 1 - j) for j, c in enumerate(coords))
 
 
+def _digit_blocks(params: CubeParams) -> dict[int, str]:
+    """Each digit below q as its w-bit block, so a digit string packs by int(..., 2)."""
+    w = _block_width(params)
+    return str.maketrans({d: f"{int(d):0{w}b}" for d in _DIGITS[: params.q]})
+
+
 def parse_pointset(text: str, params: CubeParams) -> tuple[PointSet, int]:
     """Parse the one-vector-per-line text format.
 
     For q <= 10 a line may be a compact digit string ("01021"); comma-separated
     coordinates ("0,1,0,2,1") are accepted for any q and are mandatory for
     q > 10; coordinates are ASCII digits. Blank lines and lines starting with
-    '#' are ignored. Duplicate vectors are dropped, not rejected. Each line is
-    checked once and packed straight into PointSet.packed.
+    '#' are ignored. Duplicate vectors are dropped, not rejected.
+
+    For q <= 10 the whole text is tried first as compact lines, each pass
+    over all of them at once (_parse_compact). If a line fails, or has a
+    comma, the text is parsed a line at a time (_parse_each_line), which
+    checks each line once, packs it straight into PointSet.packed, and names
+    the first bad line; it is also the only parser for q > 10.
 
     Returns (pointset, number_of_duplicates_dropped). Errors carry the 1-based
     line number.
     """
-    # Each digit below q as its w-bit block, so a digit string packs by int(..., 2).
-    w = _block_width(params)
-    bits = str.maketrans({d: f"{int(d):0{w}b}" for d in string.digits[: params.q]})
+    if params.q <= 10:
+        parsed = _parse_compact(text, params)
+        if parsed is not None:
+            return parsed
+    return _parse_each_line(text, params)
+
+
+_PARSE_CHUNK = 4096
+
+
+def _parse_compact(text: str, params: CubeParams) -> Optional[tuple[PointSet, int]]:
+    """parse_pointset of a text whose lines, blank and comment lines aside,
+    are all compact, for q <= 10; None if any line is not. The stripped
+    lines are checked in C-level passes, each over all of them: each is n
+    characters, all ASCII digits. They are then packed by int(..., 2), of
+    the line itself for q = 2 and of its _digit_blocks translation
+    otherwise, which also checks that every digit is below q: a digit of q
+    or more is left as itself, which base 2 refuses.
+
+    The lines are never joined, and once the text's split is freed they are
+    the only list of them. They are replaced by their packed ints in place,
+    a chunk at a time, so the parse never holds every line and every int at
+    once, as _parse_each_line does."""
+    n, q = params.n, params.q
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    if lines and not (
+        set(map(len, lines)) == {n} and all(map(str.isascii, lines)) and all(map(str.isdigit, lines))
+    ):
+        return None
+    blocks = _digit_blocks(params) if q > 2 else None
+    try:
+        for start in range(0, len(lines), _PARSE_CHUNK):
+            chunk = slice(start, start + _PARSE_CHUNK)
+            digits = lines[chunk] if blocks is None else map(str.translate, lines[chunk], repeat(blocks))
+            lines[chunk] = map(int, digits, repeat(2))
+    except ValueError:  # a digit of q or more
+        return None
+    A = object.__new__(PointSet)
+    A._init_packed(params, lines)  # the packed ints by now
+    return A, len(lines) - len(A)
+
+
+def _parse_each_line(text: str, params: CubeParams) -> tuple[PointSet, int]:
+    """parse_pointset a line at a time: the parser for q > 10 and for comma
+    lines, the one that names the first bad line, and the oracle of
+    _parse_compact."""
+    bits = _digit_blocks(params)
     packed: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from dataclasses import dataclass
 from itertools import combinations, product
 from operator import itemgetter, sub
 from typing import Callable, Iterator, Mapping, Optional
@@ -33,6 +32,7 @@ from .core import (
     Face,
     Point,
     PointSet,
+    _Record,
     binom,
     check_guard,
     check_guard_power,
@@ -41,18 +41,21 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class FaceDistribution:
+class FaceDistribution(_Record):
     """Counts of k-faces by intersection size e.
 
     counts stores every nonzero entry plus the e = 0 entry explicitly, so two
-    distributions are equal iff they agree as dataclasses. Missing keys read
-    as zero through indexing.
+    distributions are equal iff their cube, k and counts are equal. Missing
+    keys read as zero through indexing. The counts dict makes it unhashable.
     """
 
+    _fields = ("params", "k", "counts")
     params: CubeParams
     k: int
     counts: dict[int, int]
+
+    def __init__(self, params: CubeParams, k: int, counts: dict[int, int]) -> None:
+        self._set(params=params, k=k, counts=counts)
 
     @classmethod
     def checked(cls, params: CubeParams, k: int, counts: Mapping[int, int]) -> "FaceDistribution":

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
-from itertools import product
+from itertools import filterfalse, product, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
@@ -23,6 +22,7 @@ from .core import (
     CubeParams,
     Face,
     PointSet,
+    _Record,
     binom,
     check_guard,
     check_guard_power,
@@ -33,24 +33,33 @@ from .core import parse_pointset
 FAMILY_KINDS = ("face", "even_weight", "random", "file")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """Which family to generate plus its kind-specific parameters.
 
     face: free_positions (and optionally fixed_values, default all zero);
     even_weight: nothing extra (q must be 2); random: m and seed; file: path.
     """
 
+    _fields = ("kind", "free_positions", "fixed_values", "m", "seed", "path")
     kind: str
-    free_positions: Optional[tuple[int, ...]] = None
-    fixed_values: Optional[tuple[tuple[int, int], ...]] = None
-    m: Optional[int] = None
-    seed: Optional[int] = None
-    path: Optional[str] = None
+    free_positions: Optional[tuple[int, ...]]
+    fixed_values: Optional[tuple[tuple[int, int], ...]]
+    m: Optional[int]
+    seed: Optional[int]
+    path: Optional[str]
 
-    def __post_init__(self) -> None:
-        if self.kind not in FAMILY_KINDS:
-            raise CubeError(f"unknown family kind {self.kind!r}; expected one of {FAMILY_KINDS}")
+    def __init__(
+        self,
+        kind: str,
+        free_positions: Optional[tuple[int, ...]] = None,
+        fixed_values: Optional[tuple[tuple[int, int], ...]] = None,
+        m: Optional[int] = None,
+        seed: Optional[int] = None,
+        path: Optional[str] = None,
+    ) -> None:
+        if kind not in FAMILY_KINDS:
+            raise CubeError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
+        self._set(kind=kind, free_positions=free_positions, fixed_values=fixed_values, m=m, seed=seed, path=path)
 
 
 def face_spec(
@@ -60,7 +69,8 @@ def face_spec(
     fixed_values: Optional[tuple[tuple[int, int], ...]] = None,
 ) -> FamilySpec:
     """Build a face FamilySpec, defaulting the free positions to 0..nu-1 and
-    the fixed values to zero."""
+    the fixed values to zero. The positions are checked and filled in
+    whole-set passes."""
     if free_positions is None:
         if nu is None:
             raise CubeError("face family needs nu or an explicit free-position set")
@@ -68,17 +78,17 @@ def face_spec(
             raise CubeError(f"nu must be in [0, {params.n}], got {nu}")
         free_positions = tuple(range(nu))
     else:
-        free_positions = tuple(sorted(int(i) for i in free_positions))
-        for i, j in zip(free_positions, free_positions[1:]):
-            if i == j:
-                raise CubeError(f"free position {i} is repeated")
+        free_positions = tuple(sorted(map(int, free_positions)))
+        if len(set(free_positions)) != len(free_positions):
+            i = next(i for i, j in zip(free_positions, free_positions[1:]) if i == j)
+            raise CubeError(f"free position {i} is repeated")
         if nu is not None and nu != len(free_positions):
             raise CubeError(
                 f"nu={nu} disagrees with {len(free_positions)} free positions"
             )
     if fixed_values is None:
         free = set(free_positions)
-        fixed_values = tuple((i, 0) for i in range(params.n) if i not in free)
+        fixed_values = zip(filterfalse(free.__contains__, range(params.n)), repeat(0))
     return FamilySpec("face", free_positions=free_positions, fixed_values=tuple(fixed_values))
 
 
@@ -94,7 +104,10 @@ def _face(params: CubeParams, spec: FamilySpec) -> Face:
 
 def gen_face_subset(params: CubeParams, spec: FamilySpec) -> PointSet:
     """All points of one face, as a point set; its rank equals the dimension."""
-    face = _face(params, spec)
+    return _face_points(params, _face(params, spec))
+
+
+def _face_points(params: CubeParams, face: Face) -> PointSet:
     fixed = dict(face.fixed_values)
     axes = [range(params.q) if i in face.free_positions else (fixed[i],) for i in range(params.n)]
     return PointSet(params, product(*axes))
@@ -147,8 +160,9 @@ def realize_family(params: CubeParams, spec: FamilySpec, guard: int = DEFAULT_GU
             raise CubeError("file family needs a path")
         return parse_pointset(Path(spec.path).read_text(), params)[0]
     if spec.kind == "face":
-        check_guard_power(params.q, _face(params, spec).dimension, guard)
-        return gen_face_subset(params, spec)
+        face = _face(params, spec)
+        check_guard_power(params.q, face.dimension, guard)
+        return _face_points(params, face)
     if spec.kind == "even_weight":
         if params.q != 2:
             raise CubeError("the even-weight family requires q = 2")

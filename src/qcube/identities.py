@@ -10,7 +10,6 @@ equality.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, compress
 from operator import add, and_, lshift
@@ -22,6 +21,7 @@ from .core import (
     CubeError,
     CubeParams,
     PointSet,
+    _Record,
     binom,
     block_fold,
     check_guard,
@@ -32,19 +32,35 @@ from .rank import distance_sum, rank_rows
 Terms = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     """Outcome of one identity check: both sides, equality, optional per-term
     breakdowns (label, value) whose values sum to their side."""
 
+    _fields = ("identity", "params", "lhs", "rhs", "equal", "lhs_terms", "rhs_terms", "note")
     identity: str
     params: dict[str, Any]
     lhs: int
     rhs: int
     equal: bool
-    lhs_terms: Optional[Terms] = None
-    rhs_terms: Optional[Terms] = None
-    note: Optional[str] = None
+    lhs_terms: Optional[Terms]
+    rhs_terms: Optional[Terms]
+    note: Optional[str]
+
+    def __init__(
+        self,
+        identity: str,
+        params: dict[str, Any],
+        lhs: int,
+        rhs: int,
+        equal: bool,
+        lhs_terms: Optional[Terms] = None,
+        rhs_terms: Optional[Terms] = None,
+        note: Optional[str] = None,
+    ) -> None:
+        self._set(
+            identity=identity, params=params, lhs=lhs, rhs=rhs, equal=equal,
+            lhs_terms=lhs_terms, rhs_terms=rhs_terms, note=note,
+        )
 
     @classmethod
     def of(
@@ -81,22 +97,30 @@ def _require_size(A: PointSet, least: int, what: str) -> None:
 
 
 def _lhs_terms(A: PointSet, k: int, s: int, guard: int) -> Terms:
+    """The left side's terms, labelled by e in increasing order; only
+    breakdowns build them, _lhs sums the same values unlabelled."""
     dist = distribution(A, k, guard)
     return tuple(
         (f"e={e}", binom(e, s) * count) for e, count in dist.items() if e >= s
     )
 
 
-def _main_lhs_terms(A: PointSet, k: int, s: int, guard: int) -> Terms:
+def _lhs(A: PointSet, k: int, s: int, guard: int) -> int:
+    """Sum over e >= s of C(e, s) * (number of k-faces meeting A in exactly e
+    points), over the distribution's counts as stored."""
+    return sum(binom(e, s) * count for e, count in distribution(A, k, guard).counts.items() if e >= s)
+
+
+def _check_main(A: PointSet, k: int, s: int) -> None:
     _require_size(A, 1, "main_lhs")
     _check_s(A, k, s)
-    return _lhs_terms(A, k, s, guard)
 
 
 def main_lhs(A: PointSet, k: int, s: int, guard: int = DEFAULT_GUARD) -> int:
     """Left side: sum over e >= s of C(e, s) * (number of k-faces meeting A in
     exactly e points)."""
-    return sum(v for _, v in _main_lhs_terms(A, k, s, guard))
+    _check_main(A, k, s)
+    return _lhs(A, k, s, guard)
 
 
 # The sliced route's s-subsets are ranked a block of consecutive last points
@@ -352,7 +376,8 @@ def verify_main(
     """
     if include_terms:
         check_guard(binom(len(A), s) * s * A.params.n, guard)
-        lt: Optional[Terms] = _main_lhs_terms(A, k, s, guard)
+        _check_main(A, k, s)
+        lt: Optional[Terms] = _lhs_terms(A, k, s, guard)
         lhs = sum(v for _, v in lt)
     else:
         lt = None
@@ -371,12 +396,10 @@ def corollary_s1(
     Valid for every q (each point lies in exactly C(n, k) k-faces).
     """
     _require_size(A, 1, "corollary_s1")
-    dist = distribution(A, k, guard)
-    lhs_terms = tuple((f"e={e}", e * c) for e, c in dist.items() if e >= 1)
-    lhs = sum(v for _, v in lhs_terms)
+    lt = _lhs_terms(A, k, 1, guard) if include_terms else None
+    lhs = _lhs(A, k, 1, guard) if lt is None else sum(v for _, v in lt)
     rhs = len(A) * binom(A.params.n, k)
     params = {"q": A.params.q, "n": A.params.n, "k": k, "s": 1, "m": len(A)}
-    lt = lhs_terms if include_terms else None
     rt = (("m*binom(n,k)", rhs),) if include_terms else None
     return IdentityReport.of("corollary1", params, lhs, rhs, lt, rt, proven=True)
 
@@ -401,18 +424,17 @@ def corollary_s2(
     _require_size(A, 2, "corollary_s2")
     check_guard(binom(len(A), 2), guard)
     n = A.params.n
-    lhs_terms = _lhs_terms(A, k, 2, guard)
-    lhs = sum(v for _, v in lhs_terms)
+    lt = _lhs_terms(A, k, 2, guard) if include_terms else None
+    lhs = _lhs(A, k, 2, guard) if lt is None else sum(v for _, v in lt)
     if include_terms:
         rt: Optional[Terms] = tuple(
             (f"pair={ij}", binom(n - d, k - d))
             for ij, d in sorted(distance_sum(A, guard).pairwise.items())
         )
         rhs = sum(v for _, v in rt)
-        lt: Optional[Terms] = lhs_terms
     else:
         rhs = sum(c * binom(n - d, k - d) for d, c in _pair_distance_histogram(A, guard))
-        lt = rt = None
+        rt = None
     params = {"q": A.params.q, "n": n, "k": k, "s": 2, "m": len(A)}
     return IdentityReport.of("corollary2", params, lhs, rhs, lt, rt, proven=True)
 
@@ -467,16 +489,15 @@ def corollary_s3(
     m = len(A)
     check_guard(binom(m, 3), guard)
     n = A.params.n
-    lhs_terms = _lhs_terms(A, k, 3, guard)
-    lhs = sum(v for _, v in lhs_terms)
+    lt = _lhs_terms(A, k, 3, guard) if include_terms else None
+    lhs = _lhs(A, k, 3, guard) if lt is None else sum(v for _, v in lt)
     if include_terms:
         rt: Optional[Terms] = tuple(
             (f"triple={ijt}", binom(n - r, k - r)) for ijt, r in _triple_ranks(A, guard)
         )
         rhs = sum(v for _, v in rt)
-        lt: Optional[Terms] = lhs_terms
     else:
         rhs = sum(c * binom(n - r, k - r) for r, c in _triple_rank_histogram(A, guard))
-        lt = rt = None
+        rt = None
     params = {"q": 2, "n": n, "k": k, "s": 3, "m": m}
     return IdentityReport.of("corollary3", params, lhs, rhs, lt, rt, proven=True)

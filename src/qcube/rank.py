@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -22,6 +21,7 @@ from .core import (
     CubeError,
     Point,
     PointSet,
+    _Record,
     block_fold,
     check_guard,
     column_mask,
@@ -29,22 +29,28 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(_Record):
     """Pairwise Hamming distances keyed by 0-based index pairs (i, j), i < j,
     over the canonical point order, plus their total."""
 
+    _fields = ("pairwise", "total")
     pairwise: dict[tuple[int, int], int]
     total: int
 
+    def __init__(self, pairwise: dict[tuple[int, int], int], total: int) -> None:
+        self._set(pairwise=pairwise, total=total)
 
-@dataclass(frozen=True)
-class RankBounds:
+
+class RankBounds(_Record):
     """Exact rational bounds on the rank; exact_rank is filled when known."""
 
+    _fields = ("lower", "upper", "exact_rank")
     lower: Fraction
     upper: Fraction
-    exact_rank: Optional[int] = None
+    exact_rank: Optional[int]
+
+    def __init__(self, lower: Fraction, upper: Fraction, exact_rank: Optional[int] = None) -> None:
+        self._set(lower=lower, upper=upper, exact_rank=exact_rank)
 
 
 def rank_rows(rows: Sequence[tuple[int, ...]]) -> int:

@@ -19,7 +19,6 @@ digits than str() converts, goes through `_sweep_line` one point at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Optional
 
@@ -29,6 +28,7 @@ from .core import (
     CubeParams,
     PointSet,
     SizeGuardError,
+    _Record,
     abbreviated,
     binom,
     check_guard_power,
@@ -57,11 +57,13 @@ from .identities import (
 from .rank import rank_bounds
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_Record):
     """Parsed sweep description: identities to run, parameter ranges, the
     family template, and the output destination."""
 
+    _fields = (
+        "identities", "qs", "n_range", "k_range", "s_range", "nu_range", "seeds", "family", "guard", "output",
+    )
     identities: tuple[str, ...]
     qs: tuple[int, ...]
     n_range: tuple[int, int]
@@ -72,6 +74,24 @@ class SweepConfig:
     family: Optional[dict[str, Any]]
     guard: Optional[int]
     output: Optional[str]
+
+    def __init__(
+        self,
+        identities: tuple[str, ...],
+        qs: tuple[int, ...],
+        n_range: tuple[int, int],
+        k_range: Optional[tuple[int, int]],
+        s_range: tuple[int, int],
+        nu_range: Optional[tuple[int, int]],
+        seeds: tuple[int, ...],
+        family: Optional[dict[str, Any]],
+        guard: Optional[int],
+        output: Optional[str],
+    ) -> None:
+        self._set(
+            identities=identities, qs=qs, n_range=n_range, k_range=k_range, s_range=s_range,
+            nu_range=nu_range, seeds=seeds, family=family, guard=guard, output=output,
+        )
 
 
 def _parse_range(value: Any, name: str, allow_all: bool = False) -> Optional[tuple[int, int]]:
@@ -204,8 +224,7 @@ Outcomes = Iterator[tuple[dict[str, Any], Any]]
 Cell = Callable[[SweepConfig, int, int, dict[str, Any], int], Outcomes]
 
 
-@dataclass(frozen=True)
-class SweepIdentity:
+class SweepIdentity(_Record):
     """One sweep identity. `cell(cfg, q, n, instance, guard)` evaluates the
     grid points of one (q, n) cell and yields, in order, each point's params
     and outcome: the two sides (lhs, rhs), the fields of a finished row, or the
@@ -221,10 +240,18 @@ class SweepIdentity:
     template whose params are %d fields and whose sides are their str() (see
     _row_template), and the tests hold it to the JSON encoding of the row."""
 
+    _fields = ("cell", "family", "erratum", "profiled")
     cell: Cell
-    family: bool = False
-    erratum: bool = False
-    profiled: bool = False
+    family: bool
+    erratum: bool
+    profiled: bool
+
+    def __init__(self, cell: Cell, family: bool = False, erratum: bool = False, profiled: bool = False) -> None:
+        self._set(cell=cell, family=family, erratum=erratum, profiled=profiled)
+
+    def replace(self, **changes: Any) -> "SweepIdentity":
+        """A copy with the named fields changed."""
+        return SweepIdentity(**{**dict(zip(self._fields, self._key(self))), **changes})
 
 
 def _labels(instance: dict[str, Any]) -> dict[str, Any]:

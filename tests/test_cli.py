@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -622,7 +621,7 @@ class TestSweep:
 
     def test_unregistered_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         registry = qcube.sweep.SWEEP_IDENTITIES
-        entry = dataclasses.replace(registry["evenweight_printed"], erratum=False)
+        entry = registry["evenweight_printed"].replace(erratum=False)
         monkeypatch.setitem(registry, "evenweight_printed", entry)
         cfg = write(
             tmp_path,
@@ -880,7 +879,7 @@ class TestSweep:
             return cell(cfg, q, n, instance, guard)
 
         monkeypatch.setitem(
-            registry, "vandermonde", dataclasses.replace(registry["vandermonde"], cell=recording)
+            registry, "vandermonde", registry["vandermonde"].replace(cell=recording)
         )
         path = write(
             tmp_path, "cfg.json", json.dumps({"identities": ["vandermonde"], "n": [1, 2]})
@@ -1264,7 +1263,7 @@ class TestSweepRowTemplates:
     @settings(max_examples=30, deadline=None)
     def test_rows_match_the_oracle(self, config, printed_is_erratum):
         registry = qcube.sweep.SWEEP_IDENTITIES
-        printed = dataclasses.replace(registry["evenweight_printed"], erratum=printed_is_erratum)
+        printed = registry["evenweight_printed"].replace(erratum=printed_is_erratum)
         cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
             mp.setitem(registry, "evenweight_printed", printed)
@@ -1326,8 +1325,8 @@ class TestSweepRowTemplates:
                 yield row
 
         registry = qcube.sweep.SWEEP_IDENTITIES
-        monkeypatch.setitem(registry, "vandermonde", dataclasses.replace(
-            registry["vandermonde"], cell=qcube.sweep._closed_form(perturbed, 0)))
+        monkeypatch.setitem(registry, "vandermonde", registry["vandermonde"].replace(
+            cell=qcube.sweep._closed_form(perturbed, 0)))
         config = {"identities": ["vandermonde"], "q": [2], "n": [4, 6]}
         code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
         assert code == 1

@@ -1,6 +1,8 @@
 import random
 import sys
 import time
+import tracemalloc
+from collections.abc import Mapping
 from contextlib import contextmanager
 from itertools import combinations, product
 
@@ -16,6 +18,8 @@ from qcube.core import (
     Point,
     PointSet,
     SizeGuardError,
+    _parse_compact,
+    _parse_each_line,
     _power_bit_length,
     binom,
     check_guard,
@@ -26,6 +30,7 @@ from qcube.core import (
     serialize_pointset,
 )
 from qcube.faces import (
+    FaceDistribution,
     _distribution_grouped,
     _sliced_pays,
     distribution,
@@ -290,6 +295,102 @@ class TestFace:
         assert [pt.coords for pt in f.points()] == [(1, 0)]
 
 
+def face_by_positions(params, free_positions, fixed_values):
+    """The face checks one position at a time, as Face made them before they
+    ran on whole sets: the normalized (free_positions, fixed_values), or the
+    CubeError message."""
+    free = frozenset(int(i) for i in free_positions)
+    items = fixed_values.items() if isinstance(fixed_values, Mapping) else fixed_values
+    fixed = tuple(sorted((int(i), int(v)) for i, v in items))
+    n, q = params.n, params.q
+    fixed_positions = [i for i, _ in fixed]
+    if len(set(fixed_positions)) != len(fixed_positions):
+        return "duplicate fixed position"
+    if free & set(fixed_positions):
+        return "a position cannot be both free and fixed"
+    if free | set(fixed_positions) != set(range(n)):
+        return "free and fixed positions must partition the coordinate set"
+    for i, v in fixed:
+        if not 0 <= v < q:
+            return f"fixed value {v} at position {i} out of range for q={q}"
+    return free, fixed
+
+
+@st.composite
+def face_arguments(draw):
+    """(params, free_positions, fixed_values): positions from -1 to n + 1 and
+    values from -1 to q, as a tuple or list of pairs, with bools, or a dict;
+    most draws are faces."""
+    q, n = draw(st.integers(2, 5)), draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        free = draw(st.sets(st.integers(0, n - 1))) if n else set()
+        fixed = [(i, draw(st.integers(0, q - 1))) for i in range(n) if i not in free]
+        fixed = draw(st.permutations(fixed))
+    else:
+        free = draw(st.sets(st.integers(-1, n + 1), max_size=4))
+        fixed = draw(st.lists(st.tuples(st.integers(-1, n + 1), st.integers(-1, q)), max_size=n + 2))
+    form = draw(st.sampled_from(["tuple", "list", "bool", "dict"]))
+    if form == "list":
+        fixed = [list(pair) for pair in fixed]
+    elif form == "bool":
+        fixed = [(i, bool(v)) if v in (0, 1) else (i, v) for i, v in fixed]
+    elif form == "dict":
+        fixed = dict(fixed)
+    return CubeParams(q, n), frozenset(free), fixed if form == "dict" else tuple(fixed)
+
+
+@given(face_arguments())
+@settings(max_examples=400, deadline=None)
+def test_face_checks_match_the_per_position_checks(case):
+    params, free, fixed = case
+    want = face_by_positions(params, free, fixed)
+    try:
+        face = Face(params, free, fixed)
+    except CubeError as exc:
+        assert str(exc) == want
+    else:
+        assert (face.free_positions, face.fixed_values) == want
+        assert all(type(i) is int and type(v) is int for i, v in face.fixed_values)
+
+
+class TestRecords:
+    """The frozen value classes keep the equality, hashing and repr they had
+    as frozen dataclasses."""
+
+    def test_equality_hash_and_repr(self):
+        p = CubeParams(2, 3)
+        assert repr(p) == "CubeParams(q=2, n=3)"
+        assert hash(p) == hash((2, 3)) and p == CubeParams(2, 3) != CubeParams(3, 2)
+        assert p != (2, 3) and p.__eq__((2, 3)) is NotImplemented
+        face = Face(p, {1}, {2: 1, 0: 0})
+        assert repr(face) == (
+            "Face(params=CubeParams(q=2, n=3), free_positions=frozenset({1}), fixed_values=((0, 0), (2, 1)))"
+        )
+        assert hash(face) == hash((p, frozenset({1}), ((0, 0), (2, 1))))
+        assert repr(Point(p, [0, 1, 1])) == "Point(params=CubeParams(q=2, n=3), coords=(0, 1, 1))"
+
+    def test_fields_are_frozen(self):
+        p = CubeParams(2, 3)
+        with pytest.raises(AttributeError, match="cannot assign to field 'q'"):
+            p.q = 3
+        with pytest.raises(AttributeError, match="cannot delete field 'n'"):
+            del p.n
+        assert p == CubeParams(2, 3)
+
+    def test_point_set_is_a_cache_key_with_cached_properties(self, mkset):
+        A, B = mkset(2, 3, "011 000"), mkset(2, 3, "000 011")
+        assert A is not B and A == B and hash(A) == hash((A.params, A.packed))
+        assert A.rows is A.rows == ((0, 0, 0), (0, 1, 1))
+        assert distribution(A, 1) is distribution(B, 1)  # one lru_cache entry
+        assert "rows" not in vars(B)  # each set caches its own properties
+
+    def test_face_distribution_is_unhashable(self, mkset):
+        dist = distribution(mkset(2, 2, "00 11"), 1)
+        assert dist == FaceDistribution(CubeParams(2, 2), 1, dict(dist.counts))
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(dist)
+
+
 class TestHamming:
     def test_examples(self):
         p = CubeParams(3, 4)
@@ -420,6 +521,85 @@ class TestParse:
         assert A.coord_rows() == ((11, 0),)
         with pytest.raises(ParseError):
             parse_pointset("110", params)
+
+
+# Lines the whole-text parse must leave to the per-line loop: not digits,
+# not ASCII, signs, underscores, base prefixes, inner spaces and commas.
+ODD_LINES = st.sampled_from(["\u0661", "0\u0660", "\u00b2", "1\u0663", "1_0", "+1", "-1", "0b1", "0 1", "0,1", "1,0,1", "#x"])
+PADDING = st.sampled_from(["", " ", "\t", "\r", " \t", "\x0b"])
+
+
+@st.composite
+def mixed_texts(draw):
+    """(params, text) for q in 2..16: rows in either format with padding,
+    comment and blank lines, duplicates, and in about half the texts also
+    digit strings of any length and any digit, and ODD_LINES."""
+    q, n = draw(st.integers(2, 16)), draw(st.integers(0, 6))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    kinds = [
+        row.map(lambda r: "".join(map(str, r))) if q <= 10 else row.map(lambda r: ",".join(map(str, r))),
+        st.just(""),
+        st.sampled_from(["#", "# a comment", "#0,1"]),
+    ]
+    if draw(st.booleans()):
+        kinds += [
+            row.map(lambda r: ",".join(map(str, r))),
+            st.lists(st.integers(0, 9), max_size=8).map(lambda r: "".join(map(str, r))),
+            ODD_LINES,
+        ]
+    lines = draw(st.lists(st.tuples(PADDING, st.one_of(kinds), PADDING).map("".join), max_size=10))
+    if lines:
+        lines += draw(st.lists(st.sampled_from(lines), max_size=3))
+    return CubeParams(q, n), "\n".join(draw(st.permutations(lines)))
+
+
+def parse_outcome(parse, text, params):
+    try:
+        return parse(text, params)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+@given(mixed_texts())
+@example((CubeParams(3, 2), "01\n # c\n\n 21\r\n01"))
+@example((CubeParams(3, 2), "01\n13"))
+@example((CubeParams(2, 2), "01\n0,1"))
+@example((CubeParams(2, 1), "\u00b2"))
+@settings(max_examples=600, deadline=None)
+def test_whole_text_parse_matches_the_per_line_loop(case):
+    params, text = case
+    assert parse_outcome(parse_pointset, text, params) == parse_outcome(_parse_each_line, text, params)
+
+
+class TestWholeTextParse:
+    def test_compact_texts_take_it(self):
+        params = CubeParams(3, 3)
+        A = PointSet(params, [(0, 1, 2), (2, 1, 0)])
+        assert _parse_compact("# c\n012\n 210 \n\n012\n", params) == (A, 1)
+        assert _parse_compact("", params) == (PointSet(params, []), 0)
+        q2 = CubeParams(2, 4)
+        assert _parse_compact("0110\n1001", q2) == (PointSet(q2, [(0, 1, 1, 0), (1, 0, 0, 1)]), 0)
+
+    @pytest.mark.parametrize("text", ["012\n0,1,2", "012\n013", "012\n01", "012\n0\u06632", "012\n+12", "012\n1_2"])
+    def test_other_texts_go_line_by_line(self, text):
+        assert _parse_compact(text, CubeParams(3, 3)) is None
+
+    def test_holds_no_more_than_the_per_line_loop(self):
+        rng = random.Random(20)
+        rows = rng.sample(range(1 << 20), 60_000)
+        text = "# 60 000 rows\n" + "\n".join(format(x, "020b") for x in rows) + "\n"
+        params = CubeParams(2, 20)
+        assert _parse_compact(text, params) is not None
+        peaks, results = [], []
+        for parse in (_parse_each_line, parse_pointset):
+            tracemalloc.start()
+            try:
+                results.append(parse(text, params))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert results[0] == results[1] and results[1][1] == 0
+        assert peaks[1] <= peaks[0]
 
 
 class TestSerialize:

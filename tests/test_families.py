@@ -74,7 +74,7 @@ class TestGenFace:
         def refuse(self):
             raise AssertionError("a Point was built")
 
-        monkeypatch.setattr(Point, "__post_init__", refuse)
+        monkeypatch.setattr(Point, "__init__", refuse)
         params = CubeParams(3, 4)
         A = gen_face_subset(params, face_spec(params, None, (1, 3), ((0, 2), (2, 1))))
         assert A.coord_rows() == tuple((2, a, 1, b) for a in range(3) for b in range(3))

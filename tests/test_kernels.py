@@ -59,11 +59,15 @@ from qcube.identities import (
     _subset_rank_histogram,
     _subset_rank_histogram_sliced,
     _subset_rank_histogram_walked,
+    _lhs,
+    _lhs_terms,
     _triple_rank_histogram,
     _triple_ranks,
+    corollary_s1,
     corollary_s2,
     corollary_s3,
     intersection_cap,
+    main_lhs,
     main_rhs,
 )
 from qcube.rank import DistanceProfile, distance_sum, distance_total, rank, rank_rows
@@ -497,3 +501,18 @@ def test_triple_rank_histogram_refuses_an_odd_distance_sum():
     with mock.patch.object(qcube.identities, "distance_sum", return_value=fake):
         with pytest.raises(ConsistencyError, match=r"^odd distance sum 3 for a binary triple \(0, 1, 2\)$"):
             _triple_rank_histogram.__wrapped__(A, 10**7)
+
+
+@given(point_sets(), st.integers(0, 6), st.integers(1, 8))
+@kernel_settings
+def test_unlabelled_lhs_sums_the_labelled_terms(A, k, s):
+    k = min(k, A.params.n)
+    terms = _lhs_terms(A, k, s, 10**7)
+    assert _lhs(A, k, s, 10**7) == sum(v for _, v in terms)
+    assert [label for label, _ in terms] == [f"e={e}" for e, c in distribution(A, k).items() if e >= s]
+    if s <= intersection_cap(A, k):
+        assert main_lhs(A, k, s) == _lhs(A, k, s, 10**7)
+    for corollary, least in ((corollary_s1, 1), (corollary_s2, 2), (corollary_s3, 3)):
+        if len(A) >= least and (corollary is not corollary_s3 or A.params.q == 2):
+            with_terms = corollary(A, k, include_terms=True)
+            assert corollary(A, k).lhs == with_terms.lhs == sum(v for _, v in with_terms.lhs_terms)

@@ -27,7 +27,8 @@ from qcube.cli import main
 code = main(sys.argv[1:])
 modules = sorted(name for name in sys.modules if name.startswith("qcube."))
 executed = [name for name in modules if type(sys.modules[name]) is types.ModuleType]
-print(json.dumps({"code": code, "modules": modules, "executed": executed}))
+slow = [name for name in ("dataclasses", "inspect", "string") if name in sys.modules]
+print(json.dumps({"code": code, "modules": modules, "executed": executed, "slow": slow}))
 """
 
 
@@ -57,6 +58,29 @@ def test_command_executes_only_the_modules_it_uses(tmp_path, argv, executed):
     assert got["code"] == 0
     assert got["executed"] == executed
     assert got["modules"] == sorted(["qcube.cli", *SUBMODULES])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rank", "a.txt"),
+        ("bounds", "a.txt"),
+        ("distribution", "a.txt", "-k", "2"),
+        ("verify", "a.txt", "-k", "2", "-s", "2", "--breakdown"),
+        ("gen", "--family", "face", "--n", "4", "--nu", "2"),
+        ("sweep", "sweep.json"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_imports_no_dataclasses(tmp_path, argv):
+    # dataclasses (with inspect) and string cost every process milliseconds
+    # to import; no command needs them.
+    config = {"identities": ["main", "corollary1", "bounds", "vandermonde"], "q": [2], "n": [3, 4],
+              "family": {"kind": "random", "m": 4}}
+    (tmp_path / "sweep.json").write_text(json.dumps(config))
+    got = run_child(tmp_path, *argv)
+    assert got["code"] == 0
+    assert got["slow"] == []
 
 
 # Calls one closed form through the package before anything else, then prints
