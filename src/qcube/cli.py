@@ -87,14 +87,25 @@ def _read_text(path: str) -> str:
 
 
 def _infer_n(text: str, q: int) -> Optional[int]:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "," in line or q > 10:
-            return len(line.split(","))
-        return len(line)
-    return None
+    """The number of coordinates on the first line that is neither blank nor
+    a comment, or None if there is none. Lines are split as str.splitlines
+    splits them, as the parser does, but only a head of the text is split:
+    its lines before the last are whole lines of the text, and the head grows
+    fourfold until it holds a data line or is the whole text."""
+    size = 4096
+    while True:
+        whole = size >= len(text)
+        lines = text[:size].splitlines()
+        for raw in lines if whole else lines[:-1]:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "," in line or q > 10:
+                return len(line.split(","))
+            return len(line)
+        if whole:
+            return None
+        size *= 4
 
 
 def _guard(args: argparse.Namespace) -> int:
@@ -227,7 +238,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         free = _csv_ints(args.free, "--free") if args.free is not None else None
         if free is None and args.nu is None:
             raise CubeError("face family needs --nu or --free")
-        spec = families.face_spec(params, args.nu, free)
+        # Without --fixed the size is checked before the zero pairs are
+        # built; --fixed's own input errors come before the guard.
+        guard = _guard(args) if args.fixed is None else None
+        spec = families.face_spec(params, args.nu, free, guard=guard)
         if args.fixed is not None:
             values = _csv_ints(args.fixed, "--fixed")
             positions = [i for i, _ in spec.fixed_values]

@@ -8,7 +8,9 @@ package is built on. No floating point.
 Packed layout: a point packs into one int with w = (q-1).bit_length() bits
 per coordinate, coordinate 0 in the most significant block, so packed ints
 sort like coordinate tuples. The layout is decided here only; other modules
-go through PointSet.packed, column_mask, block_fold and PointSet.slices.
+go through PointSet.packed, column_mask, block_fold and PointSet.slices, and
+the faces module's dense fold reads the block width w to address the cells
+below 2**(n*w), where a packed point is a bit position.
 
 Bit-sliced form: PointSet.slices holds, for each coordinate j and each value
 v that occurs there, one int whose bit i is set when point i has coordinate
@@ -52,6 +54,11 @@ class ConsistencyError(RuntimeError):
 
 
 DEFAULT_GUARD = 10_000_000
+
+# The most bytes a bit-sliced kernel's route may hold at once: the subset-rank
+# histogram's sliced route and the face distribution's dense fold route are
+# picked only when their bound on what they hold is within it.
+KERNEL_MEMORY_CAP = 16 << 20
 
 
 def check_guard(ops: int, guard: int = DEFAULT_GUARD) -> None:

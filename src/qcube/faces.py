@@ -4,12 +4,14 @@ A k-face is fixed by choosing k free positions and a value for each remaining
 position. For a point set A, the distribution at level k maps each e >= 0 to
 the number of k-faces whose intersection with A has exactly e elements.
 
-Two routes tally it, both exact: grouping A's packed projections with a
-Counter for each choice of fixed positions, one k at a time, or one
+Three routes tally it, all exact: grouping A's packed projections with a
+Counter for each choice of fixed positions, one k at a time; one
 depth-first walk over the increasing sets of fixed positions on A's
-per-(coordinate, value) bitsets, which tallies every level of a range ks at
-once (_profile_sliced). A cost estimate from (q, n, ks, |A|) picks the route
-(_sliced_pays). distribution(A, k) takes one k, the walk's one-level case;
+per-(coordinate, value) bitsets (_profile_sliced); and one depth-first fold
+over the increasing sets of free positions on bit-sliced counters with a
+bit per cell of the cube (_profile_dense). The walk and the fold tally every
+level of a range ks at once. A cost estimate from (q, n, ks, |A|) picks the
+route (_sliced_pays). distribution(A, k) takes one k, the one-level case;
 profile(A, ks) takes a range, and its guard estimate, the sum over ks of
 C(n, k)*|A|, is checked before anything is built. The sweep profiles each
 family set once over its cell's k range, and every row's distribution(A, k)
@@ -26,6 +28,7 @@ from typing import Callable, Iterator, Mapping, Optional
 
 from .core import (
     DEFAULT_GUARD,
+    KERNEL_MEMORY_CAP,
     ConsistencyError,
     CubeError,
     CubeParams,
@@ -33,6 +36,7 @@ from .core import (
     Point,
     PointSet,
     _Record,
+    _block_width,
     binom,
     check_guard,
     check_guard_power,
@@ -169,35 +173,118 @@ def faces_containing_bruteforce(A: PointSet, k: int, guard: int = DEFAULT_GUARD)
     return count
 
 
-def _sliced_pays(params: CubeParams, ks: range, m: int) -> bool:
-    """Whether one walk over the levels ks (consecutive, nonempty) is
-    estimated cheaper than the Counter route at each k, from (q, n, ks, m)
-    alone.
+def _sliced_pays(params: CubeParams, ks: range, m: int) -> str:
+    """The route estimated cheapest for the levels ks (consecutive,
+    nonempty), from (q, n, ks, m) alone: "counter" for the Counter route at
+    each k, "walk" for one walk (_profile_sliced) or "dense" for one dense
+    fold (_profile_dense). A tie goes to the Counter route, and between
+    the other two to the dense fold.
 
-    The Counter route costs C(n, k)*(m + 32) projections at each k: m
-    projections, and about 32 more for the mask and the Counter of each
-    choice of fixed positions. The walk fixes d = 1..n-min(ks) positions; at
-    depth d it enters C(min(n, max(ks)+d), d) prefixes, those with a level of
-    ks at or below them, and each splits its parent's fibres of two or more
-    points by q values. Those fibres number at most q**(d-1) and m/2, and
-    about C(m, 2)/q**(d-1) when the set is spread evenly. An AND of two
-    m-bit sets is counted as 3 projections plus one per 1 024 bits, and
-    building the slices as core.slices_cost, m*n/8 for q = 2. With fewer
-    than 2 points, or no position to fix, the Counter route is taken."""
+    Costs are in projections of a packed row. The Counter route costs
+    C(n, k)*(m + 32) at each k: m projections, and about 32 more for the
+    mask and the Counter of each choice of fixed positions. For the walk see
+    _walk_cost and for the dense route _dense_cost; the dense route is not
+    taken if what it holds could pass KERNEL_MEMORY_CAP (_dense_bytes)."""
+    n = params.n
+    costs = {"counter": sum(map(binom, [n] * len(ks), ks)) * (m + 32)}
+    dense = _dense_cost(params, ks, m)
+    if dense is not None:
+        costs["dense"] = dense
+    walk = _walk_cost(params, ks, m, min(costs.values()))
+    if walk is not None:
+        costs["walk"] = walk
+    return min(costs, key=costs.__getitem__)
+
+
+def _walk_cost(params: CubeParams, ks: range, m: int, limit: int) -> Optional[int]:
+    """The walk's estimated cost over the levels ks, or None if it is limit
+    or more, or there are fewer than 2 points or no position to fix.
+
+    The walk fixes d = 1..n-min(ks) positions; at depth d it enters
+    C(min(n, max(ks)+d), d) prefixes, those with a level of ks at or below
+    them, and each splits its parent's fibres of two or more points by q
+    values. Those fibres number at most q**(d-1) and m/2, and about
+    C(m, 2)/q**(d-1) when the set is spread evenly. An AND of two m-bit sets
+    is counted as 3 projections plus one per 1 024 bits, and building the
+    slices as core.slices_cost, m*n/8 for q = 2."""
     n, q = params.n, params.q
     lo, hi = ks[0], ks[-1]
     if m < 2 or lo == n:
-        return False
+        return None
     pairs = m * (m - 1) // 2
-    budget = sum(map(binom, [n] * len(ks), ks)) * (m + 32) - slices_cost(params, m)
+    start = slices_cost(params, m)
     ands, cells = 0, 1
     for d in range(1, n - lo + 1):
         fibres = min(cells, m // 2, -(-pairs // cells))
         ands += binom(min(n, hi + d), d) * fibres * q
-        if ands * (3 + m // 1024) >= budget:
-            return False
+        if ands * (3 + m // 1024) + start >= limit:
+            return None
         cells = min(pairs, cells * q)
-    return True
+    return ands * (3 + m // 1024) + start
+
+
+def _dense_cost(params: CubeParams, ks: range, m: int) -> Optional[int]:
+    """The dense fold route's estimated cost over the levels ks, or None if
+    _dense_bytes puts what it holds over KERNEL_MEMORY_CAP.
+
+    Every int it works on has a bit per cell, 2**(n*w) bits in
+    ceil(2**(n*w)/64) words, and an operation on one is counted as one
+    projection plus one per 256 words. The count at a cell after d folds is
+    at most min(m, q**d), and about m/q**(n-d) when the set is spread
+    evenly; taking at most min(m, q**d, 2*ceil(m/q**(n-d)) + 4) gives the
+    number of planes P(d), its bit length. A fold at depth d costs
+    (q-1)*6*P(d-1) + P(d) operations, the ripple-carry adds of the q-1
+    shifted siblings and the masks; the depth-first walk folds C(n -
+    max(0, min(ks) - d), d) times at depth d. A tally at level k takes one
+    operation a plane for the planes' OR, which it splits by each plane
+    into at most min(2**(i+1), V) parts at the i-th plane from the top, two
+    operations a part; V is the same bound on the count, or q**(n-k) if
+    fewer. Each fold and each tally adds 13 projections for its calls and
+    lists, the n masks 10 operations each, and the indicator one
+    projection per point."""
+    # One int of 2**(n*w) bits alone passes the cap from this size on.
+    if _cell_bits(params) >= (8 * KERNEL_MEMORY_CAP).bit_length():
+        return None
+    if _dense_bytes(params, ks, m) > KERNEL_MEMORY_CAP:
+        return None
+    n, q = params.n, params.q
+    lo, hi = ks[0], ks[-1]
+    unit = 256 + -(-(1 << _cell_bits(params)) // 64)  # 256 * one operation
+    tops = [min(m, q**d, 2 * -(-m // q ** (n - d)) + 4) for d in range(hi + 1)]
+    planes = [top.bit_length() for top in tops]
+    ops = 10 * n
+    calls = 0
+    for d in range(1, hi + 1):
+        folds = binom(n - max(0, lo - d), d)
+        calls += folds
+        ops += folds * ((q - 1) * 6 * planes[d - 1] + planes[d])
+    for k in ks:
+        parts = min(tops[k], q ** (n - k))
+        calls += binom(n, k)
+        ops += binom(n, k) * (planes[k] + 2 * sum(min(2 << i, parts) for i in range(planes[k])))
+    return ops * unit // 256 + 13 * calls + m
+
+
+def _dense_bytes(params: CubeParams, ks: range, m: int) -> int:
+    """Upper bound on the bytes the dense fold route holds at once over the
+    levels ks, counting 2/15 byte per bit (CPython stores 30 bits in 4
+    bytes) and 32 bytes more per int, each int 2**(n*w) bits at most:
+    - the indicator's bytearray, a bit per cell;
+    - the n masks of _block_cells;
+    - the planes of every fold on the current path, bit_length(min(m, q**d))
+      at depth d = 0..max(ks);
+    - a fold's sum before and after the mask and its carries, 2(P + w) + 4
+      ints, P the most planes: the sum of q counts below 2**P, over every
+      cell, has at most P + w planes;
+    - a tally's two levels of parts, 2*min(2**P, q**(n-min(ks))) + 1 ints;
+    and 64 KiB of the interpreter's own."""
+    n, q = params.n, params.q
+    cells = 1 << _cell_bits(params)
+    planes = [min(m, q**d).bit_length() for d in range(ks[-1] + 1)]
+    most = max(planes)
+    ints = n + sum(planes) + 2 * (most + _block_width(params)) + 4
+    ints += 2 * min(1 << most, q ** (n - ks[0])) + 1
+    return ints * (cells * 2 // 15 + 32) + cells // 8 + (64 << 10)
 
 
 def _distribution_counted(A: PointSet, k: int) -> FaceDistribution:
@@ -283,11 +370,132 @@ def _profile_sliced(A: PointSet, ks: range) -> list[FaceDistribution]:
     return out
 
 
+def _profile_dense(A: PointSet, ks: range) -> list[FaceDistribution]:
+    """The dense fold route: the distribution at every level k in ks
+    (consecutive, nonempty) from counters over the cube's cells, the bit
+    positions of _cell_bits, instead of over A's points.
+
+    The counts are bit-sliced: planes[i] holds bit i of every cell's count,
+    and at the start one plane, A's indicator, holds 1 at each point of A.
+    Folding coordinate j adds to each cell whose block j is 0 the counts of
+    its q - 1 siblings, the planes shifted right by v*step for v = 1..q-1
+    (_block_cells), in bit-sliced ripple-carry adds; then every plane is
+    masked to block j = 0, so the other cells become 0. After the free
+    positions T are folded, each face with free positions T holds its
+    intersection with A in the one cell whose blocks in T are 0 and whose
+    others are its fixed values; every other cell is 0.
+
+    The free sets T are walked depth first in increasing order up to
+    max(ks), one fold a step, so every T shares its prefix's folds, and a
+    child is entered only if it or an extension lies on a level of ks. At
+    each |T| in ks the planes are tallied: their OR is split by each plane
+    in turn, from the highest down, keeping only nonempty parts, and each
+    part's popcount is the number of faces with its count. The empty faces
+    at each k are the rest of total_faces."""
+    params = A.params
+    n, q = params.n, params.q
+    lo, hi = ks[0], ks[-1]
+    folds = [_block_cells(params, j) for j in range(n)]
+    tallies: list[Counter[int]] = [Counter() for _ in ks]
+
+    def fold(planes: list[int], j: int) -> list[int]:
+        step, mask = folds[j]
+        total = list(planes)
+        for shift in range(step, q * step, step):
+            carry = 0
+            for i, plane in enumerate(planes):
+                sibling = plane >> shift
+                x = total[i]
+                half = x ^ sibling
+                total[i] = half ^ carry
+                carry = x & sibling | carry & half
+            for i in range(len(planes), len(total)):
+                if not carry:
+                    break
+                x = total[i]
+                total[i] = x ^ carry
+                carry &= x
+            if carry:
+                total.append(carry)
+        total = [plane & mask for plane in total]
+        while total and not total[-1]:
+            total.pop()
+        return total
+
+    def tally(planes: list[int], counts: Counter[int]) -> None:
+        whole = 0
+        for plane in planes:
+            whole |= plane
+        parts = {0: whole} if whole else {}  # count so far -> its cells
+        for i in range(len(planes) - 1, -1, -1):
+            plane, bit = planes[i], 1 << i
+            split = {}
+            for e, cells in parts.items():
+                high = cells & plane
+                if high:
+                    split[e | bit] = high
+                    if high != cells:
+                        split[e] = cells ^ high
+                else:
+                    split[e] = cells
+            parts = split
+        for e, cells in parts.items():
+            counts[e] += cells.bit_count()
+
+    def walk(planes: list[int], start: int, depth: int) -> None:
+        if depth >= lo:
+            tally(planes, tallies[depth - lo])
+        if depth < hi:
+            for j in range(start, n - max(0, lo - depth - 1)):
+                walk(fold(planes, j), j + 1, depth + 1)
+
+    walk([_indicator(A)], 0, 0)
+    out = []
+    for k, counts in zip(ks, tallies):
+        counts[0] = total_faces(params, k) - sum(counts.values())
+        out.append(FaceDistribution.checked(params, k, counts))
+    return out
+
+
+def _indicator(A: PointSet) -> int:
+    """The int with bit x set for each packed point x of A, built in a
+    bytearray of a bit per cell."""
+    cells = bytearray(((1 << _cell_bits(A.params)) + 7) >> 3)
+    for x in A.packed:
+        cells[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(cells, "little")
+
+
+def _cell_bits(params: CubeParams) -> int:
+    """n*w: every packed point of the cube lies below 2**(n*w), so it names
+    one cell, a bit position, of an int of 2**(n*w) bits. For q a power of
+    two the cells are exactly the q**n points; otherwise the cells whose
+    blocks hold a code of q or more name no point."""
+    return params.n * _block_width(params)
+
+
+def _block_cells(params: CubeParams, j: int) -> tuple[int, int]:
+    """(step, mask) for coordinate j over the cells of _cell_bits: adding
+    v*step to a cell whose block j is 0 sets that block to v, and mask has a
+    bit set for each cell whose block j is 0. The mask is built by doubling
+    a run of step ones, about as much work as writing its 2**(n*w) bits."""
+    w, n = _block_width(params), params.n
+    step = 1 << w * (n - 1 - j)
+    mask, period, size = (1 << step) - 1, step << w, 1 << n * w
+    while period < size:
+        mask |= mask << period
+        period <<= 1
+    return step, mask
+
+
 def _profile_routed(A: PointSet, ks: range) -> list[FaceDistribution]:
-    """The distributions at ks by the route _sliced_pays picks: one walk, or
-    the Counter route at each k."""
-    if _sliced_pays(A.params, ks, len(A)):
+    """The distributions at ks by the route _sliced_pays picks: one walk,
+    one dense fold, or the Counter route at each k."""
+    route = _sliced_pays(A.params, ks, len(A))
+    if route == "walk":
         return _profile_sliced(A, ks)
+    if route == "dense":
+        return _profile_dense(A, ks)
     return [_distribution_counted(A, k) for k in ks]
 
 
@@ -312,7 +520,8 @@ def profile(A: PointSet, ks: Optional[range] = None, guard: int = DEFAULT_GUARD)
     The guard estimate is the sum over ks of distribution's, that is
     sum C(n, k)*max(|A|, 1), and it is checked before anything is built.
     _sliced_pays, extended to the range, picks between one walk for every k
-    (_profile_sliced) and the Counter route at each k. The results are kept
+    (_profile_sliced), one dense fold for every k (_profile_dense) and the
+    Counter route at each k. The results are kept
     per set, and distribution(A, k) reads them on a miss, after its own
     guard check."""
     params = A.params
@@ -334,20 +543,25 @@ def profile(A: PointSet, ks: Optional[range] = None, guard: int = DEFAULT_GUARD)
 def distribution(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> FaceDistribution:
     """Exact distribution e -> number of k-faces meeting A in exactly e points.
 
-    A k-face is a fibre of one value assignment on n-k fixed positions. Two
-    routes tally the nonempty fibres, and the rest are empty:
+    A k-face is a fibre of one value assignment on n-k fixed positions.
+    Three routes tally the nonempty fibres, and the rest are empty:
     - the Counter route groups A's projections onto each choice of fixed
       positions (the packed rows masked by core.column_mask), |A| projections
       per choice, C(n, k)*|A| in all;
     - the walk (_profile_sliced, at the one level k) visits the choices as
       increasing prefixes over A's value bitsets, so a fibre is split once
       for all choices that extend its prefix, and the per-point work runs
-      inside int operations, a machine word per 64 points.
+      inside int operations, a machine word per 64 points;
+    - the dense fold (_profile_dense, at the one level k) keeps a count for
+      every cell of the cube, bit-sliced, a machine word per 64 cells, and
+      sums sibling cells one free position at a time, so each choice of free
+      positions shares its prefix's folds; it pays when the cube is small
+      and A is dense in it.
     The route is picked from (q, n, k, |A|) alone by a cost estimate, see
     _sliced_pays. distribution_bruteforce, a per-face scan over coordinate
-    tuples, is the oracle of both.
+    tuples, is the oracle of all three.
 
-    The guard estimate is C(n, k)*|A| on either route and is checked on every
+    The guard estimate is C(n, k)*|A| on every route and is checked on every
     call; results are cached per (A, k), and a miss reads what profile() kept
     for A before it computes, so treat the returned counts as read-only.
     """

@@ -67,10 +67,13 @@ def face_spec(
     nu: Optional[int] = None,
     free_positions: Optional[tuple[int, ...]] = None,
     fixed_values: Optional[tuple[tuple[int, int], ...]] = None,
+    guard: Optional[int] = None,
 ) -> FamilySpec:
     """Build a face FamilySpec, defaulting the free positions to 0..nu-1 and
     the fixed values to zero. The positions are checked and filled in
-    whole-set passes."""
+    whole-set passes. Without fixed values, the free positions are checked
+    in full first, and then the face's size q**|free| against the guard, if
+    one is given, before any zero fixed value is built."""
     if free_positions is None:
         if nu is None:
             raise CubeError("face family needs nu or an explicit free-position set")
@@ -87,6 +90,11 @@ def face_spec(
                 f"nu={nu} disagrees with {len(free_positions)} free positions"
             )
     if fixed_values is None:
+        # Face refuses these with the same message, once the pairs are built.
+        if free_positions and not 0 <= free_positions[0] <= free_positions[-1] < params.n:
+            raise CubeError("free and fixed positions must partition the coordinate set")
+        if guard is not None:
+            check_guard_power(params.q, len(free_positions), guard)
         free = set(free_positions)
         fixed_values = zip(filterfalse(free.__contains__, range(params.n)), repeat(0))
     return FamilySpec("face", free_positions=free_positions, fixed_values=tuple(fixed_values))

@@ -17,6 +17,7 @@ from typing import Any, Iterator, Optional
 
 from .core import (
     DEFAULT_GUARD,
+    KERNEL_MEMORY_CAP,
     ConsistencyError,
     CubeError,
     CubeParams,
@@ -127,7 +128,7 @@ def main_lhs(A: PointSet, k: int, s: int, guard: int = DEFAULT_GUARD) -> int:
 # at a time, about _RHS_BLOCK subsets per block; everything it holds at once
 # is kept under _RHS_MEMORY_CAP bytes (see _rhs_sliced_bytes).
 _RHS_BLOCK = 1 << 14
-_RHS_MEMORY_CAP = 16 << 20
+_RHS_MEMORY_CAP = KERNEL_MEMORY_CAP
 
 
 def _rhs_sliced_bytes(params: CubeParams, m: int, s: int) -> int:

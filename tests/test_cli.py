@@ -11,6 +11,7 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -434,6 +435,17 @@ class TestGen:
         assert (code, out) == (3, "")
         assert err == "error: instance too large: more than 10^39999 elementary operations, guard is 10000000\n"
 
+    def test_guard_refuses_a_face_before_its_fixed_pairs(self, capsys, monkeypatch):
+        # Without --fixed, q^|free| is checked once the free positions are,
+        # before the n - nu zero pairs or the Face are built.
+        refuse = mock.Mock(side_effect=AssertionError)
+        monkeypatch.setattr(qcube.families, "filterfalse", refuse)
+        monkeypatch.setattr(qcube.families.Face, "__init__", refuse)
+        code, out, err = run(capsys, "gen", "--family", "face", "--n", "400000", "--nu", "40")
+        assert (code, out) == (3, "")
+        assert err == "error: instance too large: about 1099511627776 elementary operations, guard is 10000000\n"
+        assert not refuse.called
+
     def test_guard_refuses_a_power_without_building_it(self, capsys, monkeypatch):
         # q^nu = 10^800000: its bit length alone puts it over the guard and
         # over what str() converts, so it is named without being built.
@@ -559,6 +571,55 @@ class TestStdin:
         proc = run_module("rank", path)
         assert proc.returncode == 0
         assert "rank: 2" in proc.stdout
+
+
+def infer_n_by_splitting_all(text, q):
+    """The former _infer_n, which split the whole text: the oracle."""
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "," in line or q > 10:
+            return len(line.split(","))
+        return len(line)
+    return None
+
+
+# Every separator str.splitlines knows, "\r\n" among them, and characters
+# that strip() removes or that look like line breaks but are none.
+LINE_PIECES = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+               " ", "\t", "\x1f", "\xa0", "#", "# c", ",", "0", "01", "012", "1,2", "9" * 50, "\u0663"]
+
+
+class TestInferN:
+    @given(
+        head=st.lists(st.sampled_from(LINE_PIECES), max_size=40),
+        filler=st.integers(0, 3),
+        tail=st.lists(st.sampled_from(LINE_PIECES), max_size=40),
+        q=st.sampled_from((2, 10, 11)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_splitting_the_whole_text(self, head, filler, tail, q):
+        # filler pushes the first data line past the first head of 4 096
+        # characters, and past the next, with blank and comment lines.
+        text = "".join(head) + ("\n" * 2000 + "#" * 1500 + "\r\n") * filler + "".join(tail)
+        assert qcube.cli._infer_n(text, q) == infer_n_by_splitting_all(text, q)
+
+    def test_splits_only_a_head(self):
+        text = "# points\n" + "0101\n" * 200_000
+        tracemalloc.start()
+        try:
+            assert qcube.cli._infer_n(text, 2) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    @pytest.mark.parametrize("cut", range(4090, 4100))
+    def test_a_head_cut_inside_a_line_or_a_crlf(self, cut):
+        for line in ("0101", "\r\n0101", "\r\r\n1,2,3"):
+            text = "\n" * (cut - 1) + "\r" + line
+            assert qcube.cli._infer_n(text, 2) == infer_n_by_splitting_all(text, 2)
 
 
 BASE_SWEEP = {

@@ -166,7 +166,7 @@ class TestPointSet:
 
         even = [f"{x:06b}" for x in range(64) if x.bit_count() % 2 == 0]
         C, _ = parse_pointset("\n".join(even), CubeParams(2, 6))
-        assert _sliced_pays(C.params, range(5, 6), len(C))
+        assert _sliced_pays(C.params, range(5, 6), len(C)) == "walk"
         _distribution_grouped.cache_clear()  # an equal set may be cached already
         assert distribution(C, 5).counts == {16: 12, 0: 0}
         assert "slices" in vars(C)

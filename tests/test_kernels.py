@@ -7,6 +7,7 @@ and q > 10.
 """
 
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
@@ -21,6 +22,7 @@ import qcube.core
 import qcube.faces
 import qcube.identities
 from qcube.core import (
+    KERNEL_MEMORY_CAP,
     ConsistencyError,
     CubeError,
     CubeParams,
@@ -32,8 +34,11 @@ from qcube.core import (
     value_slices,
 )
 from qcube.faces import (
+    _dense_bytes,
+    _dense_cost,
     _distribution_counted,
     _distribution_grouped,
+    _profile_dense,
     _profile_sliced,
     _sliced_pays,
     _walked,
@@ -294,11 +299,14 @@ def test_value_slices_match_rows(A, chunk):
             assert column == tuple(bitsets[v] for v in sorted(bitsets))
 
 
+ALL_ROUTES = {"counter", "walk", "dense"}
+
+
 @pytest.mark.parametrize("nu", range(7, 13))
 def test_sliced_route_matches_face_closed_form(nu):
     params = CubeParams(2, 12)
     A = gen_face_subset(params, face_spec(params, nu))
-    assert any(_sliced_pays(params, range(k, k + 1), len(A)) for k in range(13))
+    assert {_sliced_pays(params, range(k, k + 1), len(A)) for k in range(13)} == ALL_ROUTES
     for k in range(13):
         closed = face_distribution_closed(params, nu, k)
         assert walk_at(A, k) == closed == distribution(A, k), k
@@ -307,7 +315,7 @@ def test_sliced_route_matches_face_closed_form(nu):
 
 def test_sliced_route_matches_evenweight_closed_form():
     A = gen_even_weight(12)
-    assert any(_sliced_pays(A.params, range(k, k + 1), len(A)) for k in range(13))
+    assert {_sliced_pays(A.params, range(k, k + 1), len(A)) for k in range(13)} == ALL_ROUTES
     for k in range(1, 13):
         closed = evenweight_distribution_closed(12, k)
         assert walk_at(A, k) == closed == distribution(A, k), k
@@ -390,6 +398,7 @@ def test_profile_refuses_levels_out_of_range():
 # _sliced_pays on bench/sweep_random.json's shapes (m = 24), over the whole k
 # range and one k at a time, and on bench/workloads.py's point files. These
 # pin decisions, not timings: a refit of the estimate shows here as a diff.
+# Routes read 0 for the Counter route, 1 for the walk and 2 for the dense fold.
 SWEEP_ROUTES = {
     (2, 5): (True, "001110"),
     (2, 6): (True, "0001110"),
@@ -406,10 +415,11 @@ SWEEP_ROUTES = {
     (3, 9): (True, "0000000110"),
     (3, 10): (True, "00000000110"),
 }
+ROUTE_DIGITS = {"counter": "0", "walk": "1", "dense": "2"}
 
 
 def _routes(params, m, ks):
-    return "".join(str(int(_sliced_pays(params, range(k, k + 1), m))) for k in ks)
+    return "".join(ROUTE_DIGITS[_sliced_pays(params, range(k, k + 1), m)] for k in ks)
 
 
 def test_route_pins_for_the_sweep_shapes():
@@ -417,13 +427,116 @@ def test_route_pins_for_the_sweep_shapes():
     assert shapes == list(SWEEP_ROUTES)
     for (q, n), (whole, one_k) in SWEEP_ROUTES.items():
         params = CubeParams(q, n)
-        assert _sliced_pays(params, range(n + 1), 24) == whole, (q, n)
+        assert _sliced_pays(params, range(n + 1), 24) == ("walk" if whole else "counter"), (q, n)
         assert _routes(params, 24, range(n + 1)) == one_k, (q, n)
 
 
 def test_route_pins_for_the_point_files():
-    assert _routes(CubeParams(2, 13), 800, range(14)) == "00000011111110"
+    # Timed on an m = 800 file, in process, best of 5 (README): the dense
+    # fold was fastest at k = 1..6, the walk at 7..12.
+    assert _routes(CubeParams(2, 13), 800, range(14)) == "02222221111110"
     assert _routes(CubeParams(2, 20), 60_000, (19, 20)) == "10"
+
+
+@pytest.mark.parametrize("q", (2, 3, 1000))
+def test_routing_a_huge_cube_builds_no_power(q, monkeypatch):
+    # 2**(n*w) cells and q**n points have a million digits or more here; the
+    # dense route is ruled out from the bit length n*w alone.
+    monkeypatch.setattr(qcube.faces, "_dense_bytes", mock.Mock(side_effect=AssertionError))
+    params = CubeParams(q, 10**6)
+    levels = [range(k, k + 1) for k in (0, 1, 10**6 - 1, 10**6)]
+    start = time.perf_counter()
+    routes = [_sliced_pays(params, ks, 2) for ks in levels]
+    assert time.perf_counter() - start < 0.05
+    assert "dense" not in routes
+    tracemalloc.start()
+    try:
+        for ks in levels:
+            _sliced_pays(params, ks, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
+
+
+def test_dense_estimate_keeps_the_memory_cap():
+    admitted = 0
+    for q, n, m, lo, hi in product((2, 3, 4, 5, 16), range(1, 25), (2, 24, 800, 60_000), range(3), (2, 6, 24)):
+        if m > q**n or lo > min(hi, n):
+            continue
+        ks = range(lo, min(hi, n) + 1)
+        if _sliced_pays(CubeParams(q, n), ks, m) == "dense":
+            admitted += 1
+            assert _dense_bytes(CubeParams(q, n), ks, m) <= KERNEL_MEMORY_CAP == 16 << 20
+    assert admitted > 50
+    # Cheaper by the estimate, but over the cap: 2**24 cells of 2 MiB an int.
+    params, ks = CubeParams(2, 24), range(1, 2)
+    assert _dense_bytes(params, ks, 10**6) > KERNEL_MEMORY_CAP
+    assert _sliced_pays(params, ks, 10**6) == "counter"
+    with mock.patch.object(qcube.faces, "KERNEL_MEMORY_CAP", 10**9):
+        assert _sliced_pays(params, ks, 10**6) == "dense"
+
+
+@pytest.mark.parametrize("shape", [(2, 13, 800, range(5, 6)), (3, 8, 300, range(9)), (5, 4, 200, range(1, 3)),
+                                   (2, 18, 4000, range(2, 3))])
+def test_dense_route_holds_at_most_its_bound(shape):
+    q, n, m, ks = shape
+    A = random_set(q, n, m, 4)
+    assert _dense_cost(A.params, ks, m) is not None
+    tracemalloc.start()
+    try:
+        _profile_dense(A, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _dense_bytes(A.params, ks, m) <= KERNEL_MEMORY_CAP
+
+
+@st.composite
+def dense_cases(draw):
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    n = draw(st.integers(0, max(n for n in range(9) if q**n <= MAX_VOLUME)))
+    row = st.tuples(*[st.integers(0, q - 1)] * n)
+    rows = draw(st.lists(row, max_size=min(40, q**n), unique=True))
+    lo = draw(st.integers(0, n))
+    ks = draw(st.sampled_from((range(n + 1), range(lo, draw(st.integers(lo, n)) + 1))))
+    return PointSet.from_coords(CubeParams(q, n), rows), ks
+
+
+@given(dense_cases())
+@example((PointSet(CubeParams(2, 0), ()), range(1)))
+@example((pointset(2, [()]), range(1)))
+@example((PointSet(CubeParams(5, 3), ()), range(4)))
+@example((pointset(3, [(2, 2, 2)]), range(3, 4)))
+@example((full_cube(2, 6), range(4, 7)))  # counts up to 64: seven planes
+@example((full_cube(3, 4), range(5)))
+@example((full_cube(5, 3), range(2, 4)))
+@example((full_cube(4, 3), range(3, 4)))
+@kernel_settings
+def test_dense_route_matches_counter_route_walk_and_bruteforce(case):
+    # Called directly: the cost estimate may pick another route. q = 3 and 5
+    # leave block codes unused, whose cells stay empty.
+    A, ks = case
+    dense = _profile_dense(A, ks)
+    assert dense == _profile_sliced(A, ks)
+    for k, dist in zip(ks, dense):
+        assert dist == _distribution_counted(A, k)
+        if total_faces(A.params, k) * max(len(A), 1) <= 200_000:
+            assert dist == distribution_bruteforce(A, k)
+
+
+@pytest.mark.parametrize("nu", range(13))
+def test_dense_route_matches_face_closed_form(nu):
+    params = CubeParams(2, 12)
+    A = gen_face_subset(params, face_spec(params, nu))
+    assert _profile_dense(A, range(13)) == [face_distribution_closed(params, nu, k) for k in range(13)]
+
+
+def test_dense_route_matches_evenweight_closed_form():
+    A = gen_even_weight(12)
+    dense = _profile_dense(A, range(13))
+    assert dense[1:] == [evenweight_distribution_closed(12, k) for k in range(1, 13)]
+    assert dense[0] == _distribution_counted(A, 0)
 
 
 @given(point_sets())
