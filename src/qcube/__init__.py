@@ -14,7 +14,8 @@ A module reaches a sibling that a command may not need through its module,
 not its names: `from . import faces` binds the registered module without
 executing it, and `faces.FaceDistribution` executes it when first used. The
 one exception is rank, because `from . import rank` binds the function
-rank(); faces_containing_count therefore imports it inside the function.
+rank(): cli and sweep bind sys.modules["qcube.rank"] instead, and
+faces_containing_count imports it inside the function.
 """
 
 import sys

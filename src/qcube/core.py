@@ -615,12 +615,32 @@ def _parse_each_line(text: str, params: CubeParams) -> tuple[PointSet, int]:
     return A, len(packed) - len(A)
 
 
+# The format() type that writes one digit per w-bit block, by w.
+_DIGIT_FORMATS = {1: "b", 3: "o", 4: "x"}
+# Each hex digit of a packed row at q = 3, 4 as its two base-4 digits.
+_HEX_PAIRS = str.maketrans({f"{v:x}": f"{v >> 2}{v & 3}" for v in range(16)})
+
+
 def serialize_pointset(A: PointSet) -> str:
     """Inverse of parse_pointset: one vector per line, canonical order.
 
     parse(serialize(A)) == A for every n >= 1. The n = 0 cube has no line
     representation (the empty coordinate string is a blank line), so both the
     empty set and the singleton set serialize to "" there.
+
+    For q <= 10 the lines are written from PointSet.packed, whose w-bit
+    blocks are the digits, without decoding rows: in binary for q = 2, in
+    octal for q = 5..8 and in hex for q = 9, 10 (one digit per block), and
+    for q = 3, 4 in hex turned into digit pairs, the leading pad digit of an
+    odd n dropped. Above q = 10 the coordinates are joined by commas.
     """
-    sep = "" if A.params.q <= 10 else ","
-    return "\n".join(sep.join(str(c) for c in row) for row in A.rows)
+    q, n = A.params.q, A.params.n
+    if q > 10:
+        return "\n".join(",".join(map(str, row)) for row in A.rows)
+    if not n or not A.packed:
+        return ""
+    w = _block_width(A.params)
+    if w != 2:
+        return "\n".join(map(format, A.packed, repeat(f"0{n}{_DIGIT_FORMATS[w]}")))
+    text = "\n".join(map(format, A.packed, repeat(f"0{(n + 1) // 2}x"))).translate(_HEX_PAIRS)
+    return ("\n" + text).replace("\n0", "\n")[1:] if n % 2 else text

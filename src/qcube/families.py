@@ -9,10 +9,11 @@ of enumeration.
 
 from __future__ import annotations
 
-import random
 import sys
 from itertools import filterfalse, product, repeat
+from operator import itemgetter, lshift, mul
 from pathlib import Path
+from struct import iter_unpack
 from typing import Iterator, NamedTuple, Optional
 
 from . import faces, identities  # module handles: gen executes neither
@@ -151,6 +152,8 @@ def _check_random(params: CubeParams, m: int) -> None:
 
 def gen_random_subset(params: CubeParams, m: int, seed: int) -> PointSet:
     """Uniform random m-subset of the cube, without replacement, seeded."""
+    import random  # only a random family needs it
+
     _check_random(params, m)
     rng = random.Random(seed)
     picks = rng.sample(range(params.volume), m)
@@ -295,12 +298,14 @@ def _check_cell_cost(n: int, bits: int, guard: int) -> None:
 
 def limbs(packed: int, ks: range, width: int) -> list[int]:
     """The limbs of a packed polynomial with nonnegative coefficients at each
-    k in ks."""
+    k in ks. The limbs from min(ks) to max(ks) are cut apart and converted in
+    C (struct.iter_unpack, int.from_bytes), then ks's step picks among them."""
     if not ks:
         return []
-    stop = max(ks[0], ks[-1]) + 1
-    raw = (packed & ((1 << 8 * width * stop) - 1)).to_bytes(stop * width, "little")
-    return [int.from_bytes(raw[k * width : (k + 1) * width], "little") for k in ks]
+    lo, count = min(ks[0], ks[-1]), abs(ks[-1] - ks[0]) + 1
+    raw = ((packed >> 8 * width * lo) & ((1 << 8 * width * count) - 1)).to_bytes(count * width, "little")
+    values = list(map(int.from_bytes, map(itemgetter(0), iter_unpack(f"{width}s", raw)), repeat("little")))
+    return values if ks.step == 1 else values[ks[0] - lo :: ks.step]
 
 
 class NuRow(NamedTuple):
@@ -308,9 +313,10 @@ class NuRow(NamedTuple):
     side is Kronecker-packed: limb k, of `width` bytes, is that side at
     (nu, k), for every k from 0 to n. The limbs are nonnegative and each holds
     its coefficient, so the packing is injective: lhs == rhs exactly when the
-    two sides agree at every k, and then they agree at each k in ks."""
+    two sides agree at every k, and then they agree at each k in ks. An
+    identity without nu (the even-weight pair) has nu None."""
 
-    nu: int
+    nu: Optional[int]
     ks: range
     lhs: int
     rhs: int
@@ -347,7 +353,10 @@ def chu_vandermonde_generalized_cell(
     left sides are one product, the packed weights (q^i-1)*C(nu,i) times
     row[n-nu]; the right sides are one sum of packed rows,
     (q-1)^i*C(nu,i)*row[n-i] shifted by i limbs. The rows' size is checked
-    against the guard before the first is built, and before q^n is."""
+    against the guard before the first is built, and before q^n is. What
+    does not depend on nu is formed once per cell: the weights q^i-1 and
+    (q-1)^i, the shifts, and the rows row[n-i] in order of i; each nu's two
+    sums then run as C-level maps over its C(nu, i), term by term."""
     n, q = params.n, params.q
     _check_cell_range(nus, 1, n, "nu")
     _check_cell_range(ks, 0, n, "k")
@@ -358,10 +367,15 @@ def chu_vandermonde_generalized_cell(
     width = _limb_bytes(q**n << n)
     bits = 8 * width
     rows = _pascal_rows(n, width)
+    steps = range(1, max(nus, default=0) + 1)  # i, up to the largest nu
+    lhs_weights = [q**i - 1 for i in steps]
+    rhs_weights = [(q - 1) ** i for i in steps]
+    shifts = [bits * i for i in steps]
+    down = rows[n - 1 :: -1]  # row[n-i] at index i-1
     for nu in nus:
-        c = limbs(rows[nu], range(nu + 1), width)
-        weights = sum(((q**i - 1) * c[i]) << bits * i for i in range(1, nu + 1))
-        shifted = sum(((q - 1) ** i * c[i] * rows[n - i]) << bits * i for i in range(1, nu + 1))
+        c = limbs(rows[nu], range(1, nu + 1), width)  # C(nu, i) for i = 1..nu
+        weights = sum(map(lshift, map(mul, lhs_weights, c), shifts))
+        shifted = sum(map(lshift, map(mul, map(mul, rhs_weights, c), down), shifts))
         yield NuRow(nu, ks, weights * rows[n - nu], shifted, width)
 
 
@@ -404,3 +418,38 @@ def check_evenweight_identity(n: int, k: int, form: str = "corrected") -> identi
         rhs_terms,
         proven=(form == "corrected"),
     )
+
+
+def evenweight_cell(n: int, ks: range, form: str = "corrected") -> NuRow:
+    """The sides of check_evenweight_identity(n, k, form) at each k in ks, as
+    one NuRow with nu None; every k is at least 1, where the identity is
+    defined, and both sides' limb 0 is 0.
+
+    The right side is the sum over i >= 1 of C(n, 2i) * row[n-2i] shifted by
+    2i limbs, the Pascal rows built one from the last, so that only one is
+    held at a time. The left side packs (2^(k-1)-1) * C(n, k) at each k >= 1,
+    C(n, k) read from row[n]; the printed form's is that times 2^(n-1), which
+    multiplies every limb. Like the check at one point, the cell is unguarded:
+    it holds O(1) rows of n+1 limbs of about 3n bits."""
+    if form not in EVENWEIGHT_FORMS:
+        raise CubeError(f"form must be one of {EVENWEIGHT_FORMS}, got {form!r}")
+    if n < 1:
+        raise CubeError(f"n must be >= 1, got {n}")
+    _check_cell_range(ks, 1, n, "k")
+    # C(n, k) <= 2^n, and the right side at k is at most the sum over i of
+    # C(n, 2i) * 2^(n-2i) <= 2^(2n), as is every partial sum; the printed
+    # left side is at most 2^(k-1) * 2^n * 2^(n-1) < 2^(3n).
+    width = _limb_bytes(1 << 3 * n)
+    bits = 8 * width
+    row, rhs = 1, 0  # row[j], packed, for j = 0..n
+    for j in range(n):
+        if (n - j) % 2 == 0:
+            rhs += (binom(n, n - j) * row) << bits * (n - j)
+        row += row << bits
+    weights = [(1 << (k - 1)) - 1 for k in range(1, n + 1)]
+    products = map(mul, weights, limbs(row, range(1, n + 1), width))
+    packed = b"".join(map(int.to_bytes, products, repeat(width), repeat("little")))
+    lhs = int.from_bytes(packed, "little") << bits  # limb 0 is 0
+    if form == "printed":
+        lhs <<= n - 1
+    return NuRow(None, ks, lhs, rhs, width)

@@ -4,24 +4,32 @@ sweep identities, and the lines of their rows.
 `load_sweep_config` reads a config, `_sweep_rows` evaluates its grid one
 (q, n) cell at a time, and `qcube.cli.run_sweep` writes the rows and the
 summary. Only `qcube sweep` uses this module, so other commands never run it.
+It reaches faces, identities and rank through their modules when a row needs
+them, so a sweep of closed forms alone executes none of the three.
 
 A row is written one of two ways, and json_line(_sweep_row(...)) is the
 oracle of both. A grid point's row of two sides fills a cached template
-(`_sweep_line`). A closed-form cell hands over one nu row at a time, both
-sides at every k packed into one int each (`families.NuRow`). When the packed
-sides are equal, which is exact, and str() converts them, the whole nu row
-is written as one string (`_nu_row_text`): each coefficient is converted to
-decimal once, for both sides, into a template with (identity, q, n, nu)
-bound in. Any other nu row, one whose sides differ somewhere or have more
-digits than str() converts, goes through `_sweep_line` one point at a time.
+(`_sweep_line`). A closed-form cell (Vandermonde, its q-ary generalization,
+and both even-weight forms) hands over one row at a time, per nu or, for the
+even-weight forms, per n, with both sides at every k packed into one int
+each (`families.NuRow`). When the packed sides are equal, which is exact,
+and str() converts them, the whole row is written by one %-format
+(`_nu_row_text`): each coefficient is converted to decimal once, for both
+sides, into the line template with the identity and the row's params
+bound in, repeated once per k. Any other row, one whose sides differ
+somewhere (the printed even-weight form's known errata) or have more digits
+than str() converts, goes through `_sweep_line` one point at a time.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from functools import lru_cache
+from itertools import chain
 from typing import Any, Callable, Iterator, Optional
 
+from . import faces, identities  # module handles: a closed-form sweep executes neither
 from .cli import _read_text, json_line
 from .core import (
     CubeError,
@@ -35,26 +43,20 @@ from .core import (
     decimal,
     is_int,
 )
-from .faces import distribution, faces_containing_count, profile
 from .families import (
     FamilySpec,
     NuRow,
-    check_evenweight_identity,
     chu_vandermonde_generalized_cell,
+    evenweight_cell,
     face_spec,
     limbs,
     realize_family,
     vandermonde_cell,
 )
-from .identities import (
-    IdentityReport,
-    corollary_s1,
-    corollary_s2,
-    corollary_s3,
-    intersection_cap,
-    verify_main,
-)
-from .rank import rank_bounds
+
+# The package's `rank` attribute is the function rank(); this is its module.
+# Named apart from `rank` so that no export of qcube is shadowed here.
+_rank_module = sys.modules[f"{__package__}.rank"]
 
 
 class SweepConfig(_Record):
@@ -229,12 +231,13 @@ class SweepIdentity(_Record):
     grid points of one (q, n) cell and yields, in order, each point's params
     and outcome: the two sides (lhs, rhs), the fields of a finished row, or the
     SizeGuardError that refused the point. A closed form yields instead one
-    params without k and its NuRow per nu, for the points at each k of the
-    row. `instance` is a family instance's params with its point set under
-    "A" if `family` is set, else empty. Failures of an `erratum` identity
-    count as known_erratum, not as fail. A `profiled` identity reads the
-    face distribution of the instance's set at each k of the cell, which the
-    sweep computes beforehand in one pass (_profile).
+    params without k and its NuRow per nu (per n for the even-weight forms),
+    for the points at each k of the row. `instance` is a family instance's
+    params with its point set under "A" if `family` is set, else empty.
+    Failures of an `erratum` identity count as known_erratum, not as fail. A
+    `profiled` identity reads the face distribution of the instance's set at
+    each k of the cell, which the sweep computes beforehand in one pass
+    (_profile).
 
     Params values and sides must be ints: the line of a two-sided row is a
     template whose params are %d fields and whose sides are their str() (see
@@ -260,7 +263,7 @@ def _labels(instance: dict[str, Any]) -> dict[str, Any]:
 
 def _pointwise(
     grid: Callable[[SweepConfig, int, int, Optional[PointSet]], list[dict[str, int]]],
-    evaluate: Callable[[dict[str, Any], int], IdentityReport],
+    evaluate: Callable[[dict[str, Any], int], identities.IdentityReport],
 ) -> Cell:
     """A cell checked one grid point at a time: `grid(cfg, q, n, A)` lists the
     points' params and `evaluate(point, guard)` checks one."""
@@ -299,6 +302,19 @@ def _closed_form(
     return cell
 
 
+def _evenweight(form: str) -> Cell:
+    """The cell of one even-weight form: at q = 2, one row of both sides at
+    every k >= 1 (families.evenweight_cell), with params (q, n). Like the
+    check at one point, it is unguarded."""
+
+    def cell(cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int) -> Outcomes:
+        ks = _clip(cfg.k_range, 1, n)
+        if q == 2 and ks:
+            yield {"q": q, "n": n}, evenweight_cell(n, ks, form)
+
+    return cell
+
+
 def _each_k(cfg: SweepConfig, q: int, n: int, A: Optional[PointSet]) -> list[dict[str, int]]:
     return [{"k": k} for k in _clip(cfg.k_range, 0, n)]
 
@@ -306,7 +322,7 @@ def _each_k(cfg: SweepConfig, q: int, n: int, A: Optional[PointSet]) -> list[dic
 def _main_grid(cfg: SweepConfig, q: int, n: int, A: PointSet) -> list[dict[str, int]]:
     s_lo, s_hi = cfg.s_range
     return [{"k": k, "s": s} for k in _clip(cfg.k_range, 0, n)
-            for s in range(max(s_lo, 1), min(s_hi, intersection_cap(A, k)) + 1)]
+            for s in range(max(s_lo, 1), min(s_hi, identities.intersection_cap(A, k)) + 1)]
 
 
 def _bounds_cell(
@@ -317,7 +333,7 @@ def _bounds_cell(
     A = instance["A"]
     params = {"q": 2, "n": n, "m": len(A), **_labels(instance)}
     try:
-        b = rank_bounds(A, guard)
+        b = _rank_module.rank_bounds(A, guard)
     except SizeGuardError as exc:
         yield params, exc
         return
@@ -331,7 +347,7 @@ def _bounds_cell(
     }
 
 
-def _lemma_face_count(point: dict[str, Any], guard: int) -> IdentityReport:
+def _lemma_face_count(point: dict[str, Any], guard: int) -> identities.IdentityReport:
     # A k-face contains A iff it meets A in all |A| points, so the LHS is the
     # e = |A| entry of the cached distribution. The guard estimate is that of
     # the oracle's face scan (faces_containing_bruteforce), which keeps the
@@ -339,10 +355,10 @@ def _lemma_face_count(point: dict[str, Any], guard: int) -> IdentityReport:
     A, k = point["A"], point["k"]
     n = A.params.n
     check_guard_power(A.params.q, n - k, guard, binom(n, k) * len(A))
-    lhs = distribution(A, k, guard)[len(A)]
-    rhs = faces_containing_count(A, k)
+    lhs = faces.distribution(A, k, guard)[len(A)]
+    rhs = faces.faces_containing_count(A, k)
     params = {"q": point["q"], "n": point["n"], "k": k, "m": len(A)}
-    return IdentityReport.of("lemma_face_count", params, lhs, rhs, proven=True)
+    return identities.IdentityReport.of("lemma_face_count", params, lhs, rhs, proven=True)
 
 
 # Per-point evaluators look the engine functions up at call time rather than
@@ -350,19 +366,19 @@ def _lemma_face_count(point: dict[str, Any], guard: int) -> IdentityReport:
 # the calls.
 SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
     "main": SweepIdentity(
-        _pointwise(_main_grid, lambda p, g: verify_main(p["A"], p["k"], p["s"], g)),
+        _pointwise(_main_grid, lambda p, g: identities.verify_main(p["A"], p["k"], p["s"], g)),
         family=True,
         profiled=True,
     ),
     "corollary1": SweepIdentity(
-        _pointwise(_each_k, lambda p, g: corollary_s1(p["A"], p["k"], g)),
+        _pointwise(_each_k, lambda p, g: identities.corollary_s1(p["A"], p["k"], g)),
         family=True,
         profiled=True,
     ),
     "corollary2": SweepIdentity(
         _pointwise(
             lambda cfg, q, n, A: _each_k(cfg, q, n, A) if len(A) >= 2 else [],
-            lambda p, g: corollary_s2(p["A"], p["k"], g),
+            lambda p, g: identities.corollary_s2(p["A"], p["k"], g),
         ),
         family=True,
         profiled=True,
@@ -370,26 +386,15 @@ SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
     "corollary3": SweepIdentity(
         _pointwise(
             lambda cfg, q, n, A: _each_k(cfg, q, n, A) if q == 2 and len(A) >= 3 else [],
-            lambda p, g: corollary_s3(p["A"], p["k"], g),
+            lambda p, g: identities.corollary_s3(p["A"], p["k"], g),
         ),
         family=True,
         profiled=True,
     ),
     "vandermonde": SweepIdentity(_closed_form(vandermonde_cell, 0)),
     "chu_vandermonde_generalized": SweepIdentity(_closed_form(chu_vandermonde_generalized_cell, 1)),
-    "evenweight_printed": SweepIdentity(
-        _pointwise(
-            lambda cfg, q, n, A: [{"k": k} for k in _clip(cfg.k_range, 0, n) if k >= 1 and q == 2],
-            lambda p, g: check_evenweight_identity(p["n"], p["k"], "printed"),
-        ),
-        erratum=True,
-    ),
-    "evenweight_corrected": SweepIdentity(
-        _pointwise(
-            lambda cfg, q, n, A: [{"k": k} for k in _clip(cfg.k_range, 0, n) if k >= 1 and q == 2],
-            lambda p, g: check_evenweight_identity(p["n"], p["k"], "corrected"),
-        )
-    ),
+    "evenweight_printed": SweepIdentity(_evenweight("printed"), erratum=True),
+    "evenweight_corrected": SweepIdentity(_evenweight("corrected")),
     "bounds": SweepIdentity(_bounds_cell, family=True),
     "lemma_face_count": SweepIdentity(
         _pointwise(_each_k, _lemma_face_count), family=True, profiled=True
@@ -431,7 +436,7 @@ def _profile(A: PointSet, ks: range, guard: int) -> None:
     whose estimate is over the guard is skipped, not the sweep: each row is
     then computed, or refused, on its own as before."""
     try:
-        profile(A, ks, guard)
+        faces.profile(A, ks, guard)
     except SizeGuardError:
         pass
 
@@ -461,8 +466,9 @@ def _nu_row_text(identity: str, params: dict[str, int], row: NuRow) -> Optional[
     """The lines of the points params + {"k": k}, for each k in row.ks, when
     the two sides are equal and str() converts them, else None. Equal packed
     sides are equal at every k, so each coefficient is converted once and its
-    text fills both sides, and the rows pass. The text ends with a newline
-    unless it is empty."""
+    text fills both sides, and the rows pass. The line template, repeated
+    once per k, is filled by one % with (digits, k, digits) for each k in
+    turn. The text ends with a newline unless it is empty."""
     if row.lhs != row.rhs:
         return None
     try:
@@ -471,7 +477,7 @@ def _nu_row_text(identity: str, params: dict[str, int], row: NuRow) -> Optional[
         return None
     fmt, order = _row_template(identity, "pass", (*params, "k"), ("k",))
     line = fmt % tuple([params[key] for key in order]) + "\n"
-    return "".join([line % (side, k, side) for k, side in zip(row.ks, digits)])
+    return (line * len(row.ks)) % tuple(chain.from_iterable(zip(digits, row.ks, digits)))
 
 
 def _status(equal: bool, erratum: bool) -> str:

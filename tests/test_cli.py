@@ -1449,6 +1449,62 @@ class TestSweepRowTemplates:
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert digest == "7e954d5ec292a972c4ac05f461676fe3c2fc430ef9edd5666f62aa3c7fa4e5cf"
 
+    @pytest.mark.parametrize("qs", [[2], [3, 5], [3, 2]], ids=["q2", "no-q2", "q3-q2"])
+    @pytest.mark.parametrize("k", ["all", [0, 0], [1, 1], [3, 5]], ids=["all", "k0", "k1", "k3-5"])
+    def test_evenweight_rows_match_the_check_at_every_point(self, tmp_path, capsys, qs, k):
+        # The even-weight forms are packed cells; the oracle is the check at
+        # one point, written by json_line(_sweep_row(...)).
+        config = {"identities": ["evenweight_printed", "evenweight_corrected"], "q": qs, "n": [0, 40], "k": k}
+        code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        assert code == 0
+        lo, hi = (1, 40) if k == "all" else (max(k[0], 1), k[1])
+        want = []
+        for form in ("printed", "corrected"):
+            identity = f"evenweight_{form}"
+            erratum = qcube.sweep.SWEEP_IDENTITIES[identity].erratum
+            for q in qs:
+                for n in range(1, 41) if q == 2 else ():
+                    for kk in range(lo, min(hi, n) + 1):
+                        rep = qcube.families.check_evenweight_identity(n, kk, form)
+                        params = {"q": 2, "n": n, "k": kk}
+                        row = qcube.sweep._sweep_row(identity, erratum, params, (rep.lhs, rep.rhs))
+                        want.append(qcube.cli.json_line(row))
+        assert out.splitlines()[:-1] == want
+        assert (len(want) > 0) == (2 in qs and k != [0, 0])
+
+    def test_evenweight_cell_at_n_300_is_not_refused(self, tmp_path, capsys):
+        config = {"identities": ["evenweight_corrected", "evenweight_printed"], "n": [300, 300],
+                  "k": [297, 300]}
+        code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        assert code == 0
+        want = []
+        for form, erratum in (("corrected", False), ("printed", True)):
+            for k in range(297, 301):
+                rep = qcube.families.check_evenweight_identity(300, k, form)
+                row = qcube.sweep._sweep_row(f"evenweight_{form}", erratum, {"q": 2, "n": 300, "k": k},
+                                             (rep.lhs, rep.rhs))
+                want.append(qcube.cli.json_line(row))
+        assert out.splitlines()[:-1] == want
+        assert json.loads(out.splitlines()[-1])["summary"] == {
+            "total": 8, "pass": 4, "fail": 0, "known_erratum": 4, "error": 0}
+
+    @given(q=st.integers(2, 7), n=st.integers(0, 12), nu=st.integers(0, 12), bounds=st.tuples(
+        st.integers(0, 12), st.integers(0, 12)))
+    @settings(max_examples=40, deadline=None)
+    def test_one_format_nu_row_equals_the_per_point_lines(self, q, n, nu, bounds):
+        nu = min(nu, n)
+        ks = range(min(bounds[0], n), min(bounds[1], n) + 1)
+        for identity, cell, least in (("vandermonde", qcube.families.vandermonde_cell, 0),
+                                      ("chu_vandermonde_generalized",
+                                       qcube.families.chu_vandermonde_generalized_cell, 1)):
+            if nu < least:
+                continue
+            params = {"q": q, "n": n, "nu": nu}
+            (row,) = cell(CubeParams(q, n), range(nu, nu + 1), ks)
+            lines = [qcube.sweep._sweep_line(identity, False, {**params, "k": k}, (lhs, rhs))[1] + "\n"
+                     for k, lhs, rhs in row.points()]
+            assert qcube.sweep._nu_row_text(identity, params, row) == "".join(lines)
+
 
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 4), st.floats(), st.text(max_size=4)

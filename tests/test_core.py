@@ -211,6 +211,34 @@ def test_rows_are_canonical_and_round_trip(case):
             assert parse_pointset(text, params) == (A, len(rows) - len(A))
 
 
+def serialize_rows(A):
+    """The row-based serializer that serialize_pointset replaced for q <= 10,
+    kept as its oracle: each decoded row's digits, joined."""
+    sep = "" if A.params.q <= 10 else ","
+    return "\n".join(sep.join(str(c) for c in row) for row in A.rows)
+
+
+@st.composite
+def cube_sets(draw):
+    """(params, rows): up to 12 rows of a cube with q <= 16 and n <= 9."""
+    q, n = draw(st.integers(2, 16)), draw(st.integers(0, 9))
+    return CubeParams(q, n), draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=12))
+
+
+@given(cube_sets())
+@example((CubeParams(4, 1), [(3,), (0,)]))
+@example((CubeParams(3, 5), [(2, 1, 0, 2, 1)]))
+@example((CubeParams(2, 0), [()]))
+@settings(max_examples=300, deadline=None)
+def test_serialize_from_packed_matches_rows(case):
+    params, rows = case
+    A = PointSet(params, rows)
+    text = serialize_pointset(A)
+    if params.q <= 10:
+        assert "rows" not in vars(A)  # written from the packed ints alone
+    assert text == serialize_rows(A)
+
+
 # Coordinates a caller might pass, valid for q = 3 or not: bools equal 0 and 1,
 # and 1.0 equals 1, so a set of values alone would hide them.
 ANY_COORD = st.one_of(st.integers(-1, 3), st.booleans(), st.just(1.0), st.just("1"))

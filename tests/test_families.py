@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from qcube.families import (
     check_evenweight_identity,
     check_vandermonde,
     chu_vandermonde_generalized_cell,
+    evenweight_cell,
     evenweight_distribution_closed,
     face_distribution_closed,
     face_spec,
@@ -387,6 +389,34 @@ class TestClosedFormCells:
         for order in (ks, ks[::-1]):
             assert qcube.families.limbs(packed, order, 3) == [coefficients[k] for k in order]
 
+    @given(width=st.integers(1, 40), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_limbs_match_per_limb_slicing(self, width, data):
+        # The per-limb slicing that limbs() replaced, kept as its oracle.
+        def sliced(packed, ks, width):
+            if not ks:
+                return []
+            stop = max(ks[0], ks[-1]) + 1
+            raw = (packed & ((1 << 8 * width * stop) - 1)).to_bytes(stop * width, "little")
+            return [int.from_bytes(raw[k * width : (k + 1) * width], "little") for k in ks]
+
+        limb = st.integers(0, 2 ** (8 * width) - 1)
+        coefficients = data.draw(st.lists(limb, min_size=1, max_size=10))
+        n = len(coefficients) - 1
+        lo = data.draw(st.integers(0, n))
+        hi = data.draw(st.integers(lo - 1, n))
+        step = data.draw(st.integers(1, 3))
+        # The drawn range, one k, none, and the drawn range backwards and stepped.
+        ranges = [range(lo, hi + 1), range(lo, lo + 1), range(lo, lo), range(hi, lo - 1, -1),
+                  range(lo, hi + 1, step)]
+        packed = sum(c << 8 * width * k for k, c in enumerate(coefficients))
+        for ks in ranges:
+            assert qcube.families.limbs(packed, ks, width) == sliced(packed, ks, width), ks
+            # NuRow.points reads both sides through limbs().
+            row = qcube.families.NuRow(None, ks, packed, packed >> 8 * width, width)
+            want = zip(ks, sliced(packed, ks, width), sliced(packed >> 8 * width, ks, width))
+            assert list(row.points()) == list(want)
+
     def test_chu_needs_nu_at_least_one(self):
         with pytest.raises(CubeError):
             list(chu_vandermonde_generalized_cell(CubeParams(2, 3), range(0, 2), range(0, 4)))
@@ -438,6 +468,50 @@ class TestEvenweightIdentity:
                 corrected = check_evenweight_identity(n, k, "corrected")
                 assert rep.lhs == corrected.lhs * 2 ** (n - 2)
                 assert rep.rhs == corrected.rhs * 2 ** (n - 2)
+
+
+class TestEvenweightCell:
+    @pytest.mark.parametrize("form", ["printed", "corrected"])
+    def test_matches_the_check_at_every_point(self, form):
+        for n in range(1, 41):
+            for ks in (range(1, n + 1), range(n, n + 1), range(2, min(n, 5) + 1)):
+                row = evenweight_cell(n, ks, form)
+                assert row.nu is None and row.ks == ks
+                got = list(row.points())
+                want = []
+                for k in ks:
+                    rep = check_evenweight_identity(n, k, form)
+                    want.append((k, rep.lhs, rep.rhs))
+                assert got == want, (form, n, ks)
+            # The corrected form holds at every k, so its packed sides are
+            # equal; the printed one fails somewhere from n = 2 on.
+            whole = evenweight_cell(n, range(1, n + 1), form)
+            assert (whole.lhs == whole.rhs) == (form == "corrected" or n == 1)
+
+    def test_holds_a_few_rows_not_the_triangle(self):
+        # At n = 300 a packed row has 301 limbs of 113 bytes, about 34 KB;
+        # the Pascal rows 0..300 together take about 5 MB.
+        tracemalloc.start()
+        try:
+            row = evenweight_cell(300, range(298, 301), "corrected")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.width == 113 and peak < 10 * 301 * 113
+        assert row.lhs == row.rhs
+        assert [lhs for _, lhs, _ in row.points()] == [
+            check_evenweight_identity(300, k).lhs for k in range(298, 301)
+        ]
+
+    @pytest.mark.parametrize(
+        "n, ks, form",
+        [(0, range(1, 1), "corrected"), (4, range(0, 3), "corrected"), (4, range(1, 6), "printed"),
+         (4, range(1, 3), "fixed")],
+        ids=["n-0", "k-0", "k-above-n", "unknown-form"],
+    )
+    def test_validation(self, n, ks, form):
+        with pytest.raises(CubeError):
+            evenweight_cell(n, ks, form)
 
 
 class TestPairRankCounts:

@@ -59,6 +59,9 @@ from qcube.families import (
 from qcube.identities import (
     _RHS_BLOCK,
     _RHS_MEMORY_CAP,
+    _colex_counts,
+    _contained_kept,
+    _contained_tables,
     _rhs_sliced_bytes,
     _rhs_sliced_pays,
     _subset_rank_histogram,
@@ -171,6 +174,32 @@ def test_sliced_rank_histogram_matches_walk_and_rank_rows(A, block):
             assert sliced == tuple(sorted(want.items())), s
 
 
+@given(rhs_cases(), st.lists(st.integers(3, 6), min_size=1, max_size=4))
+@example(random_set(3, 4, 20, 0), [3, 4])
+@example(random_set(2, 6, 30, 0), [4, 3, 5, 5])
+@kernel_settings
+def test_contained_tables_kept_and_extended_match_fresh_ones(A, sizes):
+    # A larger s extends the kept tables of a smaller one; a smaller s, or
+    # another set, starts again from the 1-subsets.
+    m = len(A)
+    sizes = [s for s in sizes if s <= m]
+    fresh = {}
+    for s in sizes:
+        _contained_kept.cache_clear()
+        fresh[s] = _contained_tables(A, _colex_counts(m, s))
+    _contained_kept.cache_clear()
+    for s in sizes:
+        kept = dict(_contained_kept(A))
+        got = _contained_tables(A, _colex_counts(m, s))
+        assert got == fresh[s], s
+        assert list(_contained_kept(A)) == [s - 1]
+        if kept and min(kept) < s:  # extended in place, not rebuilt
+            assert _contained_kept(A)[s - 1] is kept[min(kept)]
+    _contained_kept.cache_clear()
+    for s in sizes:
+        assert _subset_rank_histogram_sliced(A, s) == _subset_rank_histogram_walked(A, s), s
+
+
 def test_sliced_rank_histogram_over_many_blocks_matches_walk():
     A = random_set(3, 7, 40, 2)
     assert comb(40, 4) > 5 * _RHS_BLOCK and _rhs_sliced_pays(A.params, 40, 4)
@@ -221,6 +250,23 @@ def test_sliced_rank_histogram_holds_at_most_its_bound(shape):
     q, n, m, s = shape
     A = random_set(q, n, m, 3)
     A.slices  # part of the set, built before either route
+    tracemalloc.start()
+    try:
+        _subset_rank_histogram_sliced(A, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _rhs_sliced_bytes(A.params, m, s)
+
+
+@pytest.mark.parametrize("shape", [(2, 24, 127, 4), (5, 6, 40, 5), (2, 200, 16, 3)])
+def test_sliced_rank_histogram_extending_kept_tables_holds_at_most_its_bound(shape):
+    # The tables kept from s - 1 are extended to s, not rebuilt.
+    q, n, m, s = shape
+    A = random_set(q, n, m, 3)
+    A.slices
+    _contained_kept.cache_clear()
+    _contained_tables(A, _colex_counts(m, s - 1))
     tracemalloc.start()
     try:
         _subset_rank_histogram_sliced(A, s)

@@ -16,6 +16,7 @@ import pytest
 import qcube
 import qcube.cli
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 SUBMODULES = ("qcube.core", "qcube.faces", "qcube.families", "qcube.identities", "qcube.rank", "qcube.sweep")
 
 # Runs argv through qcube.cli.main, then prints, as its last line, the qcube
@@ -28,15 +29,21 @@ code = main(sys.argv[1:])
 modules = sorted(name for name in sys.modules if name.startswith("qcube."))
 executed = [name for name in modules if type(sys.modules[name]) is types.ModuleType]
 slow = [name for name in ("dataclasses", "inspect", "string") if name in sys.modules]
-print(json.dumps({"code": code, "modules": modules, "executed": executed, "slow": slow}))
+print(json.dumps({"code": code, "modules": modules, "executed": executed, "slow": slow,
+                  "random": "random" in sys.modules}))
 """
 
 
 def run_child(tmp_path, *argv):
     (tmp_path / "a.txt").write_text("000\n011\n101\n110\n")
+    # bench/sweep_closed.json's closed-form identities on a small n range.
+    closed = json.loads((BENCH / "sweep_closed.json").read_text())
+    (tmp_path / "closed.json").write_text(json.dumps({**closed, "n": [0, 6]}))
     src = str(Path(qcube.cli.__file__).parents[1])
+    # -S: no site hooks, which may import stdlib modules (random among them)
+    # before qcube runs and so hide what qcube itself imports.
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv],
+        [sys.executable, "-S", "-c", CHILD, *argv],
         capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
@@ -50,14 +57,17 @@ def run_child(tmp_path, *argv):
         (("rank", "a.txt"), ["qcube.cli", "qcube.core", "qcube.rank"]),
         (("bounds", "a.txt"), ["qcube.cli", "qcube.core", "qcube.rank"]),
         (("gen", "--family", "random", "--n", "4", "--m", "3"), ["qcube.cli", "qcube.core", "qcube.families"]),
+        (("sweep", "closed.json"), ["qcube.cli", "qcube.core", "qcube.families", "qcube.sweep"]),
     ],
-    ids=["distribution", "rank", "bounds", "gen"],
+    ids=["distribution", "rank", "bounds", "gen", "sweep-closed-forms"],
 )
 def test_command_executes_only_the_modules_it_uses(tmp_path, argv, executed):
     got = run_child(tmp_path, *argv)
     assert got["code"] == 0
     assert got["executed"] == executed
     assert got["modules"] == sorted(["qcube.cli", *SUBMODULES])
+    if argv[0] == "sweep":  # closed forms alone: no random family, no rank module
+        assert not got["random"]
 
 
 @pytest.mark.parametrize(
