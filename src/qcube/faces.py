@@ -15,16 +15,17 @@ route (_sliced_pays). distribution(A, k) takes one k, the one-level case;
 profile(A, ks) takes a range, and its guard estimate, the sum over ks of
 C(n, k)*|A|, is checked before anything is built. The sweep profiles each
 family set once over its cell's k range, and every row's distribution(A, k)
-reads that result after its own guard check.
+reads that result after its own guard check. What either computes is kept
+per point set, by k, until the set is dropped (_computed).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations, product
 from operator import itemgetter, sub
 from typing import Callable, Iterator, Mapping, Optional
+from weakref import WeakKeyDictionary
 
 from .core import (
     DEFAULT_GUARD,
@@ -63,10 +64,15 @@ class FaceDistribution(_Record):
 
     @classmethod
     def checked(cls, params: CubeParams, k: int, counts: Mapping[int, int]) -> "FaceDistribution":
-        """Normalize (drop zero entries except e = 0) and verify conservation:
-        the counts must add up to the total number of k-faces."""
+        """Normalize (drop zero entries except e = 0) and verify the counts:
+        none is negative, and they add up to the total number of k-faces.
+        The routes set e = 0 to that total minus the rest, so an over-count
+        shows as a negative e = 0 count."""
         normalized = {e: c for e, c in counts.items() if c != 0 or e == 0}
         normalized.setdefault(0, 0)
+        for e, c in normalized.items():
+            if c < 0:
+                raise ConsistencyError(f"face tally {c} at e={e} is negative at k={k}")
         expected = total_faces(params, k)
         actual = sum(normalized.values())
         if actual != expected:
@@ -499,17 +505,9 @@ def _profile_routed(A: PointSet, ks: range) -> list[FaceDistribution]:
     return [_distribution_counted(A, k) for k in ks]
 
 
-@lru_cache(maxsize=256)
-def _walked(A: PointSet) -> dict[int, FaceDistribution]:
-    """The distributions profile() computed for A, by k: the per-set cache
-    that a miss of _distribution_grouped consults before it computes."""
-    return {}
-
-
-@lru_cache(maxsize=1024)
-def _distribution_grouped(A: PointSet, k: int) -> FaceDistribution:
-    walked = _walked(A).get(k)
-    return walked if walked is not None else _profile_routed(A, range(k, k + 1))[0]
+# The distributions computed for each point set, by k: equal sets share an
+# entry, and an entry goes when its set does.
+_computed: WeakKeyDictionary[PointSet, dict[int, FaceDistribution]] = WeakKeyDictionary()
 
 
 def profile(A: PointSet, ks: Optional[range] = None, guard: int = DEFAULT_GUARD) -> list[FaceDistribution]:
@@ -518,12 +516,13 @@ def profile(A: PointSet, ks: Optional[range] = None, guard: int = DEFAULT_GUARD)
     from one walk.
 
     The guard estimate is the sum over ks of distribution's, that is
-    sum C(n, k)*max(|A|, 1), and it is checked before anything is built.
-    _sliced_pays, extended to the range, picks between one walk for every k
-    (_profile_sliced), one dense fold for every k (_profile_dense) and the
-    Counter route at each k. The results are kept
-    per set, and distribution(A, k) reads them on a miss, after its own
-    guard check."""
+    sum C(n, k)*max(|A|, 1), and it is checked on every call, before
+    anything is built. _sliced_pays, extended to the range, picks between
+    one walk for every k (_profile_sliced), one dense fold for every k
+    (_profile_dense) and the Counter route at each k. The results are kept
+    for as long as A (or an equal set that holds its entry) lives, and a
+    later call computes only if a level of ks is missing, so treat the
+    returned counts as read-only."""
     params = A.params
     n = params.n
     ks = range(n + 1) if ks is None else ks
@@ -534,10 +533,10 @@ def profile(A: PointSet, ks: Optional[range] = None, guard: int = DEFAULT_GUARD)
     _check_k(params, ks[0])
     _check_k(params, ks[-1])
     check_guard(sum(map(binom, [n] * len(ks), ks)) * max(len(A), 1), guard)
-    walked = _walked(A)
-    if not all(k in walked for k in ks):
-        walked.update(zip(ks, _profile_routed(A, ks)))
-    return [walked[k] for k in ks]
+    known = _computed.setdefault(A, {})
+    if not all(k in known for k in ks):
+        known.update(zip(ks, _profile_routed(A, ks)))
+    return [known[k] for k in ks]
 
 
 def distribution(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> FaceDistribution:
@@ -562,12 +561,16 @@ def distribution(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> FaceDistrib
     tuples, is the oracle of all three.
 
     The guard estimate is C(n, k)*|A| on every route and is checked on every
-    call; results are cached per (A, k), and a miss reads what profile() kept
-    for A before it computes, so treat the returned counts as read-only.
+    call. The result is kept with A's other levels (_computed), and a level
+    that profile() or an earlier call computed is read, not computed again,
+    so treat the returned counts as read-only.
     """
     _check_k(A.params, k)
     check_guard(binom(A.params.n, k) * max(len(A), 1), guard)
-    return _distribution_grouped(A, k)
+    known = _computed.setdefault(A, {})
+    if k not in known:
+        known[k] = _profile_routed(A, range(k, k + 1))[0]
+    return known[k]
 
 
 def distribution_bruteforce(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> FaceDistribution:

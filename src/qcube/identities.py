@@ -135,9 +135,7 @@ def _rhs_sliced_bytes(params: CubeParams, m: int, s: int) -> int:
     """Upper bound on the bytes the sliced route holds at once for m points
     and s >= 3, counting 2/15 byte per bit (CPython stores 30 bits in 4
     bytes):
-    - the contained tables, n*min(q, m) bitsets of C(m-1, s-1) bits, and
-      as many of C(m-1, s-2) bits, the kept tables of a smaller s that
-      they may be extended from (_contained_kept);
+    - the contained tables, n*min(q, m) bitsets of C(m-1, s-1) bits;
     - the lower levels' masks, C(m, j) bits for each j = 2..s-1;
     - a block's bitsets: its masks, its planes and the parts split from
       them, 2*bit_length(n) + 6 bitsets of max(_RHS_BLOCK, C(m-1, s-1))
@@ -146,7 +144,7 @@ def _rhs_sliced_bytes(params: CubeParams, m: int, s: int) -> int:
       64 KiB of the interpreter's own."""
     n = params.n
     width = binom(m - 1, s - 1)
-    bits = n * min(params.q, m) * (width + binom(m - 1, s - 2))
+    bits = n * min(params.q, m) * width
     bits += sum(binom(m, j) for j in range(2, s))
     bits += (2 * n.bit_length() + 6) * max(_RHS_BLOCK, width)
     return bits * 2 // 15 + 40 * (n + 2 * s) * m + (64 << 10)
@@ -238,15 +236,6 @@ def _colex_counts(m: int, s: int) -> list[list[int]]:
     return counts
 
 
-@lru_cache(maxsize=1)
-def _contained_kept(A: PointSet) -> dict[int, list[list[int]]]:
-    """The contained tables that _contained_tables built last for A, one per
-    slice of each coordinate, under their subset size; a later, larger s
-    extends them instead of building them anew. Only one size of one set is
-    kept: a sweep asks each set for s = 3 and then s = 4 in turn."""
-    return {}
-
-
 def _contained_tables(A: PointSet, counts: list[list[int]]) -> list[list[int]]:
     """For each coordinate j, the list over points t of one bitset: over the
     (s-1)-subsets of the first m-1 points in colex order, bit i set when
@@ -254,23 +243,17 @@ def _contained_tables(A: PointSet, counts: list[list[int]]) -> list[list[int]]:
     s = len(counts). Points with the same value at j share their bitset.
 
     The k-subsets inside a slice S are, for each t in S, the (k-1)-subsets
-    inside S below t, shifted to the colex position C(t, k) (_colex_counts).
-    Each slice's table starts from the 1-subsets, or from the kept tables of
-    a smaller size (_contained_kept), which it replaces."""
+    inside S below t, shifted to the colex position C(t, k) (_colex_counts)."""
     m, s = len(A), len(counts)
-    kept = _contained_kept(A)
-    level = next((size for size in kept if size < s), 1)
-    held = kept.pop(level, None) or [[S & ((1 << (m - 1)) - 1) for S in column] for column in A.slices]
-    kept.clear()
     below = [[(1 << c) - 1 for c in row] for row in counts[: s - 1]]
     tables = []
-    for column, column_tables in zip(A.slices, held):
+    for column in A.slices:
         owner = [0] * m
-        for i, S in enumerate(column):
+        for S in column:
             members = list(compress(range(m), bin(S)[:1:-1].encode().translate(_BIT_SELECTORS)))
             inner = members[:-1] if members[-1] == m - 1 else members
-            table = column_tables[i]
-            for k in range(level + 1, s):
+            table = S & ((1 << (m - 1)) - 1)
+            for k in range(2, s):
                 table = sum(
                     map(
                         lshift,
@@ -278,11 +261,9 @@ def _contained_tables(A: PointSet, counts: list[list[int]]) -> list[list[int]]:
                         map(counts[k].__getitem__, inner),
                     )
                 )
-            column_tables[i] = table
             for t in members:
                 owner[t] = table
         tables.append(owner)
-    kept[s - 1] = held
     return tables
 
 

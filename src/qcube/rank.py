@@ -7,7 +7,6 @@ face containing the whole set.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -261,6 +260,8 @@ def random_isometry_image(A: PointSet, seed: int) -> PointSet:
     independent uniform value permutation of {0, ..., q-1} at each coordinate.
     Deterministic for a fixed seed.
     """
+    import random  # only here, so that rank and bounds never import it
+
     rng = random.Random(seed)
     n, q = A.params.n, A.params.q
     perm = rng.sample(range(n), n)

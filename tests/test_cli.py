@@ -824,8 +824,7 @@ class TestSweep:
         # Criterion 8's config: main, the corollaries and lemma_face_count all
         # read the face distributions of one pass over every k of the cell.
         walks = count_calls(monkeypatch, "qcube.faces", "_profile_routed")
-        qcube.faces._walked.cache_clear()
-        qcube.faces._distribution_grouped.cache_clear()
+        qcube.faces._computed.clear()
         config = {
             "identities": list(qcube.sweep.SWEEP_IDENTITIES),
             "q": [2, 3],
@@ -840,6 +839,24 @@ class TestSweep:
         per_set = Counter(A for A, _ in walks)
         assert set(per_set.values()) == {1}
         assert len(per_set) == 11  # both seeds at q = 2, n = 2 draw the full square
+
+    def test_a_sweep_of_many_sets_profiles_each_once(self, tmp_path, capsys, monkeypatch):
+        # 300 family sets, all held for the whole sweep: corollary 1 reads
+        # the distributions main's pass computed for every one of them.
+        walks = count_calls(monkeypatch, "qcube.faces", "_profile_routed")
+        qcube.faces._computed.clear()
+        config = {
+            "identities": ["main", "corollary1"],
+            "q": [2],
+            "n": [5, 10],
+            "seeds": list(range(50)),
+            "family": {"kind": "random", "m": 4},
+        }
+        code, _, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        assert code == 0
+        per_set = Counter(A for A, _ in walks)
+        assert len(walks) == len(per_set) > 256
+        assert all(ks == range(A.params.n + 1) for A, ks in walks)
 
     # Digests of these configs' stdout, written before the sweep walked its
     # sets once for every k.
@@ -876,8 +893,7 @@ class TestSweep:
         self, tmp_path, capsys, monkeypatch, config, exit_code, errors, digest
     ):
         walks = count_calls(monkeypatch, "qcube.faces", "_profile_routed")
-        qcube.faces._walked.cache_clear()
-        qcube.faces._distribution_grouped.cache_clear()
+        qcube.faces._computed.clear()
         code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
         assert code == exit_code
         assert json.loads(out.splitlines()[-1])["summary"]["error"] == errors

@@ -260,6 +260,13 @@ class TestDistribution:
         with pytest.raises(ConsistencyError):
             FaceDistribution.checked(params, 1, {1: 3, 0: 0})
 
+    def test_checked_rejects_a_negative_count(self):
+        # The four edges of the square, with one empty edge too few.
+        with pytest.raises(ConsistencyError, match="face tally -1 at e=0 is negative at k=1"):
+            FaceDistribution.checked(CubeParams(2, 2), 1, {1: 3, 2: 2, 0: -1})
+        with pytest.raises(ConsistencyError, match="face tally -2 at e=3 is negative at k=2"):
+            FaceDistribution.checked(CubeParams(2, 3), 2, {3: -2, 1: 8})
+
     def test_zero_dimension_cube(self):
         params = CubeParams(3, 0)
         A = PointSet.from_coords(params, [()])

@@ -9,6 +9,7 @@ and q > 10.
 import random
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -34,14 +35,13 @@ from qcube.core import (
     value_slices,
 )
 from qcube.faces import (
+    _computed,
     _dense_bytes,
     _dense_cost,
     _distribution_counted,
-    _distribution_grouped,
     _profile_dense,
     _profile_sliced,
     _sliced_pays,
-    _walked,
     distribution,
     distribution_bruteforce,
     faces_containing_bruteforce,
@@ -59,9 +59,6 @@ from qcube.families import (
 from qcube.identities import (
     _RHS_BLOCK,
     _RHS_MEMORY_CAP,
-    _colex_counts,
-    _contained_kept,
-    _contained_tables,
     _rhs_sliced_bytes,
     _rhs_sliced_pays,
     _subset_rank_histogram,
@@ -174,32 +171,6 @@ def test_sliced_rank_histogram_matches_walk_and_rank_rows(A, block):
             assert sliced == tuple(sorted(want.items())), s
 
 
-@given(rhs_cases(), st.lists(st.integers(3, 6), min_size=1, max_size=4))
-@example(random_set(3, 4, 20, 0), [3, 4])
-@example(random_set(2, 6, 30, 0), [4, 3, 5, 5])
-@kernel_settings
-def test_contained_tables_kept_and_extended_match_fresh_ones(A, sizes):
-    # A larger s extends the kept tables of a smaller one; a smaller s, or
-    # another set, starts again from the 1-subsets.
-    m = len(A)
-    sizes = [s for s in sizes if s <= m]
-    fresh = {}
-    for s in sizes:
-        _contained_kept.cache_clear()
-        fresh[s] = _contained_tables(A, _colex_counts(m, s))
-    _contained_kept.cache_clear()
-    for s in sizes:
-        kept = dict(_contained_kept(A))
-        got = _contained_tables(A, _colex_counts(m, s))
-        assert got == fresh[s], s
-        assert list(_contained_kept(A)) == [s - 1]
-        if kept and min(kept) < s:  # extended in place, not rebuilt
-            assert _contained_kept(A)[s - 1] is kept[min(kept)]
-    _contained_kept.cache_clear()
-    for s in sizes:
-        assert _subset_rank_histogram_sliced(A, s) == _subset_rank_histogram_walked(A, s), s
-
-
 def test_sliced_rank_histogram_over_many_blocks_matches_walk():
     A = random_set(3, 7, 40, 2)
     assert comb(40, 4) > 5 * _RHS_BLOCK and _rhs_sliced_pays(A.params, 40, 4)
@@ -250,23 +221,6 @@ def test_sliced_rank_histogram_holds_at_most_its_bound(shape):
     q, n, m, s = shape
     A = random_set(q, n, m, 3)
     A.slices  # part of the set, built before either route
-    tracemalloc.start()
-    try:
-        _subset_rank_histogram_sliced(A, s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= _rhs_sliced_bytes(A.params, m, s)
-
-
-@pytest.mark.parametrize("shape", [(2, 24, 127, 4), (5, 6, 40, 5), (2, 200, 16, 3)])
-def test_sliced_rank_histogram_extending_kept_tables_holds_at_most_its_bound(shape):
-    # The tables kept from s - 1 are extended to s, not rebuilt.
-    q, n, m, s = shape
-    A = random_set(q, n, m, 3)
-    A.slices
-    _contained_kept.cache_clear()
-    _contained_tables(A, _colex_counts(m, s - 1))
     tracemalloc.start()
     try:
         _subset_rank_histogram_sliced(A, s)
@@ -419,8 +373,7 @@ def test_profile_matches_evenweight_closed_form():
 
 def test_distribution_reads_the_profile_after_its_own_guard():
     A = random_set(2, 10, 24, 5)
-    _walked.cache_clear()
-    _distribution_grouped.cache_clear()
+    _computed.clear()
     whole = 2**10 * 24  # the sum over k of C(10, k) * 24
     with pytest.raises(SizeGuardError):
         profile(A, guard=whole - 1)
@@ -431,6 +384,29 @@ def test_distribution_reads_the_profile_after_its_own_guard():
         with pytest.raises(SizeGuardError):
             distribution(A, 5, guard=comb(10, 5) * 24 - 1)
         assert profile(A, range(3, 8)) == dists[3:8]
+
+
+def test_computed_distributions_go_with_their_set():
+    A = random_set(2, 10, 24, 5)
+    _computed.clear()
+    distribution(A, 3)
+    profile(A)
+    assert list(_computed) == [A] and len(_computed[A]) == 11
+    ref = weakref.ref(A)
+    del A
+    assert ref() is None and len(_computed) == 0
+
+
+def test_a_route_that_over_counts_is_refused():
+    # A stray bit in the dense fold's indicator, at a cell that names no
+    # point (q = 3, code 3), is one face too many at k = 0. e = 0 is the rest
+    # of the total, so the total still holds and only its sign shows.
+    A = random_set(3, 2, 9, 0)
+    stray = qcube.faces._indicator(A) | 1 << 3
+    with mock.patch.object(qcube.faces, "_indicator", return_value=stray):
+        with pytest.raises(ConsistencyError, match="face tally -1 at e=0 is negative at k=0"):
+            _profile_dense(A, range(0, 2))
+    assert _profile_dense(A, range(0, 2)) == [distribution_bruteforce(A, k) for k in range(2)]
 
 
 def test_profile_refuses_levels_out_of_range():

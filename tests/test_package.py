@@ -66,7 +66,7 @@ def test_command_executes_only_the_modules_it_uses(tmp_path, argv, executed):
     assert got["code"] == 0
     assert got["executed"] == executed
     assert got["modules"] == sorted(["qcube.cli", *SUBMODULES])
-    if argv[0] == "sweep":  # closed forms alone: no random family, no rank module
+    if argv[0] != "gen":  # only a random family needs it
         assert not got["random"]
 
 
