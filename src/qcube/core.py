@@ -3,7 +3,9 @@
 Everything here is pure and immutable: points, point sets (stored as packed
 ints, see below), and faces of the cube E_q^n (vectors of length n over
 {0, ..., q-1}), plus the binomial and Hamming primitives the rest of the
-package is built on. No floating point.
+package is built on. No floating point. The one mutable part is the per-set
+memo (memo, per_set), which keeps what is computed from a point set while the
+set lives.
 
 Packed layout: a point packs into one int with w = (q-1).bit_length() bits
 per coordinate, coordinate 0 in the most significant block, so packed ints
@@ -27,10 +29,13 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
+from collections import Counter
+from functools import cached_property, wraps
 from itertools import chain, product, repeat
 from operator import attrgetter, eq, itemgetter, lt, mul
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from weakref import WeakKeyDictionary
 
 
 class CubeError(ValueError):
@@ -297,6 +302,44 @@ class PointSet(_Record):
         j, in increasing order of value. Built on first use, see
         value_slices."""
         return value_slices(self.params, self.packed)
+
+
+# The per-set memo: what was computed from a point set, by (function, key).
+# Equal sets share an entry, and an entry goes when its set does, so a kept
+# value must not reference its set. No size is set.
+_memo: WeakKeyDictionary[PointSet, dict[tuple[Any, ...], Any]] = WeakKeyDictionary()
+_lookups: Counter[tuple[Callable[..., Any], bool]] = Counter()  # (function, hit) -> lookups
+
+
+def memo(A: PointSet) -> dict[tuple[Any, ...], Any]:
+    """A's entry in the per-set memo."""
+    return _memo.setdefault(A, {})
+
+
+def clear_memo() -> None:
+    """Empty the per-set memo and its lookup counts."""
+    _memo.clear()
+    _lookups.clear()
+
+
+def per_set(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """fn(A, *key) computed once per point set and key, and kept in A's memo
+    entry. A hit checks no guard, so each caller checks every guard fn's
+    work would check before the lookup. cache_info() and cache_clear() are
+    named as functools names them, and the clear empties the whole memo."""
+
+    @wraps(fn)
+    def cached(A: PointSet, *key: Any) -> Any:
+        known = memo(A)
+        hit = (fn, key) in known
+        _lookups[fn, hit] += 1
+        if not hit:
+            known[fn, key] = fn(A, *key)
+        return known[fn, key]
+
+    cached.cache_info = lambda: SimpleNamespace(hits=_lookups[fn, True], misses=_lookups[fn, False])
+    cached.cache_clear = clear_memo
+    return cached
 
 
 def _block_width(params: CubeParams) -> int:

@@ -11,12 +11,12 @@ per-(coordinate, value) bitsets (_profile_sliced); and one depth-first fold
 over the increasing sets of free positions on bit-sliced counters with a
 bit per cell of the cube (_profile_dense). The walk and the fold tally every
 level of a range ks at once. A cost estimate from (q, n, ks, |A|) picks the
-route (_sliced_pays). distribution(A, k) takes one k, the one-level case;
-profile(A, ks) takes a range, and its guard estimate, the sum over ks of
-C(n, k)*|A|, is checked before anything is built. The sweep profiles each
-family set once over its cell's k range, and every row's distribution(A, k)
-reads that result after its own guard check. What either computes is kept
-per point set, by k, until the set is dropped (_computed).
+route (_sliced_pays). profile(A, ks) takes a range, its guard estimate, the
+sum over ks of C(n, k)*|A|, checked before anything is built, and
+distribution(A, k) is its one-level case. The sweep profiles each family set
+once over its cell's k range, and every row's distribution(A, k) reads that
+result after its own guard check. Each level is kept in A's entry of the
+per-set memo (core.memo) until the set is dropped.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from collections import Counter
 from itertools import combinations, product
 from operator import itemgetter, sub
 from typing import Callable, Iterator, Mapping, Optional
-from weakref import WeakKeyDictionary
 
 from .core import (
     DEFAULT_GUARD,
@@ -42,6 +41,7 @@ from .core import (
     check_guard,
     check_guard_power,
     column_mask,
+    memo,
     slices_cost,
 )
 
@@ -505,11 +505,6 @@ def _profile_routed(A: PointSet, ks: range) -> list[FaceDistribution]:
     return [_distribution_counted(A, k) for k in ks]
 
 
-# The distributions computed for each point set, by k: equal sets share an
-# entry, and an entry goes when its set does.
-_computed: WeakKeyDictionary[PointSet, dict[int, FaceDistribution]] = WeakKeyDictionary()
-
-
 def profile(A: PointSet, ks: Optional[range] = None, guard: int = DEFAULT_GUARD) -> list[FaceDistribution]:
     """The distribution at every level k in ks, consecutive and in [0, n]
     (all of 0..n by default), in order of k: distribution(A, k) for each k,
@@ -517,12 +512,12 @@ def profile(A: PointSet, ks: Optional[range] = None, guard: int = DEFAULT_GUARD)
 
     The guard estimate is the sum over ks of distribution's, that is
     sum C(n, k)*max(|A|, 1), and it is checked on every call, before
-    anything is built. _sliced_pays, extended to the range, picks between
-    one walk for every k (_profile_sliced), one dense fold for every k
-    (_profile_dense) and the Counter route at each k. The results are kept
-    for as long as A (or an equal set that holds its entry) lives, and a
-    later call computes only if a level of ks is missing, so treat the
-    returned counts as read-only."""
+    anything is looked up or built. _sliced_pays, extended to the range,
+    picks between one walk for every k (_profile_sliced), one dense fold for
+    every k (_profile_dense) and the Counter route at each k. Each level is
+    kept in A's memo entry (core.memo) under (FaceDistribution, k), shared
+    by equal sets, for as long as A lives, and a later call computes only if
+    a level of ks is missing, so treat the returned counts as read-only."""
     params = A.params
     n = params.n
     ks = range(n + 1) if ks is None else ks
@@ -533,44 +528,28 @@ def profile(A: PointSet, ks: Optional[range] = None, guard: int = DEFAULT_GUARD)
     _check_k(params, ks[0])
     _check_k(params, ks[-1])
     check_guard(sum(map(binom, [n] * len(ks), ks)) * max(len(A), 1), guard)
-    known = _computed.setdefault(A, {})
-    if not all(k in known for k in ks):
-        known.update(zip(ks, _profile_routed(A, ks)))
-    return [known[k] for k in ks]
+    known, levels = memo(A), [(FaceDistribution, k) for k in ks]
+    if not all(map(known.__contains__, levels)):
+        known.update(zip(levels, _profile_routed(A, ks)))
+    return list(map(known.__getitem__, levels))
 
 
 def distribution(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> FaceDistribution:
-    """Exact distribution e -> number of k-faces meeting A in exactly e points.
+    """Exact distribution e -> number of k-faces meeting A in exactly e points:
+    profile(A, range(k, k + 1), guard)[0].
 
-    A k-face is a fibre of one value assignment on n-k fixed positions.
-    Three routes tally the nonempty fibres, and the rest are empty:
-    - the Counter route groups A's projections onto each choice of fixed
-      positions (the packed rows masked by core.column_mask), |A| projections
-      per choice, C(n, k)*|A| in all;
-    - the walk (_profile_sliced, at the one level k) visits the choices as
-      increasing prefixes over A's value bitsets, so a fibre is split once
-      for all choices that extend its prefix, and the per-point work runs
-      inside int operations, a machine word per 64 points;
-    - the dense fold (_profile_dense, at the one level k) keeps a count for
-      every cell of the cube, bit-sliced, a machine word per 64 cells, and
-      sums sibling cells one free position at a time, so each choice of free
-      positions shares its prefix's folds; it pays when the cube is small
-      and A is dense in it.
-    The route is picked from (q, n, k, |A|) alone by a cost estimate, see
-    _sliced_pays. distribution_bruteforce, a per-face scan over coordinate
-    tuples, is the oracle of all three.
-
-    The guard estimate is C(n, k)*|A| on every route and is checked on every
-    call. The result is kept with A's other levels (_computed), and a level
-    that profile() or an earlier call computed is read, not computed again,
-    so treat the returned counts as read-only.
+    A k-face is a fibre of one value assignment on n-k fixed positions. The
+    route _sliced_pays picks from (q, n, k, |A|) tallies the nonempty fibres
+    of the one level k, and the rest are empty: the Counter route, C(n, k)
+    projections of each point of A (the packed rows masked by
+    core.column_mask), the walk (_profile_sliced) or the dense fold
+    (_profile_dense). distribution_bruteforce, a per-face scan over
+    coordinate tuples, is the oracle of all three. The guard estimate,
+    C(n, k)*max(|A|, 1) on every route, is checked on every call, and a
+    level that profile() or an earlier call computed is read from A's memo
+    entry, not computed again, so treat the returned counts as read-only.
     """
-    _check_k(A.params, k)
-    check_guard(binom(A.params.n, k) * max(len(A), 1), guard)
-    known = _computed.setdefault(A, {})
-    if k not in known:
-        known[k] = _profile_routed(A, range(k, k + 1))[0]
-    return known[k]
+    return profile(A, range(k, k + 1), guard)[0]
 
 
 def distribution_bruteforce(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> FaceDistribution:

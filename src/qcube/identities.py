@@ -4,13 +4,13 @@ Each check computes its left side from the face-intersection distribution and
 its right side from subset ranks or pairwise distances, through code paths
 that share nothing beyond the core primitives (the right side reads
 PointSet.packed, block_fold, PointSet.slices and binom), then reports exact
-equality.
+equality. Both sides keep their per-set results in core's per-set memo
+(core.per_set), which holds no logic of either side.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import accumulate, combinations, compress
 from operator import add, and_, lshift
 from typing import Any, Iterator, Optional
@@ -26,6 +26,7 @@ from .core import (
     binom,
     block_fold,
     check_guard,
+    per_set,
 )
 from .faces import distribution
 from .rank import distance_sum, rank_rows
@@ -171,7 +172,7 @@ def _rhs_sliced_pays(params: CubeParams, m: int, s: int) -> bool:
     return sliced < walk
 
 
-@lru_cache(maxsize=512)
+@per_set
 def _subset_rank_histogram(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
     """The sorted (r, number of s-subsets of rank r) pairs of A; s = 1 is
     every point at rank 0.
@@ -339,8 +340,8 @@ def main_rhs(A: PointSet, k: int, s: int, guard: int = DEFAULT_GUARD) -> int:
     of A, where r(B) is the subset rank.
 
     It is summed over the histogram r -> number of s-subsets of rank r,
-    cached per set and s, after the binom(m, s) guard, which is checked on
-    every call and before either route builds anything. The histogram has
+    kept in the memo per set and s, after the binom(m, s) guard, which is
+    checked on every call, before the memo is read. The histogram has
     two routes, both exact (_subset_rank_histogram):
     - the walk visits the subsets depth first over the folded differences of
       the packed rows (core.block_fold over PointSet.packed);
@@ -405,9 +406,9 @@ def corollary_s1(
     return IdentityReport.of("corollary1", params, lhs, rhs, lt, rt, proven=True)
 
 
-@lru_cache(maxsize=256)
-def _pair_distance_histogram(A: PointSet, guard: int) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(Counter(distance_sum(A, guard).pairwise.values()).items()))
+@per_set
+def _pair_distance_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(Counter(distance_sum(A, binom(len(A), 2)).pairwise.values()).items()))
 
 
 def corollary_s2(
@@ -419,7 +420,7 @@ def corollary_s2(
     Valid for every q: a pair at distance d spans a d-dimensional face, so its
     rank is d and no separate rank computation is needed. Without terms the
     right side is summed over the histogram d -> number of pairs, built from
-    distance_sum once per set and guard and cached; the binom(m, 2) guard is
+    distance_sum once per set and kept in the memo; its binom(m, 2) guard is
     checked on every call. With terms, every pair is listed from distance_sum.
     """
     _require_size(A, 2, "corollary_s2")
@@ -434,7 +435,7 @@ def corollary_s2(
         )
         rhs = sum(v for _, v in rt)
     else:
-        rhs = sum(c * binom(n - d, k - d) for d, c in _pair_distance_histogram(A, guard))
+        rhs = sum(c * binom(n - d, k - d) for d, c in _pair_distance_histogram(A))
         rt = None
     params = {"q": A.params.q, "n": n, "k": k, "s": 2, "m": len(A)}
     return IdentityReport.of("corollary2", params, lhs, rhs, lt, rt, proven=True)
@@ -452,13 +453,13 @@ def _triple_ranks(A: PointSet, guard: int) -> Iterator[tuple[tuple[int, int, int
         yield (i, j, t), dsum // 2
 
 
-@lru_cache(maxsize=256)
-def _triple_rank_histogram(A: PointSet, guard: int) -> tuple[tuple[int, int], ...]:
+@per_set
+def _triple_rank_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
     """The sorted (r, number of triples of rank r) pairs, r the half-sum of a
     triple's distances: _triple_ranks tallied a pair (i, j) at a time, with
     the sums d(i, t) + d(j, t) over every t > j added row by row."""
-    d = distance_sum(A, guard).pairwise
     m = len(A)
+    d = distance_sum(A, binom(m, 2)).pairwise  # the caller checks this guard
     rows = [[0] * m for _ in range(m)]
     for (i, j), dij in d.items():
         rows[i][j] = rows[j][i] = dij
@@ -467,7 +468,7 @@ def _triple_rank_histogram(A: PointSet, guard: int) -> tuple[tuple[int, int], ..
         for j in range(i + 1, m):
             sums.update(map(row[j].__add__, map(add, row[j + 1 :], rows[j][j + 1 :])))
     if any(dsum % 2 for dsum in sums):
-        for _ in _triple_ranks(A, guard):  # raises, naming the first odd triple
+        for _ in _triple_ranks(A, binom(m, 2)):  # raises, naming the first odd triple
             pass
     return tuple(sorted((dsum // 2, count) for dsum, count in sums.items()))
 
@@ -480,9 +481,9 @@ def corollary_s3(
     pairwise distances (an integer in a binary cube).
 
     Without terms the right side is summed over the histogram r -> number of
-    triples, built from distance_sum once per set and guard and cached; the
-    binom(m, 3) guard is checked on every call, and distance_sum's m(m-1)/2
-    on every miss. With terms, every triple is listed.
+    triples, built from distance_sum once per set and kept in the memo;
+    binom(m, 3) is checked on every call, and distance_sum's binom(m, 2)
+    before the memo is read. With terms, every triple is listed.
     """
     if A.params.q != 2:
         raise CubeError("corollary_s3 is defined for q = 2 only")
@@ -498,7 +499,8 @@ def corollary_s3(
         )
         rhs = sum(v for _, v in rt)
     else:
-        rhs = sum(c * binom(n - r, k - r) for r, c in _triple_rank_histogram(A, guard))
+        check_guard(binom(m, 2), guard)
+        rhs = sum(c * binom(n - r, k - r) for r, c in _triple_rank_histogram(A))
         rt = None
     params = {"q": 2, "n": n, "k": k, "s": 3, "m": m}
     return IdentityReport.of("corollary3", params, lhs, rhs, lt, rt, proven=True)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcube.cli
+import qcube.core
 import qcube.faces
 import qcube.families
 import qcube.identities
@@ -800,8 +801,7 @@ class TestSweep:
         # and 3 each take the pairwise distances of a set once.
         scans = count_calls(monkeypatch, "qcube.faces", "faces_containing_bruteforce")
         profiles = count_calls(monkeypatch, "qcube.rank", "distance_sum")
-        qcube.identities._pair_distance_histogram.cache_clear()
-        qcube.identities._triple_rank_histogram.cache_clear()
+        qcube.core.clear_memo()
         config = {
             "identities": list(qcube.sweep.SWEEP_IDENTITIES),
             "q": [2, 3],
@@ -824,7 +824,7 @@ class TestSweep:
         # Criterion 8's config: main, the corollaries and lemma_face_count all
         # read the face distributions of one pass over every k of the cell.
         walks = count_calls(monkeypatch, "qcube.faces", "_profile_routed")
-        qcube.faces._computed.clear()
+        qcube.core.clear_memo()
         config = {
             "identities": list(qcube.sweep.SWEEP_IDENTITIES),
             "q": [2, 3],
@@ -844,7 +844,7 @@ class TestSweep:
         # 300 family sets, all held for the whole sweep: corollary 1 reads
         # the distributions main's pass computed for every one of them.
         walks = count_calls(monkeypatch, "qcube.faces", "_profile_routed")
-        qcube.faces._computed.clear()
+        qcube.core.clear_memo()
         config = {
             "identities": ["main", "corollary1"],
             "q": [2],
@@ -893,7 +893,7 @@ class TestSweep:
         self, tmp_path, capsys, monkeypatch, config, exit_code, errors, digest
     ):
         walks = count_calls(monkeypatch, "qcube.faces", "_profile_routed")
-        qcube.faces._computed.clear()
+        qcube.core.clear_memo()
         code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
         assert code == exit_code
         assert json.loads(out.splitlines()[-1])["summary"]["error"] == errors

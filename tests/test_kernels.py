@@ -30,12 +30,13 @@ from qcube.core import (
     PointSet,
     SizeGuardError,
     block_fold,
+    clear_memo,
     column_mask,
     hamming,
+    memo,
     value_slices,
 )
 from qcube.faces import (
-    _computed,
     _dense_bytes,
     _dense_cost,
     _distribution_counted,
@@ -373,7 +374,7 @@ def test_profile_matches_evenweight_closed_form():
 
 def test_distribution_reads_the_profile_after_its_own_guard():
     A = random_set(2, 10, 24, 5)
-    _computed.clear()
+    clear_memo()
     whole = 2**10 * 24  # the sum over k of C(10, k) * 24
     with pytest.raises(SizeGuardError):
         profile(A, guard=whole - 1)
@@ -386,15 +387,61 @@ def test_distribution_reads_the_profile_after_its_own_guard():
         assert profile(A, range(3, 8)) == dists[3:8]
 
 
-def test_computed_distributions_go_with_their_set():
+@pytest.mark.parametrize(
+    "compute, kept",
+    [
+        (lambda A: (distribution(A, 3), profile(A)), 11),  # the levels 0..10
+        (lambda A: (main_rhs(A, 4, 3), main_rhs(A, 4, 4)), 2),
+        (lambda A: corollary_s2(A, 4), 2),  # a level and the pair histogram
+        (lambda A: corollary_s3(A, 4), 2),  # a level and the triple histogram
+    ],
+    ids=["distribution", "main_rhs", "corollary_s2", "corollary_s3"],
+)
+def test_per_set_results_go_with_their_set(compute, kept):
     A = random_set(2, 10, 24, 5)
-    _computed.clear()
-    distribution(A, 3)
-    profile(A)
-    assert list(_computed) == [A] and len(_computed[A]) == 11
+    clear_memo()
+    compute(A)
+    assert list(qcube.core._memo) == [A] and len(memo(A)) == kept
     ref = weakref.ref(A)
     del A
-    assert ref() is None and len(_computed) == 0
+    assert ref() is None and len(qcube.core._memo) == 0
+
+
+def test_corollaries_take_the_distances_once_across_guards():
+    A = random_set(2, 10, 24, 5)
+    least = comb(10, 4) * 24  # the left side's guard, the largest of each
+    clear_memo()
+    with mock.patch.object(qcube.identities, "distance_sum", wraps=distance_sum) as calls:
+        for corollary in (corollary_s2, corollary_s3):
+            before = calls.call_count
+            assert corollary(A, 4) == corollary(A, 4, guard=least)
+            assert calls.call_count == before + 1
+    assert corollary_s2(A, 4).equal and corollary_s3(A, 4).equal
+
+
+def _refusal(check, *args, guard):
+    with pytest.raises(SizeGuardError) as refused:
+        check(*args, guard=guard)
+    return str(refused.value)
+
+
+def test_a_hit_is_refused_as_a_miss_is():
+    A = random_set(2, 10, 24, 5)
+    m = len(A)
+    clear_memo()
+    cold = _refusal(main_rhs, A, 4, 3, guard=comb(m, 3) - 1)
+    main_rhs(A, 4, 3)
+    assert _refusal(main_rhs, A, 4, 3, guard=comb(m, 3) - 1) == cold
+    assert cold == f"instance too large: about {comb(m, 3)} elementary operations, guard is {comb(m, 3) - 1}"
+    # At m = 3 and 4, distance_sum's binom(m, 2) is above binom(m, 3); at
+    # k = n the left side's guard is m.
+    for m, want in ((3, 3), (4, 6)):
+        B = random_set(2, 5, m, 0)
+        clear_memo()
+        cold = _refusal(corollary_s3, B, 5, guard=comb(m, 2) - 1)
+        corollary_s3(B, 5)
+        assert _refusal(corollary_s3, B, 5, guard=comb(m, 2) - 1) == cold
+        assert cold == f"instance too large: about {want} elementary operations, guard is {comb(m, 2) - 1}"
 
 
 def test_a_route_that_over_counts_is_refused():
@@ -624,7 +671,7 @@ def binary_sets(draw):
 @kernel_settings
 def test_triple_rank_histogram_matches_triple_ranks(A):
     want = Counter(r for _, r in _triple_ranks(A, 10**7))
-    assert _triple_rank_histogram.__wrapped__(A, 10**7) == tuple(sorted(want.items()))
+    assert _triple_rank_histogram.__wrapped__(A) == tuple(sorted(want.items()))
 
 
 def test_triple_rank_histogram_refuses_an_odd_distance_sum():
@@ -635,7 +682,7 @@ def test_triple_rank_histogram_refuses_an_odd_distance_sum():
     fake = DistanceProfile(pairwise, sum(pairwise.values()))
     with mock.patch.object(qcube.identities, "distance_sum", return_value=fake):
         with pytest.raises(ConsistencyError, match=r"^odd distance sum 3 for a binary triple \(0, 1, 2\)$"):
-            _triple_rank_histogram.__wrapped__(A, 10**7)
+            _triple_rank_histogram.__wrapped__(A)
 
 
 @given(point_sets(), st.integers(0, 6), st.integers(1, 8))
