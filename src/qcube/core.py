@@ -3,9 +3,9 @@
 Everything here is pure and immutable: points, point sets (stored as packed
 ints, see below), and faces of the cube E_q^n (vectors of length n over
 {0, ..., q-1}), plus the binomial and Hamming primitives the rest of the
-package is built on. No floating point. The one mutable part is the per-set
-memo (memo, per_set), which keeps what is computed from a point set while the
-set lives.
+package is built on. No floating point. The one mutable part is each point
+set's memo (PointSet.memo, filled through per_set), which keeps what is
+computed from that set object for as long as it lives.
 
 Packed layout: a point packs into one int with w = (q-1).bit_length() bits
 per coordinate, coordinate 0 in the most significant block, so packed ints
@@ -35,7 +35,6 @@ from itertools import chain, product, repeat
 from operator import attrgetter, eq, itemgetter, lt, mul
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
-from weakref import WeakKeyDictionary
 
 
 class CubeError(ValueError):
@@ -247,7 +246,8 @@ class PointSet(_Record):
     rows, so equal sets compare and hash equal regardless of construction order.
     May be empty. Each given row is checked once (length n, int coordinates in
     [0, q)) and packed. `rows` decodes the ints on first use, and Point objects
-    are built only for `points`, iteration and `in`.
+    are built only for `points`, iteration and `in`. `memo` keeps what is
+    computed from this object; it takes no part in equality or hash.
     """
 
     _fields = ("params", "packed")
@@ -303,42 +303,32 @@ class PointSet(_Record):
         value_slices."""
         return value_slices(self.params, self.packed)
 
-
-# The per-set memo: what was computed from a point set, by (function, key).
-# Equal sets share an entry, and an entry goes when its set does, so a kept
-# value must not reference its set. No size is set.
-_memo: WeakKeyDictionary[PointSet, dict[tuple[Any, ...], Any]] = WeakKeyDictionary()
-_lookups: Counter[tuple[Callable[..., Any], bool]] = Counter()  # (function, hit) -> lookups
-
-
-def memo(A: PointSet) -> dict[tuple[Any, ...], Any]:
-    """A's entry in the per-set memo."""
-    return _memo.setdefault(A, {})
-
-
-def clear_memo() -> None:
-    """Empty the per-set memo and its lookup counts."""
-    _memo.clear()
-    _lookups.clear()
+    @cached_property
+    def memo(self) -> dict[tuple[Any, ...], Any]:
+        """What was computed from this set, by (function, key); built on first
+        use. An equal set built apart keeps its own, and the results go when
+        the set does."""
+        return {}
 
 
 def per_set(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """fn(A, *key) computed once per point set and key, and kept in A's memo
-    entry. A hit checks no guard, so each caller checks every guard fn's
+    """fn(A, *key) computed once per point set object and key, and kept in
+    A.memo. A hit checks no guard, so each caller checks every guard fn's
     work would check before the lookup. cache_info() and cache_clear() are
-    named as functools names them, and the clear empties the whole memo."""
+    named as functools names them: they read and reset fn's lookup counts."""
+    lookups: Counter[bool] = Counter()  # hit -> lookups
 
     @wraps(fn)
     def cached(A: PointSet, *key: Any) -> Any:
-        known = memo(A)
+        known = A.memo
         hit = (fn, key) in known
-        _lookups[fn, hit] += 1
+        lookups[hit] += 1
         if not hit:
             known[fn, key] = fn(A, *key)
         return known[fn, key]
 
-    cached.cache_info = lambda: SimpleNamespace(hits=_lookups[fn, True], misses=_lookups[fn, False])
-    cached.cache_clear = clear_memo
+    cached.cache_info = lambda: SimpleNamespace(hits=lookups[True], misses=lookups[False])
+    cached.cache_clear = lookups.clear
     return cached
 
 

@@ -15,8 +15,8 @@ route (_sliced_pays). profile(A, ks) takes a range, its guard estimate, the
 sum over ks of C(n, k)*|A|, checked before anything is built, and
 distribution(A, k) is its one-level case. The sweep profiles each family set
 once over its cell's k range, and every row's distribution(A, k) reads that
-result after its own guard check. Each level is kept in A's entry of the
-per-set memo (core.memo) until the set is dropped.
+result after its own guard check. Each level is kept in the set's own memo
+(PointSet.memo) until the set is dropped.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .core import (
     check_guard,
     check_guard_power,
     column_mask,
-    memo,
     slices_cost,
 )
 
@@ -515,9 +514,9 @@ def profile(A: PointSet, ks: Optional[range] = None, guard: int = DEFAULT_GUARD)
     anything is looked up or built. _sliced_pays, extended to the range,
     picks between one walk for every k (_profile_sliced), one dense fold for
     every k (_profile_dense) and the Counter route at each k. Each level is
-    kept in A's memo entry (core.memo) under (FaceDistribution, k), shared
-    by equal sets, for as long as A lives, and a later call computes only if
-    a level of ks is missing, so treat the returned counts as read-only."""
+    kept in A.memo under (FaceDistribution, k) for as long as A lives (an
+    equal set built apart computes its own), and a later call computes only
+    if a level of ks is missing, so treat the returned counts as read-only."""
     params = A.params
     n = params.n
     ks = range(n + 1) if ks is None else ks
@@ -528,7 +527,7 @@ def profile(A: PointSet, ks: Optional[range] = None, guard: int = DEFAULT_GUARD)
     _check_k(params, ks[0])
     _check_k(params, ks[-1])
     check_guard(sum(map(binom, [n] * len(ks), ks)) * max(len(A), 1), guard)
-    known, levels = memo(A), [(FaceDistribution, k) for k in ks]
+    known, levels = A.memo, [(FaceDistribution, k) for k in ks]
     if not all(map(known.__contains__, levels)):
         known.update(zip(levels, _profile_routed(A, ks)))
     return list(map(known.__getitem__, levels))
@@ -546,8 +545,8 @@ def distribution(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> FaceDistrib
     (_profile_dense). distribution_bruteforce, a per-face scan over
     coordinate tuples, is the oracle of all three. The guard estimate,
     C(n, k)*max(|A|, 1) on every route, is checked on every call, and a
-    level that profile() or an earlier call computed is read from A's memo
-    entry, not computed again, so treat the returned counts as read-only.
+    level that profile() or an earlier call computed is read from A.memo,
+    not computed again, so treat the returned counts as read-only.
     """
     return profile(A, range(k, k + 1), guard)[0]
 

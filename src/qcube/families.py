@@ -138,12 +138,19 @@ def _decode(index: int, params: CubeParams) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+def random_m_fits(params: CubeParams, m: int) -> bool:
+    """1 <= m <= q**n. Since q**n >= 2**n, the power is built only for an m
+    of more than n bits."""
+    return m >= 1 and (m.bit_length() <= params.n or m <= params.volume)
+
+
 def _check_random(params: CubeParams, m: int) -> None:
     """The draw indexes the q**n points with a machine-size int, so a larger
-    cube is refused before it."""
-    if not 1 <= m <= params.volume:
+    cube is refused before it, and q**n is not built for it when n alone
+    puts it over sys.maxsize."""
+    if not random_m_fits(params, m):
         raise CubeError(f"m must be in [1, {decimal(params.volume)}], got {m}")
-    if params.volume > sys.maxsize:
+    if params.n >= sys.maxsize.bit_length() or params.volume > sys.maxsize:
         raise CubeError(
             f"random family needs q**n <= {sys.maxsize} (sys.maxsize), "
             f"got q={params.q}, n={params.n}"

@@ -4,8 +4,8 @@ Each check computes its left side from the face-intersection distribution and
 its right side from subset ranks or pairwise distances, through code paths
 that share nothing beyond the core primitives (the right side reads
 PointSet.packed, block_fold, PointSet.slices and binom), then reports exact
-equality. Both sides keep their per-set results in core's per-set memo
-(core.per_set), which holds no logic of either side.
+equality. Both sides keep their per-set results in the set's own memo
+(PointSet.memo, through core.per_set), which holds no logic of either side.
 """
 
 from __future__ import annotations
@@ -340,8 +340,8 @@ def main_rhs(A: PointSet, k: int, s: int, guard: int = DEFAULT_GUARD) -> int:
     of A, where r(B) is the subset rank.
 
     It is summed over the histogram r -> number of s-subsets of rank r,
-    kept in the memo per set and s, after the binom(m, s) guard, which is
-    checked on every call, before the memo is read. The histogram has
+    kept in A.memo per s, after the binom(m, s) guard, which is checked on
+    every call, before the memo is read. The histogram has
     two routes, both exact (_subset_rank_histogram):
     - the walk visits the subsets depth first over the folded differences of
       the packed rows (core.block_fold over PointSet.packed);
@@ -420,7 +420,7 @@ def corollary_s2(
     Valid for every q: a pair at distance d spans a d-dimensional face, so its
     rank is d and no separate rank computation is needed. Without terms the
     right side is summed over the histogram d -> number of pairs, built from
-    distance_sum once per set and kept in the memo; its binom(m, 2) guard is
+    distance_sum once per set and kept in A.memo; its binom(m, 2) guard is
     checked on every call. With terms, every pair is listed from distance_sum.
     """
     _require_size(A, 2, "corollary_s2")
@@ -481,7 +481,7 @@ def corollary_s3(
     pairwise distances (an integer in a binary cube).
 
     Without terms the right side is summed over the histogram r -> number of
-    triples, built from distance_sum once per set and kept in the memo;
+    triples, built from distance_sum once per set and kept in A.memo;
     binom(m, 3) is checked on every call, and distance_sum's binom(m, 2)
     before the memo is read. With terms, every triple is listed.
     """

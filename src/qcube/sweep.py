@@ -50,6 +50,7 @@ from .families import (
     evenweight_cell,
     face_spec,
     limbs,
+    random_m_fits,
     realize_family,
     vandermonde_cell,
 )
@@ -201,7 +202,7 @@ def _family_instances(cfg: SweepConfig, q: int, n: int, guard: int) -> Iterator[
         m = fam.get("m")
         if not is_int(m):
             raise CubeError("sweep config: random family needs an integer m")
-        seeds = cfg.seeds if 1 <= m <= params.volume else ()
+        seeds = cfg.seeds if random_m_fits(params, m) else ()
         specs = [({"seed": seed}, FamilySpec("random", m=m, seed=seed)) for seed in seeds]
     elif kind == "even_weight":
         specs = [({}, FamilySpec("even_weight"))] if q == 2 else []
@@ -234,23 +235,19 @@ class SweepIdentity(_Record):
     params without k and its NuRow per nu (per n for the even-weight forms),
     for the points at each k of the row. `instance` is a family instance's
     params with its point set under "A" if `family` is set, else empty.
-    Failures of an `erratum` identity count as known_erratum, not as fail. A
-    `profiled` identity reads the face distribution of the instance's set at
-    each k of the cell, which the sweep computes beforehand in one pass
-    (_profile).
+    Failures of an `erratum` identity count as known_erratum, not as fail.
 
     Params values and sides must be ints: the line of a two-sided row is a
     template whose params are %d fields and whose sides are their str() (see
     _row_template), and the tests hold it to the JSON encoding of the row."""
 
-    _fields = ("cell", "family", "erratum", "profiled")
+    _fields = ("cell", "family", "erratum")
     cell: Cell
     family: bool
     erratum: bool
-    profiled: bool
 
-    def __init__(self, cell: Cell, family: bool = False, erratum: bool = False, profiled: bool = False) -> None:
-        self._set(cell=cell, family=family, erratum=erratum, profiled=profiled)
+    def __init__(self, cell: Cell, family: bool = False, erratum: bool = False) -> None:
+        self._set(cell=cell, family=family, erratum=erratum)
 
     def replace(self, **changes: Any) -> "SweepIdentity":
         """A copy with the named fields changed."""
@@ -262,15 +259,26 @@ def _labels(instance: dict[str, Any]) -> dict[str, Any]:
 
 
 def _pointwise(
-    grid: Callable[[SweepConfig, int, int, Optional[PointSet]], list[dict[str, int]]],
+    grid: Callable[[SweepConfig, int, int, PointSet], list[dict[str, int]]],
     evaluate: Callable[[dict[str, Any], int], identities.IdentityReport],
 ) -> Cell:
-    """A cell checked one grid point at a time: `grid(cfg, q, n, A)` lists the
-    points' params and `evaluate(point, guard)` checks one."""
+    """A family cell checked one grid point at a time: `grid(cfg, q, n, A)`
+    lists the points' params and `evaluate(point, guard)` checks one.
+
+    Every such identity reads the face distribution of the instance's set
+    A, so the cell first tallies it at every k of the cell in one pass
+    (faces.profile), kept in A, which each row's distribution(A, k) then
+    reads after its own guard check; a later identity's pass only reads it.
+    A pass whose estimate is over the guard is skipped, not the sweep: each
+    row is then computed, or refused, on its own."""
 
     def cell(cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int) -> Outcomes:
-        labels = _labels(instance)
-        for g in grid(cfg, q, n, instance.get("A")):
+        A, labels = instance["A"], _labels(instance)
+        try:
+            faces.profile(A, _clip(cfg.k_range, 0, n), guard)
+        except SizeGuardError:
+            pass
+        for g in grid(cfg, q, n, A):
             try:
                 rep = evaluate({"q": q, "n": n, **instance, **g}, guard)
             except SizeGuardError as exc:
@@ -315,7 +323,7 @@ def _evenweight(form: str) -> Cell:
     return cell
 
 
-def _each_k(cfg: SweepConfig, q: int, n: int, A: Optional[PointSet]) -> list[dict[str, int]]:
+def _each_k(cfg: SweepConfig, q: int, n: int, A: PointSet) -> list[dict[str, int]]:
     return [{"k": k} for k in _clip(cfg.k_range, 0, n)]
 
 
@@ -368,12 +376,10 @@ SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
     "main": SweepIdentity(
         _pointwise(_main_grid, lambda p, g: identities.verify_main(p["A"], p["k"], p["s"], g)),
         family=True,
-        profiled=True,
     ),
     "corollary1": SweepIdentity(
         _pointwise(_each_k, lambda p, g: identities.corollary_s1(p["A"], p["k"], g)),
         family=True,
-        profiled=True,
     ),
     "corollary2": SweepIdentity(
         _pointwise(
@@ -381,7 +387,6 @@ SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
             lambda p, g: identities.corollary_s2(p["A"], p["k"], g),
         ),
         family=True,
-        profiled=True,
     ),
     "corollary3": SweepIdentity(
         _pointwise(
@@ -389,16 +394,13 @@ SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
             lambda p, g: identities.corollary_s3(p["A"], p["k"], g),
         ),
         family=True,
-        profiled=True,
     ),
     "vandermonde": SweepIdentity(_closed_form(vandermonde_cell, 0)),
     "chu_vandermonde_generalized": SweepIdentity(_closed_form(chu_vandermonde_generalized_cell, 1)),
     "evenweight_printed": SweepIdentity(_evenweight("printed"), erratum=True),
     "evenweight_corrected": SweepIdentity(_evenweight("corrected")),
     "bounds": SweepIdentity(_bounds_cell, family=True),
-    "lemma_face_count": SweepIdentity(
-        _pointwise(_each_k, _lemma_face_count), family=True, profiled=True
-    ),
+    "lemma_face_count": SweepIdentity(_pointwise(_each_k, _lemma_face_count), family=True),
 }
 
 
@@ -419,26 +421,12 @@ def _sweep_rows(cfg: SweepConfig, guard: int) -> Iterator[tuple[str, int, str]]:
         entry = SWEEP_IDENTITIES[identity]
         for q, n in cells:
             for instance in instances[q, n] if entry.family else [{}]:
-                if entry.profiled:
-                    _profile(instance["A"], _clip(cfg.k_range, 0, n), guard)
                 for params, outcome in entry.cell(cfg, q, n, instance, guard):
                     if isinstance(outcome, NuRow):
                         yield from _nu_rows(identity, entry.erratum, params, outcome)
                     else:
                         status, line = _sweep_line(identity, entry.erratum, params, outcome)
                         yield status, 1, line + "\n"
-
-
-def _profile(A: PointSet, ks: range, guard: int) -> None:
-    """Tally A's face distribution at every k in ks in one pass (faces.profile),
-    whose results each row's distribution(A, k) then reads after its own guard
-    check. The pass is walked once per set and kept for every identity. One
-    whose estimate is over the guard is skipped, not the sweep: each row is
-    then computed, or refused, on its own as before."""
-    try:
-        faces.profile(A, ks, guard)
-    except SizeGuardError:
-        pass
 
 
 def _nu_rows(

@@ -410,6 +410,18 @@ class TestGen:
         assert (code, out) == (2, "")
         assert err == f"error: m must be in [1, {decimal(2**20000)}], got 0\n"
 
+    def test_random_family_on_a_huge_cube_is_refused_without_its_volume(self, tmp_path, capsys, monkeypatch):
+        # q**n >= 2**n: an m of at most n bits is in range, and n >= 63 is over sys.maxsize.
+        monkeypatch.setattr(CubeParams, "volume", property(lambda self: pytest.fail("built q**n")))
+        too_big = f"random family needs q**n <= {sys.maxsize} (sys.maxsize)"
+        code, out, err = run(capsys, "gen", "--family", "random", "--q", "3", "--n", "1000000", "--m", "3")
+        assert (code, out, err) == (2, "", f"error: {too_big}, got q=3, n=1000000\n")
+        config = {"identities": ["main"], "q": [2], "n": [1000000, 1000000],
+                  "family": {"kind": "random", "m": 3}}
+        code, out, err = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        assert (code, out) == (2, "")
+        assert err == f"error: sweep config: family random at q=2, n=1000000: {too_big}, got q=2, n=1000000\n"
+
     def test_even_weight_needs_q2(self, capsys):
         code, out, err = run(capsys, "gen", "--family", "even-weight", "--q", "3", "--n", "3")
         assert code == 2
@@ -801,7 +813,6 @@ class TestSweep:
         # and 3 each take the pairwise distances of a set once.
         scans = count_calls(monkeypatch, "qcube.faces", "faces_containing_bruteforce")
         profiles = count_calls(monkeypatch, "qcube.rank", "distance_sum")
-        qcube.core.clear_memo()
         config = {
             "identities": list(qcube.sweep.SWEEP_IDENTITIES),
             "q": [2, 3],
@@ -815,16 +826,18 @@ class TestSweep:
         assert code == 0
         assert '"identity":"lemma_face_count"' in out
         assert scans == []
-        per_set = Counter(args[0] for args in profiles)
+        sets = {id(args[0]): args[0] for args in profiles}
+        per_set = Counter(id(args[0]) for args in profiles)
         # Corollary 2 needs two points; corollary 3, q = 2 and three points.
-        assert per_set == {A: 1 + (A.params.q == 2) for A in per_set}
-        assert len(per_set) == 11  # both seeds at q = 2, n = 2 draw the full square
+        assert per_set == {key: 1 + (A.params.q == 2) for key, A in sets.items()}
+        # Both seeds at q = 2, n = 2 draw the full square, as two set objects
+        # that each keep their own results.
+        assert len(per_set) == 12
 
     def test_each_family_set_is_profiled_once(self, tmp_path, capsys, monkeypatch):
         # Criterion 8's config: main, the corollaries and lemma_face_count all
         # read the face distributions of one pass over every k of the cell.
         walks = count_calls(monkeypatch, "qcube.faces", "_profile_routed")
-        qcube.core.clear_memo()
         config = {
             "identities": list(qcube.sweep.SWEEP_IDENTITIES),
             "q": [2, 3],
@@ -836,15 +849,14 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
         assert code == 0
         assert [ks for _, ks in walks] == [range(A.params.n + 1) for A, _ in walks]
-        per_set = Counter(A for A, _ in walks)
+        per_set = Counter(id(A) for A, _ in walks)
         assert set(per_set.values()) == {1}
-        assert len(per_set) == 11  # both seeds at q = 2, n = 2 draw the full square
+        assert len(per_set) == 12  # both seeds at q = 2, n = 2 draw the full square
 
     def test_a_sweep_of_many_sets_profiles_each_once(self, tmp_path, capsys, monkeypatch):
         # 300 family sets, all held for the whole sweep: corollary 1 reads
         # the distributions main's pass computed for every one of them.
         walks = count_calls(monkeypatch, "qcube.faces", "_profile_routed")
-        qcube.core.clear_memo()
         config = {
             "identities": ["main", "corollary1"],
             "q": [2],
@@ -893,7 +905,6 @@ class TestSweep:
         self, tmp_path, capsys, monkeypatch, config, exit_code, errors, digest
     ):
         walks = count_calls(monkeypatch, "qcube.faces", "_profile_routed")
-        qcube.core.clear_memo()
         code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
         assert code == exit_code
         assert json.loads(out.splitlines()[-1])["summary"]["error"] == errors

@@ -24,7 +24,6 @@ from qcube.core import (
     binom,
     check_guard,
     check_guard_power,
-    clear_memo,
     decimal,
     hamming,
     parse_pointset,
@@ -167,7 +166,6 @@ class TestPointSet:
         even = [f"{x:06b}" for x in range(64) if x.bit_count() % 2 == 0]
         C, _ = parse_pointset("\n".join(even), CubeParams(2, 6))
         assert _sliced_pays(C.params, range(5, 6), len(C)) == "walk"
-        clear_memo()  # an equal set may be kept already
         assert distribution(C, 5).counts == {16: 12, 0: 0}
         assert "slices" in vars(C)
         assert "rows" not in vars(C) and "points" not in vars(C)
@@ -409,7 +407,7 @@ class TestRecords:
         A, B = mkset(2, 3, "011 000"), mkset(2, 3, "000 011")
         assert A is not B and A == B and hash(A) == hash((A.params, A.packed))
         assert A.rows is A.rows == ((0, 0, 0), (0, 1, 1))
-        assert distribution(A, 1) is distribution(B, 1)  # one entry of the per-set memo
+        assert distribution(A, 1) == distribution(B, 1) and A.memo is not B.memo
         assert "rows" not in vars(B)  # each set caches its own properties
 
     def test_face_distribution_is_unhashable(self, mkset):

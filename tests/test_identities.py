@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from qcube import identities
-from qcube.core import CubeError, CubeParams, Point, PointSet, SizeGuardError, binom, clear_memo
+from qcube.core import CubeError, CubeParams, Point, PointSet, SizeGuardError, binom
 from qcube.identities import (
     IdentityReport,
     corollary_s1,
@@ -66,7 +66,6 @@ class TestMainSides:
         )
         m = len(A)
         assert identities._rhs_sliced_pays(A.params, m, 4)
-        clear_memo()
         built = []
         for name in ("_contained_tables", "_subset_rank_histogram_walked"):
             monkeypatch.setattr(identities, name, lambda *args, name=name: built.append(name))

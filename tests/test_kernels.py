@@ -30,10 +30,8 @@ from qcube.core import (
     PointSet,
     SizeGuardError,
     block_fold,
-    clear_memo,
     column_mask,
     hamming,
-    memo,
     value_slices,
 )
 from qcube.faces import (
@@ -374,7 +372,6 @@ def test_profile_matches_evenweight_closed_form():
 
 def test_distribution_reads_the_profile_after_its_own_guard():
     A = random_set(2, 10, 24, 5)
-    clear_memo()
     whole = 2**10 * 24  # the sum over k of C(10, k) * 24
     with pytest.raises(SizeGuardError):
         profile(A, guard=whole - 1)
@@ -399,18 +396,39 @@ def test_distribution_reads_the_profile_after_its_own_guard():
 )
 def test_per_set_results_go_with_their_set(compute, kept):
     A = random_set(2, 10, 24, 5)
-    clear_memo()
     compute(A)
-    assert list(qcube.core._memo) == [A] and len(memo(A)) == kept
+    assert len(A.memo) == kept
     ref = weakref.ref(A)
     del A
-    assert ref() is None and len(qcube.core._memo) == 0
+    assert ref() is None
+
+
+def test_a_hit_hashes_nothing():
+    A = random_set(2, 20, 600, 3)
+    m = len(A)
+    dist, rhs = distribution(A, 19), main_rhs(A, 19, 2)
+    with mock.patch.object(PointSet, "__hash__", side_effect=AssertionError("hashed")):
+        assert distribution(A, 19) is dist
+        assert main_rhs(A, 19, 2) == rhs
+        # The guard is still checked on a hit.
+        with pytest.raises(SizeGuardError):
+            main_rhs(A, 19, 2, guard=comb(m, 2) - 1)
+
+
+def test_equal_sets_keep_their_own_results():
+    A, B = random_set(2, 10, 24, 5), random_set(2, 10, 24, 5)
+    assert A == B and A is not B
+    assert distribution(A, 1) == distribution(B, 1)
+    assert distribution(A, 1) is not distribution(B, 1)
+    assert A.memo is not B.memo
+    kept = dict(B.memo)
+    del A
+    assert B.memo == kept and len(kept) == 1
 
 
 def test_corollaries_take_the_distances_once_across_guards():
     A = random_set(2, 10, 24, 5)
     least = comb(10, 4) * 24  # the left side's guard, the largest of each
-    clear_memo()
     with mock.patch.object(qcube.identities, "distance_sum", wraps=distance_sum) as calls:
         for corollary in (corollary_s2, corollary_s3):
             before = calls.call_count
@@ -428,7 +446,6 @@ def _refusal(check, *args, guard):
 def test_a_hit_is_refused_as_a_miss_is():
     A = random_set(2, 10, 24, 5)
     m = len(A)
-    clear_memo()
     cold = _refusal(main_rhs, A, 4, 3, guard=comb(m, 3) - 1)
     main_rhs(A, 4, 3)
     assert _refusal(main_rhs, A, 4, 3, guard=comb(m, 3) - 1) == cold
@@ -437,7 +454,6 @@ def test_a_hit_is_refused_as_a_miss_is():
     # k = n the left side's guard is m.
     for m, want in ((3, 3), (4, 6)):
         B = random_set(2, 5, m, 0)
-        clear_memo()
         cold = _refusal(corollary_s3, B, 5, guard=comb(m, 2) - 1)
         corollary_s3(B, 5)
         assert _refusal(corollary_s3, B, 5, guard=comb(m, 2) - 1) == cold
