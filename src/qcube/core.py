@@ -10,9 +10,10 @@ computed from that set object for as long as it lives.
 Packed layout: a point packs into one int with w = (q-1).bit_length() bits
 per coordinate, coordinate 0 in the most significant block, so packed ints
 sort like coordinate tuples. The layout is decided here only; other modules
-go through PointSet.packed, column_mask, block_fold and PointSet.slices, and
-the faces module's dense fold reads the block width w to address the cells
-below 2**(n*w), where a packed point is a bit position.
+go through PointSet.packed, column_mask, block_fold and PointSet.slices, the
+faces module's dense fold reads the block width w to address the cells below
+2**(n*w), where a packed point is a bit position, and the families module
+builds its face and even-weight sets as packed ints (PointSet._from_packed).
 
 Bit-sliced form: PointSet.slices holds, for each coordinate j and each value
 v that occurs there, one int whose bit i is set when point i has coordinate
@@ -31,8 +32,8 @@ import math
 import sys
 from collections import Counter
 from functools import cached_property, wraps
-from itertools import chain, product, repeat
-from operator import attrgetter, eq, itemgetter, lt, mul
+from itertools import chain, compress, product, repeat
+from operator import attrgetter, eq, itemgetter, lt, mul, ne
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
@@ -263,13 +264,23 @@ class PointSet(_Record):
             packed.append(sum(map(mul, row, weights)))
         self._init_packed(params, packed)
 
-    def _init_packed(self, params: CubeParams, packed: Iterable[int]) -> None:
-        """Store the distinct packed ints, checked by the caller, in increasing order."""
-        self._set(params=params, packed=tuple(sorted(set(packed))))
+    def _init_packed(self, params: CubeParams, packed: list[int]) -> None:
+        """Store the packed ints, checked by the caller, distinct and in increasing
+        order: the list is sorted in place, and an int equal to the one before it is dropped."""
+        packed.sort()
+        self._set(params=params, packed=tuple(compress(packed, map(ne, packed, chain((None,), packed)))))
 
     @classmethod
     def from_coords(cls, params: CubeParams, coords: Iterable[Iterable[int]]) -> "PointSet":
-        return cls(params, tuple(coords))
+        """The set of the given rows, each checked and packed as it arrives."""
+        return cls(params, coords)
+
+    @classmethod
+    def _from_packed(cls, params: CubeParams, packed: list[int]) -> "PointSet":
+        """The set of packed ints that the caller has checked; see _init_packed."""
+        A = object.__new__(cls)
+        A._init_packed(params, packed)
+        return A
 
     def __len__(self) -> int:
         return len(self.packed)
@@ -581,11 +592,12 @@ def parse_pointset(text: str, params: CubeParams) -> tuple[PointSet, int]:
     q > 10; coordinates are ASCII digits. Blank lines and lines starting with
     '#' are ignored. Duplicate vectors are dropped, not rejected.
 
-    For q <= 10 the whole text is tried first as compact lines, each pass
-    over all of them at once (_parse_compact). If a line fails, or has a
-    comma, the text is parsed a line at a time (_parse_each_line), which
-    checks each line once, packs it straight into PointSet.packed, and names
-    the first bad line; it is also the only parser for q > 10.
+    For q <= 10 the text is tried first as compact lines, checked and packed
+    in C-level passes a chunk of text at a time (_parse_compact). If a line
+    fails, or has a comma, the whole text is parsed a line at a time
+    (_parse_each_line), which checks each line once, packs it straight into
+    PointSet.packed, and names the first bad line; it is also the only
+    parser for q > 10.
 
     Returns (pointset, number_of_duplicates_dropped). Errors carry the 1-based
     line number.
@@ -597,39 +609,41 @@ def parse_pointset(text: str, params: CubeParams) -> tuple[PointSet, int]:
     return _parse_each_line(text, params)
 
 
-_PARSE_CHUNK = 4096
+_PARSE_CHUNK = 1 << 16
 
 
 def _parse_compact(text: str, params: CubeParams) -> Optional[tuple[PointSet, int]]:
     """parse_pointset of a text whose lines, blank and comment lines aside,
-    are all compact, for q <= 10; None if any line is not. The stripped
-    lines are checked in C-level passes, each over all of them: each is n
-    characters, all ASCII digits. They are then packed by int(..., 2), of
-    the line itself for q = 2 and of its _digit_blocks translation
-    otherwise, which also checks that every digit is below q: a digit of q
-    or more is left as itself, which base 2 refuses.
+    are all compact, for q <= 10; None if any line is not.
 
-    The lines are never joined, and once the text's split is freed they are
-    the only list of them. They are replaced by their packed ints in place,
-    a chunk at a time, so the parse never holds every line and every int at
-    once, as _parse_each_line does."""
+    The text is split a chunk at a time: a slice of about _PARSE_CHUNK
+    characters that ends just after a newline, so that no line, and no
+    "\r\n", is cut. Each chunk's stripped lines are checked in C-level
+    passes, each over all of them: each is n characters, all ASCII digits.
+    They are then packed by int(..., 2), of the line itself for q = 2 and
+    of its _digit_blocks translation otherwise, which also checks that every
+    digit is below q: a digit of q or more is left as itself, which base 2
+    refuses. The ints go to one list, so the parse holds the finished set's
+    ints and one chunk's lines, never a list of every line."""
     n, q = params.n, params.q
-    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-    if lines and not (
-        set(map(len, lines)) == {n} and all(map(str.isascii, lines)) and all(map(str.isdigit, lines))
-    ):
-        return None
     blocks = _digit_blocks(params) if q > 2 else None
-    try:
-        for start in range(0, len(lines), _PARSE_CHUNK):
-            chunk = slice(start, start + _PARSE_CHUNK)
-            digits = lines[chunk] if blocks is None else map(str.translate, lines[chunk], repeat(blocks))
-            lines[chunk] = map(int, digits, repeat(2))
-    except ValueError:  # a digit of q or more
-        return None
-    A = object.__new__(PointSet)
-    A._init_packed(params, lines)  # the packed ints by now
-    return A, len(lines) - len(A)
+    packed: list[int] = []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PARSE_CHUNK) + 1 or len(text)
+        lines = [line for line in map(str.strip, text[start:end].splitlines()) if line and line[0] != "#"]
+        start = end
+        if lines and not (
+            set(map(len, lines)) == {n} and all(map(str.isascii, lines)) and all(map(str.isdigit, lines))
+        ):
+            return None
+        digits = lines if blocks is None else map(str.translate, lines, repeat(blocks))
+        try:
+            packed += map(int, digits, repeat(2))
+        except ValueError:  # a digit of q or more
+            return None
+    A = PointSet._from_packed(params, packed)
+    return A, len(packed) - len(A)
 
 
 def _parse_each_line(text: str, params: CubeParams) -> tuple[PointSet, int]:
@@ -643,8 +657,7 @@ def _parse_each_line(text: str, params: CubeParams) -> tuple[PointSet, int]:
         if not line or line.startswith("#"):
             continue
         packed.append(_parse_vector(line, params, line_no, bits))
-    A = object.__new__(PointSet)
-    A._init_packed(params, packed)
+    A = PointSet._from_packed(params, packed)
     return A, len(packed) - len(A)
 
 

@@ -10,7 +10,7 @@ of enumeration.
 from __future__ import annotations
 
 import sys
-from itertools import filterfalse, product, repeat
+from itertools import filterfalse, repeat
 from operator import itemgetter, lshift, mul
 from pathlib import Path
 from struct import iter_unpack
@@ -24,6 +24,7 @@ from .core import (
     Face,
     PointSet,
     _Record,
+    _block_width,
     binom,
     check_guard,
     check_guard_power,
@@ -117,17 +118,22 @@ def gen_face_subset(params: CubeParams, spec: FamilySpec) -> PointSet:
 
 
 def _face_points(params: CubeParams, face: Face) -> PointSet:
-    fixed = dict(face.fixed_values)
-    axes = [range(params.q) if i in face.free_positions else (fixed[i],) for i in range(params.n)]
-    return PointSet(params, product(*axes))
+    """A checked face's points as packed ints in canonical order: from the fixed
+    part, each free position in increasing order adds its block's q values."""
+    w, n = _block_width(params), params.n
+    packed = [sum(v << w * (n - 1 - i) for i, v in face.fixed_values)]
+    for j in sorted(face.free_positions):
+        values = [v << w * (n - 1 - j) for v in range(params.q)]
+        packed = [x + v for x in packed for v in values]
+    return PointSet._from_packed(params, packed)
 
 
 def gen_even_weight(n: int) -> PointSet:
     """All binary vectors of even coordinate sum; 2**(n-1) points for n >= 1,
-    and the single empty vector for n = 0."""
-    params = CubeParams(2, n)
-    rows = tuple(bits for bits in product((0, 1), repeat=n) if sum(bits) % 2 == 0)
-    return PointSet(params, rows)
+    and the single empty vector for n = 0: the packed ints 2x + parity(x) for
+    x < 2**(n-1), whose n-1 bits are the first coordinates, in canonical order."""
+    xs = range(1 << max(n - 1, 0))
+    return PointSet._from_packed(CubeParams(2, n), [2 * x + (x.bit_count() & 1) for x in xs])
 
 
 def _decode(index: int, params: CubeParams) -> tuple[int, ...]:

@@ -5,11 +5,13 @@ import tracemalloc
 from collections.abc import Mapping
 from contextlib import contextmanager
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qcube.core
 from qcube.core import (
     CubeError,
     CubeParams,
@@ -140,6 +142,15 @@ class TestPointSet:
             PointSet.from_coords(p2, [(True, False)])
         with pytest.raises(CubeError, match="coordinate '1' out of range"):
             PointSet.from_coords(p2, [("1", "0")])
+
+    def test_from_coords_checks_each_row_as_it_arrives(self):
+        def rows():
+            yield (0, 1)
+            yield (0, 2)
+            raise AssertionError("a row after the bad one was read")
+
+        with pytest.raises(CubeError, match="coordinate 2 out of range for q=2"):
+            PointSet.from_coords(CubeParams(2, 2), rows())
 
     def test_engine_paths_build_no_points(self, mkset):
         A = mkset(2, 3, "000 011 101 110 111")
@@ -597,6 +608,48 @@ def test_whole_text_parse_matches_the_per_line_loop(case):
     assert parse_outcome(parse_pointset, text, params) == parse_outcome(_parse_each_line, text, params)
 
 
+@given(mixed_texts(), st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_chunked_parse_matches_the_per_line_loop(case, chunk):
+    params, text = case
+    with mock.patch.object(qcube.core, "_PARSE_CHUNK", chunk):
+        assert parse_outcome(parse_pointset, text, params) == parse_outcome(_parse_each_line, text, params)
+
+
+class TestChunkBoundaries:
+    """_parse_compact with chunks of a few characters, so that every kind of
+    line meets a chunk's end."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(qcube.core, "_PARSE_CHUNK", 3)
+
+    @pytest.mark.parametrize("sep", ["\r\n", "\x85", "\r", "\n\r"])
+    def test_line_ends_and_comments_on_a_boundary(self, sep):
+        params = CubeParams(3, 2)
+        text = sep.join(["01", "# a comment", "21", "", "# 0,1", "12", "01"]) + sep
+        assert _parse_compact(text, params) == (PointSet(params, [(0, 1), (2, 1), (1, 2)]), 1)
+        assert parse_pointset(text, params) == _parse_each_line(text, params)
+
+    def test_duplicates_across_chunks_are_counted(self):
+        params = CubeParams(2, 4)
+        text = "\n".join(["0110", "1001", "0110", "1111", "1001", "0110"])
+        assert _parse_compact(text, params) == (PointSet(params, [(0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)]), 3)
+
+    def test_a_bad_digit_in_the_last_chunk_names_its_line(self):
+        params = CubeParams(3, 3)
+        text = "012\n" * 5 + "# c\n\n013\n"
+        assert _parse_compact(text, params) is None
+        with pytest.raises(ParseError, match=r"^line 8: coordinate 3 out of range for q=3$"):
+            parse_pointset(text, params)
+
+    def test_a_comma_line_after_compact_chunks(self):
+        params = CubeParams(3, 3)
+        text = "012\n210\n111\n0,2,2\n"
+        assert _parse_compact(text, params) is None
+        assert parse_pointset(text, params) == (PointSet(params, [(0, 1, 2), (2, 1, 0), (1, 1, 1), (0, 2, 2)]), 0)
+
+
 class TestWholeTextParse:
     def test_compact_texts_take_it(self):
         params = CubeParams(3, 3)
@@ -626,6 +679,9 @@ class TestWholeTextParse:
                 tracemalloc.stop()
         assert results[0] == results[1] and results[1][1] == 0
         assert peaks[1] <= peaks[0]
+        # At most half as much again as the finished set itself holds.
+        packed = results[1][0].packed
+        assert peaks[1] <= 1.5 * (sys.getsizeof(packed) + sum(map(sys.getsizeof, packed)))
 
 
 class TestSerialize:

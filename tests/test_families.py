@@ -1,13 +1,13 @@
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcube.families
-from qcube.core import CubeError, CubeParams, Point, SizeGuardError, binom
+from qcube.core import CubeError, CubeParams, Point, PointSet, SizeGuardError, binom
 from qcube.faces import distribution
 from qcube.families import (
     FamilySpec,
@@ -81,8 +81,26 @@ class TestGenFace:
         A = gen_face_subset(params, face_spec(params, None, (1, 3), ((0, 2), (2, 1))))
         assert A.coord_rows() == tuple((2, a, 1, b) for a in range(3) for b in range(3))
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_packed_build_matches_the_product_of_the_axes(self, data):
+        q, n = data.draw(st.integers(2, 16)), data.draw(st.integers(0, 6))
+        nu = data.draw(st.integers(0, min(n, 12 // q.bit_length())))
+        free = data.draw(st.permutations(range(n)))[:nu]
+        fixed = {i: data.draw(st.integers(0, q - 1)) for i in range(n) if i not in free}
+        params = CubeParams(q, n)
+        A = gen_face_subset(params, face_spec(params, None, free, tuple(fixed.items())))
+        axes = [range(q) if i in free else (fixed[i],) for i in range(n)]
+        assert A == PointSet(params, product(*axes))
+
 
 class TestGenEvenWeight:
+    @given(st.integers(0, 14))
+    @settings(max_examples=30, deadline=None)
+    def test_packed_build_matches_the_filtered_product(self, n):
+        A = gen_even_weight(n)
+        assert A == PointSet(CubeParams(2, n), (row for row in product((0, 1), repeat=n) if sum(row) % 2 == 0))
+
     def test_small_cases(self):
         assert gen_even_weight(2).coord_rows() == ((0, 0), (1, 1))
         assert len(gen_even_weight(3)) == 4
