@@ -29,6 +29,7 @@ from typing import Callable, Iterator, Mapping, Optional
 from .core import (
     DEFAULT_GUARD,
     KERNEL_MEMORY_CAP,
+    TALLY_BATCH,
     ConsistencyError,
     CubeError,
     CubeParams,
@@ -326,46 +327,61 @@ def _profile_sliced(A: PointSet, ks: range) -> list[FaceDistribution]:
     only if that or one of its extensions lies on a level of ks. At the
     deepest level the fibres' popcounts are tallied, the last value's as the
     fibre's size minus the others'. The empty faces at each k are the rest
-    of total_faces."""
+    of total_faces.
+
+    Each level's fibre sizes are collected in a list, counted by one
+    Counter.update once it holds TALLY_BATCH of them, and the single-point
+    fibres in a flat list by (|S|, start)."""
     params = A.params
     n, m = params.n, len(A)
     slices = A.slices
     top, bottom = n - ks[-1], n - ks[0]  # the fewest and the most fixed positions
     tallies: list[Counter[int]] = [Counter() for _ in range(bottom + 1)]  # by |S|
-    lone: Counter[tuple[int, int]] = Counter()  # (|S|, start) -> single-point fibres
+    sizes: list[list[int]] = [[] for _ in range(bottom + 1)]  # not yet in tallies
+    lone = [0] * ((bottom + 1) * (n + 1))  # |S|*(n+1) + start -> single-point fibres
+
+    def flush(depth: int) -> None:
+        if len(sizes[depth]) >= TALLY_BATCH:
+            tallies[depth].update(sizes[depth])
+            sizes[depth].clear()
 
     def walk(fibres: list[int], start: int, depth: int) -> None:
         # fibres: the nonempty fibres of one node S, |S| = depth, whose fixed
         # positions all lie below start.
         shared = [s for s in fibres if s & (s - 1)]
-        if len(shared) < len(fibres):
-            lone[depth, start] += len(fibres) - len(shared)
+        lone[depth * (n + 1) + start] += len(fibres) - len(shared)
         if not shared:
             return
         if depth >= top:
-            sizes = list(map(int.bit_count, shared))
-            tallies[depth].update(sizes)
+            whole = list(map(int.bit_count, shared))
+            sizes[depth] += whole
+            flush(depth)
         if depth + 1 < bottom:
             for j in range(start, min(n, n + depth + 1 - top)):
                 walk([t for s in shared for v in slices[j] if (t := s & v)], j + 1, depth + 1)
         elif depth < bottom:  # the children are the deepest level
             if depth < top:
-                sizes = list(map(int.bit_count, shared))
-            counts = tallies[bottom]
+                whole = list(map(int.bit_count, shared))
+            level = sizes[bottom]
             for j in range(start, n):
                 *head, _ = slices[j]
-                rest = sizes
+                rest = whole
                 for v in head:
                     sized = [(s & v).bit_count() for s in shared]
-                    counts.update(sized)
+                    level += sized
                     rest = list(map(sub, rest, sized))
-                counts.update(rest)
+                level += rest
+            flush(bottom)
 
     if m:
         walk([(1 << m) - 1], 0, 0)
-    for (depth, start), ones in lone.items():
-        for fixed in range(max(depth, top), bottom + 1):
-            tallies[fixed][1] += ones * binom(n - start, fixed - depth)
+    for counts, level in zip(tallies, sizes):
+        counts.update(level)
+    for at, ones in enumerate(lone):
+        if ones:
+            depth, start = divmod(at, n + 1)
+            for fixed in range(max(depth, top), bottom + 1):
+                tallies[fixed][1] += ones * binom(n - start, fixed - depth)
     out = []
     for k in ks:
         counts = tallies[n - k]

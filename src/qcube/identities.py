@@ -6,30 +6,42 @@ that share nothing beyond the core primitives (the right side reads
 PointSet.packed, block_fold, PointSet.slices and binom), then reports exact
 equality. Both sides keep their per-set results in the set's own memo
 (PointSet.memo, through core.per_set), which holds no logic of either side.
+
+The per-point functions (verify_main, corollary_s1..s3) are `qcube
+verify`'s path. The sweep's family identities are the main theorem at one s
+each, Σ_e C(e, s)·N_k(e) = Σ_{|B| = s} C(n − r(B), k − r(B)), with r the
+subset rank, the pair distance, half a triple's distance sum, or rank(A) at
+s = |A|; family_points evaluates them all from one table (_FAMILIES), each
+point's checks in its per-point function's order, and the per-point
+functions are its oracle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, combinations, compress
+from math import comb
 from operator import add, and_, lshift
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .core import (
     DEFAULT_GUARD,
     KERNEL_MEMORY_CAP,
+    TALLY_BATCH,
     ConsistencyError,
     CubeError,
     CubeParams,
     PointSet,
+    SizeGuardError,
     _Record,
     binom,
     block_fold,
     check_guard,
+    check_guard_power,
     per_set,
 )
-from .faces import distribution
-from .rank import distance_sum, rank_rows
+from .faces import _require_nonempty, distribution, profile
+from .rank import distance_sum, rank, rank_rows
 
 Terms = tuple[tuple[str, int], ...]
 
@@ -457,16 +469,23 @@ def _triple_ranks(A: PointSet, guard: int) -> Iterator[tuple[tuple[int, int, int
 def _triple_rank_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
     """The sorted (r, number of triples of rank r) pairs, r the half-sum of a
     triple's distances: _triple_ranks tallied a pair (i, j) at a time, with
-    the sums d(i, t) + d(j, t) over every t > j added row by row."""
+    the sums d(i, t) + d(j, t) over every t > j added row by row. The sums
+    are collected in one list, counted by one Counter.update whenever it
+    holds TALLY_BATCH or more after a point i."""
     m = len(A)
     d = distance_sum(A, binom(m, 2)).pairwise  # the caller checks this guard
     rows = [[0] * m for _ in range(m)]
     for (i, j), dij in d.items():
         rows[i][j] = rows[j][i] = dij
     sums: Counter[int] = Counter()
+    batch: list[int] = []
     for i, row in enumerate(rows):
         for j in range(i + 1, m):
-            sums.update(map(row[j].__add__, map(add, row[j + 1 :], rows[j][j + 1 :])))
+            batch += map(row[j].__add__, map(add, row[j + 1 :], rows[j][j + 1 :]))
+        if len(batch) >= TALLY_BATCH:
+            sums.update(batch)
+            batch.clear()
+    sums.update(batch)
     if any(dsum % 2 for dsum in sums):
         for _ in _triple_ranks(A, binom(m, 2)):  # raises, naming the first odd triple
             pass
@@ -504,3 +523,118 @@ def corollary_s3(
         rt = None
     params = {"q": 2, "n": n, "k": k, "s": 3, "m": m}
     return IdentityReport.of("corollary3", params, lhs, rhs, lt, rt, proven=True)
+
+
+def _containing_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
+    # The one |A|-subset, A itself, at rank(A), after faces_containing_count's check.
+    _require_nonempty(A)
+    return ((rank(A), 1),)
+
+
+def _unchecked(A: PointSet, k: int, s: int, guard: int) -> None:
+    pass
+
+
+class _Family(NamedTuple):
+    """One family identity of the sweep as the main theorem at s. `grid(A,
+    k, lo, hi)` gives the s of its points at k, lo..hi the config's s range;
+    `before(A, k, s, guard)` and `after` are the per-point function's checks
+    before and after its distribution(A, k, guard); `histogram(A, s)` the
+    right side's r -> number of s-subsets of rank r. Rows carry s in their
+    params if `row_s`, error rows if `error_s`."""
+
+    grid: Callable[[PointSet, int, int, int], Iterable[int]]
+    before: Callable[[PointSet, int, int, int], None]
+    after: Callable[[PointSet, int, int, int], None]
+    histogram: Callable[[PointSet, int], tuple[tuple[int, int], ...]]
+    row_s: bool = True
+    error_s: bool = False
+
+
+# Each per-point function's checks in its order; the engine's functions are
+# looked up at call time, so that a wrapper installed on a module attribute
+# sees the calls.
+_FAMILIES = {
+    "main": _Family(  # verify_main
+        lambda A, k, lo, hi: range(max(lo, 1), min(hi, intersection_cap(A, k)) + 1),
+        _unchecked,
+        lambda A, k, s, guard: check_guard(binom(len(A), s), guard),
+        lambda A, s: _subset_rank_histogram(A, s),
+        error_s=True,
+    ),
+    "corollary1": _Family(  # corollary_s1
+        lambda A, k, lo, hi: (1,),
+        lambda A, k, s, guard: _require_size(A, 1, "corollary_s1"),
+        _unchecked,
+        lambda A, s: ((0, len(A)),),
+    ),
+    "corollary2": _Family(  # corollary_s2
+        lambda A, k, lo, hi: (2,) if len(A) >= 2 else (),
+        lambda A, k, s, guard: check_guard(binom(len(A), 2), guard),
+        _unchecked,
+        lambda A, s: _pair_distance_histogram(A),
+    ),
+    "corollary3": _Family(  # corollary_s3
+        lambda A, k, lo, hi: (3,) if A.params.q == 2 and len(A) >= 3 else (),
+        lambda A, k, s, guard: check_guard(binom(len(A), 3), guard),
+        lambda A, k, s, guard: check_guard(binom(len(A), 2), guard),
+        lambda A, s: _triple_rank_histogram(A),
+    ),
+    # A k-face contains A iff it meets A in all |A| points: s = |A|, whose
+    # left side is the e = |A| entry of the distribution. Its guard is the
+    # face scan's (faces_containing_bruteforce), which keeps the sweep's
+    # refusals pinned; the distribution's own estimate is never larger.
+    "lemma_face_count": _Family(
+        lambda A, k, lo, hi: (len(A),),
+        lambda A, k, s, guard: check_guard_power(
+            A.params.q, A.params.n - k, guard, binom(A.params.n, k) * len(A)
+        ),
+        _unchecked,
+        lambda A, s: _containing_histogram(A),
+        row_s=False,
+    ),
+}
+
+
+def family_points(
+    name: str, A: PointSet, ks: range, s_range: tuple[int, int], guard: int, labels: dict[str, int]
+) -> Iterator[tuple[dict[str, int], Any]]:
+    """The sweep's points of the family identity `name` on A, at each k in ks
+    and each s of its grid (s_range bounds main's): their params, with
+    `labels` added, and outcome, the two sides or the SizeGuardError that
+    refused the point. A point equals the per-point function's report
+    (verify_main, corollary_s1..s3, or for lemma_face_count the e = |A|
+    entry of distribution(A, k) against faces_containing_count), refusals
+    and raised CubeErrors included.
+
+    Every identity is the main theorem at one s, so one evaluator serves
+    all five (_FAMILIES). A is profiled over ks in one pass. If the pass's
+    guard estimate, the sum of distribution's over ks, is within the guard,
+    so is each k's, and the pass gives every level. Otherwise each k's
+    distribution(A, k, guard) is read at its first point that passes the
+    check before it, and asked again at the next point if refused, which
+    costs one guard check. A point's left side sums C(e, s) times the
+    level's counts, its right side C(n - r, k - r) times the histogram's."""
+    grid, before, after, histogram, row_s, error_s = _FAMILIES[name]
+    q, n, m = A.params.q, A.params.n, len(A)
+    try:
+        levels = dict(zip(ks, profile(A, ks, guard)))
+    except SizeGuardError:
+        levels = {}
+    for k in ks:
+        level = levels.get(k)
+        for s in grid(A, k, *s_range):
+            try:
+                before(A, k, s, guard)
+                if level is None:
+                    level = distribution(A, k, guard)
+                after(A, k, s, guard)
+            except SizeGuardError as exc:
+                yield {"q": q, "n": n, **labels, "k": k, **({"s": s} if error_s else {})}, exc
+                continue
+            lhs = sum(comb(e, s) * count for e, count in level.counts.items() if e >= s)
+            rhs = sum(count * comb(n - r, k - r) for r, count in histogram(A, s) if r <= k)
+            if row_s:
+                yield {"q": q, "n": n, "k": k, "s": s, "m": m, **labels}, (lhs, rhs)
+            else:
+                yield {"q": q, "n": n, "k": k, "m": m, **labels}, (lhs, rhs)

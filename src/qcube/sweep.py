@@ -4,8 +4,12 @@ sweep identities, and the lines of their rows.
 `load_sweep_config` reads a config, `_sweep_rows` evaluates its grid one
 (q, n) cell at a time, and `qcube.cli.run_sweep` writes the rows and the
 summary. Only `qcube sweep` uses this module, so other commands never run it.
-It reaches faces, identities and rank through their modules when a row needs
-them, so a sweep of closed forms alone executes none of the three.
+It reaches identities and rank through their modules when a row needs them,
+and identities reaches faces, so a sweep of closed forms alone executes none
+of the three. The five family identities (main, the three corollaries and
+lemma_face_count) are each the paper's main theorem at one s, and one
+evaluator, identities.family_points, walks all their points on a family set
+in one pass.
 
 A row is written one of two ways, and json_line(_sweep_row(...)) is the
 oracle of both. A grid point's row of two sides fills a cached template
@@ -29,17 +33,14 @@ from functools import lru_cache
 from itertools import chain
 from typing import Any, Callable, Iterator, Optional
 
-from . import faces, identities  # module handles: a closed-form sweep executes neither
+from . import identities  # a module handle: a closed-form sweep never executes it
 from .cli import _read_text, json_line
 from .core import (
     CubeError,
     CubeParams,
-    PointSet,
     SizeGuardError,
     _Record,
     abbreviated,
-    binom,
-    check_guard_power,
     decimal,
     is_int,
 )
@@ -258,37 +259,6 @@ def _labels(instance: dict[str, Any]) -> dict[str, Any]:
     return {key: value for key, value in instance.items() if key != "A"}
 
 
-def _pointwise(
-    grid: Callable[[SweepConfig, int, int, PointSet], list[dict[str, int]]],
-    evaluate: Callable[[dict[str, Any], int], identities.IdentityReport],
-) -> Cell:
-    """A family cell checked one grid point at a time: `grid(cfg, q, n, A)`
-    lists the points' params and `evaluate(point, guard)` checks one.
-
-    Every such identity reads the face distribution of the instance's set
-    A, so the cell first tallies it at every k of the cell in one pass
-    (faces.profile), kept in A, which each row's distribution(A, k) then
-    reads after its own guard check; a later identity's pass only reads it.
-    A pass whose estimate is over the guard is skipped, not the sweep: each
-    row is then computed, or refused, on its own."""
-
-    def cell(cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int) -> Outcomes:
-        A, labels = instance["A"], _labels(instance)
-        try:
-            faces.profile(A, _clip(cfg.k_range, 0, n), guard)
-        except SizeGuardError:
-            pass
-        for g in grid(cfg, q, n, A):
-            try:
-                rep = evaluate({"q": q, "n": n, **instance, **g}, guard)
-            except SizeGuardError as exc:
-                yield {"q": q, "n": n, **labels, **g}, exc
-            else:
-                yield {**rep.params, **labels}, (rep.lhs, rep.rhs)
-
-    return cell
-
-
 def _closed_form(
     sides: Callable[[CubeParams, range, range, int], Iterator[NuRow]],
     least_nu: int,
@@ -323,16 +293,6 @@ def _evenweight(form: str) -> Cell:
     return cell
 
 
-def _each_k(cfg: SweepConfig, q: int, n: int, A: PointSet) -> list[dict[str, int]]:
-    return [{"k": k} for k in _clip(cfg.k_range, 0, n)]
-
-
-def _main_grid(cfg: SweepConfig, q: int, n: int, A: PointSet) -> list[dict[str, int]]:
-    s_lo, s_hi = cfg.s_range
-    return [{"k": k, "s": s} for k in _clip(cfg.k_range, 0, n)
-            for s in range(max(s_lo, 1), min(s_hi, identities.intersection_cap(A, k)) + 1)]
-
-
 def _bounds_cell(
     cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int
 ) -> Outcomes:
@@ -355,52 +315,32 @@ def _bounds_cell(
     }
 
 
-def _lemma_face_count(point: dict[str, Any], guard: int) -> identities.IdentityReport:
-    # A k-face contains A iff it meets A in all |A| points, so the LHS is the
-    # e = |A| entry of the cached distribution. The guard estimate is that of
-    # the oracle's face scan (faces_containing_bruteforce), which keeps the
-    # sweep's refusals pinned; distribution's own estimate is never larger.
-    A, k = point["A"], point["k"]
-    n = A.params.n
-    check_guard_power(A.params.q, n - k, guard, binom(n, k) * len(A))
-    lhs = faces.distribution(A, k, guard)[len(A)]
-    rhs = faces.faces_containing_count(A, k)
-    params = {"q": point["q"], "n": point["n"], "k": k, "m": len(A)}
-    return identities.IdentityReport.of("lemma_face_count", params, lhs, rhs, proven=True)
+def _family(name: str) -> Cell:
+    """The cell of a family identity: its points on the instance's set at
+    each k of the cell, one pass over the set (identities.family_points)."""
+
+    def cell(cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int) -> Outcomes:
+        ks = _clip(cfg.k_range, 0, n)
+        return identities.family_points(name, instance["A"], ks, cfg.s_range, guard, _labels(instance))
+
+    return cell
 
 
-# Per-point evaluators look the engine functions up at call time rather than
-# binding them here, so that a wrapper installed on a module attribute sees
-# the calls.
+# The family identities are one table-driven cell each (_family), the closed
+# forms one packed row per nu or n (_closed_form, _evenweight), and bounds one
+# row per family set. The evaluators look the engine functions up at call
+# time, so that a wrapper installed on a module attribute sees the calls.
 SWEEP_IDENTITIES: dict[str, SweepIdentity] = {
-    "main": SweepIdentity(
-        _pointwise(_main_grid, lambda p, g: identities.verify_main(p["A"], p["k"], p["s"], g)),
-        family=True,
-    ),
-    "corollary1": SweepIdentity(
-        _pointwise(_each_k, lambda p, g: identities.corollary_s1(p["A"], p["k"], g)),
-        family=True,
-    ),
-    "corollary2": SweepIdentity(
-        _pointwise(
-            lambda cfg, q, n, A: _each_k(cfg, q, n, A) if len(A) >= 2 else [],
-            lambda p, g: identities.corollary_s2(p["A"], p["k"], g),
-        ),
-        family=True,
-    ),
-    "corollary3": SweepIdentity(
-        _pointwise(
-            lambda cfg, q, n, A: _each_k(cfg, q, n, A) if q == 2 and len(A) >= 3 else [],
-            lambda p, g: identities.corollary_s3(p["A"], p["k"], g),
-        ),
-        family=True,
-    ),
+    "main": SweepIdentity(_family("main"), family=True),
+    "corollary1": SweepIdentity(_family("corollary1"), family=True),
+    "corollary2": SweepIdentity(_family("corollary2"), family=True),
+    "corollary3": SweepIdentity(_family("corollary3"), family=True),
     "vandermonde": SweepIdentity(_closed_form(vandermonde_cell, 0)),
     "chu_vandermonde_generalized": SweepIdentity(_closed_form(chu_vandermonde_generalized_cell, 1)),
     "evenweight_printed": SweepIdentity(_evenweight("printed"), erratum=True),
     "evenweight_corrected": SweepIdentity(_evenweight("corrected")),
     "bounds": SweepIdentity(_bounds_cell, family=True),
-    "lemma_face_count": SweepIdentity(_pointwise(_each_k, _lemma_face_count), family=True),
+    "lemma_face_count": SweepIdentity(_family("lemma_face_count"), family=True),
 }
 
 

@@ -1109,6 +1109,23 @@ class TestSweep:
             "line 1: expected 1 digits, got 2\n"
         )
 
+    @pytest.mark.parametrize(
+        "identities, message",
+        [
+            (["main", "corollary1", "lemma_face_count"], "corollary_s1 requires at least 1 points, got 0"),
+            (["lemma_face_count", "main", "corollary1"], "operation requires a nonempty point set"),
+        ],
+        ids=["corollary1-first", "lemma-first"],
+    )
+    def test_empty_file_family_refused_before_any_row(self, tmp_path, capsys, identities, message):
+        # main has no point on an empty set; the first identity that has one
+        # raises its per-point function's CubeError at k = 0.
+        points = write(tmp_path, "points.txt", "")
+        config = {"identities": identities, "q": [2], "n": [3, 3],
+                  "family": {"kind": "file", "path": points}}
+        code, out, err = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_closed_form_rows_match_the_oracles(self, tmp_path, capsys):
         config = {
             "identities": ["vandermonde", "chu_vandermonde_generalized"],

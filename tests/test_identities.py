@@ -1,10 +1,17 @@
+import json
+import os
 import random
+import tempfile
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcube import identities
-from qcube.core import CubeError, CubeParams, Point, PointSet, SizeGuardError, binom
+from qcube import identities, sweep
+from qcube.core import DEFAULT_GUARD, CubeError, CubeParams, Point, PointSet, SizeGuardError, binom, check_guard_power
+from qcube.faces import distribution, faces_containing_count
 from qcube.identities import (
     IdentityReport,
     corollary_s1,
@@ -290,3 +297,128 @@ class TestIdentityReport:
         assert intersection_cap(A, 0) == 1
         assert intersection_cap(A, 1) == 2
         assert intersection_cap(A, 2) == 3
+
+
+FAMILY_IDENTITIES = ("main", "corollary1", "corollary2", "corollary3", "lemma_face_count")
+
+
+def per_point_report(name, A, k, s, guard):
+    """(params, lhs, rhs) of one sweep point from its per-point function."""
+    if name == "main":
+        rep = verify_main(A, k, s, guard)
+    elif name == "lemma_face_count":
+        q, n, m = A.params.q, A.params.n, len(A)
+        check_guard_power(q, n - k, guard, binom(n, k) * m)
+        lhs = distribution(A, k, guard)[m]
+        rhs = faces_containing_count(A, k)
+        return {"q": q, "n": n, "k": k, "m": m}, lhs, rhs
+    else:
+        rep = {"corollary1": corollary_s1, "corollary2": corollary_s2, "corollary3": corollary_s3}[name](A, k, guard)
+    return rep.params, rep.lhs, rep.rhs
+
+
+def per_point_outcomes(name, A, ks, s_range, guard, labels):
+    """Each sweep point's params and outcome from the per-point functions,
+    one point at a time in the sweep's grid order: the oracle of
+    family_points. A refused point's outcome is its error text; a CubeError
+    raised ends the list."""
+    q, n, m = A.params.q, A.params.n, len(A)
+    out = []
+    try:
+        for k in ks:
+            if name == "main":
+                lo, hi = s_range
+                points = [{"k": k, "s": s} for s in range(max(lo, 1), min(hi, intersection_cap(A, k)) + 1)]
+            elif name == "corollary2":
+                points = [{"k": k}] if m >= 2 else []
+            elif name == "corollary3":
+                points = [{"k": k}] if q == 2 and m >= 3 else []
+            else:
+                points = [{"k": k}]
+            for point in points:
+                s = point.get("s", {"corollary1": 1, "corollary2": 2, "corollary3": 3}.get(name))
+                try:
+                    params, lhs, rhs = per_point_report(name, A, k, s, guard)
+                except SizeGuardError as exc:
+                    out.append(({"q": q, "n": n, **labels, **point}, str(exc)))
+                else:
+                    out.append(({**params, **labels}, (lhs, rhs)))
+    except CubeError as exc:
+        out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def swept_outcomes(points):
+    """The same list from the sweep's cell."""
+    out = []
+    try:
+        for params, outcome in points:
+            out.append((params, str(outcome) if isinstance(outcome, SizeGuardError) else outcome))
+    except CubeError as exc:
+        out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+@st.composite
+def family_configs(draw):
+    """A small sweep config of one family identity, on a random, face,
+    even-weight or file family (perhaps an empty file), with k and s
+    sub-ranges and a default or small guard."""
+    kind = draw(st.sampled_from(["random", "face", "even_weight", "file", "empty_file"]))
+    n_lo = draw(st.integers(0, 5))
+    n_hi = draw(st.integers(n_lo, 5))
+    if kind == "file":
+        n_lo = n_hi = 2
+    family = {"random": {"kind": "random", "m": draw(st.integers(1, 9))},
+              "file": {"kind": "file", "path": "points.txt"},
+              "empty_file": {"kind": "file", "path": "empty.txt"}}.get(kind, {"kind": kind})
+    k_range = draw(st.one_of(st.just("all"), st.lists(st.integers(0, 6), min_size=2, max_size=2).map(sorted)))
+    config = {
+        "identities": [draw(st.sampled_from(FAMILY_IDENTITIES))],
+        "q": draw(st.lists(st.integers(2, 3), min_size=1, max_size=2, unique=True)),
+        "n": [n_lo, n_hi],
+        "k": k_range,
+        "s": draw(st.lists(st.integers(0, 5), min_size=2, max_size=2).map(sorted)),
+        "seeds": [0, 1],
+        "family": family,
+    }
+    guard = draw(st.sampled_from([None, 4, 12, 40, 300]))
+    if guard is not None:
+        config["guard"] = guard
+    return config
+
+
+class TestFamilyPoints:
+    @given(config=family_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_cell_matches_the_per_point_functions(self, config):
+        # Every point of the sweep's one-pass cell, its refusals and the
+        # CubeError that ends a sweep included, is the per-point function's.
+        # The oracle runs on an equal set built apart, which keeps its own
+        # per-set results.
+        (name,) = config["identities"]
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                Path("points.txt").write_text("00\n01\n11\n")
+                Path("empty.txt").write_text("")
+                Path("cfg.json").write_text(json.dumps(config))
+                cfg = sweep.load_sweep_config("cfg.json")
+                guard = cfg.guard or DEFAULT_GUARD
+                cells = [(q, n) for q in cfg.qs for n in range(cfg.n_range[0], cfg.n_range[1] + 1)]
+                try:
+                    instances = {cell: list(sweep._family_instances(cfg, *cell, guard)) for cell in cells}
+                except SizeGuardError:
+                    return  # a family larger than the guard is refused before any row
+            finally:
+                os.chdir(cwd)
+        cell = sweep.SWEEP_IDENTITIES[name].cell
+        for (q, n), found in instances.items():
+            ks = range(n + 1) if cfg.k_range is None else range(max(cfg.k_range[0], 0), min(cfg.k_range[1], n) + 1)
+            for instance in found:
+                A = instance["A"]
+                labels = {key: value for key, value in instance.items() if key != "A"}
+                got = swept_outcomes(cell(cfg, q, n, instance, guard))
+                want = per_point_outcomes(name, PointSet(A.params, A.rows), ks, cfg.s_range, guard, labels)
+                assert got == want

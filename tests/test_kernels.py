@@ -54,6 +54,7 @@ from qcube.families import (
     face_spec,
     gen_even_weight,
     gen_face_subset,
+    gen_random_subset,
 )
 from qcube.identities import (
     _RHS_BLOCK,
@@ -368,6 +369,21 @@ def test_profile_matches_evenweight_closed_form():
     assert walked[0] == _distribution_counted(A, 0)
     assert profile(A) == walked
     assert "rows" not in vars(A)
+
+
+def test_walk_holds_its_tallies_in_small_batches():
+    # Each level's fibre sizes go to its Counter TALLY_BATCH at a time; kept
+    # until the end, the lists of this walk would reach about 7 MiB.
+    A = gen_random_subset(CubeParams(2, 13), 800, 0)
+    A.slices  # built before the trace: only the walk is measured
+    tracemalloc.start()
+    try:
+        walked = _profile_sliced(A, range(14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 << 10
+    assert walked == _profile_dense(A, range(14))
 
 
 def test_distribution_reads_the_profile_after_its_own_guard():
