@@ -272,8 +272,9 @@ def run_sweep(cfg: sweep.SweepConfig, out: TextIO, guard: Optional[int] = None) 
 
     A closed-form cell's rows are written one nu row at a time: when the two
     packed sides are equal (an exact test) and str() converts them, the nu
-    row's lines are one string, each coefficient converted to decimal once
-    for both sides. Any other two-sided row is filled into a cached template;
+    row's lines are one join of the cell's cached line skeleton with each
+    coefficient, converted to decimal once for both sides, and nu. Any other
+    two-sided row is filled into a cached template;
     the rest, and sides too long for str(), go through
     json_line(_sweep_row(...)), which is also the oracle of both writers (see
     qcube.sweep)."""

@@ -525,8 +525,10 @@ def corollary_s3(
     return IdentityReport.of("corollary3", params, lhs, rhs, lt, rt, proven=True)
 
 
+@per_set
 def _containing_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
-    # The one |A|-subset, A itself, at rank(A), after faces_containing_count's check.
+    # The one |A|-subset, A itself, at rank(A), after faces_containing_count's
+    # check; per_set keeps nothing of a call that raises.
     _require_nonempty(A)
     return ((rank(A), 1),)
 

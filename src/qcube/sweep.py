@@ -17,12 +17,14 @@ oracle of both. A grid point's row of two sides fills a cached template
 and both even-weight forms) hands over one row at a time, per nu or, for the
 even-weight forms, per n, with both sides at every k packed into one int
 each (`families.NuRow`). When the packed sides are equal, which is exact,
-and str() converts them, the whole row is written by one %-format
-(`_nu_row_text`): each coefficient is converted to decimal once, for both
-sides, into the line template with the identity and the row's params
-bound in, repeated once per k. Any other row, one whose sides differ
-somewhere (the printed even-weight form's known errata) or have more digits
-than str() converts, goes through `_sweep_line` one point at a time.
+and str() converts them, the whole row is one str.join (`_nu_row_text`) of
+the cell's line skeleton (`_skeleton`): the text of its lines cut from the
+line template, with the identity, q, n and each k written in once per
+cell, around slots that each row fills with its nu and with each
+coefficient's decimal, converted once for both sides. Any other row, one
+whose sides differ somewhere (the printed even-weight form's known errata)
+or have more digits than str() converts, goes through `_sweep_line` one
+point at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import json
 import sys
 from functools import lru_cache
-from itertools import chain
 from typing import Any, Callable, Iterator, Optional
 
 from . import identities  # a module handle: a closed-form sweep never executes it
@@ -390,22 +391,51 @@ def _decimals(side: int, ks: range, width: int) -> list[str]:
     return list(map(str, limbs(side, ks, width)))
 
 
+# No line holds a NUL: json_line escapes control characters. It marks the
+# slots when a skeleton is cut from the row template.
+_SLOT = "\0"
+
+
+@lru_cache(maxsize=1)
+def _skeleton(identity: str, q: int, n: int, ks: range, nu: bool) -> tuple[str, ...]:
+    """The lines of a passing row of a closed-form cell at q and n, one per k
+    in ks, as text pieces around empty slots: pieces 1, 3 and 5 of every six
+    are a line's lhs, nu and rhs. A row without nu (an even-weight form's)
+    keeps its nu slot empty, just before its rhs. The row template, filled
+    with q, n and a sentinel in every slot, is filled with each k in turn
+    and split on the sentinel, so the lines keep the template's layout. The
+    last skeleton is kept, so the rows of one cell share it."""
+    keys = ("q", "n", "nu", "k") if nu else ("q", "n", "k")
+    fmt, order = _row_template(identity, "pass", keys, ("k", "nu"))
+    # k's field is given "%d", so the line is a format of k.
+    values = {"q": q, "n": n, "nu": _SLOT, "k": "%d"}
+    line = fmt % (_SLOT, *[values[key] for key in order], _SLOT if nu else _SLOT * 2) + "\n"
+    texts = ((line * len(ks)) % tuple(ks)).split(_SLOT)
+    pieces = [""] * (2 * len(texts) - 1)
+    pieces[::2] = texts
+    return tuple(pieces)
+
+
 def _nu_row_text(identity: str, params: dict[str, int], row: NuRow) -> Optional[str]:
     """The lines of the points params + {"k": k}, for each k in row.ks, when
     the two sides are equal and str() converts them, else None. Equal packed
     sides are equal at every k, so each coefficient is converted once and its
-    text fills both sides, and the rows pass. The line template, repeated
-    once per k, is filled by one % with (digits, k, digits) for each k in
-    turn. The text ends with a newline unless it is empty."""
+    text fills both sides, and the rows pass. The cell's skeleton (_skeleton)
+    holds the rest of the text, with k, q and n in it, so a row fills its
+    slots with the digits and nu and joins the pieces once. The text ends
+    with a newline unless it is empty."""
     if row.lhs != row.rhs:
         return None
     try:
         digits = _decimals(row.rhs, row.ks, row.width)
     except ValueError:
         return None
-    fmt, order = _row_template(identity, "pass", (*params, "k"), ("k",))
-    line = fmt % tuple([params[key] for key in order]) + "\n"
-    return (line * len(row.ks)) % tuple(chain.from_iterable(zip(digits, row.ks, digits)))
+    pieces = list(_skeleton(identity, params["q"], params["n"], row.ks, row.nu is not None))
+    pieces[1::6] = digits
+    if row.nu is not None:
+        pieces[3::6] = ["%d" % params["nu"]] * len(digits)
+    pieces[5::6] = digits
+    return "".join(pieces)
 
 
 def _status(equal: bool, erratum: bool) -> str:
@@ -419,24 +449,19 @@ def _row_template(
     identity: str, status: str, keys: tuple[str, ...], slots: tuple[str, ...] = ()
 ) -> tuple[str, tuple[str, ...]]:
     """The %-format of the line of an (lhs, rhs) row with these param keys, and
-    the keys of its %d fields in order. Like json_line, it writes the row's
-    keys and the params' keys in sorted order. Filled with (lhs, *params, rhs),
-    the sides as %s, it is the line. Identity names, statuses and param keys
-    hold no '%'.
-
-    The params named in `slots` are left for later, like the sides: the
-    format's fields are then only the other params', and filling them gives
-    the format of the rows that differ only in the slots, filled with (lhs,
-    *slots in sorted order, rhs)."""
+    the keys in sorted order. Like json_line, it writes the row's keys and the
+    params' keys in sorted order. Filled with (lhs, *params, rhs), the sides
+    as %s and the params as %d, it is the line; the params named in `slots`
+    are %s fields too, to be filled with their text. Identity names,
+    statuses and param keys hold no '%'."""
     order = tuple(sorted(keys))
-    late = "%%" if slots else "%"
     equal = json_line(status == "pass")
-    params = ",".join(f"{json_line(key)}:{late if key in slots else '%'}d" for key in order)
+    params = ",".join(f"{json_line(key)}:%{'s' if key in slots else 'd'}" for key in order)
     fmt = (
-        f'{{"equal":{equal},"identity":{json_line(identity)},"lhs":"{late}s","params":{{{params}}},'
-        f'"passed":{equal},"rhs":"{late}s","status":{json_line(status)}}}'
+        f'{{"equal":{equal},"identity":{json_line(identity)},"lhs":"%s","params":{{{params}}},'
+        f'"passed":{equal},"rhs":"%s","status":{json_line(status)}}}'
     )
-    return fmt, tuple(key for key in order if key not in slots)
+    return fmt, order
 
 
 def _sweep_line(

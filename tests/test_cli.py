@@ -834,6 +834,25 @@ class TestSweep:
         # that each keep their own results.
         assert len(per_set) == 12
 
+    def test_lemma_rows_rank_each_set_once(self, tmp_path, capsys, monkeypatch):
+        # Every k of a cell is a lemma_face_count point on each family set,
+        # and its right side needs rank(A).
+        ranks = count_calls(monkeypatch, "qcube.rank", "rank")
+        config = {
+            "identities": ["lemma_face_count"],
+            "q": [2, 3],
+            "n": [2, 5],
+            "seeds": [0, 1, 2],
+            "family": {"kind": "random", "m": 3},
+        }
+        code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        assert code == 0
+        per_set = Counter(id(A) for A, in ranks)
+        assert set(per_set.values()) == {1}
+        assert len(per_set) == 2 * 4 * 3
+        rows = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert len(rows) == sum(3 * (n + 1) for q in (2, 3) for n in range(2, 6))
+
     def test_each_family_set_is_profiled_once(self, tmp_path, capsys, monkeypatch):
         # Criterion 8's config: main, the corollaries and lemma_face_count all
         # read the face distributions of one pass over every k of the cell.
@@ -1389,6 +1408,33 @@ class TestSweepRowTemplates:
                 os.chdir(cwd)
         assert code in (0, 1, 3)
         assert sum(seen.values()) == len(out.getvalue().splitlines()) - 1
+
+    def test_consecutive_cells_do_not_share_a_skeleton(self, tmp_path, capsys, monkeypatch):
+        # A nu row's lines come from a skeleton kept from the last cell. Run
+        # in turn: cells that differ only in q, where Vandermonde's digits are
+        # the same at every q; cells that differ only in the identity; a
+        # second sweep whose cells differ from the first's only in the k
+        # range; cells that differ only in n, at the same k range; and n
+        # below the k range, whose nu rows have no k.
+        seen = check_rows_against_the_oracle(monkeypatch)
+        closed = ["vandermonde", "chu_vandermonde_generalized", "evenweight_corrected", "evenweight_printed"]
+        configs = [
+            {"identities": ["vandermonde", "chu_vandermonde_generalized"], "q": [2, 3, 5], "n": [6, 6],
+             "k": [1, 4]},
+            {"identities": closed, "q": [2], "n": [6, 6], "k": [1, 4]},
+            {"identities": closed[::-1], "q": [2], "n": [6, 6], "k": [2, 4]},
+            {"identities": closed, "q": [2, 3], "n": [0, 6], "k": [3, 4]},
+        ]
+        written = 0
+        for config in configs:
+            code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+            assert code == 0
+            lines = out.splitlines()
+            assert "" not in lines and len(lines) - 1 == sum(seen.values()) - written
+            written += len(lines) - 1
+            assert {json.loads(line)["params"]["q"] for line in lines[:-1]} == set(config["q"])
+        assert seen[("vandermonde", "pass")] == 3 * 7 * 4 + 7 * 4 + 7 * 3 + 2 * (4 + 5 * 2 + 6 * 2 + 7 * 2)
+        assert seen[("evenweight_corrected", "pass")] == 4 + 3 + (1 + 2 + 2 + 2)
 
     @pytest.mark.parametrize("value", [True, 2.5, "2"], ids=["bool", "float", "str"])
     def test_a_non_int_param_fails_the_check(self, value):
