@@ -942,6 +942,33 @@ class TestSweep:
             else:
                 assert A.params.n == 10 and calls == [range(k, k + 1) for k in ks]
 
+    # Digests of a sweep of every family identity over each deterministic
+    # family kind, written while each kind was its own branch of
+    # realize_family and of the sweep's instance list.
+    @pytest.mark.parametrize(
+        "family, qs, n_range, rows, digest",
+        [
+            ({"kind": "face"}, [2, 3], [0, 5], 952,
+             "78934617a5ad8ae1f82461b71b85aa43e51c1f1db16fad222ef8e6db37f435a0"),
+            ({"kind": "even_weight"}, [2, 3], [0, 6], 172,
+             "4375bd3d19603bc72a226143f4f2b13b1b3aaf90e335ef49fb98025e26c86a01"),
+            ({"kind": "file"}, [2], [4, 4], 33,
+             "6dcdcdcc30225dc524cf0b625fe14f591f739bc0c47cf38879e0c1c093df3bcd"),
+        ],
+        ids=["face", "even_weight", "file"],
+    )
+    def test_family_kind_sweep_is_pinned(self, tmp_path, capsys, family, qs, n_range, rows, digest):
+        if family["kind"] == "file":
+            family = {**family, "path": write(tmp_path, "points.txt", "0000\n0011\n0101\n1110\n1111\n")}
+        config = {
+            "identities": ["main", "corollary1", "corollary2", "corollary3", "bounds", "lemma_face_count"],
+            "q": qs, "n": n_range, "s": [1, 3], "family": family,
+        }
+        code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        assert code == 0
+        assert json.loads(out.splitlines()[-1])["summary"]["total"] == rows
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_output_from_config(self, tmp_path, capsys):
         dest = tmp_path / "from_cfg.jsonl"
         cfg_dict = dict(BASE_SWEEP, output=str(dest))
@@ -1104,17 +1131,21 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
-    def test_bad_family_fails_before_any_row(self, tmp_path, capsys):
+    # An unhashable kind is refused by name too, not with a TypeError.
+    @pytest.mark.parametrize(
+        "kind", ["bogus", [], 3, None, "Face"], ids=["bogus", "list", "int", "null", "Face"]
+    )
+    def test_bad_family_fails_before_any_row(self, tmp_path, capsys, kind):
         config = {
             "identities": ["vandermonde", "main"],
             "n": [1, 2],
-            "family": {"kind": "bogus"},
+            "family": {"kind": kind},
         }
         cfg = write(tmp_path, "cfg.json", json.dumps(config))
         code, out, err = run(capsys, "sweep", cfg)
         assert code == 2
         assert out == ""
-        assert err == "error: sweep config: unknown family kind 'bogus'\n"
+        assert err == f"error: sweep config: unknown family kind {kind!r}\n"
 
     def test_file_family_error_names_file_and_cell(self, tmp_path, capsys):
         points = write(tmp_path, "points.txt", "00\n01\n11\n")

@@ -68,9 +68,13 @@ class TestGenFace:
         with pytest.raises(CubeError):
             gen_face_subset(params, FamilySpec("random", m=2))
 
-    def test_family_kind_validation(self):
-        with pytest.raises(CubeError):
-            FamilySpec("diagonal")
+    @pytest.mark.parametrize("kind", ["diagonal", ["x"]], ids=["diagonal", "list"])
+    def test_family_kind_validation(self, kind):
+        with pytest.raises(CubeError) as info:
+            FamilySpec(kind)
+        assert str(info.value) == (
+            f"unknown family kind {kind!r}; expected one of ('face', 'even_weight', 'random', 'file')"
+        )
 
     def test_builds_no_point_objects(self, monkeypatch):
         def refuse(self):
