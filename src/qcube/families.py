@@ -2,9 +2,9 @@
 binomial identities those distributions imply.
 
 Families: a full sub-face, the binary even-weight set, seeded uniform random
-subsets, and sets loaded from a file. The closed forms are verified against
-the enumeration path in the test suite; any divergence is resolved in favour
-of enumeration.
+subsets, and sets loaded from a file, each one row of KINDS: its builder and
+its sweep grid. The closed forms are verified against the enumeration path in
+the test suite; any divergence is resolved in favour of enumeration.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import filterfalse, repeat
 from operator import itemgetter, lshift, mul
 from pathlib import Path
 from struct import iter_unpack
-from typing import Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from . import faces, identities  # module handles: gen executes neither
 from .core import (
@@ -30,9 +30,7 @@ from .core import (
     check_guard_power,
     decimal,
 )
-from .core import parse_pointset
-
-FAMILY_KINDS = ("face", "even_weight", "random", "file")
+from .core import is_int, parse_pointset
 
 
 class FamilySpec(_Record):
@@ -173,30 +171,59 @@ def gen_random_subset(params: CubeParams, m: int, seed: int) -> PointSet:
     return PointSet(params, tuple(_decode(i, params) for i in picks))
 
 
-def realize_family(params: CubeParams, spec: FamilySpec, guard: int = DEFAULT_GUARD) -> PointSet:
-    """Materialize a FamilySpec into a point set. A generated family's size
-    (q**|free|, 2**(n-1) or m) is checked against the guard after all of the
-    spec's own checks, before any point is built, and a power that is over
-    it by its bit length alone is refused unbuilt (check_guard_power); a
-    file is read as given."""
-    if spec.kind == "file":
-        if not isinstance(spec.path, str):
-            raise CubeError("file family needs a path")
-        return parse_pointset(Path(spec.path).read_text(), params)[0]
-    if spec.kind == "face":
-        face = _face(params, spec)
-        check_guard_power(params.q, face.dimension, guard)
-        return _face_points(params, face)
-    if spec.kind == "even_weight":
-        if params.q != 2:
-            raise CubeError("the even-weight family requires q = 2")
-        check_guard_power(2, max(params.n - 1, 0), guard)
-        return gen_even_weight(params.n)
+def _build_face(params: CubeParams, spec: FamilySpec, guard: int) -> PointSet:
+    face = _face(params, spec)
+    check_guard_power(params.q, face.dimension, guard)
+    return _face_points(params, face)
+
+
+def _build_even_weight(params: CubeParams, spec: FamilySpec, guard: int) -> PointSet:
+    if params.q != 2:
+        raise CubeError("the even-weight family requires q = 2")
+    check_guard_power(2, max(params.n - 1, 0), guard)
+    return gen_even_weight(params.n)
+
+
+def _build_random(params: CubeParams, spec: FamilySpec, guard: int) -> PointSet:
     if spec.m is None:
         raise CubeError("random family needs m")
     _check_random(params, spec.m)
     check_guard(spec.m, guard)
     return gen_random_subset(params, spec.m, spec.seed or 0)
+
+
+def _random_grid(fam: dict[str, Any], params: CubeParams, nus: range, seeds: tuple[int, ...]) -> list:
+    m = fam.get("m")
+    if not is_int(m):
+        raise CubeError("sweep config: random family needs an integer m")
+    return [({"seed": s}, FamilySpec("random", m=m, seed=s)) for s in (seeds if random_m_fits(params, m) else ())]
+
+
+def _build_file(params: CubeParams, spec: FamilySpec, guard: int) -> PointSet:
+    if not isinstance(spec.path, str):
+        raise CubeError("file family needs a path")
+    return parse_pointset(Path(spec.path).read_text(), params)[0]
+
+
+# Each family kind. build(params, spec, guard) runs the spec's own checks, then
+# refuses a set over the guard (q**|free|, 2**(n-1) or m) before building it; a
+# file is read as given. grid(family, params, nus, seeds) lists the (labels,
+# spec) of each sweep instance in one (q, n) cell, nus clipped to [0, n].
+FamilyKind = NamedTuple("FamilyKind", [("build", Callable[..., PointSet]), ("grid", Callable[..., list])])
+KINDS = {
+    "face": FamilyKind(_build_face, lambda fam, p, nus, seeds: [({"nu": nu}, face_spec(p, nu)) for nu in nus]),
+    "even_weight": FamilyKind(
+        _build_even_weight, lambda fam, p, nus, seeds: [({}, FamilySpec("even_weight"))] if p.q == 2 else []
+    ),
+    "random": FamilyKind(_build_random, _random_grid),
+    "file": FamilyKind(_build_file, lambda fam, p, nus, seeds: [({}, FamilySpec("file", path=fam.get("path")))]),
+}
+FAMILY_KINDS = tuple(KINDS)
+
+
+def realize_family(params: CubeParams, spec: FamilySpec, guard: int = DEFAULT_GUARD) -> PointSet:
+    """Materialize a FamilySpec into a point set with its kind's builder."""
+    return KINDS[spec.kind].build(params, spec, guard)
 
 
 def face_distribution_closed(params: CubeParams, nu: int, k: int) -> faces.FaceDistribution:

@@ -46,13 +46,12 @@ from .core import (
     is_int,
 )
 from .families import (
-    FamilySpec,
+    FAMILY_KINDS,
+    KINDS,
     NuRow,
     chu_vandermonde_generalized_cell,
     evenweight_cell,
-    face_spec,
     limbs,
-    random_m_fits,
     realize_family,
     vandermonde_cell,
 )
@@ -191,30 +190,14 @@ def _clip(bounds: Optional[tuple[int, int]], least: int, n: int) -> range:
 
 
 def _family_instances(cfg: SweepConfig, q: int, n: int, guard: int) -> Iterator[dict[str, Any]]:
-    """Yield the extra params of each family instance in one (q, n) cell,
-    with its point set under "A", skipping combinations whose preconditions
-    fail. Deterministic order. A family that cannot be built (a file that
-    does not parse, a generated set larger than the guard, a random family
-    over a cube too large to draw from) is refused for the whole sweep,
-    naming the cell."""
-    fam = cfg.family
-    kind = fam["kind"]
+    """Yield the params of each family instance of its kind's grid
+    (families.KINDS) in one (q, n) cell, with its point set under "A". A
+    family that cannot be built is refused for the whole sweep, naming the cell."""
+    kind = cfg.family["kind"]
     params = CubeParams(q, n)
-    if kind == "random":
-        m = fam.get("m")
-        if not is_int(m):
-            raise CubeError("sweep config: random family needs an integer m")
-        seeds = cfg.seeds if random_m_fits(params, m) else ()
-        specs = [({"seed": seed}, FamilySpec("random", m=m, seed=seed)) for seed in seeds]
-    elif kind == "even_weight":
-        specs = [({}, FamilySpec("even_weight"))] if q == 2 else []
-    elif kind == "face":
-        specs = [({"nu": nu}, face_spec(params, nu)) for nu in _clip(cfg.nu_range, 0, n)]
-    elif kind == "file":
-        specs = [({}, FamilySpec("file", path=fam.get("path")))]
-    else:
+    if kind not in FAMILY_KINDS:  # a tuple test: a JSON kind may be unhashable
         raise CubeError(f"sweep config: unknown family kind {kind!r}")
-    for labels, spec in specs:
+    for labels, spec in KINDS[kind].grid(cfg.family, params, _clip(cfg.nu_range, 0, n), cfg.seeds):
         try:
             A = realize_family(params, spec, guard)
         except CubeError as exc:

@@ -349,6 +349,13 @@ class TestVerify:
 
 
 class TestGen:
+    def test_family_choices_follow_the_kinds(self):
+        # The choices are a literal, so that the commands that do not
+        # generate never execute qcube.families; every generated kind is one.
+        sub = next(a for a in qcube.cli.build_parser()._actions if a.dest == "command")
+        family = next(a for a in sub.choices["gen"]._actions if a.dest == "family")
+        assert list(family.choices) == [k.replace("_", "-") for k in qcube.families.KINDS if k != "file"]
+
     def test_even_weight_bytes(self, tmp_path, capsys):
         out_path = tmp_path / "ew.txt"
         code, out, err = run(
