@@ -183,7 +183,7 @@ class TestRealizeFamily:
     def test_guard_counts_the_set_before_building_it(self, monkeypatch, params, spec, size):
         assert len(realize_family(params, spec, guard=size)) == size
         built = []
-        for name in ("gen_face_subset", "gen_even_weight", "gen_random_subset"):
+        for name in ("_face_points", "gen_even_weight", "gen_random_subset"):
             monkeypatch.setattr(qcube.families, name, lambda *args: built.append(args))
         with pytest.raises(SizeGuardError, match=f"about {size} elementary"):
             realize_family(params, spec, guard=size - 1)
