@@ -65,9 +65,9 @@ DEFAULT_GUARD = 10_000_000
 # picked only when their bound on what they hold is within it.
 KERNEL_MEMORY_CAP = 16 << 20
 
-# Kernels that tally many small ints (the face walk's fibre sizes, the triple
-# ranks' distance sums) collect them in a list and count it with one
-# Counter.update once it holds this many, so the list stays small.
+# Kernels that tally many small ints (the triple ranks' distance sums) collect
+# them in a list and count it with one Counter.update once it holds this many,
+# so the list stays small.
 TALLY_BATCH = 1 << 10
 
 

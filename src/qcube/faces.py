@@ -5,9 +5,9 @@ position. For a point set A, the distribution at level k maps each e >= 0 to
 the number of k-faces whose intersection with A has exactly e elements.
 
 Three routes tally it, all exact: grouping A's packed projections with a
-Counter for each choice of fixed positions, one k at a time; one
-depth-first walk over the increasing sets of fixed positions on A's
-per-(coordinate, value) bitsets (_profile_sliced); and one depth-first fold
+Counter for each choice of fixed positions, one k at a time; one walk
+over the increasing sets of fixed positions, in batches of the sets' fibres,
+on A's per-(coordinate, value) bitsets (_profile_sliced); one depth-first fold
 over the increasing sets of free positions on bit-sliced counters with a
 bit per cell of the cube (_profile_dense). The walk and the fold tally every
 level of a range ks at once. A cost estimate from (q, n, ks, |A|) picks the
@@ -29,7 +29,6 @@ from typing import Callable, Iterator, Mapping, Optional
 from .core import (
     DEFAULT_GUARD,
     KERNEL_MEMORY_CAP,
-    TALLY_BATCH,
     ConsistencyError,
     CubeError,
     CubeParams,
@@ -44,6 +43,10 @@ from .core import (
     column_mask,
     slices_cost,
 )
+
+# The bytes the face walk's fibre buffers hold at most, together; see
+# _profile_sliced.
+WALK_BUDGET = 1 << 20
 
 
 class FaceDistribution(_Record):
@@ -211,8 +214,8 @@ def _walk_cost(params: CubeParams, ks: range, m: int, limit: int) -> Optional[in
     them, and each splits its parent's fibres of two or more points by q
     values. Those fibres number at most q**(d-1) and m/2, and about
     C(m, 2)/q**(d-1) when the set is spread evenly. An AND of two m-bit sets
-    is counted as 3 projections plus one per 1 024 bits, and building the
-    slices as core.slices_cost, m*n/8 for q = 2."""
+    is counted as 2 projections, fitted on the walk's timings, plus one per
+    1 024 bits, and building the slices as core.slices_cost, m*n/8 at q = 2."""
     n, q = params.n, params.q
     lo, hi = ks[0], ks[-1]
     if m < 2 or lo == n:
@@ -223,10 +226,10 @@ def _walk_cost(params: CubeParams, ks: range, m: int, limit: int) -> Optional[in
     for d in range(1, n - lo + 1):
         fibres = min(cells, m // 2, -(-pairs // cells))
         ands += binom(min(n, hi + d), d) * fibres * q
-        if ands * (3 + m // 1024) + start >= limit:
+        if ands * (2 + m // 1024) + start >= limit:
             return None
         cells = min(pairs, cells * q)
-    return ands * (3 + m // 1024) + start
+    return ands * (2 + m // 1024) + start
 
 
 def _dense_cost(params: CubeParams, ks: range, m: int) -> Optional[int]:
@@ -314,8 +317,8 @@ def _distribution_counted(A: PointSet, k: int) -> FaceDistribution:
 
 def _profile_sliced(A: PointSet, ks: range) -> list[FaceDistribution]:
     """The walk: the distribution at every level k in ks (consecutive,
-    nonempty) from one depth-first walk over the increasing sets S of fixed
-    positions, on A's value bitsets (PointSet.slices), one bit per point.
+    nonempty) from one walk over the increasing sets S of fixed positions,
+    on A's value bitsets (PointSet.slices), one bit per point.
 
     A node S holds its nonempty fibres, and splits them by
     `fibre & slices[j][v]` for each child S + {j}, j above S, so every
@@ -329,40 +332,50 @@ def _profile_sliced(A: PointSet, ks: range) -> list[FaceDistribution]:
     fibre's size minus the others'. The empty faces at each k are the rest
     of total_faces.
 
-    Each level's fibre sizes are collected in a list, counted by one
-    Counter.update once it holds TALLY_BATCH of them, and the single-point
-    fibres in a flat list by (|S|, start)."""
+    What a node does depends only on (|S|, start), so the fibres of all
+    nodes there wait in one buffer, split as one with a comprehension per
+    (j, v) before it would pass cap fibres, its share of WALK_BUDGET at the
+    bytes of an m-bit int and its list slot. The buffers, those being split
+    included, hold at most WALK_BUDGET, each depth of the stack adds two
+    lists of cap fibres at most, and the buffers left at the end are split
+    shallowest first. A split counts its fibres' sizes with one
+    Counter.update, and the single-point fibres go to a flat list by
+    (|S|, start)."""
     params = A.params
     n, m = params.n, len(A)
     slices = A.slices
     top, bottom = n - ks[-1], n - ks[0]  # the fewest and the most fixed positions
-    tallies: list[Counter[int]] = [Counter() for _ in range(bottom + 1)]  # by |S|
-    sizes: list[list[int]] = [[] for _ in range(bottom + 1)]  # not yet in tallies
+    tallies = [Counter() for _ in range(bottom + 1)]  # by |S|
     lone = [0] * ((bottom + 1) * (n + 1))  # |S|*(n+1) + start -> single-point fibres
+    waiting = [[] for _ in lone]  # |S|*(n+1) + start -> fibres not yet split
+    cap = WALK_BUDGET // (len(lone) * (4 * (m // 30) + 36))
 
-    def flush(depth: int) -> None:
-        if len(sizes[depth]) >= TALLY_BATCH:
-            tallies[depth].update(sizes[depth])
-            sizes[depth].clear()
+    def put(at, fibres):
+        if len(waiting[at]) + len(fibres) > cap:
+            if waiting[at]:
+                buffer, waiting[at] = waiting[at], []
+                split(at, buffer)
+            if len(fibres) > cap:
+                return split(at, fibres)
+        waiting[at] += fibres
 
-    def walk(fibres: list[int], start: int, depth: int) -> None:
-        # fibres: the nonempty fibres of one node S, |S| = depth, whose fixed
+    def split(at, fibres):
+        # fibres: nonempty fibres of nodes S, |S| = depth, whose fixed
         # positions all lie below start.
+        depth, start = divmod(at, n + 1)
         shared = [s for s in fibres if s & (s - 1)]
-        lone[depth * (n + 1) + start] += len(fibres) - len(shared)
+        lone[at] += len(fibres) - len(shared)
         if not shared:
             return
+        whole = list(map(int.bit_count, shared))
         if depth >= top:
-            whole = list(map(int.bit_count, shared))
-            sizes[depth] += whole
-            flush(depth)
+            tallies[depth].update(whole)
         if depth + 1 < bottom:
             for j in range(start, min(n, n + depth + 1 - top)):
-                walk([t for s in shared for v in slices[j] if (t := s & v)], j + 1, depth + 1)
+                for v in slices[j]:
+                    put(at + n + 2 + j - start, [t for s in shared if (t := s & v)])
         elif depth < bottom:  # the children are the deepest level
-            if depth < top:
-                whole = list(map(int.bit_count, shared))
-            level = sizes[bottom]
+            level = []
             for j in range(start, n):
                 *head, _ = slices[j]
                 rest = whole
@@ -371,12 +384,14 @@ def _profile_sliced(A: PointSet, ks: range) -> list[FaceDistribution]:
                     level += sized
                     rest = list(map(sub, rest, sized))
                 level += rest
-            flush(bottom)
+            tallies[bottom].update(level)
 
     if m:
-        walk([(1 << m) - 1], 0, 0)
-    for counts, level in zip(tallies, sizes):
-        counts.update(level)
+        put(0, [(1 << m) - 1])
+    for at, buffer in enumerate(waiting):  # the shallowest first
+        if buffer:
+            waiting[at] = []  # let go of each as it is split
+            split(at, buffer)
     for at, ones in enumerate(lone):
         if ones:
             depth, start = divmod(at, n + 1)

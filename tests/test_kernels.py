@@ -372,8 +372,9 @@ def test_profile_matches_evenweight_closed_form():
 
 
 def test_walk_holds_its_tallies_in_small_batches():
-    # Each level's fibre sizes go to its Counter TALLY_BATCH at a time; kept
-    # until the end, the lists of this walk would reach about 7 MiB.
+    # The walk's fibre buffers share faces.WALK_BUDGET and each split counts
+    # its fibre sizes at once; holding every buffer until the end, this walk
+    # would reach about 55 MiB.
     A = gen_random_subset(CubeParams(2, 13), 800, 0)
     A.slices  # built before the trace: only the walk is measured
     tracemalloc.start()
@@ -501,20 +502,20 @@ def test_profile_refuses_levels_out_of_range():
 # pin decisions, not timings: a refit of the estimate shows here as a diff.
 # Routes read 0 for the Counter route, 1 for the walk and 2 for the dense fold.
 SWEEP_ROUTES = {
-    (2, 5): (True, "001110"),
-    (2, 6): (True, "0001110"),
-    (2, 7): (True, "00001110"),
-    (2, 8): (True, "000001110"),
-    (2, 9): (True, "0000001110"),
-    (2, 10): (True, "00000001110"),
+    (2, 5): (True, "011110"),
+    (2, 6): (True, "0011110"),
+    (2, 7): (True, "00011110"),
+    (2, 8): (True, "000011110"),
+    (2, 9): (True, "0000011110"),
+    (2, 10): (True, "00000011110"),
     (3, 3): (True, "0110"),
     (3, 4): (True, "00110"),
     (3, 5): (True, "000110"),
-    (3, 6): (False, "0000110"),
-    (3, 7): (False, "00000110"),
-    (3, 8): (False, "000000110"),
+    (3, 6): (True, "0000110"),
+    (3, 7): (True, "00000110"),
+    (3, 8): (True, "000000110"),
     (3, 9): (True, "0000000110"),
-    (3, 10): (True, "00000000110"),
+    (3, 10): (True, "00010000110"),
 }
 ROUTE_DIGITS = {"counter": "0", "walk": "1", "dense": "2"}
 
@@ -638,6 +639,58 @@ def test_dense_route_matches_evenweight_closed_form():
     dense = _profile_dense(A, range(13))
     assert dense[1:] == [evenweight_distribution_closed(12, k) for k in range(1, 13)]
     assert dense[0] == _distribution_counted(A, 0)
+
+
+# The walk at the smallest budget, where every buffer is split as soon as it
+# is filled; at one where buffers of a few fibres are split in mid-walk; and
+# at one that holds every buffer until the end, where they are split
+# shallowest first.
+WALK_BUDGETS = (0, 8 << 10, 1 << 40)
+
+
+@given(dense_cases())
+@example((PointSet(CubeParams(2, 0), ()), range(1)))
+@example((pointset(2, [()]), range(1)))
+@example((PointSet(CubeParams(5, 3), ()), range(1, 3)))
+@example((pointset(3, [(1, 2, 0)]), range(4)))
+@example((full_cube(2, 5), range(6)))
+@example((full_cube(3, 3), range(1, 3)))
+@example((random_set(5, 4, 40, 6), range(2, 4)))
+@example((random_set(2, 8, 40, 7), range(3, 6)))
+@kernel_settings
+def test_walk_matches_every_route_at_every_budget(case):
+    A, ks = case
+    want = [_distribution_counted(A, k) for k in ks]
+    assert _profile_dense(A, ks) == want
+    for budget in WALK_BUDGETS:
+        with mock.patch.object(qcube.faces, "WALK_BUDGET", budget):
+            assert _profile_sliced(A, ks) == want, budget
+    for k, dist in zip(ks, want):
+        if total_faces(A.params, k) * max(len(A), 1) <= 200_000:
+            assert dist == distribution_bruteforce(A, k)
+
+
+def test_walk_holds_little_on_the_sweep_sets():
+    # bench/sweep_random.json's 56 sets (m = 24), each over its whole k
+    # range. The walk peaked at 93 KiB on the largest; holding every buffer
+    # until the end, or each split buffer until the walk ends, it took 168
+    # and 138 KiB.
+    sets = [gen_random_subset(CubeParams(q, n), 24, seed)
+            for q in (2, 3) for n in range(1, 11) if q**n >= 24 for seed in range(4)]
+    assert len(sets) == 56
+    for A in sets:
+        A.slices  # built before the trace: only the walk is measured
+    peaks = []
+    tracemalloc.start()
+    try:
+        for A in sets:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            _profile_sliced(A, range(A.params.n + 1))
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 112 << 10
 
 
 @given(point_sets())
