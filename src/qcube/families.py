@@ -134,14 +134,6 @@ def gen_even_weight(n: int) -> PointSet:
     return PointSet._from_packed(CubeParams(2, n), [2 * x + (x.bit_count() & 1) for x in xs])
 
 
-def _decode(index: int, params: CubeParams) -> tuple[int, ...]:
-    digits = []
-    for _ in range(params.n):
-        index, r = divmod(index, params.q)
-        digits.append(r)
-    return tuple(reversed(digits))
-
-
 def random_m_fits(params: CubeParams, m: int) -> bool:
     """1 <= m <= q**n. Since q**n >= 2**n, the power is built only for an m
     of more than n bits."""
@@ -163,12 +155,25 @@ def _check_random(params: CubeParams, m: int) -> None:
 
 def gen_random_subset(params: CubeParams, m: int, seed: int) -> PointSet:
     """Uniform random m-subset of the cube, without replacement, seeded."""
+    _check_random(params, m)
+    return _random_points(params, m, seed)
+
+
+def _random_points(params: CubeParams, m: int, seed: int) -> PointSet:
+    """gen_random_subset after its checks. The draw picks m indexes below
+    q**n, each a point's base-q digits, coordinate 0 the most significant.
+    For q a power of two an index is the packed int; otherwise each digit,
+    the last coordinate's first, goes to its w-bit block."""
     import random  # only a random family needs it
 
-    _check_random(params, m)
-    rng = random.Random(seed)
-    picks = rng.sample(range(params.volume), m)
-    return PointSet(params, tuple(_decode(i, params) for i in picks))
+    packed = random.Random(seed).sample(range(params.volume), m)
+    q, w = params.q, _block_width(params)
+    if q != 1 << w:
+        rest, packed = packed, [0] * m
+        for shift in range(0, params.n * w, w):
+            packed = [x | r % q << shift for x, r in zip(packed, rest)]
+            rest = [r // q for r in rest]
+    return PointSet._from_packed(params, packed)
 
 
 def _build_face(params: CubeParams, spec: FamilySpec, guard: int) -> PointSet:
@@ -189,7 +194,7 @@ def _build_random(params: CubeParams, spec: FamilySpec, guard: int) -> PointSet:
         raise CubeError("random family needs m")
     _check_random(params, spec.m)
     check_guard(spec.m, guard)
-    return gen_random_subset(params, spec.m, spec.seed or 0)
+    return _random_points(params, spec.m, spec.seed or 0)
 
 
 def _random_grid(fam: dict[str, Any], params: CubeParams, nus: range, seeds: tuple[int, ...]) -> list:
@@ -208,10 +213,13 @@ def _build_file(params: CubeParams, spec: FamilySpec, guard: int) -> PointSet:
 # Each family kind. build(params, spec, guard) runs the spec's own checks, then
 # refuses a set over the guard (q**|free|, 2**(n-1) or m) before building it; a
 # file is read as given. grid(family, params, nus, seeds) lists the (labels,
-# spec) of each sweep instance in one (q, n) cell, nus clipped to [0, n].
+# spec) of each sweep instance in one (q, n) cell, nus clipped to [0, n], and
+# leaves each spec's checks to build, so that they run once.
 FamilyKind = NamedTuple("FamilyKind", [("build", Callable[..., PointSet]), ("grid", Callable[..., list])])
 KINDS = {
-    "face": FamilyKind(_build_face, lambda fam, p, nus, seeds: [({"nu": nu}, face_spec(p, nu)) for nu in nus]),
+    "face": FamilyKind(
+        _build_face, lambda fam, p, nus, seeds: [({"nu": nu}, FamilySpec("face", tuple(range(nu)))) for nu in nus]
+    ),
     "even_weight": FamilyKind(
         _build_even_weight, lambda fam, p, nus, seeds: [({}, FamilySpec("even_weight"))] if p.q == 2 else []
     ),

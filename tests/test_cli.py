@@ -1297,15 +1297,16 @@ class TestSweep:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_family_instances_built_once_per_cell(self, tmp_path, capsys, monkeypatch):
-        # Criterion 8's config: six family identities share 12 random sets.
+        # Criterion 8's config: six family identities share 12 random sets,
+        # each drawn by the random builder's unchecked step.
         calls = []
-        original = qcube.families.gen_random_subset
+        original = qcube.families._random_points
 
         def counting(params, m, seed):
             calls.append((params, m, seed))
             return original(params, m, seed)
 
-        monkeypatch.setattr(qcube.families, "gen_random_subset", counting)
+        monkeypatch.setattr(qcube.families, "_random_points", counting)
         config = {
             "identities": list(qcube.sweep.SWEEP_IDENTITIES),
             "q": [2, 3],
@@ -1318,6 +1319,22 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", cfg)
         assert code == 0
         assert len(calls) == len(set(calls)) == 12
+
+    def test_each_family_instance_is_checked_once(self, tmp_path, capsys, monkeypatch):
+        # A face instance's positions go through face_spec once, in its
+        # builder, and a random instance's m through _check_random once.
+        specs = count_calls(monkeypatch, "qcube.families", "face_spec")
+        faces = count_calls(monkeypatch, "qcube.families", "_face_points")
+        checks = count_calls(monkeypatch, "qcube.families", "_check_random")
+        draws = count_calls(monkeypatch, "qcube.families", "_random_points")
+        config = {"identities": ["main"], "q": [2, 3], "n": [0, 5], "family": {"kind": "face"}}
+        code, _, _ = run(capsys, "sweep", write(tmp_path, "face.json", json.dumps(config)))
+        assert code == 0
+        assert len(faces) == len(specs) == 2 * sum(n + 1 for n in range(6)) == 42
+        config.update({"family": {"kind": "random", "m": 4}, "seeds": [0, 1]})
+        code, _, _ = run(capsys, "sweep", write(tmp_path, "random.json", json.dumps(config)))
+        assert code == 0
+        assert len(draws) == len(checks) == 2 * len([n for q in (2, 3) for n in range(6) if q**n >= 4]) == 16
 
     def test_sides_of_any_size_print_in_full(self, tmp_path, capsys):
         q = 10**1000

@@ -147,6 +147,20 @@ class TestGenRandom:
         params = CubeParams(2, 3)
         assert len(gen_random_subset(params, 8, 1)) == 8
 
+    @given(st.sampled_from((2, 3, 4, 5, 7, 8, 10, 11, 16, 1000)), st.integers(0, 9), st.integers(0, 2**30))
+    @example(3, 0, 0)
+    @example(6, 4, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_packed_draw_matches_the_decoded_rows(self, q, n, seed):
+        # The same rng.sample picks as index i -> base-q digits, coordinate 0
+        # the most significant, checked and packed by PointSet.
+        params = CubeParams(q, min(n, 6) if q == 1000 else n)  # q**n within sys.maxsize
+        n, m = params.n, min(30, params.volume)
+        picks = random.Random(seed).sample(range(params.volume), m)
+        rows = [tuple(i // q ** (n - 1 - j) % q for j in range(n)) for i in picks]
+        A = gen_random_subset(params, m, seed)
+        assert A == PointSet(params, rows) and A.rows == tuple(sorted(rows))
+
     def test_m_validation(self):
         params = CubeParams(2, 3)
         with pytest.raises(CubeError):
@@ -183,7 +197,7 @@ class TestRealizeFamily:
     def test_guard_counts_the_set_before_building_it(self, monkeypatch, params, spec, size):
         assert len(realize_family(params, spec, guard=size)) == size
         built = []
-        for name in ("_face_points", "gen_even_weight", "gen_random_subset"):
+        for name in ("_face_points", "gen_even_weight", "_random_points"):
             monkeypatch.setattr(qcube.families, name, lambda *args: built.append(args))
         with pytest.raises(SizeGuardError, match=f"about {size} elementary"):
             realize_family(params, spec, guard=size - 1)
