@@ -336,11 +336,11 @@ def _profile_sliced(A: PointSet, ks: range) -> list[FaceDistribution]:
     nodes there wait in one buffer, split as one with a comprehension per
     (j, v) before it would pass cap fibres, its share of WALK_BUDGET at the
     bytes of an m-bit int and its list slot. The buffers, those being split
-    included, hold at most WALK_BUDGET, each depth of the stack adds two
-    lists of cap fibres at most, and the buffers left at the end are split
-    shallowest first. A split counts its fibres' sizes with one
-    Counter.update, and the single-point fibres go to a flat list by
-    (|S|, start)."""
+    included, hold at most cap fibres each, about WALK_BUDGET in all; each
+    depth of the stack adds two lists of cap fibres at most; and the buffers
+    left at the end are split shallowest first. A split counts its sizes
+    with one Counter.update, and the single-point fibres go to a flat list
+    by (|S|, start)."""
     params = A.params
     n, m = params.n, len(A)
     slices = A.slices
@@ -367,14 +367,16 @@ def _profile_sliced(A: PointSet, ks: range) -> list[FaceDistribution]:
         lone[at] += len(fibres) - len(shared)
         if not shared:
             return
-        whole = list(map(int.bit_count, shared))
         if depth >= top:
+            whole = list(map(int.bit_count, shared))
             tallies[depth].update(whole)
         if depth + 1 < bottom:
             for j in range(start, min(n, n + depth + 1 - top)):
                 for v in slices[j]:
                     put(at + n + 2 + j - start, [t for s in shared if (t := s & v)])
         elif depth < bottom:  # the children are the deepest level
+            if depth < top:
+                whole = list(map(int.bit_count, shared))
             level = []
             for j in range(start, n):
                 *head, _ = slices[j]
