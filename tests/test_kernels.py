@@ -605,6 +605,13 @@ def dense_cases(draw):
     return PointSet.from_coords(CubeParams(q, n), rows), ks
 
 
+# The walk at the smallest budget, where every buffer is split as soon as it
+# is filled; at one where buffers of a few fibres are split in mid-walk; and
+# at one that holds every buffer until the end, where they are split
+# shallowest first.
+WALK_BUDGETS = (0, 8 << 10, 1 << 40)
+
+
 @given(dense_cases())
 @example((PointSet(CubeParams(2, 0), ()), range(1)))
 @example((pointset(2, [()]), range(1)))
@@ -614,13 +621,18 @@ def dense_cases(draw):
 @example((full_cube(3, 4), range(5)))
 @example((full_cube(5, 3), range(2, 4)))
 @example((full_cube(4, 3), range(3, 4)))
+@example((random_set(5, 4, 40, 6), range(2, 4)))
+@example((random_set(2, 8, 40, 7), range(3, 6)))
 @kernel_settings
 def test_dense_route_matches_counter_route_walk_and_bruteforce(case):
     # Called directly: the cost estimate may pick another route. q = 3 and 5
-    # leave block codes unused, whose cells stay empty.
+    # leave block codes unused, whose cells stay empty. The walk runs at each
+    # of WALK_BUDGETS.
     A, ks = case
     dense = _profile_dense(A, ks)
-    assert dense == _profile_sliced(A, ks)
+    for budget in WALK_BUDGETS:
+        with mock.patch.object(qcube.faces, "WALK_BUDGET", budget):
+            assert _profile_sliced(A, ks) == dense, budget
     for k, dist in zip(ks, dense):
         assert dist == _distribution_counted(A, k)
         if total_faces(A.params, k) * max(len(A), 1) <= 200_000:
@@ -639,35 +651,6 @@ def test_dense_route_matches_evenweight_closed_form():
     dense = _profile_dense(A, range(13))
     assert dense[1:] == [evenweight_distribution_closed(12, k) for k in range(1, 13)]
     assert dense[0] == _distribution_counted(A, 0)
-
-
-# The walk at the smallest budget, where every buffer is split as soon as it
-# is filled; at one where buffers of a few fibres are split in mid-walk; and
-# at one that holds every buffer until the end, where they are split
-# shallowest first.
-WALK_BUDGETS = (0, 8 << 10, 1 << 40)
-
-
-@given(dense_cases())
-@example((PointSet(CubeParams(2, 0), ()), range(1)))
-@example((pointset(2, [()]), range(1)))
-@example((PointSet(CubeParams(5, 3), ()), range(1, 3)))
-@example((pointset(3, [(1, 2, 0)]), range(4)))
-@example((full_cube(2, 5), range(6)))
-@example((full_cube(3, 3), range(1, 3)))
-@example((random_set(5, 4, 40, 6), range(2, 4)))
-@example((random_set(2, 8, 40, 7), range(3, 6)))
-@kernel_settings
-def test_walk_matches_every_route_at_every_budget(case):
-    A, ks = case
-    want = [_distribution_counted(A, k) for k in ks]
-    assert _profile_dense(A, ks) == want
-    for budget in WALK_BUDGETS:
-        with mock.patch.object(qcube.faces, "WALK_BUDGET", budget):
-            assert _profile_sliced(A, ks) == want, budget
-    for k, dist in zip(ks, want):
-        if total_faces(A.params, k) * max(len(A), 1) <= 200_000:
-            assert dist == distribution_bruteforce(A, k)
 
 
 def test_walk_holds_little_on_the_sweep_sets():
