@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import Any, Optional, Sequence, TextIO
+from typing import Any, Iterator, Optional, Sequence, TextIO
 
 from . import faces, families, identities, sweep
 from .core import (
@@ -29,7 +30,8 @@ from .core import (
     decimal,
     int_fields,
     parse_pointset,
-    serialize_pointset,
+    read_pieces,
+    serialized_blocks,
 )
 
 # The package's `rank` attribute is the function rank(); this is its module.
@@ -108,19 +110,36 @@ def _infer_n(text: str, q: int) -> Optional[int]:
         size *= 4
 
 
+def _head_n(pieces: Iterator[str], q: int) -> tuple[int, Iterator[str]]:
+    """_infer_n of the first piece that has a data line, and the pieces
+    again, from the first. Each piece read ahead is let go once it is
+    parsed: an exhausted list iterator drops its list."""
+    head = []
+    for piece in pieces:
+        head.append(piece)
+        n = _infer_n(piece, q)
+        if n is not None:
+            return n, chain(iter(head), pieces)
+    raise CubeError("empty input; pass --n to fix the dimension")
+
+
 def _guard(args: argparse.Namespace) -> int:
     return args.guard if args.guard is not None else DEFAULT_GUARD
 
 
 def _load_pointset(args: argparse.Namespace) -> PointSet:
-    text = _read_text(args.input)
-    n = args.n
-    if n is None:
-        n = _infer_n(text, args.q)
+    pieces = read_pieces(sys.stdin if args.input == "-" else Path(args.input))
+    try:
+        n = args.n
         if n is None:
-            raise CubeError("empty input; pass --n to fix the dimension")
-    params = CubeParams(args.q, n)
-    A, dropped = parse_pointset(text, params)
+            n, pieces = _head_n(pieces, args.q)
+        params = CubeParams(args.q, n)
+    except CubeError:
+        # An error in reading the input comes first, as when it was read whole.
+        for _ in pieces:
+            pass
+        raise
+    A, dropped = parse_pointset(pieces, params)
     if dropped:
         print(f"note: dropped {dropped} duplicate vector(s)", file=sys.stderr)
     return A
@@ -249,19 +268,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
                 raise CubeError(
                     f"--fixed needs {len(positions)} values, got {len(values)}"
                 )
-            spec = families.face_spec(params, args.nu, free, tuple(zip(positions, values)))
+            spec = families.FamilySpec("face", spec.free_positions, tuple(zip(positions, values)))
     elif args.family == "random" and args.m is None:
         raise CubeError("random family needs --m")
     else:
         spec = families.FamilySpec(args.family.replace("-", "_"), m=args.m, seed=args.seed)
     A = families.realize_family(params, spec, _guard(args))
-    text = serialize_pointset(A)
-    if text:
-        text += "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        with Path(args.output).open("w") as out:
+            out.writelines(serialized_blocks(A))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(serialized_blocks(A))
     return EXIT_OK
 
 

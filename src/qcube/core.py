@@ -28,14 +28,17 @@ counts as their popcounts.
 
 from __future__ import annotations
 
+import codecs
+import io
 import math
 import sys
 from collections import Counter
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 from itertools import chain, compress, product, repeat
 from operator import attrgetter, eq, itemgetter, lt, mul, ne
+from os import PathLike
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, TextIO
 
 
 class CubeError(ValueError):
@@ -301,10 +304,7 @@ class PointSet(_Record):
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The packed ints decoded into coordinate tuples, canonical order;
         built on first use."""
-        w, n = _block_width(self.params), self.params.n
-        block = (1 << w) - 1
-        shifts = [w * (n - 1 - j) for j in range(n)]
-        return tuple([tuple([x >> s & block for s in shifts]) for x in self.packed])
+        return _decoded_rows(self.params, self.packed)
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -325,6 +325,14 @@ class PointSet(_Record):
         use. An equal set built apart keeps its own, and the results go when
         the set does."""
         return {}
+
+
+def _decoded_rows(params: CubeParams, packed: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Packed ints decoded into coordinate tuples, in the given order."""
+    w, n = _block_width(params), params.n
+    block = (1 << w) - 1
+    shifts = [w * (n - 1 - j) for j in range(n)]
+    return tuple([tuple([x >> s & block for s in shifts]) for x in packed])
 
 
 def per_set(fn: Callable[..., Any]) -> Callable[..., Any]:
@@ -589,79 +597,165 @@ def _digit_blocks(params: CubeParams) -> dict[int, str]:
     return str.maketrans({d: f"{int(d):0{w}b}" for d in _DIGITS[: params.q]})
 
 
-def parse_pointset(text: str, params: CubeParams) -> tuple[PointSet, int]:
-    """Parse the one-vector-per-line text format.
+def parse_pointset(text: str | Iterable[str], params: CubeParams) -> tuple[PointSet, int]:
+    """Parse the one-vector-per-line text format, given whole or as pieces
+    that each end just after a line break, the last aside (read_pieces).
 
     For q <= 10 a line may be a compact digit string ("01021"); comma-separated
     coordinates ("0,1,0,2,1") are accepted for any q and are mandatory for
     q > 10; coordinates are ASCII digits. Blank lines and lines starting with
     '#' are ignored. Duplicate vectors are dropped, not rejected.
 
-    For q <= 10 the text is tried first as compact lines, checked and packed
-    in C-level passes a chunk of text at a time (_parse_compact). If a line
-    fails, or has a comma, the whole text is parsed a line at a time
-    (_parse_each_line), which checks each line once, packs it straight into
-    PointSet.packed, and names the first bad line; it is also the only
-    parser for q > 10.
+    A whole text is cut into pieces of about _PARSE_CHUNK characters
+    (_pieces). For q <= 10 each piece is tried first as compact lines,
+    checked and packed in C-level passes (_pack_compact). From the first
+    piece with a line that fails, or has a comma, on, pieces are parsed a
+    line at a time (_pack_lines), which checks each line once and names the
+    first bad line by its number in the whole text; that is also the only
+    parser for q > 10. The ints go to one list, so the parse holds the
+    finished set's ints and one piece's lines, never the whole text.
+
+    When a line is refused, the remaining pieces are read first, so that an
+    error in reading them (a byte the decoding refuses) is raised instead,
+    as when the whole text was read before it was parsed.
 
     Returns (pointset, number_of_duplicates_dropped). Errors carry the 1-based
     line number.
     """
-    if params.q <= 10:
-        parsed = _parse_compact(text, params)
-        if parsed is not None:
-            return parsed
-    return _parse_each_line(text, params)
+    if isinstance(text, str):
+        pieces = _pieces(text[i : i + _PARSE_CHUNK] for i in range(0, len(text), _PARSE_CHUNK))
+    else:
+        pieces = iter(text)
+    try:
+        packed = _packed(pieces, params)
+    except ParseError:
+        for _ in pieces:
+            pass
+        raise
+    A = PointSet._from_packed(params, packed)
+    return A, len(packed) - len(A)
+
+
+def _packed(pieces: Iterator[str], params: CubeParams) -> list[int]:
+    """The packed int of each line of the pieces that is neither blank nor a
+    comment, as parse_pointset reads them; no piece is held on return."""
+    bits = _digit_blocks(params)
+    packed: list[int] = []
+    compact = params.q <= 10
+    line_no = 0  # lines before the piece
+    for lines in map(str.splitlines, pieces):
+        compact = compact and _pack_compact(lines, params, bits, packed)
+        if not compact:
+            _pack_lines(lines, params, line_no + 1, bits, packed)
+        line_no += len(lines)
+    return packed
 
 
 _PARSE_CHUNK = 1 << 16
 
 
-def _parse_compact(text: str, params: CubeParams) -> Optional[tuple[PointSet, int]]:
-    """parse_pointset of a text whose lines, blank and comment lines aside,
-    are all compact, for q <= 10; None if any line is not.
+def _pieces(chunks: Iterable[str]) -> Iterator[str]:
+    """The text of the chunks again, in pieces that each end just after a
+    "\n", the last aside: what follows a chunk's last "\n" is carried into
+    the next piece. So no line, and no "\r\n", is cut, and the pieces' lines
+    are the text's lines."""
+    held: list[str] = []
+    for chunk in chunks:
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            held.append(chunk[:cut])
+            yield "".join(held)
+            held = []
+        held.append(chunk[cut:])
+    tail = "".join(held)
+    if tail:
+        yield tail
 
-    The text is split a chunk at a time: a slice of about _PARSE_CHUNK
-    characters that ends just after a newline, so that no line, and no
-    "\r\n", is cut. Each chunk's stripped lines are checked in C-level
-    passes, each over all of them: each is n characters, all ASCII digits.
-    They are then packed by int(..., 2), of the line itself for q = 2 and
-    of its _digit_blocks translation otherwise, which also checks that every
-    digit is below q: a digit of q or more is left as itself, which base 2
-    refuses. The ints go to one list, so the parse holds the finished set's
-    ints and one chunk's lines, never a list of every line."""
-    n, q = params.n, params.q
-    blocks = _digit_blocks(params) if q > 2 else None
-    packed: list[int] = []
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _PARSE_CHUNK) + 1 or len(text)
-        lines = [line for line in map(str.strip, text[start:end].splitlines()) if line and line[0] != "#"]
-        start = end
-        if lines and not (
-            set(map(len, lines)) == {n} and all(map(str.isascii, lines)) and all(map(str.isdigit, lines))
-        ):
-            return None
-        digits = lines if blocks is None else map(str.translate, lines, repeat(blocks))
+
+def read_pieces(source: TextIO | PathLike[str]) -> Iterator[str]:
+    """The text of an open text stream, or of the file at a path, which is
+    opened as Path.read_text opens it, in pieces for parse_pointset. About
+    _PARSE_CHUNK bytes are read at a time, and cut into pieces by _pieces.
+
+    The bytes below the stream are decoded with its encoding and errors, as
+    its read() decodes them, and "\r\n" and "\r" become "\n", as they do in
+    Path.read_text. A byte the decoding refuses is named by its position in
+    the whole input, as decoding it at once names it. A stream with no bytes
+    below it, such as io.StringIO, is read as text."""
+    if not isinstance(source, io.TextIOBase):
+        with open(source) as stream:
+            yield from read_pieces(stream)
+        return
+    raw = getattr(source, "buffer", None)
+    if raw is None:
+        yield from _pieces(iter(partial(source.read, _PARSE_CHUNK), ""))
+    else:
+        yield from _pieces(_reads(raw, source.encoding, source.errors))
+
+
+def _reads(raw: BinaryIO, encoding: str, errors: str) -> Iterator[str]:
+    """Each read of _PARSE_CHUNK bytes, decoded, the empty read at the end
+    of the input last and final."""
+    decoder = codecs.getincrementaldecoder(encoding)(errors)
+    decode = io.IncrementalNewlineDecoder(decoder, True).decode
+    done = 0  # bytes read before data
+    while True:
+        data = raw.read(_PARSE_CHUNK)
         try:
-            packed += map(int, digits, repeat(2))
-        except ValueError:  # a digit of q or more
-            return None
-    A = PointSet._from_packed(params, packed)
-    return A, len(packed) - len(A)
+            text = decode(data, not data)
+        except UnicodeDecodeError as exc:
+            # exc counts from the decoder's held bytes; the zeros put the
+            # refused bytes at their place in the whole input for str(exc).
+            skip = done - len(decoder.getstate()[0])
+            raise UnicodeDecodeError(
+                exc.encoding, bytes(skip) + exc.object, exc.start + skip, exc.end + skip, exc.reason
+            ) from None
+        yield text
+        if not data:
+            return
+        done += len(data)
+
+
+def _pack_compact(lines: list[str], params: CubeParams, bits: dict[int, str], packed: list[int]) -> bool:
+    """Append the packed ints of a piece's lines to `packed` and return True
+    when, blank and comment lines aside, all are compact (q <= 10); return
+    False when one is not.
+
+    The stripped lines are checked in C-level passes, each over all of them:
+    each is n characters, all ASCII digits; if one is not, nothing is
+    appended. They are then packed by int(..., 2), of the line itself for
+    q = 2 and of its _digit_blocks translation otherwise, which also checks
+    that every digit is below q: a digit of q or more is left as itself,
+    which base 2 refuses. Then some of the piece's ints may have been
+    appended, but the per-line parser refuses that digit's line, so the
+    parse fails and they are never used."""
+    lines = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    if lines and not (
+        set(map(len, lines)) == {params.n} and all(map(str.isascii, lines)) and all(map(str.isdigit, lines))
+    ):
+        return False
+    digits = lines if params.q == 2 else map(str.translate, lines, repeat(bits))
+    try:
+        packed += map(int, digits, repeat(2))
+    except ValueError:  # a digit of q or more
+        return False
+    return True
+
+
+def _pack_lines(lines: list[str], params: CubeParams, first: int, bits: dict[int, str], packed: list[int]) -> None:
+    """Append the packed int of each line that is neither blank nor a comment
+    to `packed`, checking it on its own; lines are numbered from `first`."""
+    for line_no, raw in enumerate(lines, first):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            packed.append(_parse_vector(line, params, line_no, bits))
 
 
 def _parse_each_line(text: str, params: CubeParams) -> tuple[PointSet, int]:
-    """parse_pointset a line at a time: the parser for q > 10 and for comma
-    lines, the one that names the first bad line, and the oracle of
-    _parse_compact."""
-    bits = _digit_blocks(params)
+    """parse_pointset of a whole text a line at a time: the oracle of the
+    piece by piece parse."""
     packed: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        packed.append(_parse_vector(line, params, line_no, bits))
+    _pack_lines(text.splitlines(), params, 1, _digit_blocks(params), packed)
     A = PointSet._from_packed(params, packed)
     return A, len(packed) - len(A)
 
@@ -672,26 +766,41 @@ _DIGIT_FORMATS = {1: "b", 3: "o", 4: "x"}
 _HEX_PAIRS = str.maketrans({f"{v:x}": f"{v >> 2}{v & 3}" for v in range(16)})
 
 
+# Rows per block of serialized_blocks.
+_WRITE_ROWS = 1 << 12
+
+
 def serialize_pointset(A: PointSet) -> str:
-    """Inverse of parse_pointset: one vector per line, canonical order.
+    """Inverse of parse_pointset: one vector per line, canonical order; the
+    lines of serialized_blocks(A) without the last line's "\n".
 
     parse(serialize(A)) == A for every n >= 1. The n = 0 cube has no line
     representation (the empty coordinate string is a blank line), so both the
     empty set and the singleton set serialize to "" there.
-
-    For q <= 10 the lines are written from PointSet.packed, whose w-bit
-    blocks are the digits, without decoding rows: in binary for q = 2, in
-    octal for q = 5..8 and in hex for q = 9, 10 (one digit per block), and
-    for q = 3, 4 in hex turned into digit pairs, the leading pad digit of an
-    odd n dropped. Above q = 10 the coordinates are joined by commas.
     """
+    return "".join(serialized_blocks(A))[:-1]
+
+
+def serialized_blocks(A: PointSet) -> Iterator[str]:
+    """A's lines, each followed by "\n", in blocks of _WRITE_ROWS lines,
+    each written from a slice of PointSet.packed; none for n = 0.
+
+    For q <= 10 the w-bit blocks of a packed int are its digits, so a line is
+    written without decoding the row: in binary for q = 2, in octal for
+    q = 5..8 and in hex for q = 9, 10 (one digit per block), and for q = 3, 4
+    in hex turned into digit pairs, the leading pad digit of an odd n
+    dropped. Above q = 10 a block's rows are decoded and their coordinates
+    joined by commas."""
     q, n = A.params.q, A.params.n
-    if q > 10:
-        return "\n".join(",".join(map(str, row)) for row in A.rows)
-    if not n or not A.packed:
-        return ""
+    if not n:
+        return
     w = _block_width(A.params)
-    if w != 2:
-        return "\n".join(map(format, A.packed, repeat(f"0{n}{_DIGIT_FORMATS[w]}")))
-    text = "\n".join(map(format, A.packed, repeat(f"0{(n + 1) // 2}x"))).translate(_HEX_PAIRS)
-    return ("\n" + text).replace("\n0", "\n")[1:] if n % 2 else text
+    for start in range(0, len(A.packed), _WRITE_ROWS):
+        rows = A.packed[start : start + _WRITE_ROWS]
+        if q > 10:
+            yield "".join([",".join(map(str, row)) + "\n" for row in _decoded_rows(A.params, rows)])
+        elif w != 2:
+            yield "\n".join([*map(format, rows, repeat(f"0{n}{_DIGIT_FORMATS[w]}")), ""])
+        else:
+            text = "\n".join([*map(format, rows, repeat(f"0{(n + 1) // 2}x")), ""]).translate(_HEX_PAIRS)
+            yield ("\n" + text).replace("\n0", "\n")[1:] if n % 2 else text

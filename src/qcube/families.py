@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from itertools import filterfalse, repeat
-from operator import itemgetter, lshift, mul
+from operator import itemgetter, lshift, lt, mul
 from pathlib import Path
 from struct import iter_unpack
 from typing import Any, Callable, Iterator, NamedTuple, Optional
@@ -30,7 +30,7 @@ from .core import (
     check_guard_power,
     decimal,
 )
-from .core import is_int, parse_pointset
+from .core import is_int, parse_pointset, read_pieces
 
 
 class FamilySpec(_Record):
@@ -101,13 +101,18 @@ def face_spec(
 
 
 def _face(params: CubeParams, spec: FamilySpec) -> Face:
-    """The face a face spec names, with every position and value checked."""
+    """The face a face spec names, with every position and value checked. A
+    spec as face_spec leaves it, with fixed values and with free positions in
+    increasing order, goes to Face as it is; face_spec fills in or checks any
+    other first."""
     if spec.kind != "face":
         raise CubeError(f"expected a face spec, got kind {spec.kind!r}")
-    if spec.free_positions is None:
+    free = spec.free_positions
+    if free is None:
         raise CubeError("face spec is missing its free positions")
-    filled = face_spec(params, None, spec.free_positions, spec.fixed_values)
-    return Face(params, frozenset(filled.free_positions), filled.fixed_values)
+    if spec.fixed_values is None or not all(map(lt, free, free[1:])):
+        spec = face_spec(params, None, free, spec.fixed_values)
+    return Face(params, frozenset(spec.free_positions), spec.fixed_values)
 
 
 def gen_face_subset(params: CubeParams, spec: FamilySpec) -> PointSet:
@@ -207,7 +212,7 @@ def _random_grid(fam: dict[str, Any], params: CubeParams, nus: range, seeds: tup
 def _build_file(params: CubeParams, spec: FamilySpec, guard: int) -> PointSet:
     if not isinstance(spec.path, str):
         raise CubeError("file family needs a path")
-    return parse_pointset(Path(spec.path).read_text(), params)[0]
+    return parse_pointset(read_pieces(Path(spec.path)), params)[0]
 
 
 # Each family kind. build(params, spec, guard) runs the spec's own checks, then

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -29,6 +30,9 @@ from qcube.faces import faces_containing_bruteforce, total_faces
 from qcube.families import (
     check_chu_vandermonde_generalized,
     check_vandermonde,
+    face_spec,
+    gen_even_weight,
+    gen_face_subset,
     gen_random_subset,
 )
 from qcube.identities import IdentityReport
@@ -572,6 +576,37 @@ class TestGen:
         assert code == 0
         assert json.loads(out)["rank"] == 2
 
+    def test_face_spec_runs_once(self, capsys, monkeypatch):
+        # cmd_gen builds the spec, and the builder takes it as it is.
+        specs = count_calls(monkeypatch, "qcube.families", "face_spec")
+        code, out, err = run(capsys, "gen", "--family", "face", "--n", "5", "--nu", "3")
+        assert (code, len(out.splitlines()), len(specs)) == (0, 8, 1)
+        code, out, err = run(capsys, "gen", "--family", "face", "--n", "5", "--nu", "3", "--fixed", "1,0")
+        assert (code, out.splitlines()[-1], len(specs)) == (0, "11110", 2)
+
+    # gen argv and the set it writes, built by the library's generators.
+    WRITTEN = [
+        (("face", "--q", "3", "--n", "5", "--nu", "3"), lambda p: gen_face_subset(p, face_spec(p, 3))),
+        (("face", "--q", "4", "--n", "3", "--nu", "2"), lambda p: gen_face_subset(p, face_spec(p, 2))),
+        (("face", "--q", "12", "--n", "2", "--nu", "2"), lambda p: gen_face_subset(p, face_spec(p, 2))),
+        (("face", "--q", "3", "--n", "0", "--nu", "0"), lambda p: gen_face_subset(p, face_spec(p, 0))),
+        (("even-weight", "--n", "5"), lambda p: gen_even_weight(5)),
+        (("random", "--q", "7", "--n", "3", "--m", "30", "--seed", "2"), lambda p: gen_random_subset(p, 30, 2)),
+    ]
+
+    @pytest.mark.parametrize("rows_per_block", [1, 4, 4096])
+    def test_blocks_write_the_serialized_set(self, tmp_path, capsys, monkeypatch, rows_per_block):
+        monkeypatch.setattr(qcube.core, "_WRITE_ROWS", rows_per_block)
+        for (family, *flags), build in self.WRITTEN:
+            values = dict(zip(flags[::2], flags[1::2]))
+            text = serialize_pointset(build(CubeParams(int(values.get("--q", 2)), int(values["--n"]))))
+            want = text + "\n" if text else ""
+            code, out, err = run(capsys, "gen", "--family", family, *flags)
+            assert (code, out) == (0, want), family
+            path = tmp_path / "out.txt"
+            code, out, err = run(capsys, "gen", "--family", family, *flags, "-o", str(path))
+            assert (code, out, path.read_text()) == (0, "", want), family
+
 
 class TestStdin:
     def test_rank_from_stdin(self, capsys, monkeypatch):
@@ -591,6 +626,109 @@ class TestStdin:
         proc = run_module("rank", path)
         assert proc.returncode == 0
         assert "rank: 2" in proc.stdout
+
+
+class TestPieceByPieceInput:
+    """Point input is read a piece at a time (core.read_pieces), with the
+    stdout, exit codes and messages of reading it whole."""
+
+    # 100 007 bytes, more than the first read of 65 536.
+    BIG = b"# rows\n" + b"0101\n1100\n" * 10_000
+
+    @pytest.mark.parametrize(
+        "argv", [("rank",), ("rank", "--q", "1"), ("distribution", "-k", "2", "--n", "-1")],
+        ids=["rank", "bad-q", "bad-n"],
+    )
+    @pytest.mark.parametrize("head", [b"", b"0121\n"], ids=["good-lines", "a-bad-line"])
+    def test_a_byte_refused_past_the_first_piece(self, tmp_path, capsys, monkeypatch, argv, head):
+        # The decode error comes first, as when the whole input was decoded
+        # before anything else was checked.
+        data = head + self.BIG + b"1\xff01\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text()
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", f"error: {whole.value}\n")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert run(capsys, argv[0], "-", *argv[1:]) == (2, "", f"error: {whole.value}\n")
+
+    def test_a_file_family_with_a_refused_byte(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(self.BIG + b"\xe2\x28\n")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text()
+        config = {"identities": ["bounds"], "q": [2], "n": [4, 4], "family": {"kind": "file", "path": str(path)}}
+        cfg = write(tmp_path, "cfg.json", json.dumps(config))
+        assert run(capsys, "sweep", cfg) == (2, "", f"error: {whole.value}\n")
+
+    @pytest.mark.parametrize("name", ["missing.txt", "."], ids=["missing", "directory"])
+    def test_a_path_that_cannot_be_read(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        with pytest.raises(OSError) as whole:
+            path.read_text()
+        want = (2, "", f"error: {whole.value}\n")
+        assert run(capsys, "rank", str(path)) == want
+        assert run(capsys, "rank", str(path), "--q", "1", "--n", "3") == want
+        config = {"identities": ["bounds"], "q": [2], "n": [4, 4], "family": {"kind": "file", "path": str(path)}}
+        assert run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config))) == want
+
+    def test_stdin_that_cannot_be_read(self, capsys, monkeypatch):
+        # Reads fail as they do from a directory's descriptor. (The
+        # interpreter itself refuses to start with a directory as stdin.)
+        class Directory(io.RawIOBase):
+            def readable(self):
+                return True
+
+            def readinto(self, buffer):
+                raise IsADirectoryError(21, "Is a directory")
+
+        def stdin():
+            return io.TextIOWrapper(io.BufferedReader(Directory()), encoding="utf-8")
+
+        with pytest.raises(OSError) as whole:
+            stdin().read()
+        monkeypatch.setattr(sys, "stdin", stdin())
+        assert run(capsys, "rank", "-") == (2, "", f"error: {whole.value}\n")
+
+    @pytest.mark.parametrize("q", [2, 3, 10, 12])
+    def test_stdin_and_a_file_give_the_same_stdout(self, tmp_path, capsys, monkeypatch, q):
+        A = gen_random_subset(CubeParams(q, 6), 40, q)
+        lines = serialize_pointset(A).splitlines()
+        text = "# a set\r\n\r\n" + "\r\n".join(lines) + "\r" + "\n".join(lines[:3])
+        path = tmp_path / "a.txt"
+        path.write_bytes(text.encode())
+        for argv in (("rank", "--json"), ("distribution", "-k", "2", "--json")):
+            argv = (*argv, "--q", str(q))
+            want = run(capsys, argv[0], str(path), *argv[1:])
+            assert want == (0, want[1], "note: dropped 3 duplicate vector(s)\n")
+            assert json.loads(want[1])["m"] == 40
+            for size in range(1, 13):
+                monkeypatch.setattr(qcube.core, "_PARSE_CHUNK", size)
+                assert run(capsys, argv[0], str(path), *argv[1:]) == want
+                monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8"))
+                assert run(capsys, argv[0], "-", *argv[1:]) == want
+            monkeypatch.undo()
+
+    def test_reading_a_file_holds_the_set_and_not_the_text(self, tmp_path):
+        # At most the finished set and a fixed allowance: the list the ints
+        # are sorted in and one piece of text. The text is 1.26 MB, and
+        # 7.32 MB with a comment line before each row.
+        rows = random.Random(20).sample(range(1 << 20), 60_000)
+        for pad in ("", "# " + "x" * 98 + "\n"):
+            path = tmp_path / "big.txt"
+            path.write_text("# 60 000 rows\n" + "".join(f"{pad}{x:020b}\n" for x in rows))
+            args = qcube.cli.build_parser().parse_args(["rank", str(path)])
+            tracemalloc.start()
+            try:
+                A = qcube.cli._load_pointset(args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(A) == 60_000
+            held = sys.getsizeof(A.packed) + sum(map(sys.getsizeof, A.packed))
+            assert peak <= held + (1 << 20)
 
 
 def infer_n_by_splitting_all(text, q):

@@ -1,3 +1,4 @@
+import io
 import random
 import sys
 import time
@@ -20,7 +21,6 @@ from qcube.core import (
     Point,
     PointSet,
     SizeGuardError,
-    _parse_compact,
     _parse_each_line,
     _power_bit_length,
     binom,
@@ -29,7 +29,9 @@ from qcube.core import (
     decimal,
     hamming,
     parse_pointset,
+    read_pieces,
     serialize_pointset,
+    serialized_blocks,
 )
 from qcube.faces import (
     FaceDistribution,
@@ -246,6 +248,25 @@ def test_serialize_from_packed_matches_rows(case):
     if params.q <= 10:
         assert "rows" not in vars(A)  # written from the packed ints alone
     assert text == serialize_rows(A)
+
+
+@given(cube_sets(), st.integers(1, 5))
+@example((CubeParams(2, 3), []), 1)
+@example((CubeParams(3, 0), [()]), 1)
+@example((CubeParams(3, 5), [(2, 1, 0, 2, 1), (0, 0, 0, 0, 1), (1, 2, 2, 2, 0)]), 2)
+@example((CubeParams(4, 3), [(3, 0, 1), (0, 0, 0), (1, 3, 2)]), 2)
+@example((CubeParams(13, 3), [(12, 0, 1), (0, 10, 0), (1, 3, 2)]), 2)
+@settings(max_examples=300, deadline=None)
+def test_blocks_are_the_serialized_lines(case, rows_per_block):
+    # What gen writes: each line and its "\n", a block of rows at a time.
+    params, rows = case
+    A = PointSet(params, rows)
+    with mock.patch.object(qcube.core, "_WRITE_ROWS", rows_per_block):
+        blocks = list(serialized_blocks(A))
+    assert [block.count("\n") for block in blocks[:-1]] == [rows_per_block] * (len(blocks) - 1)
+    text = serialize_pointset(A)
+    assert "".join(blocks) == (text + "\n" if text else "")
+    assert "".join(blocks) == "".join(line + "\n" for line in serialize_rows(A).splitlines())
 
 
 # Coordinates a caller might pass, valid for q = 3 or not: bools equal 0 and 1,
@@ -597,6 +618,32 @@ def parse_outcome(parse, text, params):
         return str(exc), exc.line
 
 
+def readings(text):
+    """What parse_pointset may be given for a text: the text itself, and
+    read_pieces of a text stream and of a stream of the text's UTF-8 bytes."""
+    stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    return [text, read_pieces(io.StringIO(text)), read_pieces(stream)]
+
+
+def each_reading(text, params):
+    """parse_outcome of each reading of the text, with pieces or reads of
+    1 to 12 characters or bytes."""
+    outcomes = []
+    for size in range(1, 13):
+        with mock.patch.object(qcube.core, "_PARSE_CHUNK", size):
+            outcomes += [parse_outcome(parse_pointset, source, params) for source in readings(text)]
+    return outcomes
+
+
+def parse_compact(text, params):
+    """parse_pointset(text, params) when every piece passes the compact
+    checks, None when a piece is left to the per-line parser."""
+    per_line = []
+    with mock.patch.object(qcube.core, "_pack_lines", lambda *args: per_line.append(args)):
+        result = parse_pointset(text, params)
+    return None if per_line else result
+
+
 @given(mixed_texts())
 @example((CubeParams(3, 2), "01\n # c\n\n 21\r\n01"))
 @example((CubeParams(3, 2), "01\n13"))
@@ -611,14 +658,19 @@ def test_whole_text_parse_matches_the_per_line_loop(case):
 @given(mixed_texts(), st.integers(1, 12))
 @settings(max_examples=300, deadline=None)
 def test_chunked_parse_matches_the_per_line_loop(case, chunk):
+    # Whole, and read from a text stream and from a byte stream, whose
+    # reads may cut a "\r\n" or a character's UTF-8 bytes.
     params, text = case
+    oracle = parse_outcome(_parse_each_line, text, params)
     with mock.patch.object(qcube.core, "_PARSE_CHUNK", chunk):
-        assert parse_outcome(parse_pointset, text, params) == parse_outcome(_parse_each_line, text, params)
+        for source in readings(text):
+            assert parse_outcome(parse_pointset, source, params) == oracle
 
 
 class TestChunkBoundaries:
-    """_parse_compact with chunks of a few characters, so that every kind of
-    line meets a chunk's end."""
+    """The parse with pieces of a few characters, and the reader with reads
+    of 1 to 12 characters or bytes (each_reading), so that every kind of line
+    meets the end of a piece and of a read."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -628,47 +680,92 @@ class TestChunkBoundaries:
     def test_line_ends_and_comments_on_a_boundary(self, sep):
         params = CubeParams(3, 2)
         text = sep.join(["01", "# a comment", "21", "", "# 0,1", "12", "01"]) + sep
-        assert _parse_compact(text, params) == (PointSet(params, [(0, 1), (2, 1), (1, 2)]), 1)
+        A = PointSet(params, [(0, 1), (2, 1), (1, 2)])
+        assert parse_compact(text, params) == (A, 1)
         assert parse_pointset(text, params) == _parse_each_line(text, params)
+        assert set(each_reading(text, params)) == {(A, 1)}
 
     def test_duplicates_across_chunks_are_counted(self):
         params = CubeParams(2, 4)
         text = "\n".join(["0110", "1001", "0110", "1111", "1001", "0110"])
-        assert _parse_compact(text, params) == (PointSet(params, [(0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)]), 3)
+        A = PointSet(params, [(0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)])
+        assert parse_compact(text, params) == (A, 3)
+        assert set(each_reading(text, params)) == {(A, 3)}
 
     def test_a_bad_digit_in_the_last_chunk_names_its_line(self):
         params = CubeParams(3, 3)
         text = "012\n" * 5 + "# c\n\n013\n"
-        assert _parse_compact(text, params) is None
+        assert parse_compact(text, params) is None
         with pytest.raises(ParseError, match=r"^line 8: coordinate 3 out of range for q=3$"):
             parse_pointset(text, params)
+        assert set(each_reading(text, params)) == {("line 8: coordinate 3 out of range for q=3", 8)}
 
     def test_a_comma_line_after_compact_chunks(self):
         params = CubeParams(3, 3)
         text = "012\n210\n111\n0,2,2\n"
-        assert _parse_compact(text, params) is None
-        assert parse_pointset(text, params) == (PointSet(params, [(0, 1, 2), (2, 1, 0), (1, 1, 1), (0, 2, 2)]), 0)
+        assert parse_compact(text, params) is None
+        A = PointSet(params, [(0, 1, 2), (2, 1, 0), (1, 1, 1), (0, 2, 2)])
+        assert parse_pointset(text, params) == (A, 0)
+        assert set(each_reading(text, params)) == {(A, 0)}
+
+    @pytest.mark.parametrize("q", [2, 3, 10, 12])
+    def test_a_written_set_reads_back(self, q):
+        params = CubeParams(q, 3)
+        rng = random.Random(q)
+        A = PointSet(params, [[rng.randrange(q) for _ in range(3)] for _ in range(12)])
+        lines = serialize_pointset(A).splitlines()
+        text = "# a set\r\n" + "\r\n".join(lines[:5]) + "\r\n\r\n" + "\r".join(lines[3:]) + "\r"
+        assert set(each_reading(text, params)) == {(A, 2)}
+
+
+class TestReadPieces:
+    """read_pieces of a byte stream, with reads of 1 to 12 bytes."""
+
+    @staticmethod
+    def stream(data):
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+    @pytest.mark.parametrize("data", [b"01\r10\r\n11\n\r\n\r", "\u0663\r\n01\x85\r\u2028\r1".encode()])
+    def test_pieces_are_the_text_as_read_whole(self, data):
+        # Universal newlines, as Path.read_text reads a file: "\r\n" and
+        # "\r" become "\n", so a file with "\r" line ends is cut too.
+        for size in range(1, 13):
+            with mock.patch.object(qcube.core, "_PARSE_CHUNK", size):
+                pieces = list(read_pieces(self.stream(data)))
+            assert "".join(pieces) == self.stream(data).read()
+            assert all(piece.endswith("\n") for piece in pieces[:-1])
+
+    @pytest.mark.parametrize("data", [b"01\n10\n\xff1\n", b"01\n1\xe2\x28\n", b"01\n\xf0\x9f\x98", b"0\xe2\x82\xac\n\xc3"])
+    def test_a_refused_byte_is_named_at_its_place_in_the_input(self, data):
+        # Also when its sequence began in an earlier read.
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        for size in range(1, 13):
+            with mock.patch.object(qcube.core, "_PARSE_CHUNK", size):
+                with pytest.raises(UnicodeDecodeError) as got:
+                    list(read_pieces(self.stream(data)))
+            assert str(got.value) == str(whole.value)
 
 
 class TestWholeTextParse:
     def test_compact_texts_take_it(self):
         params = CubeParams(3, 3)
         A = PointSet(params, [(0, 1, 2), (2, 1, 0)])
-        assert _parse_compact("# c\n012\n 210 \n\n012\n", params) == (A, 1)
-        assert _parse_compact("", params) == (PointSet(params, []), 0)
+        assert parse_compact("# c\n012\n 210 \n\n012\n", params) == (A, 1)
+        assert parse_compact("", params) == (PointSet(params, []), 0)
         q2 = CubeParams(2, 4)
-        assert _parse_compact("0110\n1001", q2) == (PointSet(q2, [(0, 1, 1, 0), (1, 0, 0, 1)]), 0)
+        assert parse_compact("0110\n1001", q2) == (PointSet(q2, [(0, 1, 1, 0), (1, 0, 0, 1)]), 0)
 
     @pytest.mark.parametrize("text", ["012\n0,1,2", "012\n013", "012\n01", "012\n0\u06632", "012\n+12", "012\n1_2"])
     def test_other_texts_go_line_by_line(self, text):
-        assert _parse_compact(text, CubeParams(3, 3)) is None
+        assert parse_compact(text, CubeParams(3, 3)) is None
 
     def test_holds_no_more_than_the_per_line_loop(self):
         rng = random.Random(20)
         rows = rng.sample(range(1 << 20), 60_000)
         text = "# 60 000 rows\n" + "\n".join(format(x, "020b") for x in rows) + "\n"
         params = CubeParams(2, 20)
-        assert _parse_compact(text, params) is not None
+        assert parse_compact(text, params) is not None
         peaks, results = [], []
         for parse in (_parse_each_line, parse_pointset):
             tracemalloc.start()
