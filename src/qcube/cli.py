@@ -6,6 +6,10 @@ they run, so a process executes only the modules its command uses (see the
 package docstring) and a wrapper installed on a module attribute sees every
 call. The sweep itself lives in qcube.sweep.
 
+Input, a point file or a sweep config, is the file at a path, or stdin for
+"-" (input_pieces), read a piece at a time by core.read_pieces; the point
+text format, and n when --n is omitted, are core.parse_pointset's alone.
+
 Exit codes: 0 success (and identity equality), 1 identity inequality,
 2 input/usage error, 3 resource-guard refusal.
 """
@@ -15,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence, TextIO
 
@@ -82,45 +85,14 @@ def _csv_ints(text: str, option: str) -> tuple[int, ...]:
     return tuple(int_fields(text.split(","), what=f"{option} field"))
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
-
-
-def _infer_n(text: str, q: int) -> Optional[int]:
-    """The number of coordinates on the first line that is neither blank nor
-    a comment, or None if there is none. Lines are split as str.splitlines
-    splits them, as the parser does, but only a head of the text is split:
-    its lines before the last are whole lines of the text, and the head grows
-    fourfold until it holds a data line or is the whole text."""
-    size = 4096
-    while True:
-        whole = size >= len(text)
-        lines = text[:size].splitlines()
-        for raw in lines if whole else lines[:-1]:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "," in line or q > 10:
-                return len(line.split(","))
-            return len(line)
-        if whole:
-            return None
-        size *= 4
-
-
-def _head_n(pieces: Iterator[str], q: int) -> tuple[int, Iterator[str]]:
-    """_infer_n of the first piece that has a data line, and the pieces
-    again, from the first. Each piece read ahead is let go once it is
-    parsed: an exhausted list iterator drops its list."""
-    head = []
-    for piece in pieces:
-        head.append(piece)
-        n = _infer_n(piece, q)
-        if n is not None:
-            return n, chain(iter(head), pieces)
-    raise CubeError("empty input; pass --n to fix the dimension")
+def input_pieces(path: str) -> Iterator[str]:
+    """The text of the file at path, or of stdin for "-", in pieces
+    (core.read_pieces)."""
+    if path != "-":
+        return read_pieces(Path(path))
+    if sys.stdin is None:
+        raise CubeError("stdin is closed")
+    return read_pieces(sys.stdin)
 
 
 def _guard(args: argparse.Namespace) -> int:
@@ -128,18 +100,7 @@ def _guard(args: argparse.Namespace) -> int:
 
 
 def _load_pointset(args: argparse.Namespace) -> PointSet:
-    pieces = read_pieces(sys.stdin if args.input == "-" else Path(args.input))
-    try:
-        n = args.n
-        if n is None:
-            n, pieces = _head_n(pieces, args.q)
-        params = CubeParams(args.q, n)
-    except CubeError:
-        # An error in reading the input comes first, as when it was read whole.
-        for _ in pieces:
-            pass
-        raise
-    A, dropped = parse_pointset(pieces, params)
+    A, dropped = parse_pointset(input_pieces(args.input), q=args.q, n=args.n)
     if dropped:
         print(f"note: dropped {dropped} duplicate vector(s)", file=sys.stderr)
     return A

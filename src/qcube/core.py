@@ -4,8 +4,9 @@ Everything here is pure and immutable: points, point sets (stored as packed
 ints, see below), and faces of the cube E_q^n (vectors of length n over
 {0, ..., q-1}), plus the binomial and Hamming primitives the rest of the
 package is built on. No floating point. The one mutable part is each point
-set's memo (PointSet.memo, filled through per_set), which keeps what is
-computed from that set object for as long as it lives.
+set's memo (PointSet.memo, filled through identities.per_set and by
+faces.profile), which keeps what is computed from that set object for as
+long as it lives.
 
 Packed layout: a point packs into one int with w = (q-1).bit_length() bits
 per coordinate, coordinate 0 in the most significant block, so packed ints
@@ -32,12 +33,10 @@ import codecs
 import io
 import math
 import sys
-from collections import Counter
-from functools import cached_property, partial, wraps
+from functools import cached_property, partial
 from itertools import chain, compress, product, repeat
 from operator import attrgetter, eq, itemgetter, lt, mul, ne
 from os import PathLike
-from types import SimpleNamespace
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, TextIO
 
 
@@ -67,11 +66,6 @@ DEFAULT_GUARD = 10_000_000
 # histogram's sliced route and the face distribution's dense fold route are
 # picked only when their bound on what they hold is within it.
 KERNEL_MEMORY_CAP = 16 << 20
-
-# Kernels that tally many small ints (the triple ranks' distance sums) collect
-# them in a list and count it with one Counter.update once it holds this many,
-# so the list stays small.
-TALLY_BATCH = 1 << 10
 
 
 def check_guard(ops: int, guard: int = DEFAULT_GUARD) -> None:
@@ -335,27 +329,6 @@ def _decoded_rows(params: CubeParams, packed: Iterable[int]) -> tuple[tuple[int,
     return tuple([tuple([x >> s & block for s in shifts]) for x in packed])
 
 
-def per_set(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """fn(A, *key) computed once per point set object and key, and kept in
-    A.memo. A hit checks no guard, so each caller checks every guard fn's
-    work would check before the lookup. cache_info() and cache_clear() are
-    named as functools names them: they read and reset fn's lookup counts."""
-    lookups: Counter[bool] = Counter()  # hit -> lookups
-
-    @wraps(fn)
-    def cached(A: PointSet, *key: Any) -> Any:
-        known = A.memo
-        hit = (fn, key) in known
-        lookups[hit] += 1
-        if not hit:
-            known[fn, key] = fn(A, *key)
-        return known[fn, key]
-
-    cached.cache_info = lambda: SimpleNamespace(hits=lookups[True], misses=lookups[False])
-    cached.cache_clear = lookups.clear
-    return cached
-
-
 def _block_width(params: CubeParams) -> int:
     return (params.q - 1).bit_length()
 
@@ -563,10 +536,17 @@ def int_fields(parts: Iterable[str], q: Optional[int] = None, what: str = "field
 _DIGITS = "0123456789"
 
 
+def _coordinates(line: str, q: int) -> list[str] | str:
+    """A data line's coordinates as text: its comma-separated fields, or for
+    q <= 10 and a line with no comma, the line itself, a digit each. Their
+    number is the line's number of coordinates."""
+    return line.split(",") if "," in line or q > 10 else line
+
+
 def _parse_vector(line: str, params: CubeParams, line_no: int, bits: dict[int, str]) -> int:
     q, n = params.q, params.n
-    if "," in line or q > 10:
-        parts = line.split(",")
+    parts = _coordinates(line, q)
+    if parts is not line:
         if len(parts) != n:
             if q > 10 and "," not in line:
                 raise ParseError(
@@ -597,7 +577,9 @@ def _digit_blocks(params: CubeParams) -> dict[int, str]:
     return str.maketrans({d: f"{int(d):0{w}b}" for d in _DIGITS[: params.q]})
 
 
-def parse_pointset(text: str | Iterable[str], params: CubeParams) -> tuple[PointSet, int]:
+def parse_pointset(
+    text: str | Iterable[str], params: Optional[CubeParams] = None, *, q: int = 2, n: Optional[int] = None
+) -> tuple[PointSet, int]:
     """Parse the one-vector-per-line text format, given whole or as pieces
     that each end just after a line break, the last aside (read_pieces).
 
@@ -605,6 +587,10 @@ def parse_pointset(text: str | Iterable[str], params: CubeParams) -> tuple[Point
     coordinates ("0,1,0,2,1") are accepted for any q and are mandatory for
     q > 10; coordinates are ASCII digits. Blank lines and lines starting with
     '#' are ignored. Duplicate vectors are dropped, not rejected.
+
+    The cube is params, or else E_q^n. When n is None too, n is the number
+    of coordinates (_coordinates) of the first line that is neither blank
+    nor a comment, and input with no such line is refused.
 
     A whole text is cut into pieces of about _PARSE_CHUNK characters
     (_pieces). For q <= 10 each piece is tried first as compact lines,
@@ -615,9 +601,9 @@ def parse_pointset(text: str | Iterable[str], params: CubeParams) -> tuple[Point
     parser for q > 10. The ints go to one list, so the parse holds the
     finished set's ints and one piece's lines, never the whole text.
 
-    When a line is refused, the remaining pieces are read first, so that an
-    error in reading them (a byte the decoding refuses) is raised instead,
-    as when the whole text was read before it was parsed.
+    When a line, q or n is refused, the remaining pieces are read first, so
+    that an error in reading them (a byte the decoding refuses) is raised
+    instead, as when the whole text was read before it was parsed.
 
     Returns (pointset, number_of_duplicates_dropped). Errors carry the 1-based
     line number.
@@ -627,8 +613,10 @@ def parse_pointset(text: str | Iterable[str], params: CubeParams) -> tuple[Point
     else:
         pieces = iter(text)
     try:
-        packed = _packed(pieces, params)
-    except ParseError:
+        if params is None and n is not None:
+            params = CubeParams(q, n)
+        packed, params = _packed(pieces, params, q)
+    except CubeError:
         for _ in pieces:
             pass
         raise
@@ -636,19 +624,28 @@ def parse_pointset(text: str | Iterable[str], params: CubeParams) -> tuple[Point
     return A, len(packed) - len(A)
 
 
-def _packed(pieces: Iterator[str], params: CubeParams) -> list[int]:
+def _packed(pieces: Iterator[str], params: Optional[CubeParams], q: int) -> tuple[list[int], CubeParams]:
     """The packed int of each line of the pieces that is neither blank nor a
-    comment, as parse_pointset reads them; no piece is held on return."""
-    bits = _digit_blocks(params)
+    comment, as parse_pointset reads them, and the cube: params, or E_q^n
+    with n read from the first piece that has such a line. No piece is held
+    on return, and none after it is parsed."""
     packed: list[int] = []
-    compact = params.q <= 10
+    compact = True
     line_no = 0  # lines before the piece
     for lines in map(str.splitlines, pieces):
-        compact = compact and _pack_compact(lines, params, bits, packed)
-        if not compact:
-            _pack_lines(lines, params, line_no + 1, bits, packed)
+        if params is None:
+            first = next((line for line in map(str.strip, lines) if line and line[0] != "#"), None)
+            if first is not None:
+                params = CubeParams(q, len(_coordinates(first, q)))
+        if params is not None:
+            bits = _digit_blocks(params)
+            compact = compact and params.q <= 10 and _pack_compact(lines, params, bits, packed)
+            if not compact:
+                _pack_lines(lines, params, line_no + 1, bits, packed)
         line_no += len(lines)
-    return packed
+    if params is None:
+        raise CubeError("empty input; pass --n to fix the dimension")
+    return packed, params
 
 
 _PARSE_CHUNK = 1 << 16
@@ -749,15 +746,6 @@ def _pack_lines(lines: list[str], params: CubeParams, first: int, bits: dict[int
         line = raw.strip()
         if line and not line.startswith("#"):
             packed.append(_parse_vector(line, params, line_no, bits))
-
-
-def _parse_each_line(text: str, params: CubeParams) -> tuple[PointSet, int]:
-    """parse_pointset of a whole text a line at a time: the oracle of the
-    piece by piece parse."""
-    packed: list[int] = []
-    _pack_lines(text.splitlines(), params, 1, _digit_blocks(params), packed)
-    A = PointSet._from_packed(params, packed)
-    return A, len(packed) - len(A)
 
 
 # The format() type that writes one digit per w-bit block, by w.

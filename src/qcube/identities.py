@@ -5,7 +5,7 @@ its right side from subset ranks or pairwise distances, through code paths
 that share nothing beyond the core primitives (the right side reads
 PointSet.packed, block_fold, PointSet.slices and binom), then reports exact
 equality. Both sides keep their per-set results in the set's own memo
-(PointSet.memo, through core.per_set), which holds no logic of either side.
+(PointSet.memo, through per_set), which holds no logic of either side.
 
 The per-point functions (verify_main, corollary_s1..s3) are `qcube
 verify`'s path. The sweep's family identities are the main theorem at one s
@@ -19,15 +19,16 @@ functions are its oracle.
 from __future__ import annotations
 
 from collections import Counter
+from functools import wraps
 from itertools import accumulate, combinations, compress
 from math import comb
 from operator import add, and_, lshift
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .core import (
     DEFAULT_GUARD,
     KERNEL_MEMORY_CAP,
-    TALLY_BATCH,
     ConsistencyError,
     CubeError,
     CubeParams,
@@ -38,12 +39,32 @@ from .core import (
     block_fold,
     check_guard,
     check_guard_power,
-    per_set,
 )
 from .faces import _require_nonempty, distribution, profile
 from .rank import distance_sum, rank, rank_rows
 
 Terms = tuple[tuple[str, int], ...]
+
+
+def per_set(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """fn(A, *key) computed once per point set object and key, and kept in
+    A.memo. A hit checks no guard, so each caller checks every guard fn's
+    work would check before the lookup. cache_info() and cache_clear() are
+    named as functools names them: they read and reset fn's lookup counts."""
+    lookups: Counter[bool] = Counter()  # hit -> lookups
+
+    @wraps(fn)
+    def cached(A: PointSet, *key: Any) -> Any:
+        known = A.memo
+        hit = (fn, key) in known
+        lookups[hit] += 1
+        if not hit:
+            known[fn, key] = fn(A, *key)
+        return known[fn, key]
+
+    cached.cache_info = lambda: SimpleNamespace(hits=lookups[True], misses=lookups[False])
+    cached.cache_clear = lookups.clear
+    return cached
 
 
 class IdentityReport(_Record):
@@ -463,6 +484,11 @@ def _triple_ranks(A: PointSet, guard: int) -> Iterator[tuple[tuple[int, int, int
                 f"odd distance sum {dsum} for a binary triple {(i, j, t)}"
             )
         yield (i, j, t), dsum // 2
+
+
+# The triple ranks' distance sums are collected in a list and counted with one
+# Counter.update once it holds this many, so the list stays small.
+TALLY_BATCH = 1 << 10
 
 
 @per_set

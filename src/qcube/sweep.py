@@ -1,7 +1,8 @@
 """Deterministic JSON-lines parameter sweeps: the config, the registry of
 sweep identities, and the lines of their rows.
 
-`load_sweep_config` reads a config, `_sweep_rows` evaluates its grid one
+`load_sweep_config` reads a config (a file, or stdin for "-", read as point
+files are read: cli.input_pieces), `_sweep_rows` evaluates its grid one
 (q, n) cell at a time, and `qcube.cli.run_sweep` writes the rows and the
 summary. Only `qcube sweep` uses this module, so other commands never run it.
 It reaches identities and rank through their modules when a row needs them,
@@ -35,7 +36,7 @@ from functools import lru_cache
 from typing import Any, Callable, Iterator, Optional
 
 from . import identities  # a module handle: a closed-form sweep never executes it
-from .cli import _read_text, json_line
+from .cli import input_pieces, json_line
 from .core import (
     CubeError,
     CubeParams,
@@ -132,7 +133,11 @@ def _json_int(digits: str) -> Any:
 
 
 def load_sweep_config(path: str) -> SweepConfig:
-    raw = json.loads(_read_text(path), parse_int=_json_int)
+    """The config in the file at path, or on stdin for "-"."""
+    try:
+        raw = json.loads("".join(input_pieces(path)), parse_int=_json_int)
+    except RecursionError:
+        raise CubeError("sweep config: JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise CubeError("sweep config must be a JSON object")
     identities = raw.get("identities")

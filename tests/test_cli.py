@@ -25,7 +25,7 @@ import qcube.families
 import qcube.identities
 import qcube.sweep
 from qcube.cli import main
-from qcube.core import CubeParams, SizeGuardError, decimal, parse_pointset, serialize_pointset
+from qcube.core import CubeError, CubeParams, SizeGuardError, decimal, parse_pointset, serialize_pointset
 from qcube.faces import faces_containing_bruteforce, total_faces
 from qcube.families import (
     check_chu_vandermonde_generalized,
@@ -53,15 +53,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
+def run_module(*argv, **options):
     """Run `python -m qcube` in a child that imports this same qcube,
-    whether or not PYTHONPATH is set."""
+    whether or not PYTHONPATH is set; options go to subprocess.run."""
     src = str(Path(qcube.cli.__file__).parents[1])
     return subprocess.run(
         [sys.executable, "-m", "qcube", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
+        **options,
     )
 
 
@@ -627,6 +628,15 @@ class TestStdin:
         assert proc.returncode == 0
         assert "rank: 2" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "argv", [("rank", "-"), ("distribution", "-", "-k", "1"), ("sweep", "-")], ids=lambda argv: argv[0]
+    )
+    def test_closed_stdin(self, argv):
+        # The child starts with descriptor 0 closed, as `qcube rank - <&-`
+        # starts, so its sys.stdin is None.
+        proc = run_module(*argv, preexec_fn=lambda: os.closerange(0, 1))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: stdin is closed\n")
+
 
 class TestPieceByPieceInput:
     """Point input is read a piece at a time (core.read_pieces), with the
@@ -749,7 +759,26 @@ LINE_PIECES = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "
                " ", "\t", "\x1f", "\xa0", "#", "# c", ",", "0", "01", "012", "1,2", "9" * 50, "\u0663"]
 
 
+def parse_outcome(text, q, params=None):
+    try:
+        return parse_pointset(text, params, q=q)
+    except CubeError as exc:
+        return str(exc)
+
+
+def assert_infers_n(text, q):
+    """parse_pointset without n parses text as it does with the oracle's n.
+    That compares the n it infers: under any other n the first data line
+    fails its length check, which it passes under its own."""
+    n = infer_n_by_splitting_all(text, q)
+    want = "empty input; pass --n to fix the dimension" if n is None else parse_outcome(text, q, CubeParams(q, n))
+    assert parse_outcome(text, q) == want
+
+
 class TestInferN:
+    """The parser infers n from the first data line, in whatever piece it
+    lies; small pieces put it in a later one."""
+
     @given(
         head=st.lists(st.sampled_from(LINE_PIECES), max_size=40),
         filler=st.integers(0, 3),
@@ -758,26 +787,20 @@ class TestInferN:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_splitting_the_whole_text(self, head, filler, tail, q):
-        # filler pushes the first data line past the first head of 4 096
-        # characters, and past the next, with blank and comment lines.
+        # filler pushes the first data line past 4 096 characters, and past
+        # 8 192, with blank and comment lines.
         text = "".join(head) + ("\n" * 2000 + "#" * 1500 + "\r\n") * filler + "".join(tail)
-        assert qcube.cli._infer_n(text, q) == infer_n_by_splitting_all(text, q)
-
-    def test_splits_only_a_head(self):
-        text = "# points\n" + "0101\n" * 200_000
-        tracemalloc.start()
-        try:
-            assert qcube.cli._infer_n(text, 2) == 4
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 << 10
+        for size in (7, 4096, 1 << 16):
+            with mock.patch.object(qcube.core, "_PARSE_CHUNK", size):
+                assert_infers_n(text, q)
 
     @pytest.mark.parametrize("cut", range(4090, 4100))
     def test_a_head_cut_inside_a_line_or_a_crlf(self, cut):
         for line in ("0101", "\r\n0101", "\r\r\n1,2,3"):
             text = "\n" * (cut - 1) + "\r" + line
-            assert qcube.cli._infer_n(text, 2) == infer_n_by_splitting_all(text, 2)
+            for size in (1, 4096, 1 << 16):
+                with mock.patch.object(qcube.core, "_PARSE_CHUNK", size):
+                    assert_infers_n(text, 2)
 
 
 BASE_SWEEP = {
@@ -1365,6 +1388,43 @@ class TestSweep:
         cfg = write(tmp_path, "cfg.json", "{not json")
         code, out, err = run(capsys, "sweep", cfg)
         assert code == 2
+
+    def test_config_nested_too_deeply(self, tmp_path, capsys, monkeypatch):
+        # json.loads recurses once per level; the recursion limit is refused
+        # as a config error, on a file and on stdin.
+        data = "[" * 200_000
+        want = (2, "", "error: sweep config: JSON nested too deeply\n")
+        assert run(capsys, "sweep", write(tmp_path, "cfg.json", data)) == want
+        monkeypatch.setattr(sys, "stdin", io.StringIO(data))
+        assert run(capsys, "sweep", "-") == want
+
+    def test_config_from_stdin(self, tmp_path, capsys, monkeypatch):
+        config = BENCH / "sweep_closed.json"
+        path, piped = tmp_path / "file.jsonl", tmp_path / "stdin.jsonl"
+        assert run(capsys, "sweep", str(config), "--output", str(path))[0] == 0
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(config.read_bytes()), encoding="utf-8"))
+        assert run(capsys, "sweep", "-", "--output", str(piped))[0] == 0
+        assert piped.read_bytes() == path.read_bytes()
+
+    def test_config_with_a_byte_refused_past_the_first_read(self, tmp_path, capsys, monkeypatch):
+        # The config is read 64 KiB at a time; the refused byte is named at
+        # its place in the whole file, as reading it at once names it.
+        data = json.dumps(BASE_SWEEP).encode() + b" " * 70_000 + b"\xff\n"
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text()
+        assert run(capsys, "sweep", str(path)) == (2, "", f"error: {whole.value}\n")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert run(capsys, "sweep", "-") == (2, "", f"error: {whole.value}\n")
+
+    def test_missing_config(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        with pytest.raises(OSError) as whole:
+            path.read_text()
+        assert run(capsys, "sweep", str(path)) == (2, "", f"error: {whole.value}\n")
 
     @pytest.mark.parametrize(
         "patch, message",

@@ -21,7 +21,6 @@ from qcube.core import (
     Point,
     PointSet,
     SizeGuardError,
-    _parse_each_line,
     _power_bit_length,
     binom,
     check_guard,
@@ -609,6 +608,15 @@ def mixed_texts(draw):
     if lines:
         lines += draw(st.lists(st.sampled_from(lines), max_size=3))
     return CubeParams(q, n), "\n".join(draw(st.permutations(lines)))
+
+
+def _parse_each_line(text, params):
+    """parse_pointset of a whole text a line at a time: the oracle of the
+    piece by piece parse."""
+    packed = []
+    qcube.core._pack_lines(text.splitlines(), params, 1, qcube.core._digit_blocks(params), packed)
+    A = PointSet._from_packed(params, packed)
+    return A, len(packed) - len(A)
 
 
 def parse_outcome(parse, text, params):
