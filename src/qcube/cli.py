@@ -95,11 +95,20 @@ def input_pieces(path: str) -> Iterator[str]:
     return read_pieces(sys.stdin)
 
 
+def _stdout() -> TextIO:
+    """sys.stdout, which is None when descriptor 1 was closed at startup; a
+    command that writes there refuses then, before it reads or computes."""
+    if sys.stdout is None:
+        raise CubeError("stdout is closed")
+    return sys.stdout
+
+
 def _guard(args: argparse.Namespace) -> int:
     return args.guard if args.guard is not None else DEFAULT_GUARD
 
 
 def _load_pointset(args: argparse.Namespace) -> PointSet:
+    _stdout()  # each point-set command reports on stdout
     A, dropped = parse_pointset(input_pieces(args.input), q=args.q, n=args.n)
     if dropped:
         print(f"note: dropped {dropped} duplicate vector(s)", file=sys.stderr)
@@ -211,6 +220,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if not args.output:
+        _stdout()
     if args.n is None:
         raise CubeError("gen requires --n")
     params = CubeParams(args.q, args.n)
@@ -276,12 +287,12 @@ def run_sweep(cfg: sweep.SweepConfig, out: TextIO, guard: Optional[int] = None) 
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = sweep.load_sweep_config(args.config)
+    cfg = sweep.load_sweep_config(args.config)  # it may name the output
     destination = args.output or cfg.output
     if destination:
         with open(destination, "w") as handle:
             return run_sweep(cfg, handle, guard=args.guard)
-    return run_sweep(cfg, sys.stdout, guard=args.guard)
+    return run_sweep(cfg, _stdout(), guard=args.guard)
 
 
 def build_parser() -> argparse.ArgumentParser:

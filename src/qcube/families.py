@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import sys
 from itertools import filterfalse, repeat
-from operator import itemgetter, lshift, lt, mul
+from math import comb
+from operator import itemgetter, lt, mul
 from pathlib import Path
 from struct import iter_unpack
 from typing import Any, Callable, Iterator, NamedTuple, Optional
@@ -402,34 +403,31 @@ def chu_vandermonde_generalized_cell(
     params: CubeParams, nus: range, ks: range, guard: int = DEFAULT_GUARD
 ) -> Iterator[NuRow]:
     """The sides of check_chu_vandermonde_generalized at each nu in nus and
-    each k in ks, one NuRow per nu, with the sides kept apart: for each nu the
-    left sides are one product, the packed weights (q^i-1)*C(nu,i) times
-    row[n-nu]; the right sides are one sum of packed rows,
-    (q-1)^i*C(nu,i)*row[n-i] shifted by i limbs. The rows' size is checked
-    against the guard before the first is built, and before q^n is. What
-    does not depend on nu is formed once per cell: the weights q^i-1 and
-    (q-1)^i, the shifts, and the rows row[n-i] in order of i; each nu's two
-    sums then run as C-level maps over its C(nu, i), term by term."""
+    each k in ks, one NuRow per nu, with the sides kept apart: the left sides
+    are one product, the packed weights (q^i-1)*C(nu,i) times row[n-nu]; the
+    right sides are one sum of packed rows, (q-1)^i*C(nu,i)*row[n-i] shifted
+    by i limbs. Each side's i-th term without its binomial, (q^i-1)*x^i and
+    (q-1)^i*x^i*row[n-i], is formed once per cell in a term table; each nu
+    takes C(nu, i) from math.comb and dots it with both tables in C. The
+    rows' size is checked against the guard before (q+1)^n or the first row
+    is built."""
     n, q = params.n, params.q
     _check_cell_range(nus, 1, n, "nu")
     _check_cell_range(ks, 0, n, "k")
-    # Both sides are at most q^nu * C(n, k) <= q^n * 2^n at every k, since
-    # C(n-i, k-i) <= C(n, k); so is every weight and every partial sum. As
-    # q <= 2^b for b = (q-1).bit_length(), q^n * 2^n has at most bn + n + 1 bits.
+    # The estimate counts limbs of bn + n + 1 bits, b = (q-1).bit_length(), more
+    # than (q+1)^n <= 2^(bn+n) needs; it is kept so that refusals stay put.
     _check_cell_cost(n, n * (q - 1).bit_length() + n + 1, guard)
-    width = _limb_bytes(q**n << n)
+    # Each coefficient, term and partial sum of a side is at most that side at
+    # x = 1, ((q+1)^nu - 2^nu) * 2^(n-nu) <= (q+1)^n, as is each C(n, k) <= 2^n.
+    width = _limb_bytes((q + 1) ** n)
     bits = 8 * width
     rows = _pascal_rows(n, width)
     steps = range(1, max(nus, default=0) + 1)  # i, up to the largest nu
-    lhs_weights = [q**i - 1 for i in steps]
-    rhs_weights = [(q - 1) ** i for i in steps]
-    shifts = [bits * i for i in steps]
-    down = rows[n - 1 :: -1]  # row[n-i] at index i-1
+    lhs_terms = [q**i - 1 << bits * i for i in steps]
+    rhs_terms = [(q - 1) ** i * rows[n - i] << bits * i for i in steps]
     for nu in nus:
-        c = limbs(rows[nu], range(1, nu + 1), width)  # C(nu, i) for i = 1..nu
-        weights = sum(map(lshift, map(mul, lhs_weights, c), shifts))
-        shifted = sum(map(lshift, map(mul, map(mul, rhs_weights, c), down), shifts))
-        yield NuRow(nu, ks, weights * rows[n - nu], shifted, width)
+        c = list(map(comb, repeat(nu), range(1, nu + 1)))  # C(nu, i) for i = 1..nu
+        yield NuRow(nu, ks, sum(map(mul, c, lhs_terms)) * rows[n - nu], sum(map(mul, c, rhs_terms)), width)
 
 
 EVENWEIGHT_FORMS = ("printed", "corrected")

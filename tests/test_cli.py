@@ -637,6 +637,40 @@ class TestStdin:
         proc = run_module(*argv, preexec_fn=lambda: os.closerange(0, 1))
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: stdin is closed\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("rank", "missing.txt"), ("bounds", "missing.txt"), ("distribution", "missing.txt", "-k", "1"),
+         ("verify", "missing.txt", "-k", "1", "-s", "1"), ("gen", "--family", "face", "--n", "3", "--nu", "1"),
+         ("sweep", "cfg.json")],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_stdout(self, tmp_path, argv):
+        # The child starts with descriptor 1 closed, as `qcube rank FILE >&-`
+        # starts, so its sys.stdout is None. A point command refuses before
+        # it reads its input, here a missing file.
+        write(tmp_path, "cfg.json", json.dumps({"identities": ["vandermonde"], "n": [0, 3]}))
+        proc = run_module(*argv, cwd=tmp_path, preexec_fn=lambda: os.closerange(1, 2))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: stdout is closed\n")
+
+    GEN = ("gen", "--family", "face", "--n", "3", "--nu", "1")
+
+    @pytest.mark.parametrize(
+        "argv, path, to_stdout",
+        [((*GEN, "-o", "out.txt"), "out.txt", GEN),
+         (("sweep", "cfg.json", "--output", "out.txt"), "out.txt", ("sweep", "cfg.json")),
+         (("sweep", "cfg-output.json"), "cfg-out.txt", ("sweep", "cfg.json"))],
+        ids=["gen-o", "sweep-output", "config-output"],
+    )
+    def test_closed_stdout_with_an_output_file(self, tmp_path, argv, path, to_stdout):
+        # A command writing to a file runs with stdout closed; the file holds
+        # what the command writes to stdout without one.
+        config = {"identities": ["vandermonde"], "n": [0, 3]}
+        write(tmp_path, "cfg.json", json.dumps(config))
+        write(tmp_path, "cfg-output.json", json.dumps({**config, "output": "cfg-out.txt"}))
+        want = run_module(*to_stdout, cwd=tmp_path).stdout
+        proc = run_module(*argv, cwd=tmp_path, preexec_fn=lambda: os.closerange(1, 2))
+        assert (proc.returncode, proc.stdout, (tmp_path / path).read_text()) == (0, "", want)
+
 
 class TestPieceByPieceInput:
     """Point input is read a piece at a time (core.read_pieces), with the

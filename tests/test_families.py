@@ -1,6 +1,8 @@
 import random
 import tracemalloc
 from itertools import combinations, product
+from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -371,7 +373,7 @@ class TestClosedFormCells:
     @example(q=1000, n=60, bounds=(0, 60, 0, 60))
     @settings(max_examples=40, deadline=None)
     def test_matches_oracles_at_large_q(self, q, n, bounds):
-        # Limbs grow with q^n * 2^n; large q stresses the limb width.
+        # Limbs hold (q+1)^n; large q stresses the limb width.
         nu_lo, nu_hi, k_lo, k_hi = (min(b, n) for b in bounds)
         assert_cells_match_oracles(
             CubeParams(q, n), range(nu_lo, nu_hi + 1), range(k_lo, k_hi + 1)
@@ -397,7 +399,7 @@ class TestClosedFormCells:
             (chu_vandermonde_generalized_cell, n * (q - 1).bit_length() + n + 1),
         ):
             estimate = (n + 1) * (n + 2) // 2 * -(-bits // 64)
-            width = qcube.families._limb_bytes(2**n if cell is vandermonde_cell else q**n << n)
+            width = qcube.families._limb_bytes(2**n if cell is vandermonde_cell else (q + 1) ** n)
             rows = qcube.families._pascal_rows(n, width)
             assert sum(-(-row.bit_length() // 64) for row in rows) <= estimate
             nus = range(1, n + 1)
@@ -405,6 +407,47 @@ class TestClosedFormCells:
             assert sum(len(list(row.points())) for row in rows) == n * (n + 1)
             with pytest.raises(SizeGuardError, match=f"about {estimate} elementary"):
                 next(cell(CubeParams(q, n), nus, range(n + 1), estimate - 1))
+
+    @given(q=st.integers(2, 1000), n=st.integers(1, 60), ends=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+           step=st.sampled_from([1, 2, 3, -1, -2, -3]))
+    @example(q=1000, n=60, ends=(60, 1), step=-1)
+    @example(q=7, n=40, ends=(1, 40), step=2)
+    @example(q=3, n=20, ends=(5, 5), step=1)
+    @settings(max_examples=40, deadline=None)
+    def test_chu_rows_do_not_depend_on_the_order_of_nus(self, q, n, ends, step):
+        # The term tables are formed once per cell, up to the largest nu; each
+        # nu's row is then the same, in whatever order or step nus runs.
+        params, ks = CubeParams(q, n), range(n + 1)
+        first, last = (min(end, n) for end in ends)
+        nus = range(first, last + (1 if step > 0 else -1), step)
+        ascending = {row.nu: row for row in chu_vandermonde_generalized_cell(params, range(1, n + 1), ks)}
+        assert list(chu_vandermonde_generalized_cell(params, nus, ks)) == [ascending[nu] for nu in nus]
+
+    def test_chu_limbs_hold_the_largest_coefficient_to_the_byte(self):
+        # Each side's coefficients at every (nu, k), summed term by term from
+        # math.comb: (q^i-1)*C(nu,i)*C(n-nu,k-i) and (q-1)^i*C(nu,i)*C(n-i,k-i).
+        # Both fit the cell's limbs of (q+1)^n's bytes, and at these (q, n) the
+        # largest does not fit a byte fewer.
+        tight = {(2, 40), (5, 40), (2, 60), (1000, 60)}
+        binomials = [[0] * 60 + [comb(a, b) for b in range(a + 1)] + [0] * 60 for a in range(61)]
+        columns = [[comb(a, b) for a in range(61)] for b in range(61)]  # C(a, b) at [b][a]
+        for q in (2, 3, 5, 1000):
+            for n in range(1, 61):
+                largest = 0
+                for nu in range(1, n + 1):
+                    c = [comb(nu, i) for i in range(1, nu + 1)]
+                    lhs_weights = [(q**i - 1) * c[i - 1] for i in range(1, nu + 1)]
+                    rhs_weights = [(q - 1) ** i * c[i - 1] for i in range(1, nu + 1)]
+                    for k in range(n + 1):
+                        # C(n-nu, k-i) and C(n-i, k-i) = C(n-i, n-k) for i = 1..nu
+                        lhs = sum(map(mul, lhs_weights, binomials[n - nu][60 + k - nu : 60 + k][::-1]))
+                        rhs = sum(map(mul, rhs_weights, columns[n - k][n - nu : n][::-1]))
+                        largest = max(largest, lhs, rhs)
+                (row,) = chu_vandermonde_generalized_cell(CubeParams(q, n), range(1, 2), range(0))
+                assert row.width == (((q + 1) ** n).bit_length() + 7) // 8
+                assert largest < 256**row.width, (q, n)
+                if (q, n) in tight:
+                    assert largest >= 256 ** (row.width - 1), (q, n)
 
     def test_refused_cell_builds_no_rows(self, monkeypatch):
         monkeypatch.setattr(qcube.families, "_pascal_rows", None)
