@@ -35,7 +35,7 @@ import math
 import sys
 from functools import cached_property, partial
 from itertools import chain, compress, product, repeat
-from operator import attrgetter, eq, itemgetter, lt, mul, ne
+from operator import attrgetter, mul, ne
 from os import PathLike
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, TextIO
 
@@ -411,10 +411,7 @@ class Face(_Record):
 
     free_positions and the positions of fixed_values partition {0, ..., n-1}.
     fixed_values is normalized to a tuple of int (position, value) pairs
-    sorted by position; a mapping may be passed in. The checks run on whole
-    columns in C-level passes, and only a refused face is scanned, for the
-    pair its message names. Pairs that are int tuples in position order
-    already, as families.face_spec builds them, are kept as given.
+    sorted by position; a mapping may be passed in.
     """
 
     _fields = ("params", "free_positions", "fixed_values")
@@ -429,31 +426,19 @@ class Face(_Record):
         fixed_values: Mapping[int, int] | Iterable[tuple[int, int]],
     ) -> None:
         free = frozenset(map(int, free_positions))
-        fixed = tuple(fixed_values.items() if isinstance(fixed_values, Mapping) else fixed_values)
-        if not (
-            set(map(type, fixed)) <= {tuple}
-            and set(map(len, fixed)) <= {2}
-            and set(map(type, chain.from_iterable(fixed))) <= {int}
-        ):
-            fixed = tuple((int(i), int(v)) for i, v in fixed)
-        positions = tuple(map(itemgetter(0), fixed))
-        if not all(map(lt, positions, positions[1:])):  # not in position order yet
-            fixed = tuple(sorted(fixed))
-            positions = tuple(map(itemgetter(0), fixed))
-            if any(map(eq, positions, positions[1:])):
-                raise CubeError("duplicate fixed position")
+        items = fixed_values.items() if isinstance(fixed_values, Mapping) else fixed_values
+        fixed = tuple(sorted((int(i), int(v)) for i, v in items))
+        positions = [i for i, _ in fixed]
+        if len(set(positions)) != len(positions):
+            raise CubeError("duplicate fixed position")
         if not free.isdisjoint(positions):
             raise CubeError("a position cannot be both free and fixed")
-        # Distinct positions, free or fixed, partition range(n) when there are
-        # n of them and none lies outside it.
         n, q = params.n, params.q
-        ends = [*positions[:1], *positions[-1:], *free]
-        if len(free) + len(positions) != n or ends and not 0 <= min(ends) <= max(ends) < n:
+        if free.union(positions) != set(range(n)):
             raise CubeError("free and fixed positions must partition the coordinate set")
-        values = tuple(map(itemgetter(1), fixed))
-        if values and not 0 <= min(values) <= max(values) < q:
-            i, v = next((i, v) for i, v in fixed if not 0 <= v < q)
-            raise CubeError(f"fixed value {v} at position {i} out of range for q={q}")
+        for i, v in fixed:
+            if not 0 <= v < q:
+                raise CubeError(f"fixed value {v} at position {i} out of range for q={q}")
         self._set(params=params, free_positions=free, fixed_values=fixed)
 
     @property

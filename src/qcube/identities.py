@@ -7,20 +7,20 @@ PointSet.packed, block_fold, PointSet.slices and binom), then reports exact
 equality. Both sides keep their per-set results in the set's own memo
 (PointSet.memo, through per_set), which holds no logic of either side.
 
-The per-point functions (verify_main, corollary_s1..s3) are `qcube
-verify`'s path. The sweep's family identities are the main theorem at one s
-each, Σ_e C(e, s)·N_k(e) = Σ_{|B| = s} C(n − r(B), k − r(B)), with r the
-subset rank, the pair distance, half a triple's distance sum, or rank(A) at
-s = |A|; family_points evaluates them all from one table (_FAMILIES), each
-point's checks in its per-point function's order, and the per-point
-functions are its oracle.
+verify_main is `qcube verify`'s path; corollary_s1..s3 are the library's.
+The sweep's family identities are the main theorem at one s each,
+Σ_e C(e, s)·N_k(e) = Σ_{|B| = s} C(n − r(B), k − r(B)), with r the subset
+rank, the pair distance, half a triple's distance sum, or rank(A) at s = |A|;
+family_points evaluates them all from one table (_FAMILIES), each point's
+checks in its per-point function's order, and these per-point functions are
+its oracle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import wraps
-from itertools import accumulate, combinations, compress
+from itertools import accumulate, chain, combinations, compress
 from math import comb
 from operator import add, and_, lshift
 from types import SimpleNamespace
@@ -132,18 +132,27 @@ def _require_size(A: PointSet, least: int, what: str) -> None:
 
 
 def _lhs_terms(A: PointSet, k: int, s: int, guard: int) -> Terms:
-    """The left side's terms, labelled by e in increasing order; only
-    breakdowns build them, _lhs sums the same values unlabelled."""
+    """The left side's terms, labelled by e in increasing order."""
     dist = distribution(A, k, guard)
-    return tuple(
-        (f"e={e}", binom(e, s) * count) for e, count in dist.items() if e >= s
-    )
+    return tuple((f"e={e}", binom(e, s) * count) for e, count in dist.items() if e >= s)
 
 
-def _lhs(A: PointSet, k: int, s: int, guard: int) -> int:
-    """Sum over e >= s of C(e, s) * (number of k-faces meeting A in exactly e
-    points), over the distribution's counts as stored."""
-    return sum(binom(e, s) * count for e, count in distribution(A, k, guard).counts.items() if e >= s)
+def _left(A: PointSet, k: int, s: int, guard: int, include_terms: bool) -> tuple[int, Optional[Terms]]:
+    """The left side's sum, and its terms if asked for."""
+    terms = _lhs_terms(A, k, s, guard)
+    return sum(v for _, v in terms), terms if include_terms else None
+
+
+def _right(histogram: Iterable[tuple[int, int]], n: int, k: int) -> int:
+    """Sum of C(n - r, k - r) over a histogram r -> number of subsets."""
+    return sum(count * binom(n - r, k - r) for r, count in histogram)
+
+
+def _report(
+    identity: str, A: PointSet, k: int, s: int, lhs: int, rhs: int, lt: Optional[Terms], rt: Optional[Terms]
+) -> IdentityReport:
+    params = {"q": A.params.q, "n": A.params.n, "k": k, "s": s, "m": len(A)}
+    return IdentityReport.of(identity, params, lhs, rhs, lt, rt, proven=True)
 
 
 def _check_main(A: PointSet, k: int, s: int) -> None:
@@ -155,14 +164,13 @@ def main_lhs(A: PointSet, k: int, s: int, guard: int = DEFAULT_GUARD) -> int:
     """Left side: sum over e >= s of C(e, s) * (number of k-faces meeting A in
     exactly e points)."""
     _check_main(A, k, s)
-    return _lhs(A, k, s, guard)
+    return _left(A, k, s, guard, False)[0]
 
 
 # The sliced route's s-subsets are ranked a block of consecutive last points
 # at a time, about _RHS_BLOCK subsets per block; everything it holds at once
-# is kept under _RHS_MEMORY_CAP bytes (see _rhs_sliced_bytes).
+# is kept under KERNEL_MEMORY_CAP bytes (see _rhs_sliced_bytes).
 _RHS_BLOCK = 1 << 14
-_RHS_MEMORY_CAP = KERNEL_MEMORY_CAP
 
 
 def _rhs_sliced_bytes(params: CubeParams, m: int, s: int) -> int:
@@ -186,7 +194,7 @@ def _rhs_sliced_bytes(params: CubeParams, m: int, s: int) -> int:
 
 def _rhs_sliced_pays(params: CubeParams, m: int, s: int) -> bool:
     """Whether the sliced route is estimated cheaper than the walk, from
-    (q, n, m, s) alone, within _RHS_MEMORY_CAP bytes (_rhs_sliced_bytes).
+    (q, n, m, s) alone, within KERNEL_MEMORY_CAP bytes (_rhs_sliced_bytes).
 
     Costs are in units of the walk's time per subset, fitted to both routes'
     times on a grid of q in {2, 3, 5, 11}, n up to 200 and C(m, s) up to
@@ -197,7 +205,7 @@ def _rhs_sliced_pays(params: CubeParams, m: int, s: int) -> bool:
       min(q, m) values and 2s-1 per point (the tables and the blocks'
       pieces), and n/400 per subset for its bitset operations.
     s <= 2 always takes the walk."""
-    if s < 3 or m < s or _rhs_sliced_bytes(params, m, s) > _RHS_MEMORY_CAP:
+    if s < 3 or m < s or _rhs_sliced_bytes(params, m, s) > KERNEL_MEMORY_CAP:
         return False
     n, subsets = params.n, binom(m, s)
     walk = subsets + 5 * binom(m, s - 1) + n * subsets // 576
@@ -216,7 +224,7 @@ def _subset_rank_histogram(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
     (_subset_rank_histogram_sliced). _rhs_sliced_pays picks the sliced route
     when its cost estimate from (q, n, m, s) is below the walk's and
     everything it holds at once, bounded by _rhs_sliced_bytes, fits in
-    _RHS_MEMORY_CAP (16 MiB). The walk keeps s = 2, sets of a few points,
+    KERNEL_MEMORY_CAP (16 MiB). The walk keeps s = 2, sets of a few points,
     and n in the thousands, where its ORs of packed rows are cheaper."""
     if s == 1:
         return ((0, len(A)),)
@@ -382,17 +390,14 @@ def main_rhs(A: PointSet, k: int, s: int, guard: int = DEFAULT_GUARD) -> int:
       per-value contained tables over the colex order, built from
       PointSet.slices, and a bit-sliced adder.
     A cost estimate from (q, n, m, s) picks the route (_rhs_sliced_pays) and
-    keeps the sliced route under _RHS_MEMORY_CAP (16 MiB). The oracle is
+    keeps the sliced route under KERNEL_MEMORY_CAP (16 MiB). The oracle is
     rank_rows over s-combinations of the rows (PointSet.rows), which the
     per-subset breakdown of verify_main still uses.
     """
     _require_size(A, 1, "main_rhs")
     _check_s(A, k, s)
     check_guard(binom(len(A), s), guard)
-    n = A.params.n
-    return sum(
-        count * binom(n - r, k - r) for r, count in _subset_rank_histogram(A, s)
-    )
+    return _right(_subset_rank_histogram(A, s), A.params.n, k)
 
 
 def verify_main(
@@ -411,16 +416,11 @@ def verify_main(
     """
     if include_terms:
         check_guard(binom(len(A), s) * s * A.params.n, guard)
-        _check_main(A, k, s)
-        lt: Optional[Terms] = _lhs_terms(A, k, s, guard)
-        lhs = sum(v for _, v in lt)
-    else:
-        lt = None
-        lhs = main_lhs(A, k, s, guard)
+    _check_main(A, k, s)
+    lhs, lt = _left(A, k, s, guard, include_terms)
     rhs = main_rhs(A, k, s, guard)
-    params = {"q": A.params.q, "n": A.params.n, "k": k, "s": s, "m": len(A)}
     rt = _rhs_terms(A, k, s) if include_terms else None
-    return IdentityReport.of("main", params, lhs, rhs, lt, rt, proven=True)
+    return _report("main", A, k, s, lhs, rhs, lt, rt)
 
 
 def corollary_s1(
@@ -431,17 +431,27 @@ def corollary_s1(
     Valid for every q (each point lies in exactly C(n, k) k-faces).
     """
     _require_size(A, 1, "corollary_s1")
-    lt = _lhs_terms(A, k, 1, guard) if include_terms else None
-    lhs = _lhs(A, k, 1, guard) if lt is None else sum(v for _, v in lt)
+    lhs, lt = _left(A, k, 1, guard, include_terms)
     rhs = len(A) * binom(A.params.n, k)
-    params = {"q": A.params.q, "n": A.params.n, "k": k, "s": 1, "m": len(A)}
     rt = (("m*binom(n,k)", rhs),) if include_terms else None
-    return IdentityReport.of("corollary1", params, lhs, rhs, lt, rt, proven=True)
+    return _report("corollary1", A, k, 1, lhs, rhs, lt, rt)
+
+
+def _distances_after(A: PointSet) -> Iterator[list[int]]:
+    """For each point in order, its distances to the points after it: the
+    popcounts of fold(row ^ later row) (core.block_fold over
+    PointSet.packed), as the walk ranks pairs. The caller checks binom(m, 2)."""
+    packed = A.packed
+    fold = block_fold(A.params)
+    for a, row in enumerate(packed):
+        yield list(map(int.bit_count, map(fold, map(row.__xor__, packed[a + 1 :]))))
 
 
 @per_set
 def _pair_distance_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(Counter(distance_sum(A, binom(len(A), 2)).pairwise.values()).items()))
+    """The sorted (d, number of pairs at distance d) pairs, from one
+    _distances_after pass; it holds one point's distances at a time."""
+    return tuple(sorted(Counter(chain.from_iterable(_distances_after(A))).items()))
 
 
 def corollary_s2(
@@ -451,39 +461,33 @@ def corollary_s2(
     C(n - d, k - d) at pair distance d.
 
     Valid for every q: a pair at distance d spans a d-dimensional face, so its
-    rank is d and no separate rank computation is needed. Without terms the
-    right side is summed over the histogram d -> number of pairs, built from
-    distance_sum once per set and kept in A.memo; its binom(m, 2) guard is
-    checked on every call. With terms, every pair is listed from distance_sum.
+    rank is d and no separate rank computation is needed. The right side is
+    summed over the histogram d -> number of pairs (_pair_distance_histogram),
+    kept in A.memo; its binom(m, 2) guard is checked on every call. With
+    terms, every pair is listed from distance_sum, the histogram's oracle.
     """
     _require_size(A, 2, "corollary_s2")
     check_guard(binom(len(A), 2), guard)
     n = A.params.n
-    lt = _lhs_terms(A, k, 2, guard) if include_terms else None
-    lhs = _lhs(A, k, 2, guard) if lt is None else sum(v for _, v in lt)
+    lhs, lt = _left(A, k, 2, guard, include_terms)
+    rhs = _right(_pair_distance_histogram(A), n, k)
+    rt = None
     if include_terms:
-        rt: Optional[Terms] = tuple(
-            (f"pair={ij}", binom(n - d, k - d))
-            for ij, d in sorted(distance_sum(A, guard).pairwise.items())
-        )
-        rhs = sum(v for _, v in rt)
-    else:
-        rhs = sum(c * binom(n - d, k - d) for d, c in _pair_distance_histogram(A))
-        rt = None
-    params = {"q": A.params.q, "n": n, "k": k, "s": 2, "m": len(A)}
-    return IdentityReport.of("corollary2", params, lhs, rhs, lt, rt, proven=True)
+        rt = tuple((f"pair={ij}", binom(n - d, k - d)) for ij, d in sorted(distance_sum(A, guard).pairwise.items()))
+    return _report("corollary2", A, k, 2, lhs, rhs, lt, rt)
+
+
+def _half_sum(ijt: tuple[int, int, int], dsum: int) -> int:
+    if dsum % 2:
+        raise ConsistencyError(f"odd distance sum {dsum} for a binary triple {ijt}")
+    return dsum // 2
 
 
 def _triple_ranks(A: PointSet, guard: int) -> Iterator[tuple[tuple[int, int, int], int]]:
     # Half the pairwise distance sum of each triple, in combinations order.
     d = distance_sum(A, guard).pairwise
     for i, j, t in combinations(range(len(A)), 3):
-        dsum = d[(i, j)] + d[(i, t)] + d[(j, t)]
-        if dsum % 2:
-            raise ConsistencyError(
-                f"odd distance sum {dsum} for a binary triple {(i, j, t)}"
-            )
-        yield (i, j, t), dsum // 2
+        yield (i, j, t), _half_sum((i, j, t), d[i, j] + d[i, t] + d[j, t])
 
 
 # The triple ranks' distance sums are collected in a list and counted with one
@@ -494,27 +498,24 @@ TALLY_BATCH = 1 << 10
 @per_set
 def _triple_rank_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
     """The sorted (r, number of triples of rank r) pairs, r the half-sum of a
-    triple's distances: _triple_ranks tallied a pair (i, j) at a time, with
-    the sums d(i, t) + d(j, t) over every t > j added row by row. The sums
-    are collected in one list, counted by one Counter.update whenever it
-    holds TALLY_BATCH or more after a point i."""
-    m = len(A)
-    d = distance_sum(A, binom(m, 2)).pairwise  # the caller checks this guard
-    rows = [[0] * m for _ in range(m)]
-    for (i, j), dij in d.items():
-        rows[i][j] = rows[j][i] = dij
+    triple's distances, from one _distances_after pass: for each pair i < j,
+    d(i, j) plus the sums d(i, t) + d(j, t) over every t > j, added row by
+    row. The sums are collected in one list, counted by one Counter.update
+    whenever it holds TALLY_BATCH or more after a point i. An odd sum is
+    refused, naming its first triple in combinations order."""
+    rows = list(_distances_after(A))  # the caller checks binom(m, 2)
     sums: Counter[int] = Counter()
     batch: list[int] = []
     for i, row in enumerate(rows):
-        for j in range(i + 1, m):
-            batch += map(row[j].__add__, map(add, row[j + 1 :], rows[j][j + 1 :]))
+        for j, dij in enumerate(row, i + 1):
+            batch += map(dij.__add__, map(add, row[j - i :], rows[j]))
         if len(batch) >= TALLY_BATCH:
             sums.update(batch)
             batch.clear()
     sums.update(batch)
     if any(dsum % 2 for dsum in sums):
-        for _ in _triple_ranks(A, binom(m, 2)):  # raises, naming the first odd triple
-            pass
+        for i, j, t in combinations(range(len(rows)), 3):
+            _half_sum((i, j, t), rows[i][j - i - 1] + rows[i][t - i - 1] + rows[j][t - j - 1])
     return tuple(sorted((dsum // 2, count) for dsum, count in sums.items()))
 
 
@@ -525,10 +526,11 @@ def corollary_s3(
     over point triples of C(n - r, k - r) with r the half-sum of the three
     pairwise distances (an integer in a binary cube).
 
-    Without terms the right side is summed over the histogram r -> number of
-    triples, built from distance_sum once per set and kept in A.memo;
-    binom(m, 3) is checked on every call, and distance_sum's binom(m, 2)
-    before the memo is read. With terms, every triple is listed.
+    The right side is summed over the histogram r -> number of triples
+    (_triple_rank_histogram), kept in A.memo; binom(m, 3) is checked on
+    every call, and the distance pass's binom(m, 2) before the memo is read.
+    With terms, every triple is listed from _triple_ranks, the histogram's
+    oracle.
     """
     if A.params.q != 2:
         raise CubeError("corollary_s3 is defined for q = 2 only")
@@ -536,19 +538,13 @@ def corollary_s3(
     m = len(A)
     check_guard(binom(m, 3), guard)
     n = A.params.n
-    lt = _lhs_terms(A, k, 3, guard) if include_terms else None
-    lhs = _lhs(A, k, 3, guard) if lt is None else sum(v for _, v in lt)
+    lhs, lt = _left(A, k, 3, guard, include_terms)
+    check_guard(binom(m, 2), guard)
+    rhs = _right(_triple_rank_histogram(A), n, k)
+    rt = None
     if include_terms:
-        rt: Optional[Terms] = tuple(
-            (f"triple={ijt}", binom(n - r, k - r)) for ijt, r in _triple_ranks(A, guard)
-        )
-        rhs = sum(v for _, v in rt)
-    else:
-        check_guard(binom(m, 2), guard)
-        rhs = sum(c * binom(n - r, k - r) for r, c in _triple_rank_histogram(A))
-        rt = None
-    params = {"q": 2, "n": n, "k": k, "s": 3, "m": m}
-    return IdentityReport.of("corollary3", params, lhs, rhs, lt, rt, proven=True)
+        rt = tuple((f"triple={ijt}", binom(n - r, k - r)) for ijt, r in _triple_ranks(A, guard))
+    return _report("corollary3", A, k, 3, lhs, rhs, lt, rt)
 
 
 @per_set

@@ -1012,9 +1012,9 @@ class TestSweep:
 
     def test_rows_reuse_per_set_results(self, tmp_path, capsys, monkeypatch):
         # Criterion 8's config: no lemma row scans faces, and corollaries 2
-        # and 3 each take the pairwise distances of a set once.
+        # and 3 each take one pass over the pairwise distances of a set.
         scans = count_calls(monkeypatch, "qcube.faces", "faces_containing_bruteforce")
-        profiles = count_calls(monkeypatch, "qcube.rank", "distance_sum")
+        profiles = count_calls(monkeypatch, "qcube.identities", "_distances_after")
         config = {
             "identities": list(qcube.sweep.SWEEP_IDENTITIES),
             "q": [2, 3],

@@ -58,14 +58,14 @@ from qcube.families import (
 )
 from qcube.identities import (
     _RHS_BLOCK,
-    _RHS_MEMORY_CAP,
     _rhs_sliced_bytes,
     _rhs_sliced_pays,
     _subset_rank_histogram,
     _subset_rank_histogram_sliced,
     _subset_rank_histogram_walked,
-    _lhs,
+    _distances_after,
     _lhs_terms,
+    _pair_distance_histogram,
     _triple_rank_histogram,
     _triple_ranks,
     corollary_s1,
@@ -75,7 +75,7 @@ from qcube.identities import (
     main_lhs,
     main_rhs,
 )
-from qcube.rank import DistanceProfile, distance_sum, distance_total, rank, rank_rows
+from qcube.rank import distance_sum, distance_total, rank, rank_rows
 
 QS = (2, 3, 4, 5, 8, 11, 16)
 MAX_VOLUME = 4096
@@ -206,13 +206,13 @@ def test_rank_histogram_estimate_keeps_the_memory_cap():
     for q, n, m, s in product((2, 3, 11, 10**6), (1, 4, 24, 100, 400), (8, 40, 130, 400, 2000), range(3, 7)):
         if _rhs_sliced_pays(CubeParams(q, n), m, s):
             admitted += 1
-            assert _rhs_sliced_bytes(CubeParams(q, n), m, s) <= _RHS_MEMORY_CAP == 16 << 20
+            assert _rhs_sliced_bytes(CubeParams(q, n), m, s) <= KERNEL_MEMORY_CAP == 16 << 20
     assert admitted > 50
     # Cheaper by the estimate, but over the cap.
     params = CubeParams(11, 100)
-    assert _rhs_sliced_bytes(params, 500, 3) > _RHS_MEMORY_CAP
+    assert _rhs_sliced_bytes(params, 500, 3) > KERNEL_MEMORY_CAP
     assert not _rhs_sliced_pays(params, 500, 3)
-    with mock.patch.object(qcube.identities, "_RHS_MEMORY_CAP", 10**9):
+    with mock.patch.object(qcube.identities, "KERNEL_MEMORY_CAP", 10**9):
         assert _rhs_sliced_pays(params, 500, 3)
 
 
@@ -446,7 +446,7 @@ def test_equal_sets_keep_their_own_results():
 def test_corollaries_take_the_distances_once_across_guards():
     A = random_set(2, 10, 24, 5)
     least = comb(10, 4) * 24  # the left side's guard, the largest of each
-    with mock.patch.object(qcube.identities, "distance_sum", wraps=distance_sum) as calls:
+    with mock.patch.object(qcube.identities, "_distances_after", wraps=_distances_after) as calls:
         for corollary in (corollary_s2, corollary_s3):
             before = calls.call_count
             assert corollary(A, 4) == corollary(A, 4, guard=least)
@@ -467,7 +467,7 @@ def test_a_hit_is_refused_as_a_miss_is():
     main_rhs(A, 4, 3)
     assert _refusal(main_rhs, A, 4, 3, guard=comb(m, 3) - 1) == cold
     assert cold == f"instance too large: about {comb(m, 3)} elementary operations, guard is {comb(m, 3) - 1}"
-    # At m = 3 and 4, distance_sum's binom(m, 2) is above binom(m, 3); at
+    # At m = 3 and 4, the distance pass's binom(m, 2) is above binom(m, 3); at
     # k = n the left side's guard is m.
     for m, want in ((3, 3), (4, 6)):
         B = random_set(2, 5, m, 0)
@@ -742,13 +742,28 @@ def test_triple_rank_histogram_matches_triple_ranks(A):
     assert _triple_rank_histogram.__wrapped__(A) == tuple(sorted(want.items()))
 
 
+def test_pair_distance_histogram_holds_one_point_of_distances():
+    # A table of all 124 750 pairs would peak at about 12 MiB.
+    A = random_set(2, 20, 500, 7)
+    A.packed  # part of the set, built before the pass
+    tracemalloc.start()
+    try:
+        hist = _pair_distance_histogram.__wrapped__(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert hist == tuple(sorted(Counter(distance_sum(A).pairwise.values()).items()))
+
+
 def test_triple_rank_histogram_refuses_an_odd_distance_sum():
-    # Unreachable in a binary cube; distances 1, 1, 2 and 1, 1, 1 are fed in.
+    # Unreachable in a binary cube; distances 1, 1, 2 and 1, 1, 1 are fed in:
+    # each point's distances to the points after it, with d(1, 2) = 1.
     A = pointset(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    pairwise = {(0, 1): 1, (0, 2): 1, (0, 3): 2, (1, 2): 2, (1, 3): 1, (2, 3): 1}
-    pairwise[1, 2] = 1
-    fake = DistanceProfile(pairwise, sum(pairwise.values()))
-    with mock.patch.object(qcube.identities, "distance_sum", return_value=fake):
+    rows = [[1, 1, 2], [2, 1], [1], []]
+    assert list(_distances_after(A)) == rows
+    rows[1][0] = 1
+    with mock.patch.object(qcube.identities, "_distances_after", return_value=rows):
         with pytest.raises(ConsistencyError, match=r"^odd distance sum 3 for a binary triple \(0, 1, 2\)$"):
             _triple_rank_histogram.__wrapped__(A)
 
@@ -758,10 +773,9 @@ def test_triple_rank_histogram_refuses_an_odd_distance_sum():
 def test_unlabelled_lhs_sums_the_labelled_terms(A, k, s):
     k = min(k, A.params.n)
     terms = _lhs_terms(A, k, s, 10**7)
-    assert _lhs(A, k, s, 10**7) == sum(v for _, v in terms)
     assert [label for label, _ in terms] == [f"e={e}" for e, c in distribution(A, k).items() if e >= s]
     if s <= intersection_cap(A, k):
-        assert main_lhs(A, k, s) == _lhs(A, k, s, 10**7)
+        assert main_lhs(A, k, s) == sum(v for _, v in terms)
     for corollary, least in ((corollary_s1, 1), (corollary_s2, 2), (corollary_s3, 3)):
         if len(A) >= least and (corollary is not corollary_s3 or A.params.q == 2):
             with_terms = corollary(A, k, include_terms=True)
