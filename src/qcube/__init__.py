@@ -2,13 +2,16 @@
 distributions, and two-sided verification of the counting identities that
 relate them. Integer arithmetic throughout; no floating point.
 
-The submodules core, faces, families, identities, rank and sweep are
-registered lazily: each is in sys.modules (and, but for rank, a package
-attribute) from the start, and executes on its first attribute access. So a
-command runs only the modules it uses. The names in __all__ resolve through
-__getattr__ to the objects their modules define, so `from qcube import X`
-works as before; `qcube.rank` is the function rank(), its module is
-sys.modules["qcube.rank"].
+The submodules base, closed, core, faces, families, identities, rank and
+sweep are registered lazily: each is in sys.modules (and, but for rank, a
+package attribute) from the start, and executes on its first attribute
+access. So a command runs only the modules it uses: base holds what every
+command needs (the errors, the guard, binom, CubeParams, the input reader),
+core the point sets and their text format, and closed the closed-form sweep
+cells, so a sweep of closed forms runs cli, base, closed and sweep alone.
+The names in __all__ resolve through __getattr__ to the objects their
+modules define, so `from qcube import X` works as before; `qcube.rank` is
+the function rank(), its module is sys.modules["qcube.rank"].
 
 A module reaches a sibling that a command may not need through its module,
 not its names: `from . import faces` binds the registered module without
@@ -32,22 +35,31 @@ def _lazy(name: str):
     return module
 
 
-core, faces, families, identities, sweep = map(_lazy, ("core", "faces", "families", "identities", "sweep"))
+base, closed, core, faces, families, identities, sweep = map(
+    _lazy, ("base", "closed", "core", "faces", "families", "identities", "sweep")
+)
 _lazy("rank")  # not a package attribute: qcube.rank is the function rank()
 
 # Each re-exported name, by its defining module.
 _EXPORTS = {
-    "core": (
+    "base": (
         "DEFAULT_GUARD",
         "ConsistencyError",
         "CubeError",
         "CubeParams",
+        "SizeGuardError",
+        "binom",
+    ),
+    "closed": (
+        "NuRow",
+        "chu_vandermonde_generalized_cell",
+        "vandermonde_cell",
+    ),
+    "core": (
         "Face",
         "ParseError",
         "Point",
         "PointSet",
-        "SizeGuardError",
-        "binom",
         "hamming",
         "parse_pointset",
         "serialize_pointset",
@@ -65,11 +77,9 @@ _EXPORTS = {
     ),
     "families": (
         "FamilySpec",
-        "NuRow",
         "check_chu_vandermonde_generalized",
         "check_evenweight_identity",
         "check_vandermonde",
-        "chu_vandermonde_generalized_cell",
         "evenweight_distribution_closed",
         "face_distribution_closed",
         "face_spec",
@@ -77,7 +87,6 @@ _EXPORTS = {
         "gen_face_subset",
         "gen_random_subset",
         "realize_family",
-        "vandermonde_cell",
     ),
     "identities": (
         "IdentityReport",

@@ -7,7 +7,7 @@ package docstring) and a wrapper installed on a module attribute sees every
 call. The sweep itself lives in qcube.sweep.
 
 Input, a point file or a sweep config, is the file at a path, or stdin for
-"-" (input_pieces), read a piece at a time by core.read_pieces; the point
+"-" (input_pieces), read a piece at a time by base.read_pieces; the point
 text format, and n when --n is omitted, are core.parse_pointset's alone.
 
 Exit codes: 0 success (and identity equality), 1 identity inequality,
@@ -22,20 +22,8 @@ import sys
 from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence, TextIO
 
-from . import faces, families, identities, sweep
-from .core import (
-    DEFAULT_GUARD,
-    CubeError,
-    CubeParams,
-    PointSet,
-    SizeGuardError,
-    check_guard,
-    decimal,
-    int_fields,
-    parse_pointset,
-    read_pieces,
-    serialized_blocks,
-)
+from . import core, faces, families, identities, sweep
+from .base import DEFAULT_GUARD, CubeError, CubeParams, SizeGuardError, check_guard, decimal, int_fields, read_pieces
 
 # The package's `rank` attribute is the function rank(); this is its module.
 rank = sys.modules[f"{__package__}.rank"]
@@ -87,7 +75,7 @@ def _csv_ints(text: str, option: str) -> tuple[int, ...]:
 
 def input_pieces(path: str) -> Iterator[str]:
     """The text of the file at path, or of stdin for "-", in pieces
-    (core.read_pieces)."""
+    (base.read_pieces)."""
     if path != "-":
         return read_pieces(Path(path))
     if sys.stdin is None:
@@ -107,9 +95,9 @@ def _guard(args: argparse.Namespace) -> int:
     return args.guard if args.guard is not None else DEFAULT_GUARD
 
 
-def _load_pointset(args: argparse.Namespace) -> PointSet:
+def _load_pointset(args: argparse.Namespace) -> core.PointSet:
     _stdout()  # each point-set command reports on stdout
-    A, dropped = parse_pointset(input_pieces(args.input), q=args.q, n=args.n)
+    A, dropped = core.parse_pointset(input_pieces(args.input), q=args.q, n=args.n)
     if dropped:
         print(f"note: dropped {dropped} duplicate vector(s)", file=sys.stderr)
     return A
@@ -248,9 +236,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     A = families.realize_family(params, spec, _guard(args))
     if args.output:
         with Path(args.output).open("w") as out:
-            out.writelines(serialized_blocks(A))
+            out.writelines(core.serialized_blocks(A))
     else:
-        sys.stdout.writelines(serialized_blocks(A))
+        sys.stdout.writelines(core.serialized_blocks(A))
     return EXIT_OK
 
 
@@ -354,6 +342,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.guard is not None and args.guard < 1:  # refused before any input is read
+            raise CubeError(f"--guard must be a positive integer, got {args.guard}")
         return args.func(args)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)

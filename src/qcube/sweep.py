@@ -5,19 +5,21 @@ sweep identities, and the lines of their rows.
 files are read: cli.input_pieces), `_sweep_rows` evaluates its grid one
 (q, n) cell at a time, and `qcube.cli.run_sweep` writes the rows and the
 summary. Only `qcube sweep` uses this module, so other commands never run it.
-It reaches identities and rank through their modules when a row needs them,
-and identities reaches faces, so a sweep of closed forms alone executes none
-of the three. The five family identities (main, the three corollaries and
-lemma_face_count) are each the paper's main theorem at one s, and one
-evaluator, identities.family_points, walks all their points on a family set
-in one pass.
+The closed-form cells are qcube.closed's, and the rest is reached through
+modules when a row needs it: families for a family template, identities and
+rank for the rows on its sets (identities reaches faces and core). So a sweep
+of closed forms alone executes cli, base, closed and this module. The five
+family identities (main, the three corollaries and lemma_face_count) are each
+the paper's main theorem at one s, and one evaluator,
+identities.family_points, walks all their points on a family set in one
+pass.
 
 A row is written one of two ways, and json_line(_sweep_row(...)) is the
 oracle of both. A grid point's row of two sides fills a cached template
 (`_sweep_line`). A closed-form cell (Vandermonde, its q-ary generalization,
 and both even-weight forms) hands over one row at a time, per nu or, for the
 even-weight forms, per n, with both sides at every k packed into one int
-each (`families.NuRow`). When the packed sides are equal, which is exact,
+each (`closed.NuRow`). When the packed sides are equal, which is exact,
 and str() converts them, the whole row is one str.join (`_nu_row_text`) of
 the cell's line skeleton (`_skeleton`): the text of its lines cut from the
 line template, with the identity, q, n and each k written in once per
@@ -35,27 +37,10 @@ import sys
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Optional
 
-from . import identities  # a module handle: a closed-form sweep never executes it
+from . import families, identities  # module handles: a closed-form sweep executes neither
+from .base import CubeError, CubeParams, SizeGuardError, _Record, abbreviated, decimal, is_int
 from .cli import input_pieces, json_line
-from .core import (
-    CubeError,
-    CubeParams,
-    SizeGuardError,
-    _Record,
-    abbreviated,
-    decimal,
-    is_int,
-)
-from .families import (
-    FAMILY_KINDS,
-    KINDS,
-    NuRow,
-    chu_vandermonde_generalized_cell,
-    evenweight_cell,
-    limbs,
-    realize_family,
-    vandermonde_cell,
-)
+from .closed import NuRow, chu_vandermonde_generalized_cell, evenweight_cell, limbs, vandermonde_cell
 
 # The package's `rank` attribute is the function rank(); this is its module.
 # Named apart from `rank` so that no export of qcube is shadowed here.
@@ -200,11 +185,11 @@ def _family_instances(cfg: SweepConfig, q: int, n: int, guard: int) -> Iterator[
     family that cannot be built is refused for the whole sweep, naming the cell."""
     kind = cfg.family["kind"]
     params = CubeParams(q, n)
-    if kind not in FAMILY_KINDS:  # a tuple test: a JSON kind may be unhashable
+    if kind not in families.FAMILY_KINDS:  # a tuple test: a JSON kind may be unhashable
         raise CubeError(f"sweep config: unknown family kind {kind!r}")
-    for labels, spec in KINDS[kind].grid(cfg.family, params, _clip(cfg.nu_range, 0, n), cfg.seeds):
+    for labels, spec in families.KINDS[kind].grid(cfg.family, params, _clip(cfg.nu_range, 0, n), cfg.seeds):
         try:
-            A = realize_family(params, spec, guard)
+            A = families.realize_family(params, spec, guard)
         except CubeError as exc:
             name = f"file {spec.path}" if kind == "file" else kind
             error = SizeGuardError if isinstance(exc, SizeGuardError) else CubeError
@@ -271,7 +256,7 @@ def _closed_form(
 
 def _evenweight(form: str) -> Cell:
     """The cell of one even-weight form: at q = 2, one row of both sides at
-    every k >= 1 (families.evenweight_cell), with params (q, n). Like the
+    every k >= 1 (closed.evenweight_cell), with params (q, n). Like the
     check at one point, it is unguarded."""
 
     def cell(cfg: SweepConfig, q: int, n: int, instance: dict[str, Any], guard: int) -> Outcomes:

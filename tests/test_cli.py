@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcube.base
 import qcube.cli
+import qcube.closed
 import qcube.core
 import qcube.faces
 import qcube.families
@@ -232,6 +234,46 @@ class TestColumnScanGuard:
         code, out, err = run(capsys, command, path, "--guard", "8")
         assert code == 0
         assert "rank: 2" in out
+
+
+class TestGuardOption:
+    """--guard below 1 is a usage error, refused before any input is read, as
+    `"guard": 0` in a sweep config is refused."""
+
+    @pytest.mark.parametrize("guard", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rank", "a.txt"),
+            ("rank", "missing.txt"),
+            ("rank", "-"),
+            ("gen", "--family", "face", "--n", "3", "--nu", "1"),
+            ("gen", "--family", "random", "--n", "3", "--m", "2", "-o", "out.txt"),
+            ("sweep", "closed.json"),
+            ("sweep", "missing.json"),
+            ("sweep", "-"),
+        ],
+        ids=["rank", "rank-missing", "rank-stdin", "gen", "gen-output", "sweep", "sweep-missing", "sweep-stdin"],
+    )
+    def test_below_one_is_refused_first(self, tmp_path, capsys, monkeypatch, argv, guard):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "a.txt", EW3)
+        write(tmp_path, "closed.json", json.dumps({"identities": ["vandermonde"], "n": [0, 3]}))
+        stdin = io.StringIO(EW3)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, *argv, "--guard", guard)
+        assert (code, out, err) == (2, "", f"error: --guard must be a positive integer, got {guard}\n")
+        assert stdin.tell() == 0
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_one_is_a_guard(self, tmp_path, capsys):
+        # The smallest guard it takes refuses every cell but n = 0's.
+        cfg = write(tmp_path, "closed.json", json.dumps({"identities": ["vandermonde"], "n": [0, 1]}))
+        code, out, err = run(capsys, "sweep", cfg, "--guard", "1")
+        assert code == 3
+        assert json.loads(out.splitlines()[-1])["summary"] == {
+            "error": 4, "fail": 0, "known_erratum": 0, "pass": 1, "total": 5
+        }
 
 
 class TestDistribution:
@@ -749,7 +791,7 @@ class TestPieceByPieceInput:
             assert want == (0, want[1], "note: dropped 3 duplicate vector(s)\n")
             assert json.loads(want[1])["m"] == 40
             for size in range(1, 13):
-                monkeypatch.setattr(qcube.core, "_PARSE_CHUNK", size)
+                monkeypatch.setattr(qcube.base, "_PARSE_CHUNK", size)
                 assert run(capsys, argv[0], str(path), *argv[1:]) == want
                 monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8"))
                 assert run(capsys, argv[0], "-", *argv[1:]) == want
@@ -825,7 +867,7 @@ class TestInferN:
         # 8 192, with blank and comment lines.
         text = "".join(head) + ("\n" * 2000 + "#" * 1500 + "\r\n") * filler + "".join(tail)
         for size in (7, 4096, 1 << 16):
-            with mock.patch.object(qcube.core, "_PARSE_CHUNK", size):
+            with mock.patch.object(qcube.base, "_PARSE_CHUNK", size):
                 assert_infers_n(text, q)
 
     @pytest.mark.parametrize("cut", range(4090, 4100))
@@ -833,7 +875,7 @@ class TestInferN:
         for line in ("0101", "\r\n0101", "\r\r\n1,2,3"):
             text = "\n" * (cut - 1) + "\r" + line
             for size in (1, 4096, 1 << 16):
-                with mock.patch.object(qcube.core, "_PARSE_CHUNK", size):
+                with mock.patch.object(qcube.base, "_PARSE_CHUNK", size):
                     assert_infers_n(text, 2)
 
 
@@ -1305,7 +1347,7 @@ class TestSweep:
 
     def test_closed_form_cell_over_the_guard_gives_error_rows(self, tmp_path, capsys, monkeypatch):
         # Unrefused, this cell's packed rows take minutes and hundreds of MB.
-        monkeypatch.setattr(qcube.families, "_pascal_rows", None)
+        monkeypatch.setattr(qcube.closed, "_pascal_rows", None)
         config = {"identities": ["chu_vandermonde_generalized"], "q": [100000000],
                   "n": [600, 600], "nu": [500, 600], "k": [600, 600]}
         cfg = write(tmp_path, "cfg.json", json.dumps(config))
@@ -1757,7 +1799,7 @@ class TestSweepRowTemplates:
         seen = check_rows_against_the_oracle(monkeypatch)
 
         def perturbed(params, nus, ks, guard):
-            for row in qcube.families.vandermonde_cell(params, nus, ks, guard):
+            for row in qcube.closed.vandermonde_cell(params, nus, ks, guard):
                 if (params.n, row.nu) == (5, 2):
                     row = row._replace(lhs=row.lhs + (1 << 8 * row.width * 3))
                 yield row
@@ -1871,9 +1913,9 @@ class TestSweepRowTemplates:
     def test_one_format_nu_row_equals_the_per_point_lines(self, q, n, nu, bounds):
         nu = min(nu, n)
         ks = range(min(bounds[0], n), min(bounds[1], n) + 1)
-        for identity, cell, least in (("vandermonde", qcube.families.vandermonde_cell, 0),
+        for identity, cell, least in (("vandermonde", qcube.closed.vandermonde_cell, 0),
                                       ("chu_vandermonde_generalized",
-                                       qcube.families.chu_vandermonde_generalized_cell, 1)):
+                                       qcube.closed.chu_vandermonde_generalized_cell, 1)):
             if nu < least:
                 continue
             params = {"q": q, "n": n, "nu": nu}

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qcube.base
 import qcube.core
 from qcube.core import (
     CubeError,
@@ -638,7 +639,7 @@ def each_reading(text, params):
     1 to 12 characters or bytes."""
     outcomes = []
     for size in range(1, 13):
-        with mock.patch.object(qcube.core, "_PARSE_CHUNK", size):
+        with mock.patch.object(qcube.base, "_PARSE_CHUNK", size):
             outcomes += [parse_outcome(parse_pointset, source, params) for source in readings(text)]
     return outcomes
 
@@ -670,7 +671,7 @@ def test_chunked_parse_matches_the_per_line_loop(case, chunk):
     # reads may cut a "\r\n" or a character's UTF-8 bytes.
     params, text = case
     oracle = parse_outcome(_parse_each_line, text, params)
-    with mock.patch.object(qcube.core, "_PARSE_CHUNK", chunk):
+    with mock.patch.object(qcube.base, "_PARSE_CHUNK", chunk):
         for source in readings(text):
             assert parse_outcome(parse_pointset, source, params) == oracle
 
@@ -682,7 +683,7 @@ class TestChunkBoundaries:
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(qcube.core, "_PARSE_CHUNK", 3)
+        monkeypatch.setattr(qcube.base, "_PARSE_CHUNK", 3)
 
     @pytest.mark.parametrize("sep", ["\r\n", "\x85", "\r", "\n\r"])
     def test_line_ends_and_comments_on_a_boundary(self, sep):
@@ -738,7 +739,7 @@ class TestReadPieces:
         # Universal newlines, as Path.read_text reads a file: "\r\n" and
         # "\r" become "\n", so a file with "\r" line ends is cut too.
         for size in range(1, 13):
-            with mock.patch.object(qcube.core, "_PARSE_CHUNK", size):
+            with mock.patch.object(qcube.base, "_PARSE_CHUNK", size):
                 pieces = list(read_pieces(self.stream(data)))
             assert "".join(pieces) == self.stream(data).read()
             assert all(piece.endswith("\n") for piece in pieces[:-1])
@@ -749,7 +750,7 @@ class TestReadPieces:
         with pytest.raises(UnicodeDecodeError) as whole:
             data.decode("utf-8")
         for size in range(1, 13):
-            with mock.patch.object(qcube.core, "_PARSE_CHUNK", size):
+            with mock.patch.object(qcube.base, "_PARSE_CHUNK", size):
                 with pytest.raises(UnicodeDecodeError) as got:
                     list(read_pieces(self.stream(data)))
             assert str(got.value) == str(whole.value)

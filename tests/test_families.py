@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qcube.closed
 import qcube.families
+from qcube.closed import chu_vandermonde_generalized_cell, evenweight_cell, vandermonde_cell
 from qcube.core import CubeError, CubeParams, Point, PointSet, SizeGuardError, binom
 from qcube.faces import distribution
 from qcube.families import (
@@ -16,8 +18,6 @@ from qcube.families import (
     check_chu_vandermonde_generalized,
     check_evenweight_identity,
     check_vandermonde,
-    chu_vandermonde_generalized_cell,
-    evenweight_cell,
     evenweight_distribution_closed,
     face_distribution_closed,
     face_spec,
@@ -25,7 +25,6 @@ from qcube.families import (
     gen_face_subset,
     gen_random_subset,
     realize_family,
-    vandermonde_cell,
 )
 from qcube.identities import corollary_s2
 from qcube.rank import rank, rank_rows
@@ -399,8 +398,8 @@ class TestClosedFormCells:
             (chu_vandermonde_generalized_cell, n * (q - 1).bit_length() + n + 1),
         ):
             estimate = (n + 1) * (n + 2) // 2 * -(-bits // 64)
-            width = qcube.families._limb_bytes(2**n if cell is vandermonde_cell else (q + 1) ** n)
-            rows = qcube.families._pascal_rows(n, width)
+            width = qcube.closed._limb_bytes(2**n if cell is vandermonde_cell else (q + 1) ** n)
+            rows = qcube.closed._pascal_rows(n, width)
             assert sum(-(-row.bit_length() // 64) for row in rows) <= estimate
             nus = range(1, n + 1)
             rows = cell(CubeParams(q, n), nus, range(n + 1), estimate)
@@ -450,10 +449,27 @@ class TestClosedFormCells:
                     assert largest >= 256 ** (row.width - 1), (q, n)
 
     def test_refused_cell_builds_no_rows(self, monkeypatch):
-        monkeypatch.setattr(qcube.families, "_pascal_rows", None)
+        monkeypatch.setattr(qcube.closed, "_pascal_rows", None)
         cell = chu_vandermonde_generalized_cell(CubeParams(10**8, 600), range(500, 601), range(600, 601))
         with pytest.raises(SizeGuardError, match="about 47576963 elementary"):
             next(cell)
+
+    @pytest.mark.parametrize("q, n", [(2, 120), (7, 100), (1000, 80)])
+    def test_chu_cell_holds_at_most_two_and_a_half_estimates(self, q, n):
+        # The guard's estimate counts the packed Pascal rows in 64-bit words.
+        # Term tables formed unshifted hold about as much again as the rows
+        # (1.8x, 1.6x and 2.1x the estimate here); tables shifted by i limbs
+        # held 3.3x, 3.0x and 3.9x. The allowance covers what the cell holds
+        # besides: one nu's binomials, the sum being formed and the last row.
+        estimate = (n + 1) * (n + 2) // 2 * -(-(n * (q - 1).bit_length() + n + 1) // 64)
+        tracemalloc.start()
+        try:
+            for _ in chu_vandermonde_generalized_cell(CubeParams(q, n), range(1, n + 1), range(n + 1)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * estimate // 2 + (64 << 10), (peak, 8 * estimate)
 
     @given(
         coefficients=st.lists(st.integers(0, 2**24 - 1), min_size=1, max_size=12),
@@ -466,7 +482,7 @@ class TestClosedFormCells:
         lo = data.draw(st.integers(0, n))
         ks = range(lo, data.draw(st.integers(lo - 1, n)) + 1)
         for order in (ks, ks[::-1]):
-            assert qcube.families.limbs(packed, order, 3) == [coefficients[k] for k in order]
+            assert qcube.closed.limbs(packed, order, 3) == [coefficients[k] for k in order]
 
     @given(width=st.integers(1, 40), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -490,9 +506,9 @@ class TestClosedFormCells:
                   range(lo, hi + 1, step)]
         packed = sum(c << 8 * width * k for k, c in enumerate(coefficients))
         for ks in ranges:
-            assert qcube.families.limbs(packed, ks, width) == sliced(packed, ks, width), ks
+            assert qcube.closed.limbs(packed, ks, width) == sliced(packed, ks, width), ks
             # NuRow.points reads both sides through limbs().
-            row = qcube.families.NuRow(None, ks, packed, packed >> 8 * width, width)
+            row = qcube.closed.NuRow(None, ks, packed, packed >> 8 * width, width)
             want = zip(ks, sliced(packed, ks, width), sliced(packed >> 8 * width, ks, width))
             assert list(row.points()) == list(want)
 

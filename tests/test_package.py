@@ -17,7 +17,10 @@ import qcube
 import qcube.cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-SUBMODULES = ("qcube.core", "qcube.faces", "qcube.families", "qcube.identities", "qcube.rank", "qcube.sweep")
+SUBMODULES = (
+    "qcube.base", "qcube.closed", "qcube.core", "qcube.faces", "qcube.families", "qcube.identities", "qcube.rank",
+    "qcube.sweep",
+)
 
 # Runs argv through qcube.cli.main, then prints, as its last line, the qcube
 # modules in sys.modules and the ones of them that were executed: a lazily
@@ -39,6 +42,9 @@ def run_child(tmp_path, *argv):
     # bench/sweep_closed.json's closed-form identities on a small n range.
     closed = json.loads((BENCH / "sweep_closed.json").read_text())
     (tmp_path / "closed.json").write_text(json.dumps({**closed, "n": [0, 6]}))
+    # Family identities and bounds on random sets, as bench/sweep_random.json.
+    family = {"identities": ["main", "corollary1", "bounds"], "q": [2], "n": [3, 4], "family": {"kind": "random", "m": 4}}
+    (tmp_path / "random.json").write_text(json.dumps(family))
     src = str(Path(qcube.cli.__file__).parents[1])
     # -S: no site hooks, which may import stdlib modules (random among them)
     # before qcube runs and so hide what qcube itself imports.
@@ -50,24 +56,42 @@ def run_child(tmp_path, *argv):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+POINTS = ["qcube.base", "qcube.cli", "qcube.core"]
+
+
 @pytest.mark.parametrize(
     "argv, executed",
     [
-        (("distribution", "a.txt", "-k", "2"), ["qcube.cli", "qcube.core", "qcube.faces"]),
-        (("rank", "a.txt"), ["qcube.cli", "qcube.core", "qcube.rank"]),
-        (("bounds", "a.txt"), ["qcube.cli", "qcube.core", "qcube.rank"]),
-        (("gen", "--family", "random", "--n", "4", "--m", "3"), ["qcube.cli", "qcube.core", "qcube.families"]),
-        (("sweep", "closed.json"), ["qcube.cli", "qcube.core", "qcube.families", "qcube.sweep"]),
+        (("distribution", "a.txt", "-k", "2"), [*POINTS, "qcube.faces"]),
+        (("rank", "a.txt"), [*POINTS, "qcube.rank"]),
+        (("bounds", "a.txt"), [*POINTS, "qcube.rank"]),
+        # identities executes faces and rank, whose names it imports.
+        (("verify", "a.txt", "-k", "2", "-s", "2"), [*POINTS, "qcube.faces", "qcube.identities", "qcube.rank"]),
+        (("gen", "--family", "random", "--n", "4", "--m", "3"), [*POINTS, "qcube.families"]),
+        (("sweep", "closed.json"), ["qcube.base", "qcube.cli", "qcube.closed", "qcube.sweep"]),
+        (("sweep", "random.json"), sorted(["qcube.cli", *SUBMODULES])),
     ],
-    ids=["distribution", "rank", "bounds", "gen", "sweep-closed-forms"],
+    ids=["distribution", "rank", "bounds", "verify", "gen", "sweep-closed-forms", "sweep-random-family"],
 )
 def test_command_executes_only_the_modules_it_uses(tmp_path, argv, executed):
     got = run_child(tmp_path, *argv)
     assert got["code"] == 0
     assert got["executed"] == executed
     assert got["modules"] == sorted(["qcube.cli", *SUBMODULES])
-    if argv[0] != "gen":  # only a random family needs it
-        assert not got["random"]
+    # Only a random family needs it.
+    assert got["random"] == ("random" in argv or "random.json" in argv)
+
+
+def test_importing_the_cli_executes_only_cli_and_base():
+    # The process whose time the benchmark reports as setup_s; -S as in run_child.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import json, sys, types, qcube.cli; print(json.dumps(sorted("
+         "n for n, m in sys.modules.items() if n.startswith('qcube.') and type(m) is types.ModuleType)))"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(qcube.cli.__file__).parents[1])),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["qcube.base", "qcube.cli"]
 
 
 @pytest.mark.parametrize(
@@ -117,7 +141,7 @@ def run_closed_form_first(name):
 
 def test_face_closed_form_called_first():
     got = run_closed_form_first("face_distribution_closed")
-    assert got["executed"] == ["qcube.core", "qcube.faces", "qcube.families"]
+    assert got["executed"] == ["qcube.base", "qcube.core", "qcube.faces", "qcube.families"]
     params = qcube.CubeParams(3, 4)
     oracle = qcube.distribution(qcube.gen_face_subset(params, qcube.face_spec(params, 2)), 2)
     assert got["value"] == [list(item) for item in sorted(oracle.counts.items())]
@@ -126,7 +150,9 @@ def test_face_closed_form_called_first():
 def test_vandermonde_called_first():
     got = run_closed_form_first("check_vandermonde")
     # identities executes faces and rank, whose names it imports.
-    assert got["executed"] == ["qcube.core", "qcube.faces", "qcube.families", "qcube.identities", "qcube.rank"]
+    assert got["executed"] == [
+        "qcube.base", "qcube.core", "qcube.faces", "qcube.families", "qcube.identities", "qcube.rank"
+    ]
     assert got["value"] == [6, 6, True]
 
 
@@ -136,7 +162,7 @@ def test_importing_the_cli_registers_every_module():
         capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(Path(qcube.cli.__file__).parents[1])),
     )
-    assert proc.stdout.split() == ["qcube", "qcube.cli", *SUBMODULES]
+    assert proc.stdout.split() == ["qcube", *sorted(["qcube.cli", *SUBMODULES])]
 
 
 def test_every_export_is_the_object_its_module_defines():
