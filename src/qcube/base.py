@@ -269,15 +269,15 @@ def _pieces(chunks: Iterable[str]) -> Iterator[str]:
         yield tail
 
 
-def read_pieces(source: TextIO | PathLike[str]) -> Iterator[str]:
-    """The text of an open text stream, or of the file at a path, which is
-    opened as Path.read_text opens it, in pieces for core.parse_pointset.
-    About _PARSE_CHUNK bytes are read at a time, and cut into pieces by
-    _pieces.
+def read_pieces(source: TextIO | str | PathLike[str]) -> Iterator[str]:
+    """The text of an open text stream, or of the file at a path, a str (or
+    an os.PathLike), opened with open(path), in pieces for
+    core.parse_pointset. About _PARSE_CHUNK bytes are read at a time, and
+    cut into pieces by _pieces.
 
     The bytes below the stream are decoded with its encoding and errors, as
     its read() decodes them, and "\r\n" and "\r" become "\n", as they do in
-    Path.read_text. A byte the decoding refuses is named by its position in
+    open(path).read(). A byte the decoding refuses is named by its position in
     the whole input, as decoding it at once names it. A stream with no bytes
     below it, such as io.StringIO, is read as text."""
     if not isinstance(source, io.TextIOBase):

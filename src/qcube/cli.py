@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence, TextIO
 
 from . import core, faces, families, identities, sweep
@@ -77,7 +76,7 @@ def input_pieces(path: str) -> Iterator[str]:
     """The text of the file at path, or of stdin for "-", in pieces
     (base.read_pieces)."""
     if path != "-":
-        return read_pieces(Path(path))
+        return read_pieces(path)
     if sys.stdin is None:
         raise CubeError("stdin is closed")
     return read_pieces(sys.stdin)
@@ -235,7 +234,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         spec = families.FamilySpec(args.family.replace("-", "_"), m=args.m, seed=args.seed)
     A = families.realize_family(params, spec, _guard(args))
     if args.output:
-        with Path(args.output).open("w") as out:
+        with open(args.output, "w") as out:
             out.writelines(core.serialized_blocks(A))
     else:
         sys.stdout.writelines(core.serialized_blocks(A))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import sys
 from itertools import filterfalse, repeat
 from operator import lt
-from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import closed, faces, identities  # module handles: gen executes none of them
@@ -215,7 +214,7 @@ def _random_grid(fam: dict[str, Any], params: CubeParams, nus: range, seeds: tup
 def _build_file(params: CubeParams, spec: FamilySpec, guard: int) -> PointSet:
     if not isinstance(spec.path, str):
         raise CubeError("file family needs a path")
-    return parse_pointset(read_pieces(Path(spec.path)), params)[0]
+    return parse_pointset(read_pieces(spec.path), params)[0]
 
 
 # Each family kind. build(params, spec, guard) runs the spec's own checks, then

@@ -9,8 +9,11 @@ equality. Both sides keep their per-set results in the set's own memo
 
 verify_main is `qcube verify`'s path; corollary_s1..s3 are the library's.
 The sweep's family identities are the main theorem at one s each,
-Σ_e C(e, s)·N_k(e) = Σ_{|B| = s} C(n − r(B), k − r(B)), with r the subset
-rank, the pair distance, half a triple's distance sum, or rank(A) at s = |A|;
+Σ_e C(e, s)·N_k(e) = Σ_{|B| = s} C(n − r(B), k − r(B)), whose right side is
+H_s, the s-subsets counted by rank r (_subset_rank_histogram, one per set
+and s): main at each s, corollaries 1 and 2 at s = 1 and 2 (a pair's rank is
+its distance), and the face-count lemma at s = |A| (rank(A)). Corollary 3
+alone reads another histogram, of half a triple's distance sum.
 family_points evaluates them all from one table (_FAMILIES), each point's
 checks in its per-point function's order, and these per-point functions are
 its oracle.
@@ -20,9 +23,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import wraps
-from itertools import accumulate, chain, combinations, compress
+from itertools import accumulate, combinations, compress
 from math import comb
-from operator import add, and_, lshift
+from operator import add, and_, lshift, or_, xor
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -183,13 +186,19 @@ def _rhs_sliced_bytes(params: CubeParams, m: int, s: int) -> int:
       them, 2*bit_length(n) + 6 bitsets of max(_RHS_BLOCK, C(m-1, s-1))
       bits at most;
     - 40 bytes per entry of the per-point lists, (n + 2s)*m entries, and
-      64 KiB of the interpreter's own."""
+      64 KiB of the interpreter's own.
+    The masks are added only while the bound is within KERNEL_MEMORY_CAP:
+    past it, the value is some bound above the cap, reached in a few terms
+    even at s near m."""
     n = params.n
     width = binom(m - 1, s - 1)
-    bits = n * min(params.q, m) * width
-    bits += sum(binom(m, j) for j in range(2, s))
-    bits += (2 * n.bit_length() + 6) * max(_RHS_BLOCK, width)
-    return bits * 2 // 15 + 40 * (n + 2 * s) * m + (64 << 10)
+    fixed = 40 * (n + 2 * s) * m + (64 << 10)
+    bits = n * min(params.q, m) * width + (2 * n.bit_length() + 6) * max(_RHS_BLOCK, width)
+    for j in range(2, s):
+        if bits * 2 // 15 + fixed > KERNEL_MEMORY_CAP:
+            break
+        bits += binom(m, j)
+    return bits * 2 // 15 + fixed
 
 
 def _rhs_sliced_pays(params: CubeParams, m: int, s: int) -> bool:
@@ -215,8 +224,12 @@ def _rhs_sliced_pays(params: CubeParams, m: int, s: int) -> bool:
 
 @per_set
 def _subset_rank_histogram(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
-    """The sorted (r, number of s-subsets of rank r) pairs of A; s = 1 is
-    every point at rank 0.
+    """The sorted (r, number of s-subsets of rank r) pairs of A, H_s: the
+    right side of the main theorem at s, and so of corollaries 1 and 2
+    (s = 1, 2) and of the face-count lemma (s = |A|). A nonempty A is
+    required first. s = 1 is every point at rank 0, s = |A| the one subset
+    A at rank(A); s = 2 is the pair distances, which the walk takes from the
+    same popcounts as rank.distance_sum.
 
     Two routes give the same histogram: the walk, which visits every subset
     (_subset_rank_histogram_walked), and for s >= 3 the sliced route, which
@@ -225,11 +238,23 @@ def _subset_rank_histogram(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
     when its cost estimate from (q, n, m, s) is below the walk's and
     everything it holds at once, bounded by _rhs_sliced_bytes, fits in
     KERNEL_MEMORY_CAP (16 MiB). The walk keeps s = 2, sets of a few points,
-    and n in the thousands, where its ORs of packed rows are cheaper."""
+    and n in the thousands, where its ORs of packed rows are cheaper.
+    For m - s <= s/3 the walk is replaced by the walk over the m - s points
+    left out (_subset_rank_histogram_complement), m - s deep rather than
+    s - 1. Both were timed for m/2 < s < m on a grid of q up to 11, n up to
+    3 000 and m up to 100 (see ROADMAP): the complement was faster at every
+    routed shape but one, where it was 2% slower, and up to twice as slow
+    nearer s = m/2. So an s - 1 deep walk that would pass the recursion limit has
+    over 330 points left out and over 10^300 subsets."""
+    _require_nonempty(A)
     if s == 1:
         return ((0, len(A)),)
+    if s == len(A):
+        return ((rank(A), 1),)
     if _rhs_sliced_pays(A.params, len(A), s):
         return _subset_rank_histogram_sliced(A, s)
+    if s < len(A) and 3 * (len(A) - s) <= s:
+        return _subset_rank_histogram_complement(A, s)
     return _subset_rank_histogram_walked(A, s)
 
 
@@ -261,6 +286,42 @@ def _subset_rank_histogram_walked(A: PointSet, s: int) -> tuple[tuple[int, int],
         walk([fold(anchor ^ p) for p in packed[a + 1 :]], 0, s - 1)
         hist.update(ranks)
         ranks.clear()
+    return tuple(sorted(hist.items()))
+
+
+def _subset_rank_histogram_complement(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
+    """The walk over the m - s points left out, for m/2 < s < m (routed
+    at m - s <= s/3): every (m - s)-subset depth first, so it recurses
+    m - s deep, and it still ranks C(m, s) kept sets.
+
+    A set's rank is the popcount of fold(OR ^ AND) over its packed rows (a
+    coordinate block of OR ^ AND is non-zero exactly where the rows differ).
+    The walk carries the OR and AND of the kept rows before the next point
+    left out, and reads those after the last one from suffix tables."""
+    packed = A.packed
+    m = len(packed)
+    fold = block_fold(A.params)
+    # ors[t], ands[t]: the OR and AND of packed[t:]; the AND of no rows is -1.
+    ors = [*accumulate(reversed(packed), or_, initial=0)][::-1]
+    ands = [*accumulate(reversed(packed), and_, initial=-1)][::-1]
+    hist: Counter[int] = Counter()
+
+    def walk(start: int, kept_or: int, kept_and: int, left: int) -> None:
+        # Leave out `left` more points from packed[start:]. For the last, the
+        # kept rows before each candidate are running sums, tallied at once.
+        rows = packed[start:]
+        if left == 1:
+            before_or = accumulate(rows, or_, initial=kept_or)
+            before_and = accumulate(rows, and_, initial=kept_and)
+            after = map(xor, map(or_, before_or, ors[start + 1 :]), map(and_, before_and, ands[start + 1 :]))
+            hist.update(map(int.bit_count, map(fold, after)))
+            return
+        for j, row in enumerate(rows[: len(rows) - left + 1], start):
+            walk(j + 1, kept_or, kept_and, left - 1)
+            kept_or |= row
+            kept_and &= row
+
+    walk(0, 0, -1, m - s)
     return tuple(sorted(hist.items()))
 
 
@@ -380,12 +441,15 @@ def main_rhs(A: PointSet, k: int, s: int, guard: int = DEFAULT_GUARD) -> int:
     """Right side: sum of C(n - r(B), k - r(B)) over all s-element subsets B
     of A, where r(B) is the subset rank.
 
-    It is summed over the histogram r -> number of s-subsets of rank r,
-    kept in A.memo per s, after the binom(m, s) guard, which is checked on
-    every call, before the memo is read. The histogram has
-    two routes, both exact (_subset_rank_histogram):
+    It is summed over H_s, the histogram r -> number of s-subsets of rank
+    r (_subset_rank_histogram), kept in A.memo per s and shared with the
+    corollaries and the sweep, after the binom(m, s) guard, which is checked
+    on every call, before the memo is read. s = 1 and s = |A| need no
+    subsets; otherwise the histogram has two routes, both exact:
     - the walk visits the subsets depth first over the folded differences of
-      the packed rows (core.block_fold over PointSet.packed);
+      the packed rows (core.block_fold over PointSet.packed), or for
+      m - s <= s/3 the m - s points left out, ranking each kept set by the
+      fold of its rows' OR ^ AND;
     - the sliced route, for s >= 3, ranks a block of subsets at once from
       per-value contained tables over the colex order, built from
       PointSet.slices, and a bit-sliced adder.
@@ -447,13 +511,6 @@ def _distances_after(A: PointSet) -> Iterator[list[int]]:
         yield list(map(int.bit_count, map(fold, map(row.__xor__, packed[a + 1 :]))))
 
 
-@per_set
-def _pair_distance_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
-    """The sorted (d, number of pairs at distance d) pairs, from one
-    _distances_after pass; it holds one point's distances at a time."""
-    return tuple(sorted(Counter(chain.from_iterable(_distances_after(A))).items()))
-
-
 def corollary_s2(
     A: PointSet, k: int, guard: int = DEFAULT_GUARD, include_terms: bool = False
 ) -> IdentityReport:
@@ -461,16 +518,17 @@ def corollary_s2(
     C(n - d, k - d) at pair distance d.
 
     Valid for every q: a pair at distance d spans a d-dimensional face, so its
-    rank is d and no separate rank computation is needed. The right side is
-    summed over the histogram d -> number of pairs (_pair_distance_histogram),
-    kept in A.memo; its binom(m, 2) guard is checked on every call. With
-    terms, every pair is listed from distance_sum, the histogram's oracle.
+    rank is d, and the right side is the main theorem's at s = 2: it is
+    summed over H_2, the histogram d -> number of pairs
+    (_subset_rank_histogram(A, 2), kept in A.memo and shared with main_rhs),
+    after its binom(m, 2) guard, which is checked on every call. With terms,
+    every pair is listed from distance_sum, the histogram's oracle.
     """
     _require_size(A, 2, "corollary_s2")
     check_guard(binom(len(A), 2), guard)
     n = A.params.n
     lhs, lt = _left(A, k, 2, guard, include_terms)
-    rhs = _right(_pair_distance_histogram(A), n, k)
+    rhs = _right(_subset_rank_histogram(A, 2), n, k)
     rt = None
     if include_terms:
         rt = tuple((f"pair={ij}", binom(n - d, k - d)) for ij, d in sorted(distance_sum(A, guard).pairwise.items()))
@@ -547,14 +605,6 @@ def corollary_s3(
     return _report("corollary3", A, k, 3, lhs, rhs, lt, rt)
 
 
-@per_set
-def _containing_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
-    # The one |A|-subset, A itself, at rank(A), after faces_containing_count's
-    # check; per_set keeps nothing of a call that raises.
-    _require_nonempty(A)
-    return ((rank(A), 1),)
-
-
 def _unchecked(A: PointSet, k: int, s: int, guard: int) -> None:
     pass
 
@@ -563,14 +613,15 @@ class _Family(NamedTuple):
     """One family identity of the sweep as the main theorem at s. `grid(A,
     k, lo, hi)` gives the s of its points at k, lo..hi the config's s range;
     `before(A, k, s, guard)` and `after` are the per-point function's checks
-    before and after its distribution(A, k, guard); `histogram(A, s)` the
-    right side's r -> number of s-subsets of rank r. Rows carry s in their
-    params if `row_s`, error rows if `error_s`."""
+    before and after its distribution(A, k, guard). The right side's r ->
+    number of s-subsets of rank r is _subset_rank_histogram(A, s) unless
+    `histogram(A, s)` overrides it. Rows carry s in their params if `row_s`,
+    error rows if `error_s`."""
 
     grid: Callable[[PointSet, int, int, int], Iterable[int]]
     before: Callable[[PointSet, int, int, int], None]
     after: Callable[[PointSet, int, int, int], None]
-    histogram: Callable[[PointSet, int], tuple[tuple[int, int], ...]]
+    histogram: Optional[Callable[[PointSet, int], tuple[tuple[int, int], ...]]] = None
     row_s: bool = True
     error_s: bool = False
 
@@ -583,26 +634,23 @@ _FAMILIES = {
         lambda A, k, lo, hi: range(max(lo, 1), min(hi, intersection_cap(A, k)) + 1),
         _unchecked,
         lambda A, k, s, guard: check_guard(binom(len(A), s), guard),
-        lambda A, s: _subset_rank_histogram(A, s),
         error_s=True,
     ),
     "corollary1": _Family(  # corollary_s1
         lambda A, k, lo, hi: (1,),
         lambda A, k, s, guard: _require_size(A, 1, "corollary_s1"),
         _unchecked,
-        lambda A, s: ((0, len(A)),),
     ),
     "corollary2": _Family(  # corollary_s2
         lambda A, k, lo, hi: (2,) if len(A) >= 2 else (),
         lambda A, k, s, guard: check_guard(binom(len(A), 2), guard),
         _unchecked,
-        lambda A, s: _pair_distance_histogram(A),
     ),
     "corollary3": _Family(  # corollary_s3
         lambda A, k, lo, hi: (3,) if A.params.q == 2 and len(A) >= 3 else (),
         lambda A, k, s, guard: check_guard(binom(len(A), 3), guard),
         lambda A, k, s, guard: check_guard(binom(len(A), 2), guard),
-        lambda A, s: _triple_rank_histogram(A),
+        lambda A, s: _triple_rank_histogram(A),  # half-sums of distances
     ),
     # A k-face contains A iff it meets A in all |A| points: s = |A|, whose
     # left side is the e = |A| entry of the distribution. Its guard is the
@@ -614,7 +662,6 @@ _FAMILIES = {
             A.params.q, A.params.n - k, guard, binom(A.params.n, k) * len(A)
         ),
         _unchecked,
-        lambda A, s: _containing_histogram(A),
         row_s=False,
     ),
 }
@@ -638,8 +685,10 @@ def family_points(
     distribution(A, k, guard) is read at its first point that passes the
     check before it, and asked again at the next point if refused, which
     costs one guard check. A point's left side sums C(e, s) times the
-    level's counts, its right side C(n - r, k - r) times the histogram's."""
+    level's counts, its right side C(n - r, k - r) times H_s's
+    (_subset_rank_histogram), or corollary 3's triple-rank histogram."""
     grid, before, after, histogram, row_s, error_s = _FAMILIES[name]
+    histogram = histogram or _subset_rank_histogram
     q, n, m = A.params.q, A.params.n, len(A)
     try:
         levels = dict(zip(ks, profile(A, ks, guard)))

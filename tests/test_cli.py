@@ -37,7 +37,7 @@ from qcube.families import (
     gen_face_subset,
     gen_random_subset,
 )
-from qcube.identities import IdentityReport
+from qcube.identities import IdentityReport, _subset_rank_histogram
 
 EW3 = "000\n011\n101\n110\n"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -341,6 +341,14 @@ class TestVerify:
         assert code == 0
         assert "lhs: 6" in out and "rhs: 6" in out
         assert "equal: yes" in out
+
+    def test_s_one_below_m(self, tmp_path, capsys):
+        # The right side walks the one point left out, not 1 198 levels deep.
+        path = str(tmp_path / "big.txt")
+        assert run(capsys, "gen", "--family", "random", "--n", "11", "--m", "1200", "--seed", "1", "-o", path)[0] == 0
+        code, out, err = run(capsys, "verify", path, "-k", "11", "-s", "1199")
+        assert (code, err) == (0, "")
+        assert "lhs: 1200\nrhs: 1200\nequal: yes\n" in out
 
     def test_json_schema(self, tmp_path, capsys):
         path = write(tmp_path, "a.txt", EW3)
@@ -760,6 +768,14 @@ class TestPieceByPieceInput:
         config = {"identities": ["bounds"], "q": [2], "n": [4, 4], "family": {"kind": "file", "path": str(path)}}
         assert run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config))) == want
 
+    def test_an_empty_path(self, tmp_path, capsys):
+        # The empty path is opened as given, not as "." (a directory).
+        want = (2, "", "error: [Errno 2] No such file or directory: ''\n")
+        assert run(capsys, "rank", "") == want
+        assert run(capsys, "sweep", "") == want
+        config = {"identities": ["bounds"], "q": [2], "n": [4, 4], "family": {"kind": "file", "path": ""}}
+        assert run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config))) == want
+
     def test_stdin_that_cannot_be_read(self, capsys, monkeypatch):
         # Reads fail as they do from a directory's descriptor. (The
         # interpreter itself refuses to start with a directory as stdin.)
@@ -1053,10 +1069,14 @@ class TestSweep:
         assert row["error"] == str(scan.value)
 
     def test_rows_reuse_per_set_results(self, tmp_path, capsys, monkeypatch):
-        # Criterion 8's config: no lemma row scans faces, and corollaries 2
-        # and 3 each take one pass over the pairwise distances of a set.
+        # Criterion 8's config: no lemma row scans faces, and each right side
+        # is computed once per (set, s): H_s for main, corollaries 1 and 2
+        # and the lemma, and for corollary 3 one pass over the pairwise
+        # distances of a set.
         scans = count_calls(monkeypatch, "qcube.faces", "faces_containing_bruteforce")
         profiles = count_calls(monkeypatch, "qcube.identities", "_distances_after")
+        families = count_calls(monkeypatch, "qcube.identities", "family_points")
+        misses = _subset_rank_histogram.cache_info().misses
         config = {
             "identities": list(qcube.sweep.SWEEP_IDENTITIES),
             "q": [2, 3],
@@ -1070,13 +1090,52 @@ class TestSweep:
         assert code == 0
         assert '"identity":"lemma_face_count"' in out
         assert scans == []
-        sets = {id(args[0]): args[0] for args in profiles}
-        per_set = Counter(id(args[0]) for args in profiles)
-        # Corollary 2 needs two points; corollary 3, q = 2 and three points.
-        assert per_set == {key: 1 + (A.params.q == 2) for key, A in sets.items()}
+        sets = {id(args[1]): args[1] for args in families}
+        # Corollary 3 needs q = 2 and three points.
+        assert Counter(id(args[0]) for args in profiles) == {key: 1 for key, A in sets.items() if A.params.q == 2}
+        kept = [key for A in sets.values() for key in A.memo if key[0] is _subset_rank_histogram.__wrapped__]
+        assert len(kept) == _subset_rank_histogram.cache_info().misses - misses
         # Both seeds at q = 2, n = 2 draw the full square, as two set objects
         # that each keep their own results.
-        assert len(per_set) == 12
+        assert len(sets) == 12
+
+    def test_right_sides_are_computed_once_per_set_and_s(self, tmp_path, capsys, monkeypatch):
+        # main at s = 1..3, corollary 1 (s = 1), corollary 2 (s = 2) and the
+        # lemma (s = |A|) all read H_s, so a set keeps one histogram per s,
+        # each computed once, and no other.
+        families = count_calls(monkeypatch, "qcube.identities", "family_points")
+        misses = _subset_rank_histogram.cache_info().misses
+        config = {
+            "identities": ["main", "corollary1", "corollary2", "lemma_face_count"],
+            "q": [2, 3],
+            "n": [2, 4],
+            "s": [1, 3],
+            "seeds": [0, 1],
+            "family": {"kind": "random", "m": 4},
+        }
+        code, out, _ = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        assert code == 0
+        sets = {id(args[1]): args[1] for args in families}
+        assert len(sets) == 12
+        computed = 0
+        for A in sets.values():
+            histograms = sorted((fn.__name__, key) for fn, key in A.memo if fn.__name__.endswith("_histogram"))
+            assert histograms == [("_subset_rank_histogram", (s,)) for s in (1, 2, 3, 4)]
+            computed += len(histograms)
+        assert _subset_rank_histogram.cache_info().misses - misses == computed
+
+    def test_sweep_near_s_equal_m_is_not_a_crash(self, tmp_path, capsys):
+        # s from 1 020 to 1 024 on a 1 024-point face: the first two are
+        # refused by the binom(m, s) guard, and the walk of the kept points
+        # would recurse over 1 000 deep.
+        config = {"identities": ["main"], "q": [2], "n": [10, 10], "k": [10, 10], "nu": [10, 10],
+                  "s": [1020, 1024], "family": {"kind": "face"}}
+        code, out, err = run(capsys, "sweep", write(tmp_path, "cfg.json", json.dumps(config)))
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 3
+        assert [row["status"] for row in rows[:-1]] == ["error", "error", "pass", "pass", "pass"]
+        assert [(row["lhs"], row["rhs"]) for row in rows[2:5]] == [("523776", "523776"), ("1024", "1024"), ("1", "1")]
+        assert rows[-1] == {"summary": {"error": 2, "fail": 0, "known_erratum": 0, "pass": 3, "total": 5}}
 
     def test_lemma_rows_rank_each_set_once(self, tmp_path, capsys, monkeypatch):
         # Every k of a cell is a lemma_face_count point on each family set,

@@ -61,11 +61,11 @@ from qcube.identities import (
     _rhs_sliced_bytes,
     _rhs_sliced_pays,
     _subset_rank_histogram,
+    _subset_rank_histogram_complement,
     _subset_rank_histogram_sliced,
     _subset_rank_histogram_walked,
     _distances_after,
     _lhs_terms,
-    _pair_distance_histogram,
     _triple_rank_histogram,
     _triple_ranks,
     corollary_s1,
@@ -124,14 +124,16 @@ def test_packed_order_and_fold_match_coordinates(A):
         assert fold(pa ^ pb).bit_count() == hamming(a, b)
 
 
-@given(point_sets(), st.integers(1, MAX_M))
-@example(SINGLE_EMPTY_ROW, 1)
-@example(LOOSE_WIDTH, 2)
+@given(point_sets())
+@example(SINGLE_EMPTY_ROW)
+@example(LOOSE_WIDTH)
 @kernel_settings
-def test_subset_rank_histogram_matches_rank_rows(A, s):
-    for s in (min(s, len(A)), len(A)):
+def test_subset_rank_histogram_matches_rank_rows(A):
+    # Every s: the walk up to m/2, the walk over the points left out above
+    # it, the sliced route where it pays, and s = 1 and s = m.
+    for s in range(1, len(A) + 1):
         want = Counter(rank_rows(c) for c in combinations(A.coord_rows(), s))
-        assert _subset_rank_histogram(A, s) == tuple(sorted(want.items()))
+        assert _subset_rank_histogram(A, s) == tuple(sorted(want.items())), s
 
 
 def random_set(q, n, m, seed):
@@ -169,6 +171,42 @@ def test_sliced_rank_histogram_matches_walk_and_rank_rows(A, block):
         if comb(len(A), s) <= 3_000:
             want = Counter(rank_rows(c) for c in combinations(rows, s))
             assert sliced == tuple(sorted(want.items())), s
+
+
+@pytest.mark.parametrize("shape", [(2, 6, 16), (3, 4, 16), (11, 3, 15), (16, 5, 12)])
+def test_complement_walk_matches_the_walk(shape):
+    # Above m/2 the histogram walks the points left out; the walk of the kept
+    # points, s - 1 deep, is its oracle.
+    q, n, m = shape
+    A = random_set(q, n, m, 4)
+    for s in range(m // 2 + 1, m):
+        assert _subset_rank_histogram_complement(A, s) == _subset_rank_histogram_walked(A, s), s
+
+
+# Each (q, n, m, s) timed on the walk and the complement walk (ROADMAP,
+# "Measured, not planned"); the sliced route pays at none of them.
+COMPLEMENT_FASTER = [(2, 5, 30, 25), (5, 1000, 16, 12), (11, 3000, 40, 36)]
+WALK_FASTER_THAN_COMPLEMENT = [(2, 1000, 16, 10), (2, 1000, 20, 11), (3, 1000, 20, 13), (5, 100, 12, 7)]
+
+
+@pytest.mark.parametrize("shape", COMPLEMENT_FASTER + WALK_FASTER_THAN_COMPLEMENT)
+def test_complement_walk_takes_the_shapes_it_was_timed_faster_at(shape):
+    q, n, m, s = shape
+    A = random_set(q, n, m, 11)
+    assert not _rhs_sliced_pays(A.params, m, s)
+    with mock.patch.object(qcube.identities, "_subset_rank_histogram_complement", return_value=()) as complement, \
+            mock.patch.object(qcube.identities, "_subset_rank_histogram_walked", return_value=()) as walked:
+        _subset_rank_histogram.__wrapped__(A, s)
+    assert (complement.call_count, walked.call_count) == ((1, 0) if shape in COMPLEMENT_FASTER else (0, 1))
+
+
+def test_rank_histogram_estimate_stops_at_the_memory_cap():
+    # Summing C(m, j) for every j < s takes over a minute at this shape; the
+    # sum stops once the bound passes the cap.
+    start = time.perf_counter()
+    assert not _rhs_sliced_pays(CubeParams(2, 15), 20000, 19999)
+    assert time.perf_counter() - start < 1
+    assert _rhs_sliced_bytes(CubeParams(2, 15), 20000, 19999) > KERNEL_MEMORY_CAP
 
 
 def test_sliced_rank_histogram_over_many_blocks_matches_walk():
@@ -444,13 +482,19 @@ def test_equal_sets_keep_their_own_results():
 
 
 def test_corollaries_take_the_distances_once_across_guards():
+    # One right side per corollary: H_2 from the walk, and the triple ranks
+    # from one pass over the pairwise distances.
     A = random_set(2, 10, 24, 5)
     least = comb(10, 4) * 24  # the left side's guard, the largest of each
     with mock.patch.object(qcube.identities, "_distances_after", wraps=_distances_after) as calls:
-        for corollary in (corollary_s2, corollary_s3):
-            before = calls.call_count
+        for corollary, histogram, passes in (
+            (corollary_s2, _subset_rank_histogram, 0),
+            (corollary_s3, _triple_rank_histogram, 1),
+        ):
+            before, misses = calls.call_count, histogram.cache_info().misses
             assert corollary(A, 4) == corollary(A, 4, guard=least)
-            assert calls.call_count == before + 1
+            assert histogram.cache_info().misses == misses + 1
+            assert calls.call_count == before + passes
     assert corollary_s2(A, 4).equal and corollary_s3(A, 4).equal
 
 
@@ -743,12 +787,13 @@ def test_triple_rank_histogram_matches_triple_ranks(A):
 
 
 def test_pair_distance_histogram_holds_one_point_of_distances():
-    # A table of all 124 750 pairs would peak at about 12 MiB.
+    # H_2, the pair distances; a table of all 124 750 pairs would peak at
+    # about 12 MiB.
     A = random_set(2, 20, 500, 7)
     A.packed  # part of the set, built before the pass
     tracemalloc.start()
     try:
-        hist = _pair_distance_histogram.__wrapped__(A)
+        hist = _subset_rank_histogram.__wrapped__(A, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,6 +5,7 @@ Each command runs in a fresh interpreter, so that no other test has executed
 a module first.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -31,7 +32,7 @@ from qcube.cli import main
 code = main(sys.argv[1:])
 modules = sorted(name for name in sys.modules if name.startswith("qcube."))
 executed = [name for name in modules if type(sys.modules[name]) is types.ModuleType]
-slow = [name for name in ("dataclasses", "inspect", "string") if name in sys.modules]
+slow = [name for name in ("dataclasses", "inspect", "string", "pathlib") if name in sys.modules]
 print(json.dumps({"code": code, "modules": modules, "executed": executed, "slow": slow,
                   "random": "random" in sys.modules}))
 """
@@ -103,15 +104,20 @@ def test_importing_the_cli_executes_only_cli_and_base():
         ("verify", "a.txt", "-k", "2", "-s", "2", "--breakdown"),
         ("gen", "--family", "face", "--n", "4", "--nu", "2"),
         ("sweep", "sweep.json"),
+        ("gen", "--family", "face", "--n", "4", "--nu", "2", "-o", "out.txt"),
+        ("sweep", "file.json"),
     ],
-    ids=lambda argv: argv[0],
+    ids=["rank", "bounds", "distribution", "verify", "gen", "sweep", "gen-output", "sweep-file-family"],
 )
 def test_command_imports_no_dataclasses(tmp_path, argv):
-    # dataclasses (with inspect) and string cost every process milliseconds
-    # to import; no command needs them.
+    # dataclasses (with inspect), string and pathlib (with urllib.parse and
+    # ipaddress) cost every process milliseconds to import; no command needs
+    # them, and a path is opened as the str it is given.
     config = {"identities": ["main", "corollary1", "bounds", "vandermonde"], "q": [2], "n": [3, 4],
               "family": {"kind": "random", "m": 4}}
     (tmp_path / "sweep.json").write_text(json.dumps(config))
+    files = {"identities": ["main", "lemma_face_count"], "q": [2], "n": [3, 3], "family": {"kind": "file", "path": "a.txt"}}
+    (tmp_path / "file.json").write_text(json.dumps(files))
     got = run_child(tmp_path, *argv)
     assert got["code"] == 0
     assert got["slow"] == []
@@ -178,6 +184,24 @@ def test_every_export_is_the_object_its_module_defines():
     exec("from qcube import *", namespace)
     assert {name: namespace[name] for name in qcube.__all__} == {name: getattr(qcube, name) for name in qcube.__all__}
     assert set(qcube.__all__) <= set(dir(qcube))
+    # A constant has no __module__, and every module that imports it binds
+    # it too; its home's source must bind it itself.
+    for name, module in qcube._HOME.items():
+        assert name in top_level_definitions(module), (name, module)
+
+
+def top_level_definitions(module):
+    """The names the module's source binds at top level by an assignment, a
+    def or a class, not by an import."""
+    path = Path(qcube.cli.__file__).with_name(f"{module}.py")
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(leaf.id for target in targets for leaf in ast.walk(target) if isinstance(leaf, ast.Name))
+    return names
 
 
 def test_each_export_is_listed_under_one_module():
