@@ -2,13 +2,19 @@
 distributions, and two-sided verification of the counting identities that
 relate them. Integer arithmetic throughout; no floating point.
 
-The submodules base, closed, core, faces, families, identities, rank and
-sweep are registered lazily: each is in sys.modules (and, but for rank, a
-package attribute) from the start, and executes on its first attribute
-access. So a command runs only the modules it uses: base holds what every
-command needs (the errors, the guard, binom, CubeParams, the input reader),
-core the point sets and their text format, and closed the closed-form sweep
-cells, so a sweep of closed forms runs cli, base, closed and sweep alone.
+The submodules base, closed, complement, core, faces, families, fold,
+identities, rank, sweep, walk and writer are registered lazily: each is in
+sys.modules (and, but for rank, a package attribute) from the start, and
+executes on its first attribute access. So a command runs only the modules
+it uses: base holds what every command needs (the errors, the guard, binom,
+CubeParams, the input reader), core the point sets and their parser, and
+closed the closed-form sweep cells, so a sweep of closed forms runs cli,
+base, closed and sweep alone. faces picks the route of each face
+distribution and holds the Counter route; walk holds the face walk and fold
+the dense fold, and a distribution executes at most the one it takes.
+writer holds the point-text writer, which only gen runs, and complement the
+subset-rank walk over the points left out, which only a right side with s
+near |A| takes.
 The names in __all__ resolve through __getattr__ to the objects their
 modules define, so `from qcube import X` works as before; `qcube.rank` is
 the function rank(), its module is sys.modules["qcube.rank"].
@@ -35,8 +41,9 @@ def _lazy(name: str):
     return module
 
 
-base, closed, core, faces, families, identities, sweep = map(
-    _lazy, ("base", "closed", "core", "faces", "families", "identities", "sweep")
+base, closed, complement, core, faces, families, fold, identities, sweep, walk, writer = map(
+    _lazy,
+    ("base", "closed", "complement", "core", "faces", "families", "fold", "identities", "sweep", "walk", "writer"),
 )
 _lazy("rank")  # not a package attribute: qcube.rank is the function rank()
 
@@ -62,7 +69,6 @@ _EXPORTS = {
         "PointSet",
         "hamming",
         "parse_pointset",
-        "serialize_pointset",
     ),
     "faces": (
         "FaceDistribution",
@@ -110,6 +116,7 @@ _EXPORTS = {
         "rank_closed_small",
         "random_isometry_image",
     ),
+    "writer": ("serialize_pointset",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

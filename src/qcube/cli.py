@@ -21,7 +21,7 @@ import json
 import sys
 from typing import Any, Iterator, Optional, Sequence, TextIO
 
-from . import core, faces, families, identities, sweep
+from . import core, faces, families, identities, sweep, writer
 from .base import DEFAULT_GUARD, CubeError, CubeParams, SizeGuardError, check_guard, decimal, int_fields, read_pieces
 
 # The package's `rank` attribute is the function rank(); this is its module.
@@ -177,9 +177,9 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         import csv
 
         with open(args.csv, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["e", "count"])
-            writer.writerows((e, decimal(c)) for e, c in items)
+            table = csv.writer(handle)
+            table.writerow(["e", "count"])
+            table.writerows((e, decimal(c)) for e, c in items)
     _emit(payload, lines, args.json)
     return EXIT_OK
 
@@ -235,9 +235,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     A = families.realize_family(params, spec, _guard(args))
     if args.output:
         with open(args.output, "w") as out:
-            out.writelines(core.serialized_blocks(A))
+            out.writelines(writer.serialized_blocks(A))
     else:
-        sys.stdout.writelines(core.serialized_blocks(A))
+        sys.stdout.writelines(writer.serialized_blocks(A))
     return EXIT_OK
 
 

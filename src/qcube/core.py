@@ -2,10 +2,11 @@
 
 Everything here is pure and immutable: points, point sets (stored as packed
 ints, see below), and faces of the cube E_q^n (vectors of length n over
-{0, ..., q-1}), the Hamming distance, the point-text parser and the writer.
-No floating point. The one mutable part is each point set's memo
-(PointSet.memo, filled through identities.per_set and by faces.profile),
-which keeps what is computed from that set object for as long as it lives.
+{0, ..., q-1}), the Hamming distance and the point-text parser; the writer,
+which only `qcube gen` runs, is qcube.writer. No floating point. The one
+mutable part is each point set's memo (PointSet.memo, filled through
+identities.per_set and by faces.profile), which keeps what is computed from
+that set object for as long as it lives.
 
 The primitives below them (the errors, the guard, binom, CubeParams, the
 record base, the integer text helpers and the reader of input in pieces) are
@@ -16,19 +17,20 @@ Packed layout: a point packs into one int with w = (q-1).bit_length() bits
 per coordinate, coordinate 0 in the most significant block, so packed ints
 sort like coordinate tuples. The layout is decided here only; other modules
 go through PointSet.packed, column_mask, block_fold and PointSet.slices, the
-faces module's dense fold reads the block width w to address the cells below
-2**(n*w), where a packed point is a bit position, and the families module
-builds its face and even-weight sets as packed ints (PointSet._from_packed).
+dense fold (qcube.fold) reads the block width w to address the cells below
+2**(n*w), where a packed point is a bit position, the writer (qcube.writer)
+prints the w-bit blocks as digits, and the families module builds its face
+and even-weight sets as packed ints (PointSet._from_packed).
 
 Bit-sliced form: PointSet.slices holds, for each coordinate j and each value
 v that occurs there, one int whose bit i is set when point i has coordinate
 j equal to v (value_slices builds it from the packed ints, a chunk of rows at
 a time; slices_cost estimates its size). Intersecting those bitsets splits
-the set by its values on several positions at once: the faces module's walk
-visits the fixed-position prefixes of the k-faces that way, for one k or a
-range of k at once, when a cost estimate from (q, n, k, m) puts it below
-grouping projections, and rank.distance_total reads each column's value
-counts as their popcounts.
+the set by its values on several positions at once: the face walk
+(qcube.walk) visits the fixed-position prefixes of the k-faces that way, for
+one k or a range of k at once, when a cost estimate from (q, n, k, m) puts
+it below grouping projections, and rank.distance_total reads each column's
+value counts as their popcounts.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ def _block_width(params: CubeParams) -> int:
     return (params.q - 1).bit_length()
 
 
-_SLICE_CHUNK = 8192
+_SLICE_CHUNK = 2048
 
 
 def value_slices(params: CubeParams, packed: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -192,7 +194,7 @@ def value_slices(params: CubeParams, packed: tuple[int, ...]) -> tuple[tuple[int
     of the value v, one int for each value that occurs at coordinate j, with
     bit i set when packed[i] has coordinate j equal to v.
 
-    The rows are formatted as n*w-bit strings, about 8 192 at a time, and
+    The rows are formatted as n*w-bit strings, about 2 048 at a time, and
     joined back to front, so that every (n*w+3)-th character from one offset
     is one bit plane of the chunk with its first row lowest. Each column is
     then split by its block's w planes, most significant first, keeping only
@@ -467,49 +469,3 @@ def _pack_lines(lines: list[str], params: CubeParams, first: int, bits: dict[int
         line = raw.strip()
         if line and not line.startswith("#"):
             packed.append(_parse_vector(line, params, line_no, bits))
-
-
-# The format() type that writes one digit per w-bit block, by w.
-_DIGIT_FORMATS = {1: "b", 3: "o", 4: "x"}
-# Each hex digit of a packed row at q = 3, 4 as its two base-4 digits.
-_HEX_PAIRS = str.maketrans({f"{v:x}": f"{v >> 2}{v & 3}" for v in range(16)})
-
-
-# Rows per block of serialized_blocks.
-_WRITE_ROWS = 1 << 12
-
-
-def serialize_pointset(A: PointSet) -> str:
-    """Inverse of parse_pointset: one vector per line, canonical order; the
-    lines of serialized_blocks(A) without the last line's "\n".
-
-    parse(serialize(A)) == A for every n >= 1. The n = 0 cube has no line
-    representation (the empty coordinate string is a blank line), so both the
-    empty set and the singleton set serialize to "" there.
-    """
-    return "".join(serialized_blocks(A))[:-1]
-
-
-def serialized_blocks(A: PointSet) -> Iterator[str]:
-    """A's lines, each followed by "\n", in blocks of _WRITE_ROWS lines,
-    each written from a slice of PointSet.packed; none for n = 0.
-
-    For q <= 10 the w-bit blocks of a packed int are its digits, so a line is
-    written without decoding the row: in binary for q = 2, in octal for
-    q = 5..8 and in hex for q = 9, 10 (one digit per block), and for q = 3, 4
-    in hex turned into digit pairs, the leading pad digit of an odd n
-    dropped. Above q = 10 a block's rows are decoded and their coordinates
-    joined by commas."""
-    q, n = A.params.q, A.params.n
-    if not n:
-        return
-    w = _block_width(A.params)
-    for start in range(0, len(A.packed), _WRITE_ROWS):
-        rows = A.packed[start : start + _WRITE_ROWS]
-        if q > 10:
-            yield "".join([",".join(map(str, row)) + "\n" for row in _decoded_rows(A.params, rows)])
-        elif w != 2:
-            yield "\n".join([*map(format, rows, repeat(f"0{n}{_DIGIT_FORMATS[w]}")), ""])
-        else:
-            text = "\n".join([*map(format, rows, repeat(f"0{(n + 1) // 2}x")), ""]).translate(_HEX_PAIRS)
-            yield ("\n" + text).replace("\n0", "\n")[1:] if n % 2 else text

@@ -5,27 +5,31 @@ position. For a point set A, the distribution at level k maps each e >= 0 to
 the number of k-faces whose intersection with A has exactly e elements.
 
 Three routes tally it, all exact: grouping A's packed projections with a
-Counter for each choice of fixed positions, one k at a time; one walk
+Counter for each choice of fixed positions, one k at a time, here; one walk
 over the increasing sets of fixed positions, in batches of the sets' fibres,
-on A's per-(coordinate, value) bitsets (_profile_sliced); one depth-first fold
+on A's per-(coordinate, value) bitsets (qcube.walk); one depth-first fold
 over the increasing sets of free positions on bit-sliced counters with a
-bit per cell of the cube (_profile_dense). The walk and the fold tally every
-level of a range ks at once. A cost estimate from (q, n, ks, |A|) picks the
-route (_sliced_pays). profile(A, ks) takes a range, its guard estimate, the
-sum over ks of C(n, k)*|A|, checked before anything is built, and
-distribution(A, k) is its one-level case. The sweep profiles each family set
-once over its cell's k range, and every row's distribution(A, k) reads that
-result after its own guard check. Each level is kept in the set's own memo
-(PointSet.memo) until the set is dropped.
+bit per cell of the cube (qcube.fold). The walk and the fold tally every
+level of a range ks at once. This module is the one route picker: a cost
+estimate from (q, n, ks, |A|) picks the route (_sliced_pays, from each
+route's estimate here), and _profile_routed reaches the walk or the fold
+through its module handle, so a process executes only the routes it takes.
+profile(A, ks) takes a range, its guard estimate, the sum over ks of
+C(n, k)*|A|, checked before anything is built, and distribution(A, k) is
+its one-level case. The sweep profiles each family set once over its cell's
+k range, and every row's distribution(A, k) reads that result after its own
+guard check. Each level is kept in the set's own memo (PointSet.memo) until
+the set is dropped.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, product
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional
 
+from . import fold, walk
 from .core import (
     DEFAULT_GUARD,
     KERNEL_MEMORY_CAP,
@@ -43,11 +47,6 @@ from .core import (
     column_mask,
     slices_cost,
 )
-
-# The bytes the face walk's fibre buffers hold at most, together; see
-# _profile_sliced.
-WALK_BUDGET = 1 << 20
-
 
 class FaceDistribution(_Record):
     """Counts of k-faces by intersection size e.
@@ -185,9 +184,9 @@ def faces_containing_bruteforce(A: PointSet, k: int, guard: int = DEFAULT_GUARD)
 def _sliced_pays(params: CubeParams, ks: range, m: int) -> str:
     """The route estimated cheapest for the levels ks (consecutive,
     nonempty), from (q, n, ks, m) alone: "counter" for the Counter route at
-    each k, "walk" for one walk (_profile_sliced) or "dense" for one dense
-    fold (_profile_dense). A tie goes to the Counter route, and between
-    the other two to the dense fold.
+    each k, "walk" for one walk (walk._profile_sliced) or "dense" for one
+    dense fold (fold._profile_dense). A tie goes to the Counter route, and
+    between the other two to the dense fold.
 
     Costs are in projections of a packed row. The Counter route costs
     C(n, k)*(m + 32) at each k: m projections, and about 32 more for the
@@ -199,9 +198,9 @@ def _sliced_pays(params: CubeParams, ks: range, m: int) -> str:
     dense = _dense_cost(params, ks, m)
     if dense is not None:
         costs["dense"] = dense
-    walk = _walk_cost(params, ks, m, min(costs.values()))
-    if walk is not None:
-        costs["walk"] = walk
+    walk_cost = _walk_cost(params, ks, m, min(costs.values()))
+    if walk_cost is not None:
+        costs["walk"] = walk_cost
     return min(costs, key=costs.__getitem__)
 
 
@@ -279,7 +278,7 @@ def _dense_bytes(params: CubeParams, ks: range, m: int) -> int:
     levels ks, counting 2/15 byte per bit (CPython stores 30 bits in 4
     bytes) and 32 bytes more per int, each int 2**(n*w) bits at most:
     - the indicator's bytearray, a bit per cell;
-    - the n masks of _block_cells;
+    - the n masks of fold._block_cells;
     - the planes of every fold on the current path, bit_length(min(m, q**d))
       at depth d = 0..max(ks);
     - a fold's sum before and after the mask and its carries, 2(P + w) + 4
@@ -294,6 +293,14 @@ def _dense_bytes(params: CubeParams, ks: range, m: int) -> int:
     ints = n + sum(planes) + 2 * (most + _block_width(params)) + 4
     ints += 2 * min(1 << most, q ** (n - ks[0])) + 1
     return ints * (cells * 2 // 15 + 32) + cells // 8 + (64 << 10)
+
+
+def _cell_bits(params: CubeParams) -> int:
+    """n*w: every packed point of the cube lies below 2**(n*w), so it names
+    one cell, a bit position, of an int of 2**(n*w) bits. For q a power of
+    two the cells are exactly the q**n points; otherwise the cells whose
+    blocks hold a code of q or more name no point."""
+    return params.n * _block_width(params)
 
 
 def _distribution_counted(A: PointSet, k: int) -> FaceDistribution:
@@ -315,225 +322,14 @@ def _distribution_counted(A: PointSet, k: int) -> FaceDistribution:
     return FaceDistribution.checked(params, k, result)
 
 
-def _profile_sliced(A: PointSet, ks: range) -> list[FaceDistribution]:
-    """The walk: the distribution at every level k in ks (consecutive,
-    nonempty) from one walk over the increasing sets S of fixed positions,
-    on A's value bitsets (PointSet.slices), one bit per point.
-
-    A node S holds its nonempty fibres, and splits them by
-    `fibre & slices[j][v]` for each child S + {j}, j above S, so every
-    extension of S reuses its partition. Its fibres of two or more points
-    are tallied at k = n - |S|. A fibre of one point stays one point in
-    every extension: if positions start..n-1 remain above S, it adds
-    C(n - start, e) singletons at k = n - |S| - e, for each e, and is not
-    walked further. The walk goes as deep as n - min(ks) and enters a child
-    only if that or one of its extensions lies on a level of ks. At the
-    deepest level the fibres' popcounts are tallied, the last value's as the
-    fibre's size minus the others'. The empty faces at each k are the rest
-    of total_faces.
-
-    What a node does depends only on (|S|, start), so the fibres of all
-    nodes there wait in one buffer, split as one with a comprehension per
-    (j, v) before it would pass cap fibres, its share of WALK_BUDGET at the
-    bytes of an m-bit int and its list slot. The buffers, those being split
-    included, hold at most cap fibres each, about WALK_BUDGET in all; each
-    depth of the stack adds two lists of cap fibres at most; and the buffers
-    left at the end are split shallowest first. A split counts its sizes
-    with one Counter.update, and the single-point fibres go to a flat list
-    by (|S|, start)."""
-    params = A.params
-    n, m = params.n, len(A)
-    slices = A.slices
-    top, bottom = n - ks[-1], n - ks[0]  # the fewest and the most fixed positions
-    tallies = [Counter() for _ in range(bottom + 1)]  # by |S|
-    lone = [0] * ((bottom + 1) * (n + 1))  # |S|*(n+1) + start -> single-point fibres
-    waiting = [[] for _ in lone]  # |S|*(n+1) + start -> fibres not yet split
-    cap = WALK_BUDGET // (len(lone) * (4 * (m // 30) + 36))
-
-    def put(at, fibres):
-        if len(waiting[at]) + len(fibres) > cap:
-            if waiting[at]:
-                buffer, waiting[at] = waiting[at], []
-                split(at, buffer)
-            if len(fibres) > cap:
-                return split(at, fibres)
-        waiting[at] += fibres
-
-    def split(at, fibres):
-        # fibres: nonempty fibres of nodes S, |S| = depth, whose fixed
-        # positions all lie below start.
-        depth, start = divmod(at, n + 1)
-        shared = [s for s in fibres if s & (s - 1)]
-        lone[at] += len(fibres) - len(shared)
-        if not shared:
-            return
-        if depth >= top:
-            whole = list(map(int.bit_count, shared))
-            tallies[depth].update(whole)
-        if depth + 1 < bottom:
-            for j in range(start, min(n, n + depth + 1 - top)):
-                for v in slices[j]:
-                    put(at + n + 2 + j - start, [t for s in shared if (t := s & v)])
-        elif depth < bottom:  # the children are the deepest level
-            if depth < top:
-                whole = list(map(int.bit_count, shared))
-            level = []
-            for j in range(start, n):
-                *head, _ = slices[j]
-                rest = whole
-                for v in head:
-                    sized = [(s & v).bit_count() for s in shared]
-                    level += sized
-                    rest = list(map(sub, rest, sized))
-                level += rest
-            tallies[bottom].update(level)
-
-    if m:
-        put(0, [(1 << m) - 1])
-    for at, buffer in enumerate(waiting):  # the shallowest first
-        if buffer:
-            waiting[at] = []  # let go of each as it is split
-            split(at, buffer)
-    for at, ones in enumerate(lone):
-        if ones:
-            depth, start = divmod(at, n + 1)
-            for fixed in range(max(depth, top), bottom + 1):
-                tallies[fixed][1] += ones * binom(n - start, fixed - depth)
-    out = []
-    for k in ks:
-        counts = tallies[n - k]
-        del counts[0]  # the deepest level tallies empty fibres too
-        counts[0] = total_faces(params, k) - sum(counts.values())
-        out.append(FaceDistribution.checked(params, k, counts))
-    return out
-
-
-def _profile_dense(A: PointSet, ks: range) -> list[FaceDistribution]:
-    """The dense fold route: the distribution at every level k in ks
-    (consecutive, nonempty) from counters over the cube's cells, the bit
-    positions of _cell_bits, instead of over A's points.
-
-    The counts are bit-sliced: planes[i] holds bit i of every cell's count,
-    and at the start one plane, A's indicator, holds 1 at each point of A.
-    Folding coordinate j adds to each cell whose block j is 0 the counts of
-    its q - 1 siblings, the planes shifted right by v*step for v = 1..q-1
-    (_block_cells), in bit-sliced ripple-carry adds; then every plane is
-    masked to block j = 0, so the other cells become 0. After the free
-    positions T are folded, each face with free positions T holds its
-    intersection with A in the one cell whose blocks in T are 0 and whose
-    others are its fixed values; every other cell is 0.
-
-    The free sets T are walked depth first in increasing order up to
-    max(ks), one fold a step, so every T shares its prefix's folds, and a
-    child is entered only if it or an extension lies on a level of ks. At
-    each |T| in ks the planes are tallied: their OR is split by each plane
-    in turn, from the highest down, keeping only nonempty parts, and each
-    part's popcount is the number of faces with its count. The empty faces
-    at each k are the rest of total_faces."""
-    params = A.params
-    n, q = params.n, params.q
-    lo, hi = ks[0], ks[-1]
-    folds = [_block_cells(params, j) for j in range(n)]
-    tallies: list[Counter[int]] = [Counter() for _ in ks]
-
-    def fold(planes: list[int], j: int) -> list[int]:
-        step, mask = folds[j]
-        total = list(planes)
-        for shift in range(step, q * step, step):
-            carry = 0
-            for i, plane in enumerate(planes):
-                sibling = plane >> shift
-                x = total[i]
-                half = x ^ sibling
-                total[i] = half ^ carry
-                carry = x & sibling | carry & half
-            for i in range(len(planes), len(total)):
-                if not carry:
-                    break
-                x = total[i]
-                total[i] = x ^ carry
-                carry &= x
-            if carry:
-                total.append(carry)
-        total = [plane & mask for plane in total]
-        while total and not total[-1]:
-            total.pop()
-        return total
-
-    def tally(planes: list[int], counts: Counter[int]) -> None:
-        whole = 0
-        for plane in planes:
-            whole |= plane
-        parts = {0: whole} if whole else {}  # count so far -> its cells
-        for i in range(len(planes) - 1, -1, -1):
-            plane, bit = planes[i], 1 << i
-            split = {}
-            for e, cells in parts.items():
-                high = cells & plane
-                if high:
-                    split[e | bit] = high
-                    if high != cells:
-                        split[e] = cells ^ high
-                else:
-                    split[e] = cells
-            parts = split
-        for e, cells in parts.items():
-            counts[e] += cells.bit_count()
-
-    def walk(planes: list[int], start: int, depth: int) -> None:
-        if depth >= lo:
-            tally(planes, tallies[depth - lo])
-        if depth < hi:
-            for j in range(start, n - max(0, lo - depth - 1)):
-                walk(fold(planes, j), j + 1, depth + 1)
-
-    walk([_indicator(A)], 0, 0)
-    out = []
-    for k, counts in zip(ks, tallies):
-        counts[0] = total_faces(params, k) - sum(counts.values())
-        out.append(FaceDistribution.checked(params, k, counts))
-    return out
-
-
-def _indicator(A: PointSet) -> int:
-    """The int with bit x set for each packed point x of A, built in a
-    bytearray of a bit per cell."""
-    cells = bytearray(((1 << _cell_bits(A.params)) + 7) >> 3)
-    for x in A.packed:
-        cells[x >> 3] |= 1 << (x & 7)
-    return int.from_bytes(cells, "little")
-
-
-def _cell_bits(params: CubeParams) -> int:
-    """n*w: every packed point of the cube lies below 2**(n*w), so it names
-    one cell, a bit position, of an int of 2**(n*w) bits. For q a power of
-    two the cells are exactly the q**n points; otherwise the cells whose
-    blocks hold a code of q or more name no point."""
-    return params.n * _block_width(params)
-
-
-def _block_cells(params: CubeParams, j: int) -> tuple[int, int]:
-    """(step, mask) for coordinate j over the cells of _cell_bits: adding
-    v*step to a cell whose block j is 0 sets that block to v, and mask has a
-    bit set for each cell whose block j is 0. The mask is built by doubling
-    a run of step ones, about as much work as writing its 2**(n*w) bits."""
-    w, n = _block_width(params), params.n
-    step = 1 << w * (n - 1 - j)
-    mask, period, size = (1 << step) - 1, step << w, 1 << n * w
-    while period < size:
-        mask |= mask << period
-        period <<= 1
-    return step, mask
-
-
 def _profile_routed(A: PointSet, ks: range) -> list[FaceDistribution]:
     """The distributions at ks by the route _sliced_pays picks: one walk,
     one dense fold, or the Counter route at each k."""
     route = _sliced_pays(A.params, ks, len(A))
     if route == "walk":
-        return _profile_sliced(A, ks)
+        return walk._profile_sliced(A, ks)
     if route == "dense":
-        return _profile_dense(A, ks)
+        return fold._profile_dense(A, ks)
     return [_distribution_counted(A, k) for k in ks]
 
 
@@ -545,8 +341,8 @@ def profile(A: PointSet, ks: Optional[range] = None, guard: int = DEFAULT_GUARD)
     The guard estimate is the sum over ks of distribution's, that is
     sum C(n, k)*max(|A|, 1), and it is checked on every call, before
     anything is looked up or built. _sliced_pays, extended to the range,
-    picks between one walk for every k (_profile_sliced), one dense fold for
-    every k (_profile_dense) and the Counter route at each k. Each level is
+    picks between one walk for every k (walk._profile_sliced), one dense
+    fold for every k (fold._profile_dense) and the Counter route at each k. Each level is
     kept in A.memo under (FaceDistribution, k) for as long as A lives (an
     equal set built apart computes its own), and a later call computes only
     if a level of ks is missing, so treat the returned counts as read-only."""
@@ -574,8 +370,8 @@ def distribution(A: PointSet, k: int, guard: int = DEFAULT_GUARD) -> FaceDistrib
     route _sliced_pays picks from (q, n, k, |A|) tallies the nonempty fibres
     of the one level k, and the rest are empty: the Counter route, C(n, k)
     projections of each point of A (the packed rows masked by
-    core.column_mask), the walk (_profile_sliced) or the dense fold
-    (_profile_dense). distribution_bruteforce, a per-face scan over
+    core.column_mask), the walk (walk._profile_sliced) or the dense fold
+    (fold._profile_dense). distribution_bruteforce, a per-face scan over
     coordinate tuples, is the oracle of all three. The guard estimate,
     C(n, k)*max(|A|, 1) on every route, is checked on every call, and a
     level that profile() or an earlier call computed is read from A.memo,

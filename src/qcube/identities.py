@@ -25,10 +25,11 @@ from collections import Counter
 from functools import wraps
 from itertools import accumulate, combinations, compress
 from math import comb
-from operator import add, and_, lshift, or_, xor
+from operator import add, and_, lshift
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
+from . import complement
 from .core import (
     DEFAULT_GUARD,
     KERNEL_MEMORY_CAP,
@@ -240,12 +241,13 @@ def _subset_rank_histogram(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
     KERNEL_MEMORY_CAP (16 MiB). The walk keeps s = 2, sets of a few points,
     and n in the thousands, where its ORs of packed rows are cheaper.
     For m - s <= s/3 the walk is replaced by the walk over the m - s points
-    left out (_subset_rank_histogram_complement), m - s deep rather than
-    s - 1. Both were timed for m/2 < s < m on a grid of q up to 11, n up to
-    3 000 and m up to 100 (see ROADMAP): the complement was faster at every
-    routed shape but one, where it was 2% slower, and up to twice as slow
-    nearer s = m/2. So an s - 1 deep walk that would pass the recursion limit has
-    over 330 points left out and over 10^300 subsets."""
+    left out (qcube.complement, which no other right side executes), m - s
+    deep rather than s - 1. Both were timed for m/2 < s < m on a grid of q
+    up to 11, n up to 3 000 and m up to 100 (see ROADMAP): the complement
+    was faster at every routed shape but one, where it was 2% slower, and up
+    to twice as slow nearer s = m/2. So an s - 1 deep walk that would pass
+    the recursion limit has over 330 points left out and over 10^300
+    subsets."""
     _require_nonempty(A)
     if s == 1:
         return ((0, len(A)),)
@@ -254,7 +256,7 @@ def _subset_rank_histogram(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
     if _rhs_sliced_pays(A.params, len(A), s):
         return _subset_rank_histogram_sliced(A, s)
     if s < len(A) and 3 * (len(A) - s) <= s:
-        return _subset_rank_histogram_complement(A, s)
+        return complement._subset_rank_histogram_complement(A, s)
     return _subset_rank_histogram_walked(A, s)
 
 
@@ -263,7 +265,10 @@ def _subset_rank_histogram_walked(A: PointSet, s: int) -> tuple[tuple[int, int],
 
     The walk carries the OR of the folded differences fold(anchor ^ row) of
     the rows chosen so far (core.block_fold over PointSet.packed), and r(B)
-    is the popcount of that OR at the last row."""
+    is the popcount of that OR at the last row. At s = 1 there is no row to
+    choose after the anchor, so each point is one subset of rank 0."""
+    if s == 1:
+        return ((0, len(A)),)
     packed = A.packed
     fold = block_fold(A.params)
     hist: Counter[int] = Counter()
@@ -286,42 +291,6 @@ def _subset_rank_histogram_walked(A: PointSet, s: int) -> tuple[tuple[int, int],
         walk([fold(anchor ^ p) for p in packed[a + 1 :]], 0, s - 1)
         hist.update(ranks)
         ranks.clear()
-    return tuple(sorted(hist.items()))
-
-
-def _subset_rank_histogram_complement(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
-    """The walk over the m - s points left out, for m/2 < s < m (routed
-    at m - s <= s/3): every (m - s)-subset depth first, so it recurses
-    m - s deep, and it still ranks C(m, s) kept sets.
-
-    A set's rank is the popcount of fold(OR ^ AND) over its packed rows (a
-    coordinate block of OR ^ AND is non-zero exactly where the rows differ).
-    The walk carries the OR and AND of the kept rows before the next point
-    left out, and reads those after the last one from suffix tables."""
-    packed = A.packed
-    m = len(packed)
-    fold = block_fold(A.params)
-    # ors[t], ands[t]: the OR and AND of packed[t:]; the AND of no rows is -1.
-    ors = [*accumulate(reversed(packed), or_, initial=0)][::-1]
-    ands = [*accumulate(reversed(packed), and_, initial=-1)][::-1]
-    hist: Counter[int] = Counter()
-
-    def walk(start: int, kept_or: int, kept_and: int, left: int) -> None:
-        # Leave out `left` more points from packed[start:]. For the last, the
-        # kept rows before each candidate are running sums, tallied at once.
-        rows = packed[start:]
-        if left == 1:
-            before_or = accumulate(rows, or_, initial=kept_or)
-            before_and = accumulate(rows, and_, initial=kept_and)
-            after = map(xor, map(or_, before_or, ors[start + 1 :]), map(and_, before_and, ands[start + 1 :]))
-            hist.update(map(int.bit_count, map(fold, after)))
-            return
-        for j, row in enumerate(rows[: len(rows) - left + 1], start):
-            walk(j + 1, kept_or, kept_and, left - 1)
-            kept_or |= row
-            kept_and &= row
-
-    walk(0, 0, -1, m - s)
     return tuple(sorted(hist.items()))
 
 

@@ -26,8 +26,9 @@ import qcube.faces
 import qcube.families
 import qcube.identities
 import qcube.sweep
+import qcube.writer
 from qcube.cli import main
-from qcube.core import CubeError, CubeParams, SizeGuardError, decimal, parse_pointset, serialize_pointset
+from qcube.core import CubeError, CubeParams, SizeGuardError, decimal, parse_pointset
 from qcube.faces import faces_containing_bruteforce, total_faces
 from qcube.families import (
     check_chu_vandermonde_generalized,
@@ -38,6 +39,7 @@ from qcube.families import (
     gen_random_subset,
 )
 from qcube.identities import IdentityReport, _subset_rank_histogram
+from qcube.writer import serialize_pointset
 
 EW3 = "000\n011\n101\n110\n"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -647,7 +649,7 @@ class TestGen:
 
     @pytest.mark.parametrize("rows_per_block", [1, 4, 4096])
     def test_blocks_write_the_serialized_set(self, tmp_path, capsys, monkeypatch, rows_per_block):
-        monkeypatch.setattr(qcube.core, "_WRITE_ROWS", rows_per_block)
+        monkeypatch.setattr(qcube.writer, "_WRITE_ROWS", rows_per_block)
         for (family, *flags), build in self.WRITTEN:
             values = dict(zip(flags[::2], flags[1::2]))
             text = serialize_pointset(build(CubeParams(int(values.get("--q", 2)), int(values["--n"]))))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import qcube.base
 import qcube.core
+import qcube.writer
 from qcube.core import (
     CubeError,
     CubeParams,
@@ -30,8 +31,6 @@ from qcube.core import (
     hamming,
     parse_pointset,
     read_pieces,
-    serialize_pointset,
-    serialized_blocks,
 )
 from qcube.faces import (
     FaceDistribution,
@@ -48,6 +47,7 @@ from qcube.rank import (
     rank_bounds,
     rank_closed_small,
 )
+from qcube.writer import serialize_pointset, serialized_blocks
 
 
 class TestBinom:
@@ -261,7 +261,7 @@ def test_blocks_are_the_serialized_lines(case, rows_per_block):
     # What gen writes: each line and its "\n", a block of rows at a time.
     params, rows = case
     A = PointSet(params, rows)
-    with mock.patch.object(qcube.core, "_WRITE_ROWS", rows_per_block):
+    with mock.patch.object(qcube.writer, "_WRITE_ROWS", rows_per_block):
         blocks = list(serialized_blocks(A))
     assert [block.count("\n") for block in blocks[:-1]] == [rows_per_block] * (len(blocks) - 1)
     text = serialize_pointset(A)

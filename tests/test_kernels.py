@@ -19,9 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qcube.complement
 import qcube.core
 import qcube.faces
+import qcube.fold
 import qcube.identities
+import qcube.walk
+from qcube.complement import _subset_rank_histogram_complement
 from qcube.core import (
     KERNEL_MEMORY_CAP,
     ConsistencyError,
@@ -38,8 +42,6 @@ from qcube.faces import (
     _dense_bytes,
     _dense_cost,
     _distribution_counted,
-    _profile_dense,
-    _profile_sliced,
     _sliced_pays,
     distribution,
     distribution_bruteforce,
@@ -56,12 +58,12 @@ from qcube.families import (
     gen_face_subset,
     gen_random_subset,
 )
+from qcube.fold import _profile_dense
 from qcube.identities import (
     _RHS_BLOCK,
     _rhs_sliced_bytes,
     _rhs_sliced_pays,
     _subset_rank_histogram,
-    _subset_rank_histogram_complement,
     _subset_rank_histogram_sliced,
     _subset_rank_histogram_walked,
     _distances_after,
@@ -76,6 +78,7 @@ from qcube.identities import (
     main_rhs,
 )
 from qcube.rank import distance_sum, distance_total, rank, rank_rows
+from qcube.walk import _profile_sliced
 
 QS = (2, 3, 4, 5, 8, 11, 16)
 MAX_VOLUME = 4096
@@ -130,10 +133,12 @@ def test_packed_order_and_fold_match_coordinates(A):
 @kernel_settings
 def test_subset_rank_histogram_matches_rank_rows(A):
     # Every s: the walk up to m/2, the walk over the points left out above
-    # it, the sliced route where it pays, and s = 1 and s = m.
+    # it, the sliced route where it pays, and s = 1 and s = m; and the walk
+    # itself at every s.
     for s in range(1, len(A) + 1):
-        want = Counter(rank_rows(c) for c in combinations(A.coord_rows(), s))
-        assert _subset_rank_histogram(A, s) == tuple(sorted(want.items())), s
+        want = tuple(sorted(Counter(rank_rows(c) for c in combinations(A.coord_rows(), s)).items()))
+        assert _subset_rank_histogram(A, s) == want, s
+        assert _subset_rank_histogram_walked(A, s) == want, s
 
 
 def random_set(q, n, m, seed):
@@ -194,7 +199,7 @@ def test_complement_walk_takes_the_shapes_it_was_timed_faster_at(shape):
     q, n, m, s = shape
     A = random_set(q, n, m, 11)
     assert not _rhs_sliced_pays(A.params, m, s)
-    with mock.patch.object(qcube.identities, "_subset_rank_histogram_complement", return_value=()) as complement, \
+    with mock.patch.object(qcube.complement, "_subset_rank_histogram_complement", return_value=()) as complement, \
             mock.patch.object(qcube.identities, "_subset_rank_histogram_walked", return_value=()) as walked:
         _subset_rank_histogram.__wrapped__(A, s)
     assert (complement.call_count, walked.call_count) == ((1, 0) if shape in COMPLEMENT_FASTER else (0, 1))
@@ -335,6 +340,20 @@ def test_value_slices_match_rows(A, chunk):
             for i, row in enumerate(A.rows):
                 bitsets[row[j]] |= 1 << i
             assert column == tuple(bitsets[v] for v in sorted(bitsets))
+
+
+def test_value_slices_hold_one_chunk_of_row_text():
+    # point-files' shape: the slices and planes themselves take about 450 KiB
+    # (40 bitsets and 20 planes of 60 000 bits); one chunk's bin() strings
+    # and their joined text come on top.
+    A = gen_random_subset(CubeParams(2, 20), 60_000, seed=3)
+    tracemalloc.start()
+    try:
+        value_slices(A.params, A.packed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 768 << 10
 
 
 ALL_ROUTES = {"counter", "walk", "dense"}
@@ -526,8 +545,8 @@ def test_a_route_that_over_counts_is_refused():
     # point (q = 3, code 3), is one face too many at k = 0. e = 0 is the rest
     # of the total, so the total still holds and only its sign shows.
     A = random_set(3, 2, 9, 0)
-    stray = qcube.faces._indicator(A) | 1 << 3
-    with mock.patch.object(qcube.faces, "_indicator", return_value=stray):
+    stray = qcube.fold._indicator(A) | 1 << 3
+    with mock.patch.object(qcube.fold, "_indicator", return_value=stray):
         with pytest.raises(ConsistencyError, match="face tally -1 at e=0 is negative at k=0"):
             _profile_dense(A, range(0, 2))
     assert _profile_dense(A, range(0, 2)) == [distribution_bruteforce(A, k) for k in range(2)]
@@ -675,7 +694,7 @@ def test_dense_route_matches_counter_route_walk_and_bruteforce(case):
     A, ks = case
     dense = _profile_dense(A, ks)
     for budget in WALK_BUDGETS:
-        with mock.patch.object(qcube.faces, "WALK_BUDGET", budget):
+        with mock.patch.object(qcube.walk, "WALK_BUDGET", budget):
             assert _profile_sliced(A, ks) == dense, budget
     for k, dist in zip(ks, dense):
         assert dist == _distribution_counted(A, k)

@@ -19,8 +19,8 @@ import qcube.cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SUBMODULES = (
-    "qcube.base", "qcube.closed", "qcube.core", "qcube.faces", "qcube.families", "qcube.identities", "qcube.rank",
-    "qcube.sweep",
+    "qcube.base", "qcube.closed", "qcube.complement", "qcube.core", "qcube.faces", "qcube.families", "qcube.fold",
+    "qcube.identities", "qcube.rank", "qcube.sweep", "qcube.walk", "qcube.writer",
 )
 
 # Runs argv through qcube.cli.main, then prints, as its last line, the qcube
@@ -40,12 +40,15 @@ print(json.dumps({"code": code, "modules": modules, "executed": executed, "slow"
 
 def run_child(tmp_path, *argv):
     (tmp_path / "a.txt").write_text("000\n011\n101\n110\n")
+    # 27 points of E_2^6, whose k = 1 level the dense fold takes.
+    (tmp_path / "b.txt").write_text("".join(f"{i:06b}\n" for i in range(27)))
     # bench/sweep_closed.json's closed-form identities on a small n range.
     closed = json.loads((BENCH / "sweep_closed.json").read_text())
     (tmp_path / "closed.json").write_text(json.dumps({**closed, "n": [0, 6]}))
     # Family identities and bounds on random sets, as bench/sweep_random.json.
     family = {"identities": ["main", "corollary1", "bounds"], "q": [2], "n": [3, 4], "family": {"kind": "random", "m": 4}}
     (tmp_path / "random.json").write_text(json.dumps(family))
+    (tmp_path / "bench-random.json").write_text((BENCH / "sweep_random.json").read_text())
     src = str(Path(qcube.cli.__file__).parents[1])
     # -S: no site hooks, which may import stdlib modules (random among them)
     # before qcube runs and so hide what qcube itself imports.
@@ -58,21 +61,33 @@ def run_child(tmp_path, *argv):
 
 
 POINTS = ["qcube.base", "qcube.cli", "qcube.core"]
+SWEEP = ["qcube.base", "qcube.cli", "qcube.closed", "qcube.core", "qcube.faces", "qcube.families", "qcube.identities",
+         "qcube.rank", "qcube.sweep"]
 
 
 @pytest.mark.parametrize(
     "argv, executed",
     [
-        (("distribution", "a.txt", "-k", "2"), [*POINTS, "qcube.faces"]),
+        # faces picks the route and executes only the one it takes: the
+        # walk, the dense fold, or its own Counter route.
+        (("distribution", "a.txt", "-k", "2"), [*POINTS, "qcube.faces", "qcube.walk"]),
+        (("distribution", "b.txt", "-k", "1"), [*POINTS, "qcube.faces", "qcube.fold"]),
+        (("distribution", "a.txt", "-k", "3"), [*POINTS, "qcube.faces"]),
         (("rank", "a.txt"), [*POINTS, "qcube.rank"]),
         (("bounds", "a.txt"), [*POINTS, "qcube.rank"]),
         # identities executes faces and rank, whose names it imports.
-        (("verify", "a.txt", "-k", "2", "-s", "2"), [*POINTS, "qcube.faces", "qcube.identities", "qcube.rank"]),
-        (("gen", "--family", "random", "--n", "4", "--m", "3"), [*POINTS, "qcube.families"]),
+        (("verify", "a.txt", "-k", "2", "-s", "2"),
+         [*POINTS, "qcube.faces", "qcube.identities", "qcube.rank", "qcube.walk"]),
+        # Only gen writes point text.
+        (("gen", "--family", "random", "--n", "4", "--m", "3"), [*POINTS, "qcube.families", "qcube.writer"]),
         (("sweep", "closed.json"), ["qcube.base", "qcube.cli", "qcube.closed", "qcube.sweep"]),
-        (("sweep", "random.json"), sorted(["qcube.cli", *SUBMODULES])),
+        # main at s = 3 on sets of 4 points walks the one point left out.
+        (("sweep", "random.json"), sorted([*SWEEP, "qcube.complement", "qcube.walk"])),
+        # The sweep-random workload's sets of 24 points at s <= 4 do not.
+        (("sweep", "bench-random.json"), [*SWEEP, "qcube.walk"]),
     ],
-    ids=["distribution", "rank", "bounds", "verify", "gen", "sweep-closed-forms", "sweep-random-family"],
+    ids=["distribution", "distribution-fold", "distribution-counter", "rank", "bounds", "verify", "gen",
+         "sweep-closed-forms", "sweep-random-family", "sweep-bench-random"],
 )
 def test_command_executes_only_the_modules_it_uses(tmp_path, argv, executed):
     got = run_child(tmp_path, *argv)
@@ -80,7 +95,7 @@ def test_command_executes_only_the_modules_it_uses(tmp_path, argv, executed):
     assert got["executed"] == executed
     assert got["modules"] == sorted(["qcube.cli", *SUBMODULES])
     # Only a random family needs it.
-    assert got["random"] == ("random" in argv or "random.json" in argv)
+    assert got["random"] == any("random" in arg for arg in argv)
 
 
 def test_importing_the_cli_executes_only_cli_and_base():
