@@ -11,12 +11,11 @@ verify_main is `qcube verify`'s path; corollary_s1..s3 are the library's.
 The sweep's family identities are the main theorem at one s each,
 Σ_e C(e, s)·N_k(e) = Σ_{|B| = s} C(n − r(B), k − r(B)), whose right side is
 H_s, the s-subsets counted by rank r (_subset_rank_histogram, one per set
-and s): main at each s, corollaries 1 and 2 at s = 1 and 2 (a pair's rank is
-its distance), and the face-count lemma at s = |A| (rank(A)). Corollary 3
-alone reads another histogram, of half a triple's distance sum.
-family_points evaluates them all from one table (_FAMILIES), each point's
-checks in its per-point function's order, and these per-point functions are
-its oracle.
+and s): main at each s, corollaries 1, 2 and 3 at s = 1, 2 and 3 (a pair's
+rank is its distance, a binary triple's half its distance sum), and the
+face-count lemma at s = |A| (rank(A)). family_points evaluates them all from
+one table (_FAMILIES), each point's checks in its per-point function's
+order, and these per-point functions are its oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from collections import Counter
 from functools import wraps
 from itertools import accumulate, combinations, compress
 from math import comb
-from operator import add, and_, lshift
+from operator import and_, lshift
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -44,7 +43,7 @@ from .core import (
     check_guard,
     check_guard_power,
 )
-from .faces import _require_nonempty, distribution, profile
+from .faces import _check_k, _require_nonempty, distribution, profile
 from .rank import distance_sum, rank, rank_rows
 
 Terms = tuple[tuple[str, int], ...]
@@ -125,6 +124,7 @@ def intersection_cap(A: PointSet, k: int) -> int:
 
 
 def _check_s(A: PointSet, k: int, s: int) -> None:
+    _check_k(A.params, k)
     cap = intersection_cap(A, k)
     if not 1 <= s <= cap:
         raise CubeError(f"s must be in [1, {cap}] for this set and k, got {s}")
@@ -226,8 +226,8 @@ def _rhs_sliced_pays(params: CubeParams, m: int, s: int) -> bool:
 @per_set
 def _subset_rank_histogram(A: PointSet, s: int) -> tuple[tuple[int, int], ...]:
     """The sorted (r, number of s-subsets of rank r) pairs of A, H_s: the
-    right side of the main theorem at s, and so of corollaries 1 and 2
-    (s = 1, 2) and of the face-count lemma (s = |A|). A nonempty A is
+    right side of the main theorem at s, and so of corollaries 1, 2 and 3
+    (s = 1, 2, 3) and of the face-count lemma (s = |A|). A nonempty A is
     required first. s = 1 is every point at rank 0, s = |A| the one subset
     A at rank(A); s = 2 is the pair distances, which the walk takes from the
     same popcounts as rank.distance_sum.
@@ -470,16 +470,6 @@ def corollary_s1(
     return _report("corollary1", A, k, 1, lhs, rhs, lt, rt)
 
 
-def _distances_after(A: PointSet) -> Iterator[list[int]]:
-    """For each point in order, its distances to the points after it: the
-    popcounts of fold(row ^ later row) (core.block_fold over
-    PointSet.packed), as the walk ranks pairs. The caller checks binom(m, 2)."""
-    packed = A.packed
-    fold = block_fold(A.params)
-    for a, row in enumerate(packed):
-        yield list(map(int.bit_count, map(fold, map(row.__xor__, packed[a + 1 :]))))
-
-
 def corollary_s2(
     A: PointSet, k: int, guard: int = DEFAULT_GUARD, include_terms: bool = False
 ) -> IdentityReport:
@@ -511,39 +501,11 @@ def _half_sum(ijt: tuple[int, int, int], dsum: int) -> int:
 
 
 def _triple_ranks(A: PointSet, guard: int) -> Iterator[tuple[tuple[int, int, int], int]]:
-    # Half the pairwise distance sum of each triple, in combinations order.
+    # Half the pairwise distance sum of each triple, in combinations order:
+    # its rank in a binary cube, and H_3's oracle.
     d = distance_sum(A, guard).pairwise
     for i, j, t in combinations(range(len(A)), 3):
         yield (i, j, t), _half_sum((i, j, t), d[i, j] + d[i, t] + d[j, t])
-
-
-# The triple ranks' distance sums are collected in a list and counted with one
-# Counter.update once it holds this many, so the list stays small.
-TALLY_BATCH = 1 << 10
-
-
-@per_set
-def _triple_rank_histogram(A: PointSet) -> tuple[tuple[int, int], ...]:
-    """The sorted (r, number of triples of rank r) pairs, r the half-sum of a
-    triple's distances, from one _distances_after pass: for each pair i < j,
-    d(i, j) plus the sums d(i, t) + d(j, t) over every t > j, added row by
-    row. The sums are collected in one list, counted by one Counter.update
-    whenever it holds TALLY_BATCH or more after a point i. An odd sum is
-    refused, naming its first triple in combinations order."""
-    rows = list(_distances_after(A))  # the caller checks binom(m, 2)
-    sums: Counter[int] = Counter()
-    batch: list[int] = []
-    for i, row in enumerate(rows):
-        for j, dij in enumerate(row, i + 1):
-            batch += map(dij.__add__, map(add, row[j - i :], rows[j]))
-        if len(batch) >= TALLY_BATCH:
-            sums.update(batch)
-            batch.clear()
-    sums.update(batch)
-    if any(dsum % 2 for dsum in sums):
-        for i, j, t in combinations(range(len(rows)), 3):
-            _half_sum((i, j, t), rows[i][j - i - 1] + rows[i][t - i - 1] + rows[j][t - j - 1])
-    return tuple(sorted((dsum // 2, count) for dsum, count in sums.items()))
 
 
 def corollary_s3(
@@ -553,11 +515,12 @@ def corollary_s3(
     over point triples of C(n - r, k - r) with r the half-sum of the three
     pairwise distances (an integer in a binary cube).
 
-    The right side is summed over the histogram r -> number of triples
-    (_triple_rank_histogram), kept in A.memo; binom(m, 3) is checked on
-    every call, and the distance pass's binom(m, 2) before the memo is read.
+    A triple's rank is that half-sum, so the right side is the main
+    theorem's at s = 3: it is summed over H_3, the histogram r -> number of
+    triples (_subset_rank_histogram(A, 3), kept in A.memo and shared with
+    main_rhs), after its binom(m, 3) guard, which is checked on every call.
     With terms, every triple is listed from _triple_ranks, the histogram's
-    oracle.
+    oracle, which refuses an odd distance sum.
     """
     if A.params.q != 2:
         raise CubeError("corollary_s3 is defined for q = 2 only")
@@ -566,8 +529,8 @@ def corollary_s3(
     check_guard(binom(m, 3), guard)
     n = A.params.n
     lhs, lt = _left(A, k, 3, guard, include_terms)
-    check_guard(binom(m, 2), guard)
-    rhs = _right(_triple_rank_histogram(A), n, k)
+    check_guard(binom(m, 2), guard)  # guards no work: kept for its refusals at m = 3 and 4
+    rhs = _right(_subset_rank_histogram(A, 3), n, k)
     rt = None
     if include_terms:
         rt = tuple((f"triple={ijt}", binom(n - r, k - r)) for ijt, r in _triple_ranks(A, guard))
@@ -583,14 +546,12 @@ class _Family(NamedTuple):
     k, lo, hi)` gives the s of its points at k, lo..hi the config's s range;
     `before(A, k, s, guard)` and `after` are the per-point function's checks
     before and after its distribution(A, k, guard). The right side's r ->
-    number of s-subsets of rank r is _subset_rank_histogram(A, s) unless
-    `histogram(A, s)` overrides it. Rows carry s in their params if `row_s`,
-    error rows if `error_s`."""
+    number of s-subsets of rank r is H_s, _subset_rank_histogram(A, s).
+    Rows carry s in their params if `row_s`, error rows if `error_s`."""
 
     grid: Callable[[PointSet, int, int, int], Iterable[int]]
     before: Callable[[PointSet, int, int, int], None]
     after: Callable[[PointSet, int, int, int], None]
-    histogram: Optional[Callable[[PointSet, int], tuple[tuple[int, int], ...]]] = None
     row_s: bool = True
     error_s: bool = False
 
@@ -619,7 +580,6 @@ _FAMILIES = {
         lambda A, k, lo, hi: (3,) if A.params.q == 2 and len(A) >= 3 else (),
         lambda A, k, s, guard: check_guard(binom(len(A), 3), guard),
         lambda A, k, s, guard: check_guard(binom(len(A), 2), guard),
-        lambda A, s: _triple_rank_histogram(A),  # half-sums of distances
     ),
     # A k-face contains A iff it meets A in all |A| points: s = |A|, whose
     # left side is the e = |A| entry of the distribution. Its guard is the
@@ -655,9 +615,8 @@ def family_points(
     check before it, and asked again at the next point if refused, which
     costs one guard check. A point's left side sums C(e, s) times the
     level's counts, its right side C(n - r, k - r) times H_s's
-    (_subset_rank_histogram), or corollary 3's triple-rank histogram."""
-    grid, before, after, histogram, row_s, error_s = _FAMILIES[name]
-    histogram = histogram or _subset_rank_histogram
+    (_subset_rank_histogram)."""
+    grid, before, after, row_s, error_s = _FAMILIES[name]
     q, n, m = A.params.q, A.params.n, len(A)
     try:
         levels = dict(zip(ks, profile(A, ks, guard)))
@@ -675,7 +634,7 @@ def family_points(
                 yield {"q": q, "n": n, **labels, "k": k, **({"s": s} if error_s else {})}, exc
                 continue
             lhs = sum(comb(e, s) * count for e, count in level.counts.items() if e >= s)
-            rhs = sum(count * comb(n - r, k - r) for r, count in histogram(A, s) if r <= k)
+            rhs = sum(count * comb(n - r, k - r) for r, count in _subset_rank_histogram(A, s) if r <= k)
             if row_s:
                 yield {"q": q, "n": n, "k": k, "s": s, "m": m, **labels}, (lhs, rhs)
             else:

@@ -392,6 +392,14 @@ class TestVerify:
         code, out, err = run(capsys, "verify", path, "-k", "2", "-s", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("k", [-2, -70, 4, 9])
+    @pytest.mark.parametrize("s", [1, 9])
+    def test_k_out_of_range_is_named_before_s(self, tmp_path, capsys, k, s):
+        # k is checked before s, whose bound min(m, q**k) is a float at a negative k.
+        path = write(tmp_path, "a.txt", EW3)
+        code, out, err = run(capsys, "verify", path, "-k", str(k), "-s", str(s))
+        assert (code, out, err) == (2, "", f"error: k must be in [0, 3], got {k}\n")
+
     def test_unequal_exits_one(self, tmp_path, capsys, monkeypatch):
         # force a mismatch to pin the exit code and the NO marker
         def fake(A, k, s, guard, include_terms=False):
@@ -1071,12 +1079,10 @@ class TestSweep:
         assert row["error"] == str(scan.value)
 
     def test_rows_reuse_per_set_results(self, tmp_path, capsys, monkeypatch):
-        # Criterion 8's config: no lemma row scans faces, and each right side
-        # is computed once per (set, s): H_s for main, corollaries 1 and 2
-        # and the lemma, and for corollary 3 one pass over the pairwise
-        # distances of a set.
+        # Criterion 8's config: no lemma row scans faces, and each right side,
+        # H_s for main, the corollaries and the lemma, is computed once per
+        # (set, s).
         scans = count_calls(monkeypatch, "qcube.faces", "faces_containing_bruteforce")
-        profiles = count_calls(monkeypatch, "qcube.identities", "_distances_after")
         families = count_calls(monkeypatch, "qcube.identities", "family_points")
         misses = _subset_rank_histogram.cache_info().misses
         config = {
@@ -1093,8 +1099,6 @@ class TestSweep:
         assert '"identity":"lemma_face_count"' in out
         assert scans == []
         sets = {id(args[1]): args[1] for args in families}
-        # Corollary 3 needs q = 2 and three points.
-        assert Counter(id(args[0]) for args in profiles) == {key: 1 for key, A in sets.items() if A.params.q == 2}
         kept = [key for A in sets.values() for key in A.memo if key[0] is _subset_rank_histogram.__wrapped__]
         assert len(kept) == _subset_rank_histogram.cache_info().misses - misses
         # Both seeds at q = 2, n = 2 draw the full square, as two set objects
@@ -1102,13 +1106,13 @@ class TestSweep:
         assert len(sets) == 12
 
     def test_right_sides_are_computed_once_per_set_and_s(self, tmp_path, capsys, monkeypatch):
-        # main at s = 1..3, corollary 1 (s = 1), corollary 2 (s = 2) and the
-        # lemma (s = |A|) all read H_s, so a set keeps one histogram per s,
-        # each computed once, and no other.
+        # main at s = 1..3, corollaries 1, 2 and 3 (s = 1, 2, 3; the third at
+        # q = 2 only) and the lemma (s = |A|) all read H_s, so a set keeps one
+        # histogram per s, each computed once, and no other.
         families = count_calls(monkeypatch, "qcube.identities", "family_points")
         misses = _subset_rank_histogram.cache_info().misses
         config = {
-            "identities": ["main", "corollary1", "corollary2", "lemma_face_count"],
+            "identities": ["main", "corollary1", "corollary2", "corollary3", "lemma_face_count"],
             "q": [2, 3],
             "n": [2, 4],
             "s": [1, 3],

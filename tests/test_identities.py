@@ -61,6 +61,13 @@ class TestMainSides:
         with pytest.raises(CubeError):
             main_lhs(mkset(2, 2, "00"), 3, 1)
 
+    @pytest.mark.parametrize("k", [-1, -70, 3])
+    @pytest.mark.parametrize("check", [main_lhs, main_rhs, verify_main])
+    def test_k_is_checked_before_s(self, mkset, check, k):
+        # k is checked before s, whose bound min(m, q**k) is a float at a negative k.
+        with pytest.raises(CubeError, match=rf"^k must be in \[0, 2\], got {k}$"):
+            check(mkset(2, 2, "00 11"), k, 1)
+
     def test_rhs_guard(self, mkset):
         A = mkset(2, 4, "0000 0001 0010 0100 1000 1111 0011 0101")
         with pytest.raises(SizeGuardError):
@@ -266,6 +273,18 @@ class TestCorollary3:
         with pytest.raises(SizeGuardError, match="about 6 elementary operations, guard is 5"):
             corollary_s3(A, k, guard=5)
         assert corollary_s3(A, k, guard=6).equal
+
+    def test_terms_sum_to_rhs(self):
+        rng = random.Random(515)
+        for _ in range(25):
+            A = random_set(rng, qs=(2,), max_n=7, max_m=9)
+            if len(A) < 3:
+                continue
+            k = rng.randint(0, A.params.n)
+            rep = corollary_s3(A, k, include_terms=True)
+            assert len(rep.rhs_terms) == binom(len(A), 3)
+            assert sum(v for _, v in rep.rhs_terms) == rep.rhs
+            assert rep.equal
 
     def test_agrees_with_main_rhs(self):
         rng = random.Random(414)

@@ -66,9 +66,7 @@ from qcube.identities import (
     _subset_rank_histogram,
     _subset_rank_histogram_sliced,
     _subset_rank_histogram_walked,
-    _distances_after,
     _lhs_terms,
-    _triple_rank_histogram,
     _triple_ranks,
     corollary_s1,
     corollary_s2,
@@ -77,7 +75,7 @@ from qcube.identities import (
     main_lhs,
     main_rhs,
 )
-from qcube.rank import distance_sum, distance_total, rank, rank_rows
+from qcube.rank import DistanceProfile, distance_sum, distance_total, rank, rank_rows
 from qcube.walk import _profile_sliced
 
 QS = (2, 3, 4, 5, 8, 11, 16)
@@ -501,19 +499,16 @@ def test_equal_sets_keep_their_own_results():
 
 
 def test_corollaries_take_the_distances_once_across_guards():
-    # One right side per corollary: H_2 from the walk, and the triple ranks
-    # from one pass over the pairwise distances.
+    # One right side per corollary, H_2 and H_3, each computed once; neither
+    # takes a pass over the pairwise distances.
     A = random_set(2, 10, 24, 5)
     least = comb(10, 4) * 24  # the left side's guard, the largest of each
-    with mock.patch.object(qcube.identities, "_distances_after", wraps=_distances_after) as calls:
-        for corollary, histogram, passes in (
-            (corollary_s2, _subset_rank_histogram, 0),
-            (corollary_s3, _triple_rank_histogram, 1),
-        ):
-            before, misses = calls.call_count, histogram.cache_info().misses
+    with mock.patch.object(qcube.identities, "distance_sum", wraps=distance_sum) as calls:
+        for corollary in (corollary_s2, corollary_s3):
+            misses = _subset_rank_histogram.cache_info().misses
             assert corollary(A, 4) == corollary(A, 4, guard=least)
-            assert histogram.cache_info().misses == misses + 1
-            assert calls.call_count == before + passes
+            assert _subset_rank_histogram.cache_info().misses == misses + 1
+        assert calls.call_count == 0
     assert corollary_s2(A, 4).equal and corollary_s3(A, 4).equal
 
 
@@ -790,19 +785,27 @@ def test_corollary3_histogram_matches_terms_and_main_rhs(A, k):
 
 @st.composite
 def binary_sets(draw):
+    # m is drawn from 3..5 as often as from above, so that the complement
+    # walk, which takes m/2 < s < m, sees s = 3.
     n = draw(st.integers(2, 8))
-    row = st.tuples(*[st.integers(0, 1)] * n)
-    rows = draw(st.lists(row, min_size=3, max_size=min(30, 2**n), unique=True))
-    return PointSet.from_coords(CubeParams(2, n), rows)
+    m = draw(st.one_of(st.integers(3, min(5, 2**n)), st.integers(3, min(30, 2**n))))
+    words = draw(st.sets(st.integers(0, 2**n - 1), min_size=m, max_size=m))
+    return PointSet.from_coords(CubeParams(2, n), [tuple(w >> j & 1 for j in range(n)) for w in sorted(words)])
 
 
 @given(binary_sets())
 @example(full_cube(2, 3))
 @example(pointset(2, [(0, 0, 0), (0, 1, 1), (1, 0, 1)]))
+@example(pointset(2, [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)]))
 @kernel_settings
 def test_triple_rank_histogram_matches_triple_ranks(A):
-    want = Counter(r for _, r in _triple_ranks(A, 10**7))
-    assert _triple_rank_histogram.__wrapped__(A) == tuple(sorted(want.items()))
+    # H_3 on every route is the histogram of the triples' half distance sums.
+    want = tuple(sorted(Counter(r for _, r in _triple_ranks(A, 10**7)).items()))
+    assert _subset_rank_histogram.__wrapped__(A, 3) == want
+    assert _subset_rank_histogram_walked(A, 3) == want
+    assert _subset_rank_histogram_sliced(A, 3) == want
+    if len(A) in (4, 5):
+        assert _subset_rank_histogram_complement(A, 3) == want
 
 
 def test_pair_distance_histogram_holds_one_point_of_distances():
@@ -821,15 +824,16 @@ def test_pair_distance_histogram_holds_one_point_of_distances():
 
 
 def test_triple_rank_histogram_refuses_an_odd_distance_sum():
-    # Unreachable in a binary cube; distances 1, 1, 2 and 1, 1, 1 are fed in:
-    # each point's distances to the points after it, with d(1, 2) = 1.
+    # Unreachable in a binary cube; the square's distances are fed in with
+    # d(1, 2) = 1, so that the first triple's sum is 1 + 1 + 1.
     A = pointset(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    rows = [[1, 1, 2], [2, 1], [1], []]
-    assert list(_distances_after(A)) == rows
-    rows[1][0] = 1
-    with mock.patch.object(qcube.identities, "_distances_after", return_value=rows):
+    pairwise = {(0, 1): 1, (0, 2): 1, (0, 3): 2, (1, 2): 2, (1, 3): 1, (2, 3): 1}
+    assert distance_sum(A).pairwise == pairwise
+    pairwise[1, 2] = 1
+    fed = DistanceProfile(pairwise, sum(pairwise.values()))
+    with mock.patch.object(qcube.identities, "distance_sum", return_value=fed):
         with pytest.raises(ConsistencyError, match=r"^odd distance sum 3 for a binary triple \(0, 1, 2\)$"):
-            _triple_rank_histogram.__wrapped__(A)
+            list(_triple_ranks(A, 10**7))
 
 
 @given(point_sets(), st.integers(0, 6), st.integers(1, 8))
